@@ -78,16 +78,13 @@ def qp_stack(h0, u_shared, v_independent, n_layers, question_mask=None):
     return outputs, alignments
 
 
-def self_align(h_prev, passage_mask=None, mask_diagonal=False, layer_index=1):
+def self_align(h_prev, mask_diagonal=False, layer_index=1):
     """Passage-vs-passage alignment [n, n] by dot product."""
     n = h_prev.data.shape[0]
     scores = T.matmul(h_prev, T.transpose(h_prev))
     mask = None
-    if passage_mask is not None:
-        mask = np.broadcast_to(np.asarray(passage_mask, dtype=bool), (n, n)).copy()
     if mask_diagonal:
-        if mask is None:
-            mask = np.ones((n, n), dtype=bool)
+        mask = np.ones((n, n), dtype=bool)
         np.fill_diagonal(mask, False)
     weights = T.softmax_rows(scores, mask=mask)
     return AlignmentMatrix(weights=weights, scores=scores, kind="self", layer_index=layer_index)

@@ -74,9 +74,3 @@ class ParamSet:
             t = self._params[name]
             if t.grad is not None:
                 t.grad = t.grad * mask
-
-    def set_grad_mask(self, name, mask):
-        self._grad_masks[name] = np.asarray(mask, dtype=np.float64)
-
-    def grad_mask(self, name):
-        return self._grad_masks.get(name)

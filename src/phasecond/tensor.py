@@ -4,7 +4,9 @@ Every value in the model is a `Tensor` wrapping a row-major numpy array.
 Operations record their inputs and a local backward rule; `backward()`
 replays the tape in reverse topological order and accumulates gradients
 additively across fan-out, so two calls on the same graph are bitwise
-identical.
+identical. Gradients land in `.grad` on leaves only (tensors no op
+produced, such as parameters); an intermediate node's gradient is dropped
+once its backward rule has consumed it.
 
 Broadcasting is deliberately restricted: shapes must be equal, or the
 smaller operand's shape must equal the trailing dimensions of the larger
@@ -22,7 +24,7 @@ class Tensor:
 
     data          float64 ndarray, row-major
     requires_grad whether gradients flow into this tensor
-    grad          accumulated gradient, same shape as data (or None)
+    grad          accumulated gradient, same shape as data; set on leaves only
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
@@ -38,32 +40,8 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def zero_grad(self):
-        self.grad = None
-
-    def detach(self):
-        """A leaf copy that shares no graph history."""
-        t = Tensor(self.data.copy())
-        return t
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # Operator sugar used throughout the layers.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
 
 def _as_tensor(x):
@@ -85,10 +63,12 @@ def make_node(data, parents, backward_fn):
 
 
 def backward(loss):
-    """Accumulate d(loss)/d(t) into t.grad for every tensor in the graph.
+    """Accumulate d(loss)/d(t) into t.grad for every leaf t in the graph.
 
-    loss must be a scalar (shape ()). Gradients add onto existing .grad
-    buffers; callers zero them between steps.
+    loss must be a scalar (shape ()). A leaf is a tensor with no backward
+    rule; intermediate nodes never get a .grad. Gradients add onto existing
+    .grad buffers, so the tape is not consumed: calling backward twice
+    doubles every leaf gradient. Callers zero them between steps.
     """
     if loss.data.shape != ():
         raise GraphError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -116,11 +96,8 @@ def backward(loss):
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node.grad is None:
-            node.grad = g.copy()
-        else:
-            node.grad = node.grad + g
         if node._backward is None:
+            node.grad = g.copy() if node.grad is None else node.grad + g
             continue
         parent_grads = node._backward(g)
         for p, pg in zip(node._parents, parent_grads):
@@ -171,14 +148,6 @@ def add(a, b):
     return make_node(a.data + b.data, (a, b), bwd)
 
 
-def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    _binary_shapes(a, b)
-
-    def bwd(g):
-        return _reduce_to(g, a.data.shape), -_reduce_to(g, b.data.shape)
-
-    return make_node(a.data - b.data, (a, b), bwd)
 
 
 def mul(a, b):
@@ -201,8 +170,6 @@ def mul_const(a, c):
     return make_node(a.data * c, (a,), lambda g: (g * c,))
 
 
-def add_const(a, c):
-    return make_node(a.data + float(c), (a,), lambda g: (g,))
 
 
 def rsub_const(c, a):
@@ -241,13 +208,6 @@ def sigmoid(a):
     return make_node(out, (a,), bwd)
 
 
-def exp(a):
-    out = np.exp(a.data)
-
-    def bwd(g):
-        return (g * out,)
-
-    return make_node(out, (a,), bwd)
 
 
 def log(a):
@@ -305,13 +265,6 @@ def tsum(a):
     return make_node(a.data.sum(), (a,), bwd)
 
 
-def mean(a):
-    n = a.data.size
-
-    def bwd(g):
-        return (np.full(a.data.shape, g / n, dtype=np.float64),)
-
-    return make_node(a.data.mean(), (a,), bwd)
 
 
 def transpose(a):
@@ -351,14 +304,6 @@ def rows(a, start, stop):
     return make_node(a.data[start:stop], (a,), bwd)
 
 
-def cols(a, start, stop):
-    """a[:, start:stop]."""
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        full[:, start:stop] = g
-        return (full,)
-
-    return make_node(a.data[:, start:stop], (a,), bwd)
 
 
 def pick(a, i, j):
@@ -439,6 +384,8 @@ def grad_check(f, x, eps=1e-5):
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if x._backward is not None:
+        raise GraphError("grad_check needs a leaf tensor: gradients land on leaves only")
     was_rg, was_grad = x.requires_grad, x.grad
     x.requires_grad = True
     x.grad = None

