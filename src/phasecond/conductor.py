@@ -296,28 +296,52 @@ def _tag_vocab(examples, *attrs):
     return vocab
 
 
-def forward(model, example, mode="eval", rng=None):
-    """Run encoders, the phase path, and the pointer head on one example."""
+def _dropout_draws(model, example, rng):
+    """Uniforms behind one example's six dropout masks, in the order the
+    model applies them: passage and question features, v, h, u, final h.
+    Without an rng there is no dropout, and every draw is None."""
+    n, m = len(example.passage_tokens), len(example.question_tokens)
+    width, d2 = model.extractor.width, 2 * model.config.hidden
+    shapes = ((n, width), (m, width), (m, d2), (n, d2), (m, d2), (n, model.final_width))
+    return [None if rng is None else rng.random(shape) for shape in shapes]
+
+
+def forward_batch(model, examples, mode="eval", rng=None):
+    """One ForwardResult per example of a minibatch.
+
+    Features are built per example, each encoder direction runs once over
+    the whole batch, and the phase path and pointer head run per example.
+    In training, each example's dropout uniforms are drawn up front, one
+    example after another, so the masks do not depend on the batch size.
+    """
     train = mode == "train"
     if train and rng is None:
         raise BuildError("training mode forward needs an rng for dropout")
-    cfg = model.config
-    p_bits, q_bits = exact_match_features(example.passage_tokens, example.question_tokens)
-    p_feats = model.extractor.embed_sequence(
-        example.passage_tokens, "passage",
-        TokenAux(em_bits=p_bits, pos=example.passage_pos, ner=example.passage_ner),
-        train=train, rng=rng)
-    q_feats = model.extractor.embed_sequence(
-        example.question_tokens, "question",
-        TokenAux(em_bits=q_bits, pos=example.question_pos, ner=example.question_ner),
-        train=train, rng=rng)
+    rng = rng if train and model.config.dropout > 0 else None
+    draws = [_dropout_draws(model, ex, rng) for ex in examples]
+    passages, questions = [], []
+    for ex, draw in zip(examples, draws):
+        p_bits, q_bits = exact_match_features(ex.passage_tokens, ex.question_tokens)
+        passages.append(model.extractor.embed_sequence(
+            ex.passage_tokens, "passage",
+            TokenAux(em_bits=p_bits, pos=ex.passage_pos, ner=ex.passage_ner), draw=draw[0]))
+        questions.append(model.extractor.embed_sequence(
+            ex.question_tokens, "question",
+            TokenAux(em_bits=q_bits, pos=ex.question_pos, ner=ex.question_ner), draw=draw[1]))
 
-    v = model.encoders.encode_independent_question(q_feats)
-    h, u = model.encoders.encode_shared(p_feats, q_feats)
-    if train and cfg.dropout > 0:
-        v = T.dropout(v, cfg.dropout, rng)
-        h = T.dropout(h, cfg.dropout, rng)
-        u = T.dropout(u, cfg.dropout, rng)
+    vs = model.encoders.encode_independent_question(questions)
+    hs, us = model.encoders.encode_shared(passages, questions)
+    return [_conduct(model, v, h, u, draw[2:])
+            for v, h, u, draw in zip(vs, hs, us, draws)]
+
+
+def _conduct(model, v, h, u, draws):
+    """The phase path and the pointer head over one example's encodings."""
+    cfg = model.config
+    draw_v, draw_h, draw_u, draw_final = draws
+    v = T.dropout(v, cfg.dropout, draw_v)
+    h = T.dropout(h, cfg.dropout, draw_h)
+    u = T.dropout(u, cfg.dropout, draw_u)
 
     trace = []
     effective = [None] * len(model.plan)  # per-step output, rewritten by Fi
@@ -343,8 +367,7 @@ def forward(model, example, mode="eval", rng=None):
         effective[i] = out
         h = out
 
-    if train and cfg.dropout > 0:
-        h = T.dropout(h, cfg.dropout, rng)
+    h = T.dropout(h, cfg.dropout, draw_final)
     query = model.pointer.initial_query(v)
     hops, span = model.pointer.predict_span(h, query)
     start, end = hops[-1]
@@ -352,8 +375,18 @@ def forward(model, example, mode="eval", rng=None):
                          trace=trace, final_repr=h)
 
 
+def forward(model, example, mode="eval", rng=None):
+    """Run encoders, the phase path, and the pointer head on one example."""
+    return forward_batch(model, [example], mode=mode, rng=rng)[0]
+
+
+def gold_loss(example, result):
+    """Span loss of the example's first gold span."""
+    gold_start, gold_end = example.gold_spans[0]
+    return span_loss(result.hops, gold_start, gold_end)
+
+
 def example_loss(model, example, mode="train", rng=None):
     """Span loss of the first gold span; forward + loss in one call."""
     result = forward(model, example, mode=mode, rng=rng)
-    gold_start, gold_end = example.gold_spans[0]
-    return span_loss(result.hops, gold_start, gold_end), result
+    return gold_loss(example, result), result

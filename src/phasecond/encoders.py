@@ -6,10 +6,13 @@ Two encoder roles over the same feature space:
 * a shared encoder producing the passage keys h and question keys u with
   one parameter set, so both sequences live in the same similarity space.
 
-Each direction's whole pass is a single graph node with a hand-written
-backward-through-time rule; the per-step Python loop stays out of the
-autodiff tape, which matters for training throughput. The rule is pinned
-by finite-difference tests.
+Each encoder runs once per minibatch: every sequence it sees in the batch
+(for the shared encoder, the passages and the questions together) is packed
+row after row, and each direction's whole pass over them is a single graph
+node with a hand-written backward-through-time rule. At step t the node
+updates only the sequences still running, so nothing is padded or masked,
+and the per-step Python loop stays out of the autodiff tape. The rule is
+pinned by finite-difference tests.
 """
 
 import numpy as np
@@ -17,79 +20,104 @@ import numpy as np
 from . import tensor as T
 from .errors import ShapeError
 from .params import orthogonal, xavier_uniform
-from .tensor import make_node
+from .tensor import make_node, stable_sigmoid
 
 
-def _sig(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _time_major(lengths, reverse):
+    """(perm, bounds): the packed rows in processing order, step by step.
+
+    Sequences are taken longest first, so the ones still running at step t
+    are always a prefix of that order: step t reads packed rows
+    perm[bounds[t]:bounds[t + 1]], and their states are the first
+    bounds[t + 1] - bounds[t] rows of the state matrix. The reverse direction
+    starts at each sequence's own last row.
+    """
+    lengths = np.asarray(lengths, dtype=np.intp)
+    starts = np.cumsum(lengths) - lengths
+    order = np.argsort(-lengths, kind="stable")
+    starts, lengths = starts[order], lengths[order]
+    t = np.arange(lengths[0])[:, None]
+    running = t < lengths  # [steps, sequences]; each row is a prefix
+    rows = starts + (lengths - 1 - t if reverse else t)
+    bounds = np.concatenate(([0], np.cumsum(running.sum(axis=1))))
+    return rows[running], bounds.tolist()
 
 
-def lstm_direction(x, w, u, b, reverse=False):
-    """One LSTM direction over a [n, in_dim] sequence -> [n, d].
+def lstm_direction(x, w, u, b, reverse=False, lengths=None):
+    """One LSTM direction over packed sequences -> [sum(lengths), d].
 
-    Gate layout along the 4d axis is (input, forget, cell, output).
-    Output row t is the hidden state after consuming position t in
-    processing order, stored back at position t.
+    x holds the sequences' rows back to back, sequence k being lengths[k]
+    rows long; without lengths, x is one sequence. Gate layout along the 4d
+    axis is (input, forget, cell, output). Output row r is the hidden state
+    after consuming row r in its sequence's processing order.
     """
     n = x.data.shape[0]
+    if lengths is None:
+        lengths = [n]
+    if sum(lengths) != n:
+        raise ShapeError(f"sequence lengths sum to {sum(lengths)}, input has {n} rows")
     d = u.data.shape[0]
-    xw = x.data @ w.data + b.data  # [n, 4d]
-    order = range(n - 1, -1, -1) if reverse else range(n)
+    perm, bounds = _time_major(lengths, reverse)
+    blocks = list(zip(bounds[:-1], bounds[1:]))
+    xw = (x.data @ w.data + b.data)[perm]  # [n, 4d], time-major like everything below
 
-    out = np.zeros((n, d))
-    h_prevs = np.zeros((n, d))      # hidden state entering each step
-    c_prevs = np.zeros((n, d))
-    gates = np.zeros((n, 4 * d))    # activated (i, f, g, o) per step
-    tanh_cs = np.zeros((n, d))
-    h = np.zeros(d)
-    c = np.zeros(d)
-    for t in order:
-        pre = xw[t] + h @ u.data
-        i = _sig(pre[:d])
-        f = _sig(pre[d:2 * d])
-        g = np.tanh(pre[2 * d:3 * d])
-        o = _sig(pre[3 * d:])
-        h_prevs[t] = h
-        c_prevs[t] = c
-        gates[t, :d] = i
-        gates[t, d:2 * d] = f
-        gates[t, 2 * d:3 * d] = g
-        gates[t, 3 * d:] = o
-        c = f * c + i * g
-        tanh_c = np.tanh(c)
-        tanh_cs[t] = tanh_c
-        h = o * tanh_c
-        out[t] = h
+    outs = np.empty((n, d))
+    h_prevs = np.empty((n, d))      # hidden state entering each row's step
+    c_prevs = np.empty((n, d))
+    gates = np.empty((n, 4 * d))    # activated (i, f, g, o) per row
+    tanh_cs = np.empty((n, d))
+    h = np.zeros((len(lengths), d))
+    c = np.zeros((len(lengths), d))
+    for lo, hi in blocks:
+        a = hi - lo
+        pre = xw[lo:hi] + h[:a] @ u.data
+        act = gates[lo:hi]
+        act[:] = stable_sigmoid(pre)
+        act[:, 2 * d:3 * d] = np.tanh(pre[:, 2 * d:3 * d])
+        i = act[:, :d]
+        f = act[:, d:2 * d]
+        g = act[:, 2 * d:3 * d]
+        o = act[:, 3 * d:]
+        h_prevs[lo:hi] = h[:a]
+        c_prevs[lo:hi] = c[:a]
+        c[:a] = f * c[:a] + i * g
+        tanh_c = tanh_cs[lo:hi]
+        tanh_c[:] = np.tanh(c[:a])
+        h[:a] = o * tanh_c
+        outs[lo:hi] = h[:a]
+    out = np.empty((n, d))
+    out[perm] = outs
 
     def bwd(grad_out):
-        dpre = np.zeros((n, 4 * d))
+        grad_tm = grad_out[perm]
+        dpre_tm = np.empty((n, 4 * d))
         u_t = u.data.T
-        dh_carry = np.zeros(d)
-        dc_carry = np.zeros(d)
-        for t in reversed(order):
-            i = gates[t, :d]
-            f = gates[t, d:2 * d]
-            g = gates[t, 2 * d:3 * d]
-            o = gates[t, 3 * d:]
-            tanh_c = tanh_cs[t]
-            dh = grad_out[t] + dh_carry
+        dh_carry = np.zeros((len(lengths), d))
+        dc_carry = np.zeros((len(lengths), d))
+        for lo, hi in reversed(blocks):
+            a = hi - lo
+            i = gates[lo:hi, :d]
+            f = gates[lo:hi, d:2 * d]
+            g = gates[lo:hi, 2 * d:3 * d]
+            o = gates[lo:hi, 3 * d:]
+            tanh_c = tanh_cs[lo:hi]
+            dh = grad_tm[lo:hi] + dh_carry[:a]
             do = dh * tanh_c
-            dc = dc_carry + dh * o * (1.0 - tanh_c * tanh_c)
-            row = dpre[t]
-            row[:d] = dc * g * i * (1.0 - i)
-            row[d:2 * d] = dc * c_prevs[t] * f * (1.0 - f)
-            row[2 * d:3 * d] = dc * i * (1.0 - g * g)
-            row[3 * d:] = do * o * (1.0 - o)
-            dc_carry = dc * f
-            dh_carry = row @ u_t
+            dc = dc_carry[:a] + dh * o * (1.0 - tanh_c * tanh_c)
+            step = dpre_tm[lo:hi]
+            step[:, :d] = dc * g * i * (1.0 - i)
+            step[:, d:2 * d] = dc * c_prevs[lo:hi] * f * (1.0 - f)
+            step[:, 2 * d:3 * d] = dc * i * (1.0 - g * g)
+            step[:, 3 * d:] = do * o * (1.0 - o)
+            dc_carry[:a] = dc * f
+            dh_carry[:a] = step @ u_t
+        dpre = np.empty((n, 4 * d))
+        dpre[perm] = dpre_tm
+        h_prev = np.empty((n, d))
+        h_prev[perm] = h_prevs
         dx = dpre @ w.data.T if x.requires_grad else None
         dw = x.data.T @ dpre
-        du = h_prevs.T @ dpre
+        du = h_prev.T @ dpre
         db = dpre.sum(axis=0)
         return dx, dw, du, db
 
@@ -97,7 +125,7 @@ def lstm_direction(x, w, u, b, reverse=False):
 
 
 class BiLSTMEncoder:
-    """Forward and backward LSTM over a sequence, states concatenated."""
+    """Forward and backward LSTM over packed sequences, states concatenated."""
 
     def __init__(self, params, prefix, in_dim, hidden, rng):
         self.in_dim = in_dim
@@ -112,30 +140,42 @@ class BiLSTMEncoder:
             b = params.add(f"{prefix}.{direction}.b", bias)
             self.cells[direction] = (w, u, b)
 
-    def __call__(self, features):
-        """[n, in_dim] -> [n, 2*hidden]."""
-        if features.data.shape[0] == 0:
+    def __call__(self, features, lengths=None):
+        """[sum(lengths), in_dim] -> [sum(lengths), 2*hidden]; no lengths means one sequence."""
+        if features.data.shape[0] == 0 or (lengths is not None and min(lengths) == 0):
             raise ShapeError("cannot encode an empty sequence")
         if features.data.shape[1] != self.in_dim:
             raise ShapeError(
                 f"encoder built for input width {self.in_dim}, got {features.data.shape[1]}"
             )
-        fw = lstm_direction(features, *self.cells["fw"], reverse=False)
-        bw = lstm_direction(features, *self.cells["bw"], reverse=True)
+        fw = lstm_direction(features, *self.cells["fw"], lengths=lengths)
+        bw = lstm_direction(features, *self.cells["bw"], reverse=True, lengths=lengths)
         return T.concat([fw, bw], axis=1)
+
+    def encode_each(self, sequences):
+        """One [n_k, 2*hidden] encoding per [n_k, in_dim] sequence, from one packed pass."""
+        lengths = [s.data.shape[0] for s in sequences]
+        packed = self(T.concat(sequences, axis=0), lengths)
+        ends = np.cumsum(lengths)
+        return [T.rows(packed, end - n, end) for n, end in zip(lengths, ends)]
 
 
 class EncoderPair:
-    """The independent question encoder plus the shared passage/question encoder."""
+    """The independent question encoder plus the shared passage/question encoder.
+
+    Both take a minibatch: one feature tensor per example, in example order.
+    """
 
     def __init__(self, params, in_dim, hidden, rng):
         self.independent = BiLSTMEncoder(params, "enc.indep", in_dim, hidden, rng)
         self.shared = BiLSTMEncoder(params, "enc.shared", in_dim, hidden, rng)
 
-    def encode_independent_question(self, question_features):
-        """v: [m, 2d], parameters disjoint from the shared encoder."""
-        return self.independent(question_features)
+    def encode_independent_question(self, questions):
+        """v: one [m_k, 2d] per question; parameters disjoint from the shared encoder."""
+        return self.independent.encode_each(questions)
 
-    def encode_shared(self, passage_features, question_features):
-        """(h: [n, 2d], u: [m, 2d]) from one parameter set."""
-        return self.shared(passage_features), self.shared(question_features)
+    def encode_shared(self, passages, questions):
+        """(h: one [n_k, 2d] per passage, u: one [m_k, 2d] per question) from one
+        parameter set, passages and questions in the same pass."""
+        encoded = self.shared.encode_each(list(passages) + list(questions))
+        return encoded[:len(passages)], encoded[len(passages):]

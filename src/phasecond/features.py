@@ -310,8 +310,12 @@ class FeatureExtractor:
         idx = [vocab.get(t, 0) for t in tags]
         return T.gather_rows(emb, idx)
 
-    def embed_sequence(self, tokens, side, aux=None, train=False, rng=None):
-        """[n_tokens, width] feature rows for one sequence."""
+    def embed_sequence(self, tokens, side, aux=None, draw=None):
+        """[n_tokens, width] feature rows for one sequence.
+
+        In training, `draw` holds the [n_tokens, width] uniforms behind the
+        dropout mask; without it the rows are not dropped.
+        """
         n = len(tokens)
         aux = aux or TokenAux()
         if n == 0:
@@ -332,7 +336,4 @@ class FeatureExtractor:
                 parts.append(T.repeat_rows(row, n))
             else:
                 parts.append(Tensor(np.zeros((n, self.cfg.feat_dim))))
-        out = T.concat(parts, axis=1)
-        if train and self.cfg.dropout > 0:
-            out = T.dropout(out, self.cfg.dropout, rng)
-        return out
+        return T.dropout(T.concat(parts, axis=1), self.cfg.dropout, draw)

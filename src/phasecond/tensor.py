@@ -195,12 +195,15 @@ def tanh(a):
     return make_node(out, (a,), bwd)
 
 
+def stable_sigmoid(x):
+    """Elementwise logistic of an array; exp only ever sees -|x|, so it never overflows."""
+    e = np.exp(-np.abs(x))
+    denom = 1.0 + e
+    return np.where(x >= 0, 1.0 / denom, e / denom)
+
+
 def sigmoid(a):
-    out = np.empty_like(a.data)
-    pos = a.data >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-    ex = np.exp(a.data[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = stable_sigmoid(a.data)
 
     def bwd(g):
         return (g * out * (1.0 - out),)
@@ -228,11 +231,17 @@ def clamp_min(a, floor):
     return make_node(np.where(mask, a.data, floor), (a,), bwd)
 
 
-def dropout(a, rate, rng):
-    """Inverted dropout; rng draws one mask per call."""
-    if rate <= 0.0:
+def dropout(a, rate, draw):
+    """Inverted dropout with a mask from `draw`, uniforms in [0, 1) of a's shape.
+
+    The caller draws the uniforms, so it decides the order in which masks
+    consume its generator. With no draw (evaluation) or rate 0, a passes through.
+    """
+    if draw is None or rate <= 0.0:
         return a
-    keep = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
+    if draw.shape != a.data.shape:
+        raise ShapeError(f"dropout draw of shape {draw.shape} for input {a.data.shape}")
+    keep = (draw >= rate) / (1.0 - rate)
 
     def bwd(g):
         return (g * keep,)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .conductor import build_model, example_loss, forward
+from .conductor import build_model, forward, forward_batch, gold_loss
 from .config import RunConfig, config_hash, to_text
 from .data import evaluate
 from .errors import CheckpointError, DataError, NumericsError
@@ -183,13 +183,14 @@ def train(model, train_examples, dev_examples, config, run_dir=None):
 def _optimizer_step(model, batch, state, config, rng):
     """One clipped Adam step on a batch's mean loss.
 
-    Returns the loss as a float, or None (and no update) when it is not
-    finite. The batch's tape lives only inside this call.
+    The batch goes through one batched forward pass (each encoder direction
+    runs once over all of it). Returns the loss as a float, or None (and no
+    update) when it is not finite. The batch's tape lives only inside this call.
     """
     model.params.zero_grads()
     total = None
-    for ex in batch:
-        loss, _ = example_loss(model, ex, rng=rng)
+    for ex, result in zip(batch, forward_batch(model, batch, mode="train", rng=rng)):
+        loss = gold_loss(ex, result)
         total = loss if total is None else T.add(total, loss)
     batch_loss = T.mul_const(total, 1.0 / len(batch))
     if not np.isfinite(batch_loss.data):

@@ -53,12 +53,12 @@ def run_grad_checks(seed=0):
     enc = EncoderPair(params, 3, 2, rng)
     mix_q = _mix(rng, (3, 4))
     check("encoder_independent", "m=3,in=3,d=2",
-          lambda t: T.tsum(T.mul(enc.encode_independent_question(t), mix_q)),
+          lambda t: T.tsum(T.mul(enc.encode_independent_question([t])[0], mix_q)),
           Tensor(rng.standard_normal((3, 3))))
     mix_p = _mix(rng, (4, 4))
     q_fixed = Tensor(rng.standard_normal((2, 3)))
     check("encoder_shared", "n=4,m=2,in=3,d=2",
-          lambda t: T.tsum(T.mul(enc.encode_shared(t, q_fixed)[0], mix_p)),
+          lambda t: T.tsum(T.mul(enc.encode_shared([t], [q_fixed])[0][0], mix_p)),
           Tensor(rng.standard_normal((4, 3))))
 
     # question-passage attention stack (two layers)
@@ -130,5 +130,12 @@ def run_grad_checks(seed=0):
     check("char_cnn", "words=2,dc=3,F=4",
           lambda _p: T.tsum(T.mul(cnn(["abca", "cb"]), mix_cnn)),
           params_cnn["cnn.filters"])
+
+    # both shared-encoder directions over a packed minibatch of mixed lengths
+    lengths = [3, 1, 4, 2]
+    mix_packed = _mix(rng, (sum(lengths), 4))
+    check("encoder_packed", "lengths=3,1,4,2,in=3,d=2",
+          lambda t: T.tsum(T.mul(enc.shared(t, lengths), mix_packed)),
+          Tensor(rng.standard_normal((sum(lengths), 3))))
 
     return reports

@@ -5,7 +5,7 @@ from phasecond import tensor as T
 from phasecond.encoders import BiLSTMEncoder, EncoderPair, lstm_direction
 from phasecond.errors import ShapeError
 from phasecond.params import ParamSet
-from phasecond.tensor import Tensor, grad_check
+from phasecond.tensor import Tensor, backward, grad_check
 
 
 def make_pair(in_dim=3, hidden=2, seed=0):
@@ -55,24 +55,80 @@ class TestLSTMDirection:
         assert np.allclose(full[-1], tail[0])
 
 
+LENGTHS = [3, 1, 4, 2]
+
+
+def packed_fixture(seed):
+    rng = np.random.default_rng(seed)
+    params = ParamSet()
+    cell = (params.add("W", rng.standard_normal((3, 8)) * 0.4),
+            params.add("U", rng.standard_normal((2, 8)) * 0.4),
+            params.add("b", rng.standard_normal(8) * 0.1))
+    x = Tensor(rng.standard_normal((sum(LENGTHS), 3)))
+    mixer = Tensor(rng.standard_normal((sum(LENGTHS), 2)))
+    return x, cell, mixer
+
+
+def segments(lengths):
+    ends = np.cumsum(lengths)
+    return [(end - n, end) for n, end in zip(lengths, ends)]
+
+
+class TestPackedLSTMDirection:
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gradients_match_finite_differences(self, reverse):
+        x, cell, mixer = packed_fixture(20)
+
+        def loss(_leaf):
+            return T.tsum(T.mul(lstm_direction(x, *cell, reverse=reverse,
+                                               lengths=LENGTHS), mixer))
+
+        for leaf in (x, *cell):
+            assert grad_check(loss, leaf) < 1e-4
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_per_sequence(self, reverse):
+        x, cell, mixer = packed_fixture(21)
+        x.requires_grad = True
+        packed = lstm_direction(x, *cell, reverse=reverse, lengths=LENGTHS)
+        backward(T.tsum(T.mul(packed, mixer)))
+        packed_grads = [t.grad for t in (x, *cell)]
+
+        for t in (x, *cell):
+            t.grad = None
+        for lo, hi in segments(LENGTHS):
+            piece = Tensor(x.data[lo:hi], requires_grad=True)
+            alone = lstm_direction(piece, *cell, reverse=reverse)
+            assert np.abs(packed.data[lo:hi] - alone.data).max() <= 1e-12
+            backward(T.tsum(T.mul(alone, Tensor(mixer.data[lo:hi]))))
+            assert np.abs(packed_grads[0][lo:hi] - piece.grad).max() <= 1e-12
+        for packed_grad, t in zip(packed_grads[1:], cell):
+            assert np.abs(packed_grad - t.grad).max() <= 1e-12
+
+    def test_lengths_must_cover_rows(self):
+        x, cell, _ = packed_fixture(23)
+        with pytest.raises(ShapeError, match="sum to"):
+            lstm_direction(x, *cell, lengths=[3, 1, 4])
+
+
 class TestBiLSTMEncoder:
     def test_output_width_and_length(self):
         pair, _ = make_pair(in_dim=4, hidden=128)
         rng = np.random.default_rng(3)
-        h, u = pair.encode_shared(Tensor(rng.standard_normal((7, 4))),
-                                  Tensor(rng.standard_normal((4, 4))))
+        [h], [u] = pair.encode_shared([Tensor(rng.standard_normal((7, 4)))],
+                                      [Tensor(rng.standard_normal((4, 4)))])
         assert h.data.shape == (7, 256)
         assert u.data.shape == (4, 256)
 
     def test_single_step(self):
         pair, _ = make_pair()
-        out = pair.encode_independent_question(Tensor(np.ones((1, 3))))
+        [out] = pair.encode_independent_question([Tensor(np.ones((1, 3)))])
         assert out.data.shape == (1, 4)
 
     def test_empty_sequence_rejected(self):
         pair, _ = make_pair()
         with pytest.raises(ShapeError, match="empty"):
-            pair.encode_independent_question(Tensor(np.zeros((0, 3))))
+            pair.encode_independent_question([Tensor(np.zeros((0, 3)))])
 
     def test_sequence_locality_of_forward_states(self):
         params = ParamSet()
@@ -87,7 +143,7 @@ class TestEncoderPair:
     def test_shared_weights_are_literal(self):
         pair, _ = make_pair(seed=6)
         feats = Tensor(np.random.default_rng(7).standard_normal((5, 3)))
-        h, u = pair.encode_shared(feats, feats)
+        [h], [u] = pair.encode_shared([feats], [feats])
         assert np.array_equal(h.data, u.data)
 
     def test_permuting_question_leaves_passage_encoding(self):
@@ -95,8 +151,8 @@ class TestEncoderPair:
         rng = np.random.default_rng(9)
         p = rng.standard_normal((6, 3))
         q = rng.standard_normal((4, 3))
-        h1, u1 = pair.encode_shared(Tensor(p), Tensor(q))
-        h2, u2 = pair.encode_shared(Tensor(p), Tensor(q[::-1].copy()))
+        [h1], [u1] = pair.encode_shared([Tensor(p)], [Tensor(q)])
+        [h2], [u2] = pair.encode_shared([Tensor(p)], [Tensor(q[::-1].copy())])
         assert np.array_equal(h1.data, h2.data)
         assert not np.allclose(u1.data, u2.data)
 
@@ -111,8 +167,8 @@ class TestEncoderPair:
     def test_independent_params_disjoint(self):
         pair, params = make_pair(seed=10)
         feats = Tensor(np.random.default_rng(11).standard_normal((3, 3)))
-        v = pair.encode_independent_question(feats)
-        _, u = pair.encode_shared(feats, feats)
+        [v] = pair.encode_independent_question([feats])
+        _, [u] = pair.encode_shared([feats], [feats])
         assert not np.allclose(v.data, u.data)
 
     def test_encoder_gradient_through_stack(self):
@@ -121,9 +177,23 @@ class TestEncoderPair:
         mixer = Tensor(rng.standard_normal((3, 4)))
         x = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
         err = grad_check(
-            lambda t: T.tsum(T.mul(pair.encode_independent_question(t), mixer)), x
+            lambda t: T.tsum(T.mul(pair.encode_independent_question([t])[0], mixer)), x
         )
         assert err < 1e-4
+
+    def test_batch_matches_one_example_at_a_time(self):
+        pair, _ = make_pair(seed=15)
+        rng = np.random.default_rng(16)
+        passages = [Tensor(rng.standard_normal((n, 3))) for n in (4, 2, 5)]
+        questions = [Tensor(rng.standard_normal((m, 3))) for m in (2, 3, 1)]
+        vs = pair.encode_independent_question(questions)
+        hs, us = pair.encode_shared(passages, questions)
+        for k, (p, q) in enumerate(zip(passages, questions)):
+            [v] = pair.encode_independent_question([q])
+            [h], [u] = pair.encode_shared([p], [q])
+            for batched, alone in ((vs[k], v), (hs[k], h), (us[k], u)):
+                assert batched.data.shape == alone.data.shape
+                assert np.abs(batched.data - alone.data).max() <= 1e-12
 
     def test_deterministic_build(self):
         pair1, params1 = make_pair(seed=14)

@@ -143,7 +143,7 @@ class TestEmbedSequence:
         ext, _ = make_extractor(["alpha", "beta"], seed=7)
         rng = np.random.default_rng(0)
         dropped = ext.embed_sequence(["alpha", "beta"], side="passage",
-                                     train=True, rng=rng)
+                                     draw=rng.random((2, ext.width)))
         plain = ext.embed_sequence(["alpha", "beta"], side="passage")
         assert not np.array_equal(dropped.data, plain.data)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,11 +8,12 @@ from phasecond import tensor as T
 from phasecond.conductor import build_from_examples, example_loss, forward
 from phasecond.config import RunConfig
 from phasecond.data import SyntheticSpec, generate_synthetic
-from phasecond.errors import CheckpointError, NumericsError
+from phasecond.errors import CheckpointError, NumericsError, ShapeError
 from phasecond.params import ParamSet
 from phasecond.tensor import backward
 from phasecond.training import (
     AdamState,
+    _optimizer_step,
     adam_step,
     clip_gradients,
     evaluate_model,
@@ -150,6 +152,44 @@ class TestTrainLoop:
                 break
         assert min(losses) < 0.01
         assert all(l >= 0 for l in losses)
+
+
+class TestBatchedStep:
+    def test_matches_per_example_reference_with_dropout(self):
+        data = tiny_dataset(n=6, seed=6)
+        assert len({len(ex.passage_tokens) for ex in data}) > 1
+        cfg = small_config(dropout=0.3)
+        batched, reference = (build_from_examples(cfg, data) for _ in range(2))
+        rng_batched, rng_reference = np.random.default_rng(11), np.random.default_rng(11)
+
+        # one forward pass per example, masks drawn example by example
+        reference.params.zero_grads()
+        total = None
+        for ex in data:
+            loss, _ = example_loss(reference, ex, rng=rng_reference)
+            total = loss if total is None else T.add(total, loss)
+        expected = T.mul_const(total, 1.0 / len(data))
+        backward(expected)
+        reference.params.apply_grad_masks()
+        clip_gradients(reference.params, cfg.grad_clip)
+
+        loss = _optimizer_step(batched, data, AdamState(lr=cfg.lr), cfg, rng_batched)
+        assert abs(loss - float(expected.data)) <= 1e-12
+        assert rng_batched.bit_generator.state == rng_reference.bit_generator.state
+        for name, t in reference.params.items():
+            grad = batched.params[name].grad
+            assert (grad is None) == (t.grad is None), name
+            if grad is not None:
+                assert np.abs(grad - t.grad).max() <= 1e-12, name
+
+    @pytest.mark.parametrize("field", ["passage_tokens", "question_tokens"])
+    def test_empty_sequence_anywhere_in_batch_raises(self, field):
+        data = tiny_dataset(n=3, seed=7)
+        cfg = small_config(dropout=0.2)
+        model = build_from_examples(cfg, data)
+        data[1] = dataclasses.replace(data[1], **{field: []})
+        with pytest.raises(ShapeError, match="empty"):
+            _optimizer_step(model, data, AdamState(lr=cfg.lr), cfg, np.random.default_rng(0))
 
 
 class TestCheckpoint:
