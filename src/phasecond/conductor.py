@@ -12,6 +12,12 @@ with groups repeatable as "(...)xN". The default two-phase path is
 "LQ->LQ->Fo->LS->Fi->LS->Fi"; the alternating baseline is
 "(LQ->Fi->LS->Fi)x2". Width consistency is checked once at build time,
 so a malformed chain fails before any data is seen.
+
+`forward_batch` runs the assembled model over a minibatch. The passages'
+rows stay packed from the shared encoder to the pointer head, so each
+step that works row by row runs once per batch; the LQ/LS attention
+layers, which mix rows within one example, run per example on row slices.
+`forward` is the same code with a batch of one.
 """
 
 import re
@@ -180,7 +186,6 @@ class ForwardResult:
     hops: list
     span: object
     trace: list
-    final_repr: object
 
 
 class ModelAssembly:
@@ -309,10 +314,14 @@ def _dropout_draws(model, example, rng):
 def forward_batch(model, examples, mode="eval", rng=None):
     """One ForwardResult per example of a minibatch.
 
-    Features are built per example, each encoder direction runs once over
-    the whole batch, and the phase path and pointer head run per example.
-    In training, each example's dropout uniforms are drawn up front, one
-    example after another, so the masks do not depend on the batch size.
+    Features are built per example, and each encoder direction runs once over
+    the whole batch. The passages' rows then stay packed, [sum n_k, w] in
+    example order, so every layer that works row by row (the LQ projection,
+    each Fi and Fo, the final dropout, the pointer's boundary scores and its
+    memory) runs once per batch; only LQ/LS attention runs per example, on
+    row slices, and its outputs are packed again. In training, each
+    example's dropout uniforms are drawn up front, one example after
+    another, so the masks do not depend on the batch size.
     """
     train = mode == "train"
     if train and rng is None:
@@ -329,50 +338,54 @@ def forward_batch(model, examples, mode="eval", rng=None):
             ex.question_tokens, "question",
             TokenAux(em_bits=q_bits, pos=ex.question_pos, ner=ex.question_ner), draw=draw[1]))
 
-    vs = model.encoders.encode_independent_question(questions)
-    hs, us = model.encoders.encode_shared(passages, questions)
-    return [_conduct(model, v, h, u, draw[2:])
-            for v, h, u, draw in zip(vs, hs, us, draws)]
-
-
-def _conduct(model, v, h, u, draws):
-    """The phase path and the pointer head over one example's encodings."""
     cfg = model.config
-    draw_v, draw_h, draw_u, draw_final = draws
-    v = T.dropout(v, cfg.dropout, draw_v)
-    h = T.dropout(h, cfg.dropout, draw_h)
-    u = T.dropout(u, cfg.dropout, draw_u)
+    lengths = [len(ex.passage_tokens) for ex in examples]
+    vs = model.encoders.encode_independent_question(questions)
+    h, us = model.encoders.encode_shared(passages, questions)
+    vs = [T.dropout(v, cfg.dropout, draw[2]) for v, draw in zip(vs, draws)]
+    h = T.dropout(h, cfg.dropout, _packed_draw(draws, 3))
+    us = [T.dropout(u, cfg.dropout, draw[4]) for u, draw in zip(us, draws)]
 
-    trace = []
+    traces = [[] for _ in examples]
     effective = [None] * len(model.plan)  # per-step output, rewritten by Fi
     inputs = [None] * len(model.plan)     # h as seen by each step
     for i, step in enumerate(model.plan):
         inputs[i] = h
         if step.kind == "LQ":
             query = h if step.projection is None else T.matmul(h, step.projection)
-            align = qp_align(query, u, layer_index=step.layer_index)
-            out = qp_represent(align, v)
-            trace.append(align)
+            aligns = [qp_align(q_k, u, layer_index=step.layer_index)
+                      for q_k, u in zip(T.split_rows(query, lengths), us)]
+            out = T.concat([qp_represent(a, v) for a, v in zip(aligns, vs)], axis=0)
         elif step.kind == "LS":
-            align = self_align(h, mask_diagonal=cfg.mask_diagonal,
-                               layer_index=step.layer_index)
-            out = self_propagate(align, h)
-            trace.append(align)
+            parts = T.split_rows(h, lengths)
+            aligns = [self_align(h_k, mask_diagonal=cfg.mask_diagonal,
+                                 layer_index=step.layer_index) for h_k in parts]
+            out = T.concat([self_propagate(a, h_k) for a, h_k in zip(aligns, parts)], axis=0)
         elif step.kind == "Fi":
             out = step.fusion(b_new=effective[i - 1], b_prev=inputs[i - 1])
             effective[i - 1] = out
         else:  # Fo
             cat = T.concat([effective[j] for j in step.block], axis=1)
             out = step.fusion(cat)
+        if step.kind in ATTENTION_STEPS:
+            for trace, align in zip(traces, aligns):
+                trace.append(align)
         effective[i] = out
         h = out
 
-    h = T.dropout(h, cfg.dropout, draw_final)
-    query = model.pointer.initial_query(v)
-    hops, span = model.pointer.predict_span(h, query)
-    start, end = hops[-1]
-    return ForwardResult(start_dist=start, end_dist=end, hops=hops, span=span,
-                         trace=trace, final_repr=h)
+    h = T.dropout(h, cfg.dropout, _packed_draw(draws, 5))
+    query = model.pointer.initial_query(vs)
+    predictions = model.pointer.predict_span(h, query, lengths)
+    return [ForwardResult(start_dist=hops[-1][0], end_dist=hops[-1][1], hops=hops,
+                          span=span, trace=trace)
+            for (hops, span), trace in zip(predictions, traces)]
+
+
+def _packed_draw(draws, site):
+    """The examples' uniforms for one row-wise dropout site, packed like the rows."""
+    if draws[0][site] is None:
+        return None
+    return np.concatenate([draw[site] for draw in draws])
 
 
 def forward(model, example, mode="eval", rng=None):

@@ -12,7 +12,8 @@ row after row, and each direction's whole pass over them is a single graph
 node with a hand-written backward-through-time rule. At step t the node
 updates only the sequences still running, so nothing is padded or masked,
 and the per-step Python loop stays out of the autodiff tape. The rule is
-pinned by finite-difference tests.
+pinned by finite-difference tests. The passages leave the shared encoder
+still packed, for the layers after it that work row by row.
 """
 
 import numpy as np
@@ -152,12 +153,10 @@ class BiLSTMEncoder:
         bw = lstm_direction(features, *self.cells["bw"], reverse=True, lengths=lengths)
         return T.concat([fw, bw], axis=1)
 
-    def encode_each(self, sequences):
-        """One [n_k, 2*hidden] encoding per [n_k, in_dim] sequence, from one packed pass."""
+    def encode_packed(self, sequences):
+        """([sum n_k, 2*hidden] encodings packed in order, lengths) of [n_k, in_dim] sequences."""
         lengths = [s.data.shape[0] for s in sequences]
-        packed = self(T.concat(sequences, axis=0), lengths)
-        ends = np.cumsum(lengths)
-        return [T.rows(packed, end - n, end) for n, end in zip(lengths, ends)]
+        return self(T.concat(sequences, axis=0), lengths), lengths
 
 
 class EncoderPair:
@@ -172,10 +171,12 @@ class EncoderPair:
 
     def encode_independent_question(self, questions):
         """v: one [m_k, 2d] per question; parameters disjoint from the shared encoder."""
-        return self.independent.encode_each(questions)
+        return T.split_rows(*self.independent.encode_packed(questions))
 
     def encode_shared(self, passages, questions):
-        """(h: one [n_k, 2d] per passage, u: one [m_k, 2d] per question) from one
-        parameter set, passages and questions in the same pass."""
-        encoded = self.shared.encode_each(list(passages) + list(questions))
-        return encoded[:len(passages)], encoded[len(passages):]
+        """(h, u) from one parameter set, passages and questions in the same pass:
+        h is every passage's rows packed in example order, [sum n_k, 2d], and u
+        is one [m_k, 2d] per question."""
+        packed, lengths = self.shared.encode_packed(list(passages) + list(questions))
+        h, *us = T.split_rows(packed, [sum(lengths[:len(passages)])] + lengths[len(passages):])
+        return h, us

@@ -333,7 +333,7 @@ class FeatureExtractor:
             if side == "question":
                 qt = aux.qtype or question_type(tokens)
                 row = T.gather_rows(self.qtype_emb, [QUESTION_TYPES.index(qt)])
-                parts.append(T.repeat_rows(row, n))
+                parts.append(T.repeat_rows(row, [n]))
             else:
                 parts.append(Tensor(np.zeros((n, self.cfg.feat_dim))))
         return T.dropout(T.concat(parts, axis=1), self.cfg.dropout, draw)

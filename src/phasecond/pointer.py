@@ -7,6 +7,11 @@ final span maximizes p_start * p_end over pairs with start <= end and
 length below max_span, using the last hop's distributions; training
 minimizes the summed negative log probability of the gold boundaries at
 that last hop.
+
+The head takes a minibatch at once: the passages' rows packed as one
+[sum n_k, w] matrix and one memory row per example, [B, w]. The boundary
+scores and the memory updates run once over the whole batch; only each
+boundary's softmax and the evidence pooling run per passage.
 """
 
 from dataclasses import dataclass
@@ -106,42 +111,53 @@ class PointerHead:
                 )
         self.memory = GRUCell(params, "ptr.mem", passage_width, rng)
 
-    def initial_query(self, v_independent):
-        q = question_summary(v_independent, self.summary_proj, self.summary_score)
+    def initial_query(self, vs):
+        """[B, w] memory rows, one per question encoding [m_k, 2d] in vs."""
+        q = T.concat([question_summary(v, self.summary_proj, self.summary_score)
+                      for v in vs], axis=0)
         if self.adapter is not None:
             q = T.matmul(q, self.adapter)
         return q
 
-    def _boundary_dist(self, h, q, t, b, mask):
-        n = h.data.shape[0]
+    def _boundary_dists(self, h, q, t, b, lengths):
+        """One [1, n_k] boundary distribution per passage."""
         w_h, w_q, v = self.boundary[(t, b)]
-        hidden = T.tanh(T.add(T.matmul(h, w_h), T.repeat_rows(T.matmul(q, w_q), n)))
-        scores = T.reshape(T.matmul(hidden, v), (1, n))
-        return T.softmax_rows(scores, mask=None if mask is None else mask.reshape(1, n))
+        hidden = T.tanh(T.add(T.matmul(h, w_h), T.repeat_rows(T.matmul(q, w_q), lengths)))
+        scores = T.split_rows(T.matmul(hidden, v), lengths)
+        return [T.softmax_rows(T.reshape(s, (1, n))) for s, n in zip(scores, lengths)]
 
-    def predict_span(self, passage_repr, query, mask=None):
-        """Per-hop (p_start, p_end) pairs plus the decoded span of the last hop."""
-        if passage_repr.data.shape[1] != self.width:
+    def predict_span(self, h, q, lengths=None):
+        """One (hops, span) per passage: its per-hop (p_start, p_end) pairs and
+        the span decoded from the last hop.
+
+        h holds the passages' rows packed in order, passage k being lengths[k]
+        rows long (no lengths: h is one passage), and q holds one memory row
+        per passage.
+        """
+        n, width = h.data.shape
+        if width != self.width:
+            raise ShapeError(f"pointer built for width {self.width}, got {width}")
+        lengths = [n] if lengths is None else list(lengths)
+        if q.data.shape != (len(lengths), self.width):
             raise ShapeError(
-                f"pointer built for width {self.width}, got {passage_repr.data.shape[1]}")
-        if mask is not None:
-            mask = np.asarray(mask, dtype=bool)
-            if not mask.any():
-                from .errors import DegenerateRowError
-                raise DegenerateRowError("all passage positions are masked")
-        h = passage_repr
-        q = query
-        hops = []
+                f"pointer needs a [{len(lengths)}, {self.width}] query, got {q.data.shape}")
+        passages = T.split_rows(h, lengths)
+        hops = [[] for _ in lengths]
         for t in range(1, self.hops + 1):
-            p_s = self._boundary_dist(h, q, t, "start", mask)
-            q = self.memory(q, T.matmul(p_s, h))
-            p_e = self._boundary_dist(h, q, t, "end", mask)
-            hops.append((p_s, p_e))
+            p_s = self._boundary_dists(h, q, t, "start", lengths)
+            q = self.memory(q, _pool(p_s, passages))
+            p_e = self._boundary_dists(h, q, t, "end", lengths)
+            for hop, start, end in zip(hops, p_s, p_e):
+                hop.append((start, end))
             if t < self.hops:
-                q = self.memory(q, T.matmul(p_e, h))
-        p_s, p_e = hops[-1]
-        span = decode_span(p_s.data, p_e.data, self.max_span)
-        return hops, span
+                q = self.memory(q, _pool(p_e, passages))
+        return [(hop, decode_span(hop[-1][0].data, hop[-1][1].data, self.max_span))
+                for hop in hops]
+
+
+def _pool(dists, passages):
+    """[B, w]: each passage's rows averaged under its [1, n_k] distribution."""
+    return T.concat([T.matmul(p, h_k) for p, h_k in zip(dists, passages)], axis=0)
 
 
 def span_loss(hops, gold_start, gold_end):

@@ -4,15 +4,19 @@ Every value in the model is a `Tensor` wrapping a row-major numpy array.
 Operations record their inputs and a local backward rule; `backward()`
 replays the tape in reverse topological order and accumulates gradients
 additively across fan-out, so two calls on the same graph are bitwise
-identical. Gradients land in `.grad` on leaves only (tensors no op
-produced, such as parameters); an intermediate node's gradient is dropped
-once its backward rule has consumed it.
+identical; the row slices of one tensor add into a single buffer.
+Gradients land in `.grad` on leaves only (tensors no op produced, such as
+parameters); an intermediate node's gradient is dropped once its backward
+rule has consumed it.
 
 Broadcasting is deliberately restricted: shapes must be equal, or the
 smaller operand's shape must equal the trailing dimensions of the larger
 (bias-vector style). Anything fancier must be spelled out with explicit
 ops like `repeat_rows`, which keeps every gradient rule auditable.
 """
+
+from collections import namedtuple
+from itertools import accumulate
 
 import numpy as np
 
@@ -92,6 +96,7 @@ def backward(loss):
                 stack.append((p, False))
 
     grads = {id(loss): np.ones((), dtype=np.float64)}
+    owned = set()  # ids whose pending gradient backward() allocated itself
     for node in reversed(topo):
         g = grads.pop(id(node), None)
         if g is None:
@@ -101,10 +106,35 @@ def backward(loss):
             continue
         parent_grads = node._backward(g)
         for p, pg in zip(node._parents, parent_grads):
-            if pg is None or not p.requires_grad:
-                continue
-            acc = grads.get(id(p))
-            grads[id(p)] = pg if acc is None else acc + pg
+            if pg is not None and p.requires_grad:
+                _accumulate(grads, owned, p, pg)
+
+
+# The gradient of a row slice: g in rows start:stop of the parent, zero elsewhere.
+_RowsGrad = namedtuple("_RowsGrad", "start stop g")
+
+
+def _accumulate(grads, owned, p, pg):
+    """Add one parent gradient onto p's pending gradient.
+
+    A row slice is added into a buffer of p's shape that backward() owns, so
+    slicing a tensor into k pieces costs one buffer, not k. An array that a
+    backward rule returned is never written to: rules may hand the same
+    array to several parents.
+    """
+    key = id(p)
+    acc = grads.get(key)
+    if isinstance(pg, _RowsGrad):
+        if key not in owned:
+            acc = np.zeros_like(p.data) if acc is None else acc.copy()
+            grads[key] = acc
+            owned.add(key)
+        acc[pg.start:pg.stop] += pg.g
+    elif acc is None:
+        grads[key] = pg
+    else:
+        grads[key] = acc + pg
+        owned.add(key)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +323,10 @@ def reshape(a, shape):
 
 
 def concat(tensors, axis):
+    """Join tensors along axis; a single tensor comes back as it is."""
     tensors = [_as_tensor(t) for t in tensors]
+    if len(tensors) == 1:
+        return tensors[0]
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
@@ -304,13 +337,22 @@ def concat(tensors, axis):
 
 
 def rows(a, start, stop):
-    """a[start:stop, :]."""
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        full[start:stop] = g
-        return (full,)
+    """a[start:stop, :]; all of a's rows come back as a itself.
 
-    return make_node(a.data[start:stop], (a,), bwd)
+    The backward rule hands `backward()` the slice's gradient and its place
+    instead of a zero-padded array of a's shape.
+    """
+    if start == 0 and stop == a.data.shape[0]:
+        return a
+    return make_node(a.data[start:stop], (a,), lambda g: (_RowsGrad(start, stop, g),))
+
+
+def split_rows(a, lengths):
+    """Consecutive row blocks of a, lengths[k] rows each, as a list of tensors."""
+    ends = list(accumulate(lengths))
+    if not ends or ends[-1] != a.data.shape[0]:
+        raise ShapeError(f"row blocks sum to {sum(lengths)}, tensor has {a.data.shape[0]} rows")
+    return [rows(a, end - n, end) for n, end in zip(lengths, ends)]
 
 
 
@@ -325,15 +367,20 @@ def pick(a, i, j):
     return make_node(a.data[i, j], (a,), bwd)
 
 
-def repeat_rows(a, n):
-    """Tile a [1, w] row to [n, w]; gradient sums back over rows."""
-    if a.data.ndim != 2 or a.data.shape[0] != 1:
-        raise ShapeError(f"repeat_rows expects a [1, w] row, got {a.data.shape}")
+def repeat_rows(a, counts):
+    """Repeat row k of a [B, w] matrix counts[k] times; the gradient sums
+    each row's copies back."""
+    if a.data.ndim != 2:
+        raise ShapeError(f"repeat_rows expects a matrix, got shape {a.data.shape}")
+    counts = np.asarray(counts, dtype=np.intp)
+    if counts.shape != (a.data.shape[0],) or counts.min(initial=1) < 1:
+        raise ShapeError(f"repeat_rows needs one count >= 1 per row of {a.data.shape}, "
+                         f"got {counts.tolist()}")
 
     def bwd(g):
-        return (g.sum(axis=0, keepdims=True),)
+        return (np.add.reduceat(g, np.cumsum(counts) - counts, axis=0),)
 
-    return make_node(np.repeat(a.data, n, axis=0), (a,), bwd)
+    return make_node(np.repeat(a.data, counts, axis=0), (a,), bwd)
 
 
 def gather_rows(table, indices):

@@ -139,8 +139,8 @@ def train(model, train_examples, dev_examples, config, run_dir=None):
             batch = [train_examples[idx] for idx in order[lo:lo + config.batch_size]]
             batch_loss = _optimizer_step(model, batch, state, config, dropout_rng)
             if batch_loss is None:
-                log.error("non-finite loss at epoch %d; halting with best checkpoint "
-                          "from epoch %d", epoch, best_epoch)
+                log.error("non-finite loss or gradient at epoch %d; halting with best "
+                          "checkpoint from epoch %d", epoch, best_epoch)
                 status = "halted_nonfinite"
                 halted = True
                 break
@@ -183,9 +183,10 @@ def train(model, train_examples, dev_examples, config, run_dir=None):
 def _optimizer_step(model, batch, state, config, rng):
     """One clipped Adam step on a batch's mean loss.
 
-    The batch goes through one batched forward pass (each encoder direction
-    runs once over all of it). Returns the loss as a float, or None (and no
-    update) when it is not finite. The batch's tape lives only inside this call.
+    The batch goes through one batched forward pass (see
+    `conductor.forward_batch`). Returns the loss as a float, or None (and no
+    update) when the loss or the global gradient norm is not finite. The
+    batch's tape lives only inside this call.
     """
     model.params.zero_grads()
     total = None
@@ -197,7 +198,8 @@ def _optimizer_step(model, batch, state, config, rng):
         return None
     backward(batch_loss)
     model.params.apply_grad_masks()
-    clip_gradients(model.params, config.grad_clip)
+    if not np.isfinite(clip_gradients(model.params, config.grad_clip)):
+        return None
     adam_step(model.params, state)
     return float(batch_loss.data)
 

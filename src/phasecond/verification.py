@@ -6,6 +6,7 @@ scalar readout is compared against central differences.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -58,7 +59,7 @@ def run_grad_checks(seed=0):
     mix_p = _mix(rng, (4, 4))
     q_fixed = Tensor(rng.standard_normal((2, 3)))
     check("encoder_shared", "n=4,m=2,in=3,d=2",
-          lambda t: T.tsum(T.mul(enc.encode_shared([t], [q_fixed])[0][0], mix_p)),
+          lambda t: T.tsum(T.mul(enc.encode_shared([t], [q_fixed])[0], mix_p)),
           Tensor(rng.standard_normal((4, 3))))
 
     # question-passage attention stack (two layers)
@@ -101,7 +102,7 @@ def run_grad_checks(seed=0):
     v_q = Tensor(rng.standard_normal((3, 4)))
 
     def pointer_loss(t):
-        hops, _ = head.predict_span(t, head.initial_query(v_q))
+        [(hops, _)] = head.predict_span(t, head.initial_query([v_q]))
         return span_loss(hops, 1, 3)
 
     check("pointer_head", "n=5,w=4,hops=2", pointer_loss,
@@ -137,5 +138,18 @@ def run_grad_checks(seed=0):
     check("encoder_packed", "lengths=3,1,4,2,in=3,d=2",
           lambda t: T.tsum(T.mul(enc.shared(t, lengths), mix_packed)),
           Tensor(rng.standard_normal((sum(lengths), 3))))
+
+    # the pointer head over a packed minibatch of mixed passage lengths
+    passage_lengths = [3, 1, 4, 2]
+    questions = [Tensor(rng.standard_normal((m, 4))) for m in (2, 3, 1, 2)]
+    golds = [(0, 2), (0, 0), (1, 3), (1, 1)]
+
+    def pointer_packed_loss(t):
+        results = head.predict_span(t, head.initial_query(questions), passage_lengths)
+        return reduce(T.add, [span_loss(hops, s, e)
+                              for (hops, _), (s, e) in zip(results, golds)])
+
+    check("pointer_packed", "lengths=3,1,4,2,w=4,hops=2", pointer_packed_loss,
+          Tensor(rng.standard_normal((sum(passage_lengths), 4))))
 
     return reports

@@ -4,6 +4,7 @@ import pytest
 from phasecond.conductor import (
     build_from_examples,
     forward,
+    forward_batch,
     parse_path,
     validate_steps,
 )
@@ -195,3 +196,22 @@ class TestForward:
         result = forward(model, examples[0])
         kinds = [(a.kind, a.layer_index) for a in result.trace]
         assert kinds == [("qp", 1), ("self", 1), ("qp", 2), ("self", 2)]
+
+    @pytest.mark.parametrize("path", [DEFAULT_PATH, ITERATIVE_ALIGNER_PATH, "LQ->LQ->Fo->LQ"])
+    def test_batch_matches_one_example_at_a_time(self, path):
+        cfg = small_config(path=path, max_span=3)
+        examples = generate_synthetic(SyntheticSpec(n_examples=4, vocab_size=20,
+                                                    min_len=8, max_len=16, seed=3))
+        assert len({len(ex.passage_tokens) for ex in examples}) >= 3
+        model = build_from_examples(cfg, examples)
+        batch = forward_batch(model, examples)
+        assert len(batch) == len(examples)
+        for ex, result in zip(examples, batch):
+            alone = forward(model, ex)
+            pairs = [(result.start_dist, alone.start_dist), (result.end_dist, alone.end_dist)]
+            pairs += [(a.weights, b.weights) for a, b in zip(result.trace, alone.trace)]
+            assert len(result.trace) == len(alone.trace)
+            for got, want in pairs:
+                assert got.data.shape == want.data.shape
+                assert np.abs(got.data - want.data).max() <= 1e-12
+            assert (result.span.start, result.span.end) == (alone.span.start, alone.span.end)

@@ -115,8 +115,8 @@ class TestBiLSTMEncoder:
     def test_output_width_and_length(self):
         pair, _ = make_pair(in_dim=4, hidden=128)
         rng = np.random.default_rng(3)
-        [h], [u] = pair.encode_shared([Tensor(rng.standard_normal((7, 4)))],
-                                      [Tensor(rng.standard_normal((4, 4)))])
+        h, [u] = pair.encode_shared([Tensor(rng.standard_normal((7, 4)))],
+                                    [Tensor(rng.standard_normal((4, 4)))])
         assert h.data.shape == (7, 256)
         assert u.data.shape == (4, 256)
 
@@ -143,7 +143,7 @@ class TestEncoderPair:
     def test_shared_weights_are_literal(self):
         pair, _ = make_pair(seed=6)
         feats = Tensor(np.random.default_rng(7).standard_normal((5, 3)))
-        [h], [u] = pair.encode_shared([feats], [feats])
+        h, [u] = pair.encode_shared([feats], [feats])
         assert np.array_equal(h.data, u.data)
 
     def test_permuting_question_leaves_passage_encoding(self):
@@ -151,8 +151,8 @@ class TestEncoderPair:
         rng = np.random.default_rng(9)
         p = rng.standard_normal((6, 3))
         q = rng.standard_normal((4, 3))
-        [h1], [u1] = pair.encode_shared([Tensor(p)], [Tensor(q)])
-        [h2], [u2] = pair.encode_shared([Tensor(p)], [Tensor(q[::-1].copy())])
+        h1, [u1] = pair.encode_shared([Tensor(p)], [Tensor(q)])
+        h2, [u2] = pair.encode_shared([Tensor(p)], [Tensor(q[::-1].copy())])
         assert np.array_equal(h1.data, h2.data)
         assert not np.allclose(u1.data, u2.data)
 
@@ -187,10 +187,12 @@ class TestEncoderPair:
         passages = [Tensor(rng.standard_normal((n, 3))) for n in (4, 2, 5)]
         questions = [Tensor(rng.standard_normal((m, 3))) for m in (2, 3, 1)]
         vs = pair.encode_independent_question(questions)
-        hs, us = pair.encode_shared(passages, questions)
+        packed, us = pair.encode_shared(passages, questions)
+        assert packed.data.shape == (4 + 2 + 5, 4)
+        hs = T.split_rows(packed, [4, 2, 5])
         for k, (p, q) in enumerate(zip(passages, questions)):
             [v] = pair.encode_independent_question([q])
-            [h], [u] = pair.encode_shared([p], [q])
+            h, [u] = pair.encode_shared([p], [q])
             for batched, alone in ((vs[k], v), (hs[k], h), (us[k], u)):
                 assert batched.data.shape == alone.data.shape
                 assert np.abs(batched.data - alone.data).max() <= 1e-12

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from phasecond import tensor as T
-from phasecond.errors import DataError, DegenerateRowError
+from phasecond.errors import DataError, ShapeError
 from phasecond.params import ParamSet
 from phasecond.pointer import (
     PointerHead,
@@ -89,8 +89,8 @@ class TestPredictSpan:
         head, _ = make_head(width=6, query_width=4, hops=3, seed=4)
         rng = np.random.default_rng(5)
         h = Tensor(rng.standard_normal((5, 6)))
-        q = head.initial_query(Tensor(rng.standard_normal((3, 4))))
-        hops, span = head.predict_span(h, q)
+        q = head.initial_query([Tensor(rng.standard_normal((3, 4)))])
+        [(hops, span)] = head.predict_span(h, q)
         assert len(hops) == 3
         for p_s, p_e in hops:
             assert np.all(p_s.data >= 0) and np.all(p_e.data >= 0)
@@ -104,32 +104,14 @@ class TestPredictSpan:
         rng = np.random.default_rng(7)
         h = Tensor(rng.standard_normal((4, 4)))
         q = Tensor(rng.standard_normal((1, 4)))
-        hops, _ = head.predict_span(h, q)
+        [(hops, _)] = head.predict_span(h, q)
         assert np.allclose(hops[0][0].data, 0.25)
-
-    def test_mask_zeroes_positions(self):
-        head, _ = make_head(width=4, seed=8)
-        rng = np.random.default_rng(9)
-        h = Tensor(rng.standard_normal((5, 4)))
-        q = Tensor(rng.standard_normal((1, 4)))
-        mask = np.array([True, True, False, True, False])
-        hops, span = head.predict_span(h, q, mask=mask)
-        for p_s, p_e in hops:
-            assert np.all(p_s.data[0, ~mask] == 0.0)
-            assert np.all(p_e.data[0, ~mask] == 0.0)
-        assert mask[span.start] and mask[span.end]
-
-    def test_all_masked_rejected(self):
-        head, _ = make_head(width=4)
-        with pytest.raises(DegenerateRowError):
-            head.predict_span(Tensor(np.zeros((3, 4))), Tensor(np.zeros((1, 4))),
-                              mask=np.zeros(3, dtype=bool))
 
     def test_adapter_reconciles_query_width(self):
         head, params = make_head(width=6, query_width=4, seed=10)
         assert "ptr.adapter" in params
         v = Tensor(np.random.default_rng(11).standard_normal((2, 4)))
-        q = head.initial_query(v)
+        q = head.initial_query([v])
         assert q.data.shape == (1, 6)
 
     def test_gradient_wrt_passage(self):
@@ -139,10 +121,36 @@ class TestPredictSpan:
         h = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
 
         def f(t):
-            hops, _ = head.predict_span(t, head.initial_query(q_src))
+            [(hops, _)] = head.predict_span(t, head.initial_query([q_src]))
             return span_loss(hops, 1, 3)
 
         assert grad_check(f, h) < 1e-4
+
+    def test_packed_batch_matches_one_passage_at_a_time(self):
+        head, _ = make_head(width=6, query_width=4, hops=3, seed=15, max_span=3)
+        rng = np.random.default_rng(16)
+        lengths = [4, 1, 7, 2]
+        passages = [Tensor(rng.standard_normal((n, 6))) for n in lengths]
+        questions = [Tensor(rng.standard_normal((m, 4))) for m in (3, 1, 2, 5)]
+        packed = head.predict_span(T.concat(passages, axis=0),
+                                   head.initial_query(questions), lengths)
+        assert len(packed) == len(lengths)
+        for (hops, span), h, v in zip(packed, passages, questions):
+            [(alone_hops, alone_span)] = head.predict_span(h, head.initial_query([v]))
+            assert len(hops) == len(alone_hops) == 3
+            for pair, alone_pair in zip(hops, alone_hops):
+                for p, alone in zip(pair, alone_pair):
+                    assert p.data.shape == alone.data.shape == (1, h.data.shape[0])
+                    assert np.abs(p.data - alone.data).max() <= 1e-12
+            assert (span.start, span.end) == (alone_span.start, alone_span.end)
+
+    def test_packed_shapes_checked(self):
+        head, _ = make_head(width=4)
+        h = Tensor(np.zeros((5, 4)))
+        with pytest.raises(ShapeError, match="sum to"):
+            head.predict_span(h, Tensor(np.zeros((2, 4))), [2, 2])
+        with pytest.raises(ShapeError, match="query"):
+            head.predict_span(h, Tensor(np.zeros((1, 4))), [2, 3])
 
 
 class TestSpanLoss:

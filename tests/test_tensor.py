@@ -220,10 +220,23 @@ class TestStructureOps:
 
     def test_repeat_rows(self):
         x = Tensor([[1.0, 2.0]], requires_grad=True)
-        out = T.repeat_rows(x, 3)
+        out = T.repeat_rows(x, [3])
         assert out.data.shape == (3, 2)
         backward(T.tsum(out))
         assert x.grad.tolist() == [[3.0, 3.0]]
+
+    def test_repeat_rows_per_row_counts(self):
+        x = Tensor([[1.0, 2.0], [3.0, 4.0]])
+        out = T.repeat_rows(x, [2, 3])
+        assert out.data.tolist() == [[1.0, 2.0]] * 2 + [[3.0, 4.0]] * 3
+        rng = np.random.default_rng(12)
+        w = Tensor(rng.standard_normal((5, 2)))
+        err = grad_check(lambda t: T.tsum(T.mul(T.tanh(T.repeat_rows(t, [2, 3])), w)),
+                         rand(rng, 2, 2))
+        assert err < 1e-6
+        for bad in (2, [2], [2, 0]):
+            with pytest.raises(ShapeError, match="count"):
+                T.repeat_rows(x, bad)
 
     def test_reshape_gradient(self):
         rng = np.random.default_rng(10)
@@ -231,6 +244,70 @@ class TestStructureOps:
         w = rng.standard_normal((3, 4))
         err = grad_check(lambda t: T.tsum(T.mul(T.reshape(t, (3, 4)), Tensor(w))), x)
         assert err < 1e-6
+
+
+def dense_rows(a, start, stop):
+    """A row slice whose backward returns a zero-padded array of a's shape."""
+    def bwd(g):
+        full = np.zeros_like(a.data)
+        full[start:stop] = g
+        return (full,)
+
+    return T.make_node(a.data[start:stop], (a,), bwd)
+
+
+class TestRowSlices:
+    def test_concat_of_one_tensor_is_that_tensor(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        assert T.concat([x], axis=0) is x
+
+    def test_all_rows_is_the_tensor(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        assert T.rows(x, 0, 2) is x
+        assert T.split_rows(x, [2]) == [x]
+        with pytest.raises(ShapeError, match="sum to"):
+            T.split_rows(x, [1])
+
+    def test_slice_gradients_bitwise_equal_to_zero_padded_sum(self):
+        rng = np.random.default_rng(20)
+        x0 = rng.standard_normal((9, 4))
+        w = Tensor(rng.standard_normal((9, 4)))
+        v = Tensor(rng.standard_normal((4, 3)))
+        lengths = [2, 4, 3]
+        mixes = [Tensor(rng.standard_normal((n, 4))) for n in lengths]
+
+        def grad_with(slicer):
+            x = Tensor(x0.copy(), requires_grad=True)
+            h = T.tanh(x)  # an intermediate: slices and dense uses meet in backward()
+            loss = T.tsum(T.mul(h, w))
+            end = 0
+            for n, mix in zip(lengths, mixes):
+                loss = T.add(loss, T.tsum(T.mul(T.tanh(slicer(h, end, end + n)), mix)))
+                end += n
+            loss = T.add(loss, T.tsum(T.matmul(h, v)))
+            backward(loss)
+            return x.grad
+
+        assert grad_with(T.rows).tobytes() == grad_with(dense_rows).tobytes()
+
+    @pytest.mark.parametrize("slice_first", [True, False])
+    def test_rule_outputs_are_never_written(self, slice_first):
+        # the fork hands one array to both parents, as add does; a slice of x
+        # then adds onto x's gradient and must not reach y's
+        rng = np.random.default_rng(21)
+        x, y = rand(rng, 4, 3), rand(rng, 4, 3)
+        shared = rng.standard_normal((4, 3))
+        before = shared.copy()
+        fork = T.make_node(x.data + y.data, (x, y), lambda g: (shared, shared))
+        terms = [T.tsum(T.rows(x, 1, 3)), T.tsum(fork)]
+        if not slice_first:
+            terms.reverse()
+        backward(T.add(*terms))
+        padded = np.zeros((4, 3))
+        padded[1:3] = 1.0
+        assert np.array_equal(shared, before)
+        assert np.array_equal(y.grad, before)
+        assert np.array_equal(x.grad, before + padded)
 
 
 class TestGradCheck:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from phasecond import tensor as T
+from phasecond import training
 from phasecond.conductor import build_from_examples, example_loss, forward
 from phasecond.config import RunConfig
 from phasecond.data import SyntheticSpec, generate_synthetic
@@ -190,6 +191,26 @@ class TestBatchedStep:
         data[1] = dataclasses.replace(data[1], **{field: []})
         with pytest.raises(ShapeError, match="empty"):
             _optimizer_step(model, data, AdamState(lr=cfg.lr), cfg, np.random.default_rng(0))
+
+
+class TestNonFinite:
+    def test_non_finite_gradient_halts_like_non_finite_loss(self, monkeypatch):
+        data = tiny_dataset(n=8)
+        cfg = small_config(epochs=2)
+        model = build_from_examples(cfg, data)
+        before = {name: t.data.copy() for name, t in model.params.items()}
+        true_backward = training.backward
+
+        def poisoned_backward(loss):
+            true_backward(loss)
+            model.params["ptr.mem.b_u"].grad[0] = np.nan
+
+        monkeypatch.setattr(training, "backward", poisoned_backward)
+        result = train(model, data, data[:4], cfg)
+        assert result.status == "halted_nonfinite"
+        assert result.history == []
+        for name, t in model.params.items():
+            assert np.array_equal(t.data, before[name]), name
 
 
 class TestCheckpoint:
