@@ -9,7 +9,6 @@ from .attention import (
     AlignmentMatrix,
     qp_align,
     qp_represent,
-    qp_stack,
     self_align,
     self_propagate,
 )

@@ -59,25 +59,6 @@ def qp_represent(alignment, v_independent):
     return T.matmul(alignment.weights, v_independent)
 
 
-def qp_stack(h0, u_shared, v_independent, n_layers, question_mask=None):
-    """Chain question-passage layers; layer t consumes layer t-1's output.
-
-    Returns the per-layer outputs (for concatenation into the fused phase
-    output) and every alignment matrix (for export).
-    """
-    if n_layers < 1:
-        from .errors import ConfigError
-        raise ConfigError(f"qp_stack needs at least one layer, got {n_layers}")
-    outputs, alignments = [], []
-    h = h0
-    for t in range(1, n_layers + 1):
-        a = qp_align(h, u_shared, question_mask=question_mask, layer_index=t)
-        h = qp_represent(a, v_independent)
-        outputs.append(h)
-        alignments.append(a)
-    return outputs, alignments
-
-
 def self_align(h_prev, mask_diagonal=False, layer_index=1):
     """Passage-vs-passage alignment [n, n] by dot product."""
     n = h_prev.data.shape[0]

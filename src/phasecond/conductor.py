@@ -13,11 +13,11 @@ with groups repeatable as "(...)xN". The default two-phase path is
 "(LQ->Fi->LS->Fi)x2". Width consistency is checked once at build time,
 so a malformed chain fails before any data is seen.
 
-`forward_batch` runs the assembled model over a minibatch. The passages'
-rows stay packed from the shared encoder to the pointer head, so each
-step that works row by row runs once per batch; the LQ/LS attention
-layers, which mix rows within one example, run per example on row slices.
-`forward` is the same code with a batch of one.
+`forward_batch` runs the model on `config.path` over a minibatch, with
+the phase path in `run_path`, the only attention chain (the grad-check
+runs it too). The passages' rows stay packed from the shared encoder to
+the pointer head; only the LQ/LS attention layers run per example, on row
+slices. `forward` is the same code with a batch of one.
 """
 
 import re
@@ -33,7 +33,6 @@ from .errors import BuildError, PathSyntaxError, PathValidationError
 from .features import (
     FeatureConfig,
     FeatureExtractor,
-    TokenAux,
     build_char_vocab,
     build_vocab_embedding,
     exact_match_features,
@@ -53,9 +52,6 @@ class PhasePath:
 
     def render(self):
         return "->".join(self.steps)
-
-    def __len__(self):
-        return len(self.steps)
 
 
 _TOKEN_RE = re.compile(r"\s*(LQ|LS|Fi|Fo|\(|\)|x\d+|->)")
@@ -191,10 +187,9 @@ class ForwardResult:
 class ModelAssembly:
     """Instantiated encoders, path steps, and pointer head."""
 
-    def __init__(self, path, config, word_spec, char_vocab,
-                 pos_vocab=None, ner_vocab=None):
+    def __init__(self, config, word_spec, char_vocab, pos_vocab=None, ner_vocab=None):
         config.validate()
-        self.path = path
+        self.path = path = parse_path(config.path)
         self.config = config
         self.config_hash = config_hash(config)
         self.word_spec = word_spec
@@ -261,10 +256,8 @@ class ModelAssembly:
         return self.params.count()
 
 
-def build_model(path, config, word_spec, char_vocab, pos_vocab=None, ner_vocab=None):
-    if isinstance(path, str):
-        path = parse_path(path)
-    return ModelAssembly(path, config, word_spec, char_vocab,
+def build_model(config, word_spec, char_vocab, pos_vocab=None, ner_vocab=None):
+    return ModelAssembly(config, word_spec, char_vocab,
                          pos_vocab=pos_vocab, ner_vocab=ner_vocab)
 
 
@@ -287,7 +280,7 @@ def build_from_examples(config, examples):
         pos_vocab = _tag_vocab(examples, "passage_pos", "question_pos")
     if config.use_ner:
         ner_vocab = _tag_vocab(examples, "passage_ner", "question_ner")
-    return build_model(config.path, config, word_spec, char_vocab,
+    return build_model(config, word_spec, char_vocab,
                        pos_vocab=pos_vocab, ner_vocab=ner_vocab)
 
 
@@ -311,42 +304,13 @@ def _dropout_draws(model, example, rng):
     return [None if rng is None else rng.random(shape) for shape in shapes]
 
 
-def forward_batch(model, examples, mode="eval", rng=None):
-    """One ForwardResult per example of a minibatch.
+def run_path(model, h, us, vs, lengths):
+    """The plan over packed passage rows h ([sum n_k, 2d], n_k = lengths[k]).
 
-    Features are built per example, and each encoder direction runs once over
-    the whole batch. The passages' rows then stay packed, [sum n_k, w] in
-    example order, so every layer that works row by row (the LQ projection,
-    each Fi and Fo, the final dropout, the pointer's boundary scores and its
-    memory) runs once per batch; only LQ/LS attention runs per example, on
-    row slices, and its outputs are packed again. In training, each
-    example's dropout uniforms are drawn up front, one example after
-    another, so the masks do not depend on the batch size.
+    us/vs are each example's shared/independent question encodings. Returns
+    the output rows and, per example, the LQ/LS alignments in plan order.
     """
-    train = mode == "train"
-    if train and rng is None:
-        raise BuildError("training mode forward needs an rng for dropout")
-    rng = rng if train and model.config.dropout > 0 else None
-    draws = [_dropout_draws(model, ex, rng) for ex in examples]
-    passages, questions = [], []
-    for ex, draw in zip(examples, draws):
-        p_bits, q_bits = exact_match_features(ex.passage_tokens, ex.question_tokens)
-        passages.append(model.extractor.embed_sequence(
-            ex.passage_tokens, "passage",
-            TokenAux(em_bits=p_bits, pos=ex.passage_pos, ner=ex.passage_ner), draw=draw[0]))
-        questions.append(model.extractor.embed_sequence(
-            ex.question_tokens, "question",
-            TokenAux(em_bits=q_bits, pos=ex.question_pos, ner=ex.question_ner), draw=draw[1]))
-
-    cfg = model.config
-    lengths = [len(ex.passage_tokens) for ex in examples]
-    vs = model.encoders.encode_independent_question(questions)
-    h, us = model.encoders.encode_shared(passages, questions)
-    vs = [T.dropout(v, cfg.dropout, draw[2]) for v, draw in zip(vs, draws)]
-    h = T.dropout(h, cfg.dropout, _packed_draw(draws, 3))
-    us = [T.dropout(u, cfg.dropout, draw[4]) for u, draw in zip(us, draws)]
-
-    traces = [[] for _ in examples]
+    traces = [[] for _ in lengths]
     effective = [None] * len(model.plan)  # per-step output, rewritten by Fi
     inputs = [None] * len(model.plan)     # h as seen by each step
     for i, step in enumerate(model.plan):
@@ -358,7 +322,7 @@ def forward_batch(model, examples, mode="eval", rng=None):
             out = T.concat([qp_represent(a, v) for a, v in zip(aligns, vs)], axis=0)
         elif step.kind == "LS":
             parts = T.split_rows(h, lengths)
-            aligns = [self_align(h_k, mask_diagonal=cfg.mask_diagonal,
+            aligns = [self_align(h_k, mask_diagonal=model.config.mask_diagonal,
                                  layer_index=step.layer_index) for h_k in parts]
             out = T.concat([self_propagate(a, h_k) for a, h_k in zip(aligns, parts)], axis=0)
         elif step.kind == "Fi":
@@ -372,7 +336,40 @@ def forward_batch(model, examples, mode="eval", rng=None):
                 trace.append(align)
         effective[i] = out
         h = out
+    return h, traces
 
+
+def forward_batch(model, examples, rng=None):
+    """One ForwardResult per example of a minibatch.
+
+    Features are built per example, and each encoder direction runs once over
+    the whole batch. The passages' rows then stay packed, [sum n_k, w] in
+    example order, so every layer that works row by row runs once per batch.
+    Dropout is on exactly when an `rng` is passed and `config.dropout > 0`;
+    each example's uniforms are drawn up front, one example after another,
+    so the masks do not depend on the batch size.
+    """
+    rng = rng if model.config.dropout > 0 else None
+    draws = [_dropout_draws(model, ex, rng) for ex in examples]
+    passages, questions = [], []
+    for ex, draw in zip(examples, draws):
+        p_bits, q_bits = exact_match_features(ex.passage_tokens, ex.question_tokens)
+        passages.append(model.extractor.embed_sequence(
+            ex.passage_tokens, "passage", em_bits=p_bits, pos=ex.passage_pos,
+            ner=ex.passage_ner, draw=draw[0]))
+        questions.append(model.extractor.embed_sequence(
+            ex.question_tokens, "question", em_bits=q_bits, pos=ex.question_pos,
+            ner=ex.question_ner, draw=draw[1]))
+
+    cfg = model.config
+    lengths = [len(ex.passage_tokens) for ex in examples]
+    vs = model.encoders.encode_independent_question(questions)
+    h, us = model.encoders.encode_shared(passages, questions)
+    vs = [T.dropout(v, cfg.dropout, draw[2]) for v, draw in zip(vs, draws)]
+    h = T.dropout(h, cfg.dropout, _packed_draw(draws, 3))
+    us = [T.dropout(u, cfg.dropout, draw[4]) for u, draw in zip(us, draws)]
+
+    h, traces = run_path(model, h, us, vs, lengths)
     h = T.dropout(h, cfg.dropout, _packed_draw(draws, 5))
     query = model.pointer.initial_query(vs)
     predictions = model.pointer.predict_span(h, query, lengths)
@@ -388,9 +385,9 @@ def _packed_draw(draws, site):
     return np.concatenate([draw[site] for draw in draws])
 
 
-def forward(model, example, mode="eval", rng=None):
+def forward(model, example, rng=None):
     """Run encoders, the phase path, and the pointer head on one example."""
-    return forward_batch(model, [example], mode=mode, rng=rng)[0]
+    return forward_batch(model, [example], rng=rng)[0]
 
 
 def gold_loss(example, result):
@@ -398,8 +395,3 @@ def gold_loss(example, result):
     gold_start, gold_end = example.gold_spans[0]
     return span_loss(result.hops, gold_start, gold_end)
 
-
-def example_loss(model, example, mode="train", rng=None):
-    """Span loss of the first gold span; forward + loss in one call."""
-    result = forward(model, example, mode=mode, rng=rng)
-    return gold_loss(example, result), result

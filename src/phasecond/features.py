@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import DataFormatError
+from .errors import DataError, DataFormatError
 from .params import uniform, xavier_uniform
 from .tensor import Tensor, make_node
 
@@ -198,11 +198,6 @@ def char_cnn(char_emb, filters, bias, char_idx, n_valid_windows, width):
     """
     n_words, length = char_idx.shape
     n_filters = filters.data.shape[1]
-    if n_words == 0:
-        return make_node(np.zeros((0, n_filters)), (char_emb, filters, bias),
-                         lambda g: (np.zeros_like(char_emb.data),
-                                    np.zeros_like(filters.data),
-                                    np.zeros_like(bias.data)))
     dc = char_emb.data.shape[1]
     n_win = length - width + 1
     embedded = char_emb.data[char_idx]  # [n, L, dc]
@@ -251,10 +246,6 @@ class CharCNN:
         self.bias = params.add(f"{prefix}.bias", np.zeros(cfg.char_filters))
 
     def __call__(self, tokens):
-        if not tokens:
-            return char_cnn(self.emb, self.filters, self.bias,
-                            np.zeros((0, self.width), dtype=np.intp),
-                            np.zeros(0, dtype=np.intp), self.width)
         lengths = np.array([max(len(t), self.width) for t in tokens])
         longest = lengths.max()
         idx = np.zeros((len(tokens), longest), dtype=np.intp)
@@ -263,16 +254,6 @@ class CharCNN:
                 idx[w, k] = self.char_vocab.get(ch, UNK_INDEX)
         n_valid = lengths - self.width + 1
         return char_cnn(self.emb, self.filters, self.bias, idx, n_valid, self.width)
-
-
-@dataclass
-class TokenAux:
-    """Side-supplied features for one sequence."""
-
-    em_bits: np.ndarray = None
-    pos: list = None
-    ner: list = None
-    qtype: str = None
 
 
 class FeatureExtractor:
@@ -305,33 +286,32 @@ class FeatureExtractor:
         if tags is None:
             return Tensor(np.zeros((n, self.cfg.feat_dim)))
         if len(tags) != n:
-            from .errors import DataError
             raise DataError(f"tag list length {len(tags)} != token count {n}")
         idx = [vocab.get(t, 0) for t in tags]
         return T.gather_rows(emb, idx)
 
-    def embed_sequence(self, tokens, side, aux=None, draw=None):
+    def embed_sequence(self, tokens, side, em_bits=None, pos=None, ner=None, draw=None):
         """[n_tokens, width] feature rows for one sequence.
 
+        `em_bits` defaults to zeros; `pos`/`ner` tags are read when enabled.
         In training, `draw` holds the [n_tokens, width] uniforms behind the
         dropout mask; without it the rows are not dropped.
         """
         n = len(tokens)
-        aux = aux or TokenAux()
         if n == 0:
             return Tensor(np.zeros((0, self.width)))
 
         word_idx = [self.word_spec.index_of(t) for t in tokens]
         parts = [T.gather_rows(self.word_emb, word_idx), self.char(tokens)]
-        em = aux.em_bits if aux.em_bits is not None else np.zeros(n)
+        em = em_bits if em_bits is not None else np.zeros(n)
         parts.append(Tensor(np.asarray(em, dtype=np.float64).reshape(n, 1)))
         if self.cfg.use_pos:
-            parts.append(self._tag_part(self.pos_emb, self.pos_vocab, aux.pos, n))
+            parts.append(self._tag_part(self.pos_emb, self.pos_vocab, pos, n))
         if self.cfg.use_ner:
-            parts.append(self._tag_part(self.ner_emb, self.ner_vocab, aux.ner, n))
+            parts.append(self._tag_part(self.ner_emb, self.ner_vocab, ner, n))
         if self.cfg.use_qtype:
             if side == "question":
-                qt = aux.qtype or question_type(tokens)
+                qt = question_type(tokens)
                 row = T.gather_rows(self.qtype_emb, [QUESTION_TYPES.index(qt)])
                 parts.append(T.repeat_rows(row, [n]))
             else:

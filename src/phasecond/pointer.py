@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from .params import xavier_uniform
 
 DEFAULT_MAX_SPAN = 15
@@ -88,7 +88,6 @@ class PointerHead:
     def __init__(self, params, passage_width, query_width, hops, rng,
                  max_span=DEFAULT_MAX_SPAN):
         if hops < 1:
-            from .errors import ConfigError
             raise ConfigError(f"pointer needs at least one hop, got {hops}")
         self.width = passage_width
         self.hops = hops

@@ -178,8 +178,6 @@ def add(a, b):
     return make_node(a.data + b.data, (a, b), bwd)
 
 
-
-
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     _binary_shapes(a, b)
@@ -198,8 +196,6 @@ def neg(a):
 def mul_const(a, c):
     c = float(c)
     return make_node(a.data * c, (a,), lambda g: (g * c,))
-
-
 
 
 def rsub_const(c, a):
@@ -239,8 +235,6 @@ def sigmoid(a):
         return (g * out * (1.0 - out),)
 
     return make_node(out, (a,), bwd)
-
-
 
 
 def log(a):
@@ -304,8 +298,6 @@ def tsum(a):
     return make_node(a.data.sum(), (a,), bwd)
 
 
-
-
 def transpose(a):
     def bwd(g):
         return (g.T.copy(),)
@@ -353,8 +345,6 @@ def split_rows(a, lengths):
     if not ends or ends[-1] != a.data.shape[0]:
         raise ShapeError(f"row blocks sum to {sum(lengths)}, tensor has {a.data.shape[0]} rows")
     return [rows(a, end - n, end) for n, end in zip(lengths, ends)]
-
-
 
 
 def pick(a, i, j):

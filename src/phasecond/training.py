@@ -3,10 +3,10 @@
 Training runs shuffled mini-batches of per-example span losses, clips the
 global gradient norm, and applies bias-corrected Adam. After each epoch
 the dev set is scored; when dev EM fails to improve on the running best
-the learning rate is halved ("bad checkpoint" rule) and the best-scoring
-parameters stay on disk. Everything is driven by seeded generators, so a
-fixed seed fixes initialization, batch order, dropout masks, and therefore
-the entire metric log.
+the learning rate is halved ("bad checkpoint" rule); the best-scoring
+parameters stay on disk and end up in the model. Everything is driven by
+seeded generators, so a fixed seed fixes initialization, batch order,
+dropout masks, and therefore the entire metric log.
 """
 
 import json
@@ -105,7 +105,7 @@ class TrainResult:
 
 
 def train(model, train_examples, dev_examples, config, run_dir=None):
-    """Optimize the model; returns the metric history and the best checkpoint."""
+    """Optimize the model and leave it at its best epoch; returns the metric history."""
     if not train_examples:
         raise DataError("training set is empty")
     if not dev_examples:
@@ -175,6 +175,8 @@ def train(model, train_examples, dev_examples, config, run_dir=None):
             status = "early_stop"
             break
 
+    if best_params is not None:
+        load_into(model, {"params": best_params})
     return TrainResult(history=history, best_dev_em=best_em, best_epoch=best_epoch,
                        status=status, checkpoint_path=ckpt_path,
                        best_params=best_params)
@@ -190,7 +192,7 @@ def _optimizer_step(model, batch, state, config, rng):
     """
     model.params.zero_grads()
     total = None
-    for ex, result in zip(batch, forward_batch(model, batch, mode="train", rng=rng)):
+    for ex, result in zip(batch, forward_batch(model, batch, rng=rng)):
         loss = gold_loss(ex, result)
         total = loss if total is None else T.add(total, loss)
     batch_loss = T.mul_const(total, 1.0 / len(batch))
@@ -339,7 +341,7 @@ def restore_model(path_or_payload):
         tokens=list(vocab["word_tokens"]),
         matrix=np.zeros((len(vocab["word_tokens"]), config.word_dim)),
         trainable=trainable)
-    model = build_model(payload["path"], config, word_spec, dict(vocab["char_vocab"]),
+    model = build_model(config, word_spec, dict(vocab["char_vocab"]),
                         pos_vocab=dict(vocab["pos_vocab"]) or None,
                         ner_vocab=dict(vocab["ner_vocab"]) or None)
     load_into(model, payload)

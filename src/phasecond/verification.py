@@ -2,7 +2,8 @@
 
 Used by the grad-check CLI command and the acceptance suite: each
 component gets a small random fixture, and the analytic gradient of a
-scalar readout is compared against central differences.
+scalar readout is compared against central differences. Attention chains
+go through `conductor.run_path`, the code the model runs.
 """
 
 from dataclasses import dataclass
@@ -11,7 +12,9 @@ from functools import reduce
 import numpy as np
 
 from . import tensor as T
-from .attention import qp_stack, self_align, self_propagate
+from .attention import self_align, self_propagate
+from .conductor import build_from_examples, run_path
+from .config import DEFAULT_PATH, RunConfig
 from .encoders import EncoderPair
 from .features import CharCNN, FeatureConfig
 from .fusion import InnerFusionLayer, OuterFusionStack
@@ -38,6 +41,12 @@ def _mix(rng, shape):
     return Tensor(rng.standard_normal(shape))
 
 
+def _path_model(path, seed):
+    """A hidden-2 model on `path`, initialized from its own generator."""
+    return build_from_examples(RunConfig(path=path, hidden=2, word_dim=2, char_dim=2,
+                                         char_filters=2, feat_dim=2, seed=seed), [])
+
+
 def run_grad_checks(seed=0):
     """Check every layer type; returns one CheckReport per component."""
     reports = []
@@ -62,16 +71,13 @@ def run_grad_checks(seed=0):
           lambda t: T.tsum(T.mul(enc.encode_shared([t], [q_fixed])[0], mix_p)),
           Tensor(rng.standard_normal((4, 3))))
 
-    # question-passage attention stack (two layers)
+    # question-passage attention stack: two LQ steps of the phase path
+    lq_model = _path_model("LQ->LQ", seed)
     u = Tensor(rng.standard_normal((3, 4)))
     v = Tensor(rng.standard_normal((3, 4)))
     mix_qp = _mix(rng, (4, 4))
-
-    def qp_loss(t):
-        outputs, _ = qp_stack(t, u, v, 2)
-        return T.tsum(T.mul(T.add(outputs[0], outputs[1]), mix_qp))
-
-    check("qp_attention_stack", "n=4,m=3,d=2,layers=2", qp_loss,
+    check("qp_attention_stack", "n=4,m=3,d=2,path=LQ->LQ",
+          lambda t: T.tsum(T.mul(run_path(lq_model, t, [u], [v], [4])[0], mix_qp)),
           Tensor(rng.standard_normal((4, 4))))
 
     # self-attention
@@ -150,6 +156,15 @@ def run_grad_checks(seed=0):
                               for (hops, _), (s, e) in zip(results, golds)])
 
     check("pointer_packed", "lengths=3,1,4,2,w=4,hops=2", pointer_packed_loss,
+          Tensor(rng.standard_normal((sum(passage_lengths), 4))))
+
+    # the default phase path over a packed minibatch, Fi and Fo included
+    path_model = _path_model(DEFAULT_PATH, seed)
+    us = [Tensor(rng.standard_normal((m, 4))) for m in (2, 3, 1, 2)]
+    mix_path = _mix(rng, (sum(passage_lengths), path_model.final_width))
+    check("phase_path", f"lengths=3,1,4,2,d=2,path={DEFAULT_PATH}",
+          lambda t: T.tsum(T.mul(
+              run_path(path_model, t, us, questions, passage_lengths)[0], mix_path)),
           Tensor(rng.standard_normal((sum(passage_lengths), 4))))
 
     return reports

@@ -7,11 +7,10 @@ from phasecond import tensor as T
 from phasecond.attention import (
     qp_align,
     qp_represent,
-    qp_stack,
     self_align,
     self_propagate,
 )
-from phasecond.errors import ConfigError, DegenerateRowError, ShapeError
+from phasecond.errors import DegenerateRowError, ShapeError
 from phasecond.tensor import Tensor, grad_check
 
 
@@ -75,52 +74,6 @@ class TestQPRepresent:
             return T.tsum(T.mul(out, w))
 
         assert grad_check(f, h) < 1e-4
-
-
-class TestQPStack:
-    def test_single_layer_is_base_case(self):
-        rng = np.random.default_rng(2)
-        h0 = Tensor(rng.standard_normal((4, 6)))
-        u = Tensor(rng.standard_normal((3, 6)))
-        v = Tensor(rng.standard_normal((3, 6)))
-        outputs, aligns = qp_stack(h0, u, v, 1)
-        direct = qp_represent(qp_align(h0, u), v)
-        assert np.array_equal(outputs[0].data, direct.data)
-        assert len(aligns) == 1
-
-    def test_second_layer_consumes_first_output(self):
-        rng = np.random.default_rng(3)
-        h0 = Tensor(rng.standard_normal((4, 6)))
-        u = Tensor(rng.standard_normal((3, 6)))
-        v = Tensor(rng.standard_normal((3, 6)))
-        outputs, aligns = qp_stack(h0, u, v, 2)
-        re_aligned = qp_align(outputs[0], u)
-        assert np.array_equal(aligns[1].weights.data, re_aligned.weights.data)
-        assert [a.layer_index for a in aligns] == [1, 2]
-
-    def test_concatenated_width(self):
-        d = 128
-        rng = np.random.default_rng(4)
-        h0 = Tensor(rng.standard_normal((3, 2 * d)))
-        u = Tensor(rng.standard_normal((2, 2 * d)))
-        v = Tensor(rng.standard_normal((2, 2 * d)))
-        outputs, _ = qp_stack(h0, u, v, 2)
-        cat = T.concat(outputs, axis=1)
-        assert cat.data.shape == (3, 512)
-
-    def test_rejects_zero_layers(self):
-        with pytest.raises(ConfigError):
-            qp_stack(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))),
-                     Tensor(np.zeros((1, 2))), 0)
-
-    def test_single_question_word_collapses_to_v(self):
-        rng = np.random.default_rng(5)
-        h0 = Tensor(rng.standard_normal((5, 4)))
-        u = Tensor(rng.standard_normal((1, 4)))
-        v = Tensor(rng.standard_normal((1, 4)))
-        outputs, _ = qp_stack(h0, u, v, 3)
-        for out in outputs:
-            assert np.allclose(out.data, np.repeat(v.data, 5, axis=0))
 
 
 class TestSelfAttention:

@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from phasecond.attention import qp_align, qp_represent
 from phasecond.conductor import (
     build_from_examples,
     forward,
     forward_batch,
     parse_path,
+    run_path,
     validate_steps,
 )
 from phasecond.config import DEFAULT_PATH, ITERATIVE_ALIGNER_PATH, RunConfig
-from phasecond.data import SyntheticSpec, generate_synthetic
-from phasecond.errors import BuildError, PathSyntaxError, PathValidationError
+from phasecond.data import QAExample, SyntheticSpec, generate_synthetic
+from phasecond.errors import BuildError, PathSyntaxError, PathValidationError, PhaseCondError
+from phasecond.tensor import Tensor
 
 
 def small_config(**over):
@@ -29,7 +34,7 @@ class TestParsePath:
     def test_default_phasecond_path(self):
         path = parse_path("LQ->LQ->Fo->LS->Fi->LS->Fi")
         assert path.steps == ("LQ", "LQ", "Fo", "LS", "Fi", "LS", "Fi")
-        assert len(path) == 7
+        assert len(path.steps) == 7
 
     def test_iterative_aligner_path(self):
         path = parse_path("(LQ->Fi->LS->Fi)x2")
@@ -51,6 +56,10 @@ class TestParsePath:
             parse_path("(LQ->Fi")
         with pytest.raises(PathSyntaxError):
             parse_path("")
+
+    def test_path_without_attention_rejected(self):
+        with pytest.raises(PathValidationError, match="no attention"):
+            parse_path("Fo")
 
     def test_self_attention_first_rejected(self):
         with pytest.raises(PathValidationError, match="first attention"):
@@ -175,7 +184,7 @@ class TestForward:
         examples = tiny_examples()
         model = build_from_examples(cfg, examples)
         rng = np.random.default_rng(0)
-        r1 = forward(model, examples[0], mode="train", rng=rng)
+        r1 = forward(model, examples[0], rng=rng)
         r2 = forward(model, examples[0])
         assert not np.array_equal(r1.start_dist.data, r2.start_dist.data)
 
@@ -215,3 +224,102 @@ class TestForward:
                 assert got.data.shape == want.data.shape
                 assert np.abs(got.data - want.data).max() <= 1e-12
             assert (result.span.start, result.span.end) == (alone.span.start, alone.span.end)
+
+
+class TestRunPath:
+    """The phase path on its own, fed packed rows as `forward_batch` feeds it."""
+
+    @staticmethod
+    def path_model(path):
+        return build_from_examples(small_config(path=path), tiny_examples())
+
+    @staticmethod
+    def inputs(seed, n, m, width=6):
+        rng = np.random.default_rng(seed)
+        return [Tensor(rng.standard_normal(shape)) for shape in ((n, width), (m, width), (m, width))]
+
+    def test_single_lq_is_qp_represent_of_qp_align(self):
+        h0, u, v = self.inputs(2, 4, 3)
+        h, [trace] = run_path(self.path_model("LQ"), h0, [u], [v], [4])
+        assert np.array_equal(h.data, qp_represent(qp_align(h0, u), v).data)
+        assert [(a.kind, a.layer_index) for a in trace] == [("qp", 1)]
+
+    def test_second_lq_aligns_first_lq_output(self):
+        h0, u, v = self.inputs(3, 4, 3)
+        _, [trace] = run_path(self.path_model("LQ->LQ"), h0, [u], [v], [4])
+        first = qp_represent(trace[0], v)
+        assert np.array_equal(trace[1].weights.data, qp_align(first, u).weights.data)
+        assert [a.layer_index for a in trace] == [1, 2]
+
+    def test_single_question_word_collapses_every_lq_to_v(self):
+        h0, u, v = self.inputs(5, 5, 1)
+        h, [trace] = run_path(self.path_model("LQ->LQ->LQ"), h0, [u], [v], [5])
+        assert len(trace) == 3
+        for align in trace:
+            assert np.array_equal(align.weights.data, np.ones((5, 1)))
+            assert np.array_equal(qp_represent(align, v).data, np.repeat(v.data, 5, axis=0))
+        assert np.array_equal(h.data, np.repeat(v.data, 5, axis=0))
+
+
+# Tokens the property test draws from: words of the build vocabulary,
+# words with characters the model has never seen, and punctuation.
+KNOWN_WORDS = ["the", "cat", "sat", "on", "mat", "what", "who"]
+UNSEEN_WORDS = ["Ωμέγα", "日本", "zzyzx", "naïve"]
+PUNCTUATION = ["?", "!", ",", ".", "--", "'"]
+WORDS = KNOWN_WORDS + UNSEEN_WORDS + PUNCTUATION
+PROPERTY_MAX_SPAN = 3
+
+
+def hand_built(i, passage, question):
+    text = " ".join(passage)
+    offsets, pos = [], 0
+    for tok in passage:
+        offsets.append((pos, pos + len(tok)))
+        pos += len(tok) + 1
+    return QAExample(id=f"hand-{i}", passage_text=text, passage_tokens=list(passage),
+                     passage_offsets=offsets, question_tokens=list(question),
+                     gold_spans=[(0, 0)], answer_texts=list(passage[:1]))
+
+
+@pytest.fixture(scope="module")
+def property_models():
+    vocab = [hand_built(0, KNOWN_WORDS, ["what", "sat", "?"])]
+    return {path: build_from_examples(small_config(path=path, max_span=PROPERTY_MAX_SPAN), vocab)
+            for path in (DEFAULT_PATH, ITERATIVE_ALIGNER_PATH)}
+
+
+passages = st.lists(st.sampled_from(WORDS), min_size=1, max_size=8)
+questions = st.one_of(st.lists(st.sampled_from(PUNCTUATION), min_size=1, max_size=3),
+                      st.lists(st.sampled_from(WORDS), min_size=1, max_size=5))
+batches = st.lists(st.tuples(passages, questions), min_size=1, max_size=4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(path=st.sampled_from([DEFAULT_PATH, ITERATIVE_ALIGNER_PATH]), batch=batches)
+@example(path=DEFAULT_PATH, batch=[(["cat"], ["?"]), (["日本", "Ωμέγα"], ["what", "!"])])
+@example(path=ITERATIVE_ALIGNER_PATH, batch=[(["naïve"], ["?", "!"])])
+def test_forward_properties_on_hand_built_batches(property_models, path, batch):
+    model = property_models[path]
+    examples = [hand_built(i, p, q) for i, (p, q) in enumerate(batch)]
+    results = forward_batch(model, examples)
+    assert len(results) == len(examples)
+    for ex, result in zip(examples, results):
+        n = len(ex.passage_tokens)
+        for align in result.trace:
+            assert np.all(np.abs(align.weights.data.sum(axis=1) - 1.0) <= 1e-9)
+        span = result.span
+        assert 0 <= span.start <= span.end < n
+        assert span.end - span.start < PROPERTY_MAX_SPAN
+        alone = forward(model, ex)
+        pairs = [(result.start_dist, alone.start_dist), (result.end_dist, alone.end_dist)]
+        pairs += [(a.weights, b.weights) for a, b in zip(result.trace, alone.trace)]
+        assert len(result.trace) == len(alone.trace)
+        for got, want in pairs:
+            assert got.data.shape == want.data.shape
+            assert np.abs(got.data - want.data).max() <= 1e-12
+
+
+@pytest.mark.parametrize("passage,question", [([], ["what"]), (["cat"], [])])
+def test_empty_passage_or_question_raises_typed_error(property_models, passage, question):
+    with pytest.raises(PhaseCondError, match="empty"):
+        forward(property_models[DEFAULT_PATH], hand_built(0, passage, question))

@@ -6,7 +6,6 @@ from phasecond.errors import DataError, DataFormatError
 from phasecond.features import (
     FeatureConfig,
     FeatureExtractor,
-    TokenAux,
     build_char_vocab,
     build_vocab_embedding,
     exact_match_features,
@@ -164,17 +163,15 @@ class TestEmbedSequence:
         params = ParamSet()
         ext = FeatureExtractor(params, spec, build_char_vocab(["dog", "ran"]), cfg, rng,
                                pos_vocab={"NN": 1, "VB": 2})
-        out = ext.embed_sequence(["dog", "ran"], side="passage",
-                                 aux=TokenAux(pos=["NN", "VB"]))
+        out = ext.embed_sequence(["dog", "ran"], side="passage", pos=["NN", "VB"])
         assert out.data.shape == (2, ext.width)
         with pytest.raises(DataError):
-            ext.embed_sequence(["dog", "ran"], side="passage", aux=TokenAux(pos=["NN"]))
+            ext.embed_sequence(["dog", "ran"], side="passage", pos=["NN"])
 
     def test_exact_match_bit_lands_in_column(self):
         ext, _ = make_extractor(["a", "b"])
         cfg = ext.cfg
-        out = ext.embed_sequence(["a", "b"], side="passage",
-                                 aux=TokenAux(em_bits=np.array([1.0, 0.0])))
+        out = ext.embed_sequence(["a", "b"], side="passage", em_bits=np.array([1.0, 0.0]))
         col = cfg.word_dim + cfg.char_filters
         assert out.data[:, col].tolist() == [1.0, 0.0]
 

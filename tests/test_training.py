@@ -6,9 +6,9 @@ import pytest
 
 from phasecond import tensor as T
 from phasecond import training
-from phasecond.conductor import build_from_examples, example_loss, forward
+from phasecond.conductor import build_from_examples, forward, gold_loss
 from phasecond.config import RunConfig
-from phasecond.data import SyntheticSpec, generate_synthetic
+from phasecond.data import EvalResult, SyntheticSpec, generate_synthetic
 from phasecond.errors import CheckpointError, NumericsError, ShapeError
 from phasecond.params import ParamSet
 from phasecond.tensor import backward
@@ -17,7 +17,6 @@ from phasecond.training import (
     _optimizer_step,
     adam_step,
     clip_gradients,
-    evaluate_model,
     load_checkpoint,
     load_into,
     restore_model,
@@ -127,6 +126,21 @@ class TestTrainLoop:
         drops = [a / b for a, b in zip(lrs, lrs[1:]) if b < a]
         assert all(d == pytest.approx(2.0) for d in drops)
 
+    def test_returned_model_holds_best_params(self, monkeypatch):
+        # dev EM reads 50 after epoch 1 and 10 after epoch 2: epoch 1 is best
+        ems = iter([50.0, 10.0])
+        monkeypatch.setattr(training, "evaluate_model",
+                            lambda model, examples: EvalResult(em=next(ems), f1=0.0))
+        data = tiny_dataset(n=8)
+        cfg = small_config(epochs=2)
+        model = build_from_examples(cfg, data)
+        result = train(model, data, data[:4], cfg)
+        assert [row["dev_em"] for row in result.history] == [50.0, 10.0]
+        assert result.best_epoch == 1 and result.best_dev_em == 50.0
+        assert set(result.best_params) == set(model.params.names())
+        for name, t in model.params.items():
+            assert np.array_equal(t.data, result.best_params[name]), name
+
     def test_determinism_same_seed_same_history(self):
         data = tiny_dataset(n=8)
         cfg = small_config(epochs=2, dropout=0.2)
@@ -142,8 +156,7 @@ class TestTrainLoop:
         losses = []
         for _ in range(200):
             model.params.zero_grads()
-            loss, _ = example_loss(model, data[0], mode="train",
-                                   rng=np.random.default_rng(0))
+            loss = gold_loss(data[0], forward(model, data[0], rng=np.random.default_rng(0)))
             backward(loss)
             model.params.apply_grad_masks()
             clip_gradients(model.params, cfg.grad_clip)
@@ -167,7 +180,7 @@ class TestBatchedStep:
         reference.params.zero_grads()
         total = None
         for ex in data:
-            loss, _ = example_loss(reference, ex, rng=rng_reference)
+            loss = gold_loss(ex, forward(reference, ex, rng=rng_reference))
             total = loss if total is None else T.add(total, loss)
         expected = T.mul_const(total, 1.0 / len(data))
         backward(expected)
@@ -268,7 +281,7 @@ class TestCheckpoint:
         cfg = small_config(epochs=1)
         model = build_from_examples(cfg, data)
         state = AdamState(lr=cfg.lr)
-        loss, _ = example_loss(model, data[0], rng=np.random.default_rng(0))
+        loss = gold_loss(data[0], forward(model, data[0], rng=np.random.default_rng(0)))
         backward(loss)
         adam_step(model.params, state)
         path = str(tmp_path / "step.ckpt")
