@@ -14,7 +14,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from phasecond.conductor import build_from_examples
-from phasecond.config import RunConfig
+from phasecond.config import desk_config
 from phasecond.data import SyntheticSpec, generate_synthetic
 from phasecond.training import evaluate_model, train
 
@@ -42,10 +42,8 @@ def main():
     for n_qp in (1, 2):
         for n_self in (1, 2):
             expr = path_for(n_qp, n_self)
-            cfg = RunConfig(path=expr, hidden=32, word_dim=16, char_dim=8,
-                            char_filters=8, feat_dim=8, dropout=0.1, lr=0.01,
-                            batch_size=32, epochs=args.epochs, seed=args.seed,
-                            early_stop_dev_em=100.0)
+            cfg = desk_config(path=expr, epochs=args.epochs, seed=args.seed,
+                              early_stop_train_em=0.0, early_stop_dev_em=100.0)
             model = build_from_examples(cfg, train_data)
             result = train(model, train_data, dev_data, cfg)
             dev = evaluate_model(model, dev_data)

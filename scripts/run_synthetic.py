@@ -20,16 +20,14 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from phasecond.cli import dump_attention
 from phasecond.conductor import build_from_examples
-from phasecond.config import DEFAULT_PATH, ITERATIVE_ALIGNER_PATH, RunConfig
+from phasecond.config import DEFAULT_PATH, ITERATIVE_ALIGNER_PATH, desk_config
 from phasecond.data import SyntheticSpec, generate_synthetic, write_jsonl
 from phasecond.training import evaluate_model, restore_model, train
 
 
 def run_one(path_expr, tag, train_data, dev_data, args):
-    cfg = RunConfig(path=path_expr, hidden=args.hidden, word_dim=16, char_dim=8,
-                    char_filters=8, feat_dim=8, dropout=0.1, lr=args.lr,
-                    batch_size=32, epochs=args.epochs, seed=args.seed,
-                    early_stop_train_em=95.0, early_stop_dev_em=90.0)
+    cfg = desk_config(path=path_expr, hidden=args.hidden, lr=args.lr, epochs=args.epochs,
+                      seed=args.seed)
     model = build_from_examples(cfg, train_data)
     run_dir = os.path.join(args.out, tag)
     start = time.time()

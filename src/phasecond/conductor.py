@@ -13,11 +13,13 @@ with groups repeatable as "(...)xN". The default two-phase path is
 "(LQ->Fi->LS->Fi)x2". Width consistency is checked once at build time,
 so a malformed chain fails before any data is seen.
 
-`forward_batch` runs the model on `config.path` over a minibatch, with
-the phase path in `run_path`, the only attention chain (the grad-check
-runs it too). The passages' rows stay packed from the shared encoder to
-the pointer head; only the LQ/LS attention layers run per example, on row
-slices. `forward` is the same code with a batch of one.
+`forward_batch` runs the model on `config.path` over a minibatch, and
+`gold_loss` turns the same pass into the batch loss. Rows stay packed from
+the features to the loss, [sum n_k, w] in example order: features, encoders,
+fusion, the pointer head and the loss each run once per batch, and only the
+LQ/LS attention layers of `run_path`, the only attention chain (the
+grad-check runs it too), run per example on row slices. `forward` is the
+same code with a batch of one.
 """
 
 import re
@@ -177,9 +179,8 @@ class PlanStep:
 
 @dataclass
 class ForwardResult:
-    start_dist: object
-    end_dist: object
-    hops: list
+    start_dist: np.ndarray  # last-hop probabilities, views into the batch's rows
+    end_dist: np.ndarray
     span: object
     trace: list
 
@@ -294,14 +295,20 @@ def _tag_vocab(examples, *attrs):
     return vocab
 
 
-def _dropout_draws(model, example, rng):
-    """Uniforms behind one example's six dropout masks, in the order the
-    model applies them: passage and question features, v, h, u, final h.
-    Without an rng there is no dropout, and every draw is None."""
-    n, m = len(example.passage_tokens), len(example.question_tokens)
+def _dropout_draws(model, examples, rng):
+    """Uniforms behind the six dropout masks, in the order the model applies
+    them: passage and question features, v, h, u, final h. They are drawn
+    example after example, so the masks do not depend on the batch size, and
+    packed like the rows. Without an rng there is no dropout: six Nones."""
+    if rng is None:
+        return [None] * 6
     width, d2 = model.extractor.width, 2 * model.config.hidden
-    shapes = ((n, width), (m, width), (m, d2), (n, d2), (m, d2), (n, model.final_width))
-    return [None if rng is None else rng.random(shape) for shape in shapes]
+    draws = []
+    for ex in examples:
+        n, m = len(ex.passage_tokens), len(ex.question_tokens)
+        shapes = ((n, width), (m, width), (m, d2), (n, d2), (m, d2), (n, model.final_width))
+        draws.append([rng.random(shape) for shape in shapes])
+    return [np.concatenate(site) for site in zip(*draws)]
 
 
 def run_path(model, h, us, vs, lengths):
@@ -339,50 +346,43 @@ def run_path(model, h, us, vs, lengths):
     return h, traces
 
 
-def forward_batch(model, examples, rng=None):
-    """One ForwardResult per example of a minibatch.
-
-    Features are built per example, and each encoder direction runs once over
-    the whole batch. The passages' rows then stay packed, [sum n_k, w] in
-    example order, so every layer that works row by row runs once per batch.
-    Dropout is on exactly when an `rng` is passed and `config.dropout > 0`;
-    each example's uniforms are drawn up front, one example after another,
-    so the masks do not depend on the batch size.
-    """
-    rng = rng if model.config.dropout > 0 else None
-    draws = [_dropout_draws(model, ex, rng) for ex in examples]
-    passages, questions = [], []
-    for ex, draw in zip(examples, draws):
-        p_bits, q_bits = exact_match_features(ex.passage_tokens, ex.question_tokens)
-        passages.append(model.extractor.embed_sequence(
-            ex.passage_tokens, "passage", em_bits=p_bits, pos=ex.passage_pos,
-            ner=ex.passage_ner, draw=draw[0]))
-        questions.append(model.extractor.embed_sequence(
-            ex.question_tokens, "question", em_bits=q_bits, pos=ex.question_pos,
-            ner=ex.question_ner, draw=draw[1]))
-
+def _packed_pass(model, examples, rng):
+    """(scores, probs, spans, traces, lengths) of one pass over a minibatch;
+    dropout is on exactly when an `rng` is passed and `config.dropout > 0`."""
     cfg = model.config
+    d_p, d_q, d_v, d_h, d_u, d_out = _dropout_draws(
+        model, examples, rng if cfg.dropout > 0 else None)
     lengths = [len(ex.passage_tokens) for ex in examples]
-    vs = model.encoders.encode_independent_question(questions)
-    h, us = model.encoders.encode_shared(passages, questions)
-    vs = [T.dropout(v, cfg.dropout, draw[2]) for v, draw in zip(vs, draws)]
-    h = T.dropout(h, cfg.dropout, _packed_draw(draws, 3))
-    us = [T.dropout(u, cfg.dropout, draw[4]) for u, draw in zip(us, draws)]
+    q_lengths = [len(ex.question_tokens) for ex in examples]
+    bits = [exact_match_features(ex.passage_tokens, ex.question_tokens) for ex in examples]
+    embed = model.extractor.embed_sequence
+    passages = embed([ex.passage_tokens for ex in examples], "passage",
+                     em_bits=[p for p, _ in bits], pos=[ex.passage_pos for ex in examples],
+                     ner=[ex.passage_ner for ex in examples], draw=d_p)
+    questions = embed([ex.question_tokens for ex in examples], "question",
+                      em_bits=[q for _, q in bits], pos=[ex.question_pos for ex in examples],
+                      ner=[ex.question_ner for ex in examples], draw=d_q)
 
-    h, traces = run_path(model, h, us, vs, lengths)
-    h = T.dropout(h, cfg.dropout, _packed_draw(draws, 5))
-    query = model.pointer.initial_query(vs)
-    predictions = model.pointer.predict_span(h, query, lengths)
-    return [ForwardResult(start_dist=hops[-1][0], end_dist=hops[-1][1], hops=hops,
+    v = model.encoders.encode_independent_question(questions, q_lengths)
+    h, u = model.encoders.encode_shared(passages, lengths, questions, q_lengths)
+    v = T.dropout(v, cfg.dropout, d_v)
+    h = T.dropout(h, cfg.dropout, d_h)
+    u = T.dropout(u, cfg.dropout, d_u)
+
+    h, traces = run_path(model, h, T.split_rows(u, q_lengths), T.split_rows(v, q_lengths),
+                         lengths)
+    h = T.dropout(h, cfg.dropout, d_out)
+    query = model.pointer.initial_query(v, q_lengths)
+    return (*model.pointer.predict_span(h, query, lengths), traces, lengths)
+
+
+def forward_batch(model, examples, rng=None):
+    """One ForwardResult per example of a minibatch."""
+    _, probs, spans, traces, lengths = _packed_pass(model, examples, rng)
+    ends = np.cumsum(lengths)
+    return [ForwardResult(start_dist=probs[end - n:end, 0], end_dist=probs[end - n:end, 1],
                           span=span, trace=trace)
-            for (hops, span), trace in zip(predictions, traces)]
-
-
-def _packed_draw(draws, site):
-    """The examples' uniforms for one row-wise dropout site, packed like the rows."""
-    if draws[0][site] is None:
-        return None
-    return np.concatenate([draw[site] for draw in draws])
+            for n, end, span, trace in zip(lengths, ends, spans, traces)]
 
 
 def forward(model, example, rng=None):
@@ -390,8 +390,8 @@ def forward(model, example, rng=None):
     return forward_batch(model, [example], rng=rng)[0]
 
 
-def gold_loss(example, result):
-    """Span loss of the example's first gold span."""
-    gold_start, gold_end = example.gold_spans[0]
-    return span_loss(result.hops, gold_start, gold_end)
-
+def gold_loss(model, examples, rng=None):
+    """The batch loss: the mean span loss of the examples' first gold spans,
+    from one pass over the batch."""
+    scores, _, _, _, lengths = _packed_pass(model, examples, rng)
+    return span_loss(scores, lengths, [ex.gold_spans[0] for ex in examples])

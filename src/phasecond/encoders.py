@@ -12,8 +12,8 @@ row after row, and each direction's whole pass over them is a single graph
 node with a hand-written backward-through-time rule. At step t the node
 updates only the sequences still running, so nothing is padded or masked,
 and the per-step Python loop stays out of the autodiff tape. The rule is
-pinned by finite-difference tests. The passages leave the shared encoder
-still packed, for the layers after it that work row by row.
+pinned by finite-difference tests. Encoders take and return packed rows
+with the sequences' lengths; nothing is split per example here.
 """
 
 import numpy as np
@@ -153,30 +153,25 @@ class BiLSTMEncoder:
         bw = lstm_direction(features, *self.cells["bw"], reverse=True, lengths=lengths)
         return T.concat([fw, bw], axis=1)
 
-    def encode_packed(self, sequences):
-        """([sum n_k, 2*hidden] encodings packed in order, lengths) of [n_k, in_dim] sequences."""
-        lengths = [s.data.shape[0] for s in sequences]
-        return self(T.concat(sequences, axis=0), lengths), lengths
-
 
 class EncoderPair:
     """The independent question encoder plus the shared passage/question encoder.
 
-    Both take a minibatch: one feature tensor per example, in example order.
+    Both take a minibatch packed as rows: every sequence's feature rows back to
+    back, with the sequences' lengths.
     """
 
     def __init__(self, params, in_dim, hidden, rng):
         self.independent = BiLSTMEncoder(params, "enc.indep", in_dim, hidden, rng)
         self.shared = BiLSTMEncoder(params, "enc.shared", in_dim, hidden, rng)
 
-    def encode_independent_question(self, questions):
-        """v: one [m_k, 2d] per question; parameters disjoint from the shared encoder."""
-        return T.split_rows(*self.independent.encode_packed(questions))
+    def encode_independent_question(self, questions, lengths):
+        """v: [sum m_k, 2d], packed like `questions`; parameters disjoint from the shared encoder."""
+        return self.independent(questions, lengths)
 
-    def encode_shared(self, passages, questions):
+    def encode_shared(self, passages, passage_lengths, questions, question_lengths):
         """(h, u) from one parameter set, passages and questions in the same pass:
-        h is every passage's rows packed in example order, [sum n_k, 2d], and u
-        is one [m_k, 2d] per question."""
-        packed, lengths = self.shared.encode_packed(list(passages) + list(questions))
-        h, *us = T.split_rows(packed, [sum(lengths[:len(passages)])] + lengths[len(passages):])
-        return h, us
+        h is [sum n_k, 2d] and u is [sum m_k, 2d], each packed like its input."""
+        packed = self.shared(T.concat([passages, questions], axis=0),
+                             list(passage_lengths) + list(question_lengths))
+        return T.split_rows(packed, [passages.data.shape[0], questions.data.shape[0]])

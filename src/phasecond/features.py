@@ -4,7 +4,9 @@ Every token becomes one row of
     [word embedding | char CNN | exact-match bit | pos? | ner? | qtype?]
 with identical layout on the passage and question sides so the shared
 encoder can consume both; slots that only apply to one side (the question
-type embedding) are zero-filled on the other.
+type embedding) are zero-filled on the other. A minibatch's sequences of one
+side are embedded in one call, packed row after row, and the char CNN runs
+once per distinct word of the batch.
 """
 
 import warnings
@@ -282,38 +284,42 @@ class FeatureExtractor:
     def width(self):
         return self.cfg.width()
 
-    def _tag_part(self, emb, vocab, tags, n):
-        if tags is None:
-            return Tensor(np.zeros((n, self.cfg.feat_dim)))
-        if len(tags) != n:
-            raise DataError(f"tag list length {len(tags)} != token count {n}")
-        idx = [vocab.get(t, 0) for t in tags]
-        return T.gather_rows(emb, idx)
+    def _tag_part(self, emb, vocab, tags, sequences):
+        """Tag embedding rows; a sequence without tags gets zero rows."""
+        idx, keep = [], []
+        for seq, seq_tags in zip(sequences, tags or [None] * len(sequences)):
+            if seq_tags is not None and len(seq_tags) != len(seq):
+                raise DataError(f"tag list length {len(seq_tags)} != token count {len(seq)}")
+            idx += [0] * len(seq) if seq_tags is None else [vocab.get(t, 0) for t in seq_tags]
+            keep += [float(seq_tags is not None)] * len(seq)
+        return T.mul(T.gather_rows(emb, idx), Tensor(np.outer(keep, np.ones(self.cfg.feat_dim))))
 
-    def embed_sequence(self, tokens, side, em_bits=None, pos=None, ner=None, draw=None):
-        """[n_tokens, width] feature rows for one sequence.
-
-        `em_bits` defaults to zeros; `pos`/`ner` tags are read when enabled.
-        In training, `draw` holds the [n_tokens, width] uniforms behind the
-        dropout mask; without it the rows are not dropped.
-        """
+    def embed_sequence(self, sequences, side, em_bits=None, pos=None, ner=None, draw=None):
+        """[sum n_k, width] feature rows of token sequences, packed in order; the
+        char CNN runs once per distinct word. `em_bits` (an array per sequence)
+        defaults to zeros; `pos`/`ner` (a tag list or None per sequence) are read
+        when enabled. `draw` holds the uniforms behind the training dropout mask."""
+        tokens = [t for seq in sequences for t in seq]
         n = len(tokens)
         if n == 0:
             return Tensor(np.zeros((0, self.width)))
 
-        word_idx = [self.word_spec.index_of(t) for t in tokens]
-        parts = [T.gather_rows(self.word_emb, word_idx), self.char(tokens)]
-        em = em_bits if em_bits is not None else np.zeros(n)
+        distinct = {}
+        slots = [distinct.setdefault(t, len(distinct)) for t in tokens]
+        word_idx = np.array([self.word_spec.index_of(t) for t in distinct])[slots]
+        parts = [T.gather_rows(self.word_emb, word_idx),
+                 T.gather_rows(self.char(list(distinct)), slots)]
+        em = np.zeros(n) if em_bits is None else np.concatenate(em_bits)
         parts.append(Tensor(np.asarray(em, dtype=np.float64).reshape(n, 1)))
         if self.cfg.use_pos:
-            parts.append(self._tag_part(self.pos_emb, self.pos_vocab, pos, n))
+            parts.append(self._tag_part(self.pos_emb, self.pos_vocab, pos, sequences))
         if self.cfg.use_ner:
-            parts.append(self._tag_part(self.ner_emb, self.ner_vocab, ner, n))
+            parts.append(self._tag_part(self.ner_emb, self.ner_vocab, ner, sequences))
         if self.cfg.use_qtype:
             if side == "question":
-                qt = question_type(tokens)
-                row = T.gather_rows(self.qtype_emb, [QUESTION_TYPES.index(qt)])
-                parts.append(T.repeat_rows(row, [n]))
+                types = [QUESTION_TYPES.index(question_type(seq)) for seq in sequences]
+                parts.append(T.gather_rows(
+                    self.qtype_emb, np.repeat(types, [len(seq) for seq in sequences])))
             else:
                 parts.append(Tensor(np.zeros((n, self.cfg.feat_dim))))
         return T.dropout(T.concat(parts, axis=1), self.cfg.dropout, draw)

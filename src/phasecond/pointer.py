@@ -5,13 +5,14 @@ additive attention against a memory vector, pools the evidence, updates
 the memory through a GRU cell, then repeats for the end boundary. The
 final span maximizes p_start * p_end over pairs with start <= end and
 length below max_span, using the last hop's distributions; training
-minimizes the summed negative log probability of the gold boundaries at
-that last hop.
+minimizes the negative log probability of the gold boundaries at that
+last hop, averaged over the batch.
 
-The head takes a minibatch at once: the passages' rows packed as one
-[sum n_k, w] matrix and one memory row per example, [B, w]. The boundary
-scores and the memory updates run once over the whole batch; only each
-boundary's softmax and the evidence pooling run per passage.
+The head runs once per minibatch, on packed rows: [sum n_k, w] for the
+passages, [sum m_k, 2d] for the questions, one memory row per example.
+Each boundary's softmax over all passages is one segment-softmax node,
+each evidence pooling one segment-weighted-sum node, and the batch loss
+one node that reads the gold rows' log-probabilities off the scores.
 """
 
 from dataclasses import dataclass
@@ -51,35 +52,29 @@ class GRUCell:
 
     def __init__(self, params, prefix, width, rng):
         self.width = width
+        self.w = {}
         for gate in ("r", "u", "c"):
-            params.add(f"{prefix}.W_{gate}", xavier_uniform(rng, (width, width)))
-            params.add(f"{prefix}.U_{gate}", xavier_uniform(rng, (width, width)))
-            params.add(f"{prefix}.b_{gate}", [0.0] * width)
-        self._p = params
-        self._prefix = prefix
-
-    def _g(self, name):
-        return self._p[f"{self._prefix}.{name}"]
+            for kind in ("W", "U"):
+                self.w[kind + gate] = params.add(f"{prefix}.{kind}_{gate}",
+                                                 xavier_uniform(rng, (width, width)))
+            self.w["b" + gate] = params.add(f"{prefix}.b_{gate}", [0.0] * width)
 
     def __call__(self, state, x):
-        r = T.sigmoid(T.add(T.add(T.matmul(x, self._g("W_r")), T.matmul(state, self._g("U_r"))),
-                            self._g("b_r")))
-        u = T.sigmoid(T.add(T.add(T.matmul(x, self._g("W_u")), T.matmul(state, self._g("U_u"))),
-                            self._g("b_u")))
-        cand = T.tanh(T.add(T.add(T.matmul(x, self._g("W_c")),
-                                  T.matmul(T.mul(r, state), self._g("U_c"))),
-                            self._g("b_c")))
+        w = self.w
+        r = T.sigmoid(T.add(T.add(T.matmul(x, w["Wr"]), T.matmul(state, w["Ur"])), w["br"]))
+        u = T.sigmoid(T.add(T.add(T.matmul(x, w["Wu"]), T.matmul(state, w["Uu"])), w["bu"]))
+        cand = T.tanh(T.add(T.add(T.matmul(x, w["Wc"]), T.matmul(T.mul(r, state), w["Uc"])),
+                            w["bc"]))
         return T.add(T.mul(T.rsub_const(1.0, u), state), T.mul(u, cand))
 
 
-def question_summary(v_independent, w_proj, w_score):
-    """Attention-pooled question vector: softmax(tanh(v W) w) applied to v."""
-    m = v_independent.data.shape[0]
-    if m < 1:
-        raise ShapeError("cannot summarize an empty question")
+def question_summary(v_independent, w_proj, w_score, lengths=None):
+    """[B, 2d] attention-pooled question vectors: each question's rows of v
+    under softmax(tanh(v W) w) over that question. v packs the questions'
+    rows, question k being lengths[k] rows long; no lengths means one question."""
+    lengths = [v_independent.data.shape[0]] if lengths is None else lengths
     scores = T.matmul(T.tanh(T.matmul(v_independent, w_proj)), w_score)
-    weights = T.softmax_rows(T.reshape(scores, (1, m)))
-    return T.matmul(weights, v_independent)  # [1, 2d]
+    return T.segment_weighted_sum(T.segment_softmax(scores, lengths), v_independent, lengths)
 
 
 class PointerHead:
@@ -110,24 +105,24 @@ class PointerHead:
                 )
         self.memory = GRUCell(params, "ptr.mem", passage_width, rng)
 
-    def initial_query(self, vs):
-        """[B, w] memory rows, one per question encoding [m_k, 2d] in vs."""
-        q = T.concat([question_summary(v, self.summary_proj, self.summary_score)
-                      for v in vs], axis=0)
+    def initial_query(self, v, lengths=None):
+        """[B, w] memory rows, one per question; v packs the questions'
+        encodings [sum m_k, 2d], question k being lengths[k] rows long."""
+        q = question_summary(v, self.summary_proj, self.summary_score, lengths)
         if self.adapter is not None:
             q = T.matmul(q, self.adapter)
         return q
 
-    def _boundary_dists(self, h, q, t, b, lengths):
-        """One [1, n_k] boundary distribution per passage."""
+    def _boundary_scores(self, h, q, t, b, lengths):
+        """[sum n_k, 1] scores of every passage position for one boundary."""
         w_h, w_q, v = self.boundary[(t, b)]
         hidden = T.tanh(T.add(T.matmul(h, w_h), T.repeat_rows(T.matmul(q, w_q), lengths)))
-        scores = T.split_rows(T.matmul(hidden, v), lengths)
-        return [T.softmax_rows(T.reshape(s, (1, n))) for s, n in zip(scores, lengths)]
+        return T.matmul(hidden, v)
 
     def predict_span(self, h, q, lengths=None):
-        """One (hops, span) per passage: its per-hop (p_start, p_end) pairs and
-        the span decoded from the last hop.
+        """(scores, probs, spans) of the last hop: the [sum n_k, 2] start and
+        end scores (a Tensor), their softmax per passage (an array), and the
+        span decoded from it for each passage.
 
         h holds the passages' rows packed in order, passage k being lengths[k]
         rows long (no lengths: h is one passage), and q holds one memory row
@@ -137,35 +132,33 @@ class PointerHead:
         if width != self.width:
             raise ShapeError(f"pointer built for width {self.width}, got {width}")
         lengths = [n] if lengths is None else list(lengths)
+        if sum(lengths) != n:
+            raise ShapeError(f"passage lengths sum to {sum(lengths)}, got {n} rows")
         if q.data.shape != (len(lengths), self.width):
             raise ShapeError(
                 f"pointer needs a [{len(lengths)}, {self.width}] query, got {q.data.shape}")
-        passages = T.split_rows(h, lengths)
-        hops = [[] for _ in lengths]
         for t in range(1, self.hops + 1):
-            p_s = self._boundary_dists(h, q, t, "start", lengths)
-            q = self.memory(q, _pool(p_s, passages))
-            p_e = self._boundary_dists(h, q, t, "end", lengths)
-            for hop, start, end in zip(hops, p_s, p_e):
-                hop.append((start, end))
+            s_start = self._boundary_scores(h, q, t, "start", lengths)
+            p_start = T.segment_softmax(s_start, lengths)
+            q = self.memory(q, T.segment_weighted_sum(p_start, h, lengths))
+            s_end = self._boundary_scores(h, q, t, "end", lengths)
+            p_end = T.segment_softmax(s_end, lengths)
             if t < self.hops:
-                q = self.memory(q, _pool(p_e, passages))
-        return [(hop, decode_span(hop[-1][0].data, hop[-1][1].data, self.max_span))
-                for hop in hops]
+                q = self.memory(q, T.segment_weighted_sum(p_end, h, lengths))
+        probs, ends = np.concatenate([p_start.data, p_end.data], axis=1), np.cumsum(lengths)
+        spans = [decode_span(probs[end - k:end, 0], probs[end - k:end, 1], self.max_span)
+                 for k, end in zip(lengths, ends)]
+        return T.concat([s_start, s_end], axis=1), probs, spans
 
 
-def _pool(dists, passages):
-    """[B, w]: each passage's rows averaged under its [1, n_k] distribution."""
-    return T.concat([T.matmul(p, h_k) for p, h_k in zip(dists, passages)], axis=0)
-
-
-def span_loss(hops, gold_start, gold_end):
-    """-log p_s[gold_start] - log p_e[gold_end] at the last hop."""
-    p_s, p_e = hops[-1]
-    n = p_s.data.shape[1]
-    if not (0 <= gold_start < n and 0 <= gold_end < n):
-        raise DataError(
-            f"gold span ({gold_start}, {gold_end}) outside passage of length {n}")
-    ls = T.log(T.clamp_min(T.pick(p_s, 0, gold_start), 1e-12))
-    le = T.log(T.clamp_min(T.pick(p_e, 0, gold_end), 1e-12))
-    return T.neg(T.add(ls, le))
+def span_loss(scores, lengths, golds):
+    """Mean over passages of -log p_start[gold start] - log p_end[gold end],
+    one node over the packed [sum n_k, 2] boundary scores; golds holds one
+    (start, end) per passage, as positions within it."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    golds = np.asarray(golds, dtype=np.intp).reshape(-1, 2)
+    for (start, end), n in zip(golds, lengths):
+        if not (0 <= start < n and 0 <= end < n):
+            raise DataError(f"gold span ({start}, {end}) outside passage of length {n}")
+    offsets = np.cumsum(lengths) - lengths
+    return T.segment_nll(scores, lengths, offsets[:, None] + golds)

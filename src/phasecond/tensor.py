@@ -40,16 +40,8 @@ class Tensor:
         self._parents = ()
         self._backward = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def make_node(data, parents, backward_fn):
@@ -140,13 +132,11 @@ def _accumulate(grads, owned, p, pg):
 # ---------------------------------------------------------------------------
 # Shape plumbing
 
-def _check_broadcast(big, small):
+def _binary_shapes(a, b):
     """Allow equal shapes or trailing-dimension expansion of the smaller."""
-    if big == small:
-        return
-    if len(small) < len(big) and big[len(big) - len(small):] == small:
-        return
-    raise ShapeError(f"shapes {big} and {small} are not trailing-broadcast compatible")
+    big, small = sorted((a.data.shape, b.data.shape), key=len, reverse=True)
+    if big[len(big) - len(small):] != small:
+        raise ShapeError(f"shapes {big} and {small} are not trailing-broadcast compatible")
 
 
 def _reduce_to(grad, shape):
@@ -157,18 +147,10 @@ def _reduce_to(grad, shape):
     return grad.sum(axis=tuple(range(extra)))
 
 
-def _binary_shapes(a, b):
-    if a.data.ndim >= b.data.ndim:
-        _check_broadcast(a.data.shape, b.data.shape)
-    else:
-        _check_broadcast(b.data.shape, a.data.shape)
-
-
 # ---------------------------------------------------------------------------
 # Elementwise ops
 
 def add(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     _binary_shapes(a, b)
 
     def bwd(g):
@@ -179,7 +161,6 @@ def add(a, b):
 
 
 def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     _binary_shapes(a, b)
 
     def bwd(g):
@@ -187,15 +168,6 @@ def mul(a, b):
                 _reduce_to(g * a.data, b.data.shape) if b.requires_grad else None)
 
     return make_node(a.data * b.data, (a, b), bwd)
-
-
-def neg(a):
-    return make_node(-a.data, (a,), lambda g: (-g,))
-
-
-def mul_const(a, c):
-    c = float(c)
-    return make_node(a.data * c, (a,), lambda g: (g * c,))
 
 
 def rsub_const(c, a):
@@ -237,24 +209,6 @@ def sigmoid(a):
     return make_node(out, (a,), bwd)
 
 
-def log(a):
-    def bwd(g):
-        return (g / a.data,)
-
-    return make_node(np.log(a.data), (a,), bwd)
-
-
-def clamp_min(a, floor):
-    """max(a, floor); gradient passes only where a was not clamped."""
-    floor = float(floor)
-    mask = a.data > floor
-
-    def bwd(g):
-        return (g * mask,)
-
-    return make_node(np.where(mask, a.data, floor), (a,), bwd)
-
-
 def dropout(a, rate, draw):
     """Inverted dropout with a mask from `draw`, uniforms in [0, 1) of a's shape.
 
@@ -277,7 +231,6 @@ def dropout(a, rate, draw):
 # Linear algebra and structure ops
 
 def matmul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"matmul expects matrices, got {a.data.shape} @ {b.data.shape}")
     if a.data.shape[1] != b.data.shape[0]:
@@ -305,22 +258,11 @@ def transpose(a):
     return make_node(a.data.T.copy(), (a,), bwd)
 
 
-def reshape(a, shape):
-    old = a.data.shape
-
-    def bwd(g):
-        return (g.reshape(old),)
-
-    return make_node(a.data.reshape(shape), (a,), bwd)
-
-
 def concat(tensors, axis):
     """Join tensors along axis; a single tensor comes back as it is."""
-    tensors = [_as_tensor(t) for t in tensors]
     if len(tensors) == 1:
         return tensors[0]
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    splits = list(accumulate(t.data.shape[axis] for t in tensors))[:-1]
 
     def bwd(g):
         return tuple(np.split(g, splits, axis=axis))
@@ -328,33 +270,21 @@ def concat(tensors, axis):
     return make_node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bwd)
 
 
-def rows(a, start, stop):
-    """a[start:stop, :]; all of a's rows come back as a itself.
-
-    The backward rule hands `backward()` the slice's gradient and its place
-    instead of a zero-padded array of a's shape.
-    """
-    if start == 0 and stop == a.data.shape[0]:
-        return a
-    return make_node(a.data[start:stop], (a,), lambda g: (_RowsGrad(start, stop, g),))
-
-
 def split_rows(a, lengths):
-    """Consecutive row blocks of a, lengths[k] rows each, as a list of tensors."""
+    """Consecutive row blocks of a, lengths[k] rows each, as a list of tensors;
+    one block of all rows is a itself. A block's gradient reaches `backward()`
+    as the slice and its place, not zero-padded to a's shape."""
     ends = list(accumulate(lengths))
-    if not ends or ends[-1] != a.data.shape[0]:
-        raise ShapeError(f"row blocks sum to {sum(lengths)}, tensor has {a.data.shape[0]} rows")
-    return [rows(a, end - n, end) for n, end in zip(lengths, ends)]
+    n = a.data.shape[0]
+    if not ends or ends[-1] != n:
+        raise ShapeError(f"row blocks sum to {sum(lengths)}, tensor has {n} rows")
+    if len(ends) == 1:
+        return [a]
 
+    def block(start, stop):
+        return make_node(a.data[start:stop], (a,), lambda g: (_RowsGrad(start, stop, g),))
 
-def pick(a, i, j):
-    """Scalar a[i, j]."""
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        full[i, j] = g
-        return (full,)
-
-    return make_node(a.data[i, j], (a,), bwd)
+    return [block(end - k, end) for k, end in zip(lengths, ends)]
 
 
 def repeat_rows(a, counts):
@@ -417,6 +347,78 @@ def softmax_rows(x, mask=None):
         return (out * (g - dot),)
 
     return make_node(out, (x,), bwd)
+
+
+# ---------------------------------------------------------------------------
+# Segment ops: segment k is the next lengths[k] rows of a packed matrix
+
+def _segments(x, lengths):
+    """(lengths, starts) as lists; every segment non-empty, all rows covered."""
+    lengths = list(lengths)
+    starts = [0, *accumulate(lengths)]
+    if min(lengths, default=0) < 1 or starts.pop() != x.shape[0]:
+        raise ShapeError(f"segments {lengths} must be non-empty and sum to {x.shape[0]}")
+    return lengths, starts
+
+
+def _segment_exp(x, lengths, starts):
+    """(shifted, e, z): x minus its segment's column max, exp of that, and the
+    segment's column sums of e on every row. Summing each contiguous slice
+    makes e / z match `softmax_rows` of the segment's transpose bit for bit."""
+    shifted = x - np.repeat(np.maximum.reduceat(x, starts, axis=0), lengths, axis=0)
+    e, z = np.exp(shifted), np.empty_like(x)
+    for lo, n in zip(starts, lengths):
+        z[lo:lo + n] = e[lo:lo + n].sum(axis=0)
+    return shifted, e, z
+
+
+def segment_softmax(x, lengths):
+    """Softmax over each segment's rows of x [N, c], column by column."""
+    lengths, starts = _segments(x.data, lengths)
+    _, e, z = _segment_exp(x.data, lengths, starts)
+    out = e / z
+
+    def bwd(g):
+        dot = np.add.reduceat(g * out, starts, axis=0)
+        return (out * (g - np.repeat(dot, lengths, axis=0)),)
+
+    return make_node(out, (x,), bwd)
+
+
+def segment_weighted_sum(w, x, lengths):
+    """[B, d]: row k sums segment k's rows of x [N, d] under its weights w [N, 1]."""
+    lengths, starts = _segments(x.data, lengths)
+    if w.data.shape != (x.data.shape[0], 1):
+        raise ShapeError(f"weights {w.data.shape} for {x.data.shape} rows")
+    out = np.empty((len(lengths), x.data.shape[1]))
+    for k, (lo, n) in enumerate(zip(starts, lengths)):
+        out[k] = w.data[lo:lo + n].reshape(1, n) @ x.data[lo:lo + n]
+
+    def bwd(g):
+        g_rows = np.repeat(g, lengths, axis=0)
+        return ((x.data * g_rows).sum(axis=1, keepdims=True), w.data * g_rows)
+
+    return make_node(out, (w, x), bwd)
+
+
+def segment_nll(x, lengths, targets):
+    """Mean over segments of -sum_c log softmax(segment k of column c)[targets[k, c]],
+    targets [B, c] being packed row indices inside their segments. Read off the
+    shifted scores, the value and gradient stay finite at any probability."""
+    lengths, starts = _segments(x.data, lengths)
+    targets = np.asarray(targets, dtype=np.intp)
+    if targets.shape != (len(lengths), x.data.shape[1]):
+        raise ShapeError(f"targets of shape {targets.shape} for {len(lengths)} segments")
+    shifted, e, z = _segment_exp(x.data, lengths, starts)
+    cols, scale = np.arange(x.data.shape[1]), 1.0 / len(lengths)
+
+    def bwd(g):
+        grad = e / z
+        grad[targets, cols] -= 1.0
+        return (grad * (g * scale),)
+
+    log_p = shifted[targets, cols] - np.log(z[targets, cols])
+    return make_node(-log_p.sum() * scale, (x,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Optimization loop and checkpointing.
 
-Training runs shuffled mini-batches of per-example span losses, clips the
-global gradient norm, and applies bias-corrected Adam. After each epoch
-the dev set is scored; when dev EM fails to improve on the running best
-the learning rate is halved ("bad checkpoint" rule); the best-scoring
-parameters stay on disk and end up in the model. Everything is driven by
-seeded generators, so a fixed seed fixes initialization, batch order,
-dropout masks, and therefore the entire metric log.
+Training runs shuffled mini-batches, each one packed pass to the batch's
+mean span loss, clips the global gradient norm, and applies bias-corrected
+Adam. After each epoch the dev set is scored; when dev EM fails to improve
+on the running best the learning rate is halved ("bad checkpoint" rule);
+the best-scoring parameters stay on disk and end up in the model.
+Everything is driven by seeded generators, so a fixed seed fixes
+initialization, batch order, dropout masks, and therefore the entire
+metric log.
 """
 
 import json
@@ -17,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as T
-from .conductor import build_model, forward, forward_batch, gold_loss
+from .conductor import build_model, forward, gold_loss
 from .config import RunConfig, config_hash, to_text
 from .data import evaluate
 from .errors import CheckpointError, DataError, NumericsError
@@ -27,7 +27,7 @@ from .tensor import backward
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
@@ -185,17 +185,13 @@ def train(model, train_examples, dev_examples, config, run_dir=None):
 def _optimizer_step(model, batch, state, config, rng):
     """One clipped Adam step on a batch's mean loss.
 
-    The batch goes through one batched forward pass (see
-    `conductor.forward_batch`). Returns the loss as a float, or None (and no
+    The batch goes through one packed forward pass to one loss node (see
+    `conductor.gold_loss`). Returns the loss as a float, or None (and no
     update) when the loss or the global gradient norm is not finite. The
     batch's tape lives only inside this call.
     """
     model.params.zero_grads()
-    total = None
-    for ex, result in zip(batch, forward_batch(model, batch, rng=rng)):
-        loss = gold_loss(ex, result)
-        total = loss if total is None else T.add(total, loss)
-    batch_loss = T.mul_const(total, 1.0 / len(batch))
+    batch_loss = gold_loss(model, batch, rng=rng)
     if not np.isfinite(batch_loss.data):
         return None
     backward(batch_loss)
@@ -239,7 +235,6 @@ def save_checkpoint(model, state, path, epoch=0, best_dev_em=0.0, lr_history=())
         "format_version": CHECKPOINT_VERSION,
         "config_hash": model.config_hash,
         "config": {k: getattr(model.config, k) for k in vars(model.config)},
-        "path": model.path.render(),
         "epoch": epoch,
         "best_dev_em": best_dev_em,
         "lr_history": list(lr_history),
@@ -280,7 +275,7 @@ def load_checkpoint(path, expected_config_hash=None):
     if payload.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported checkpoint version {payload.get('format_version')}")
-    for key in ("config", "adam", "vocab", "config_hash", "path"):
+    for key in ("config", "adam", "vocab", "config_hash"):
         if key not in payload:
             raise CheckpointError(f"{path}: missing checkpoint section '{key}'")
     try:

@@ -7,7 +7,6 @@ go through `conductor.run_path`, the code the model runs.
 """
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -63,12 +62,12 @@ def run_grad_checks(seed=0):
     enc = EncoderPair(params, 3, 2, rng)
     mix_q = _mix(rng, (3, 4))
     check("encoder_independent", "m=3,in=3,d=2",
-          lambda t: T.tsum(T.mul(enc.encode_independent_question([t])[0], mix_q)),
+          lambda t: T.tsum(T.mul(enc.encode_independent_question(t, [3]), mix_q)),
           Tensor(rng.standard_normal((3, 3))))
     mix_p = _mix(rng, (4, 4))
     q_fixed = Tensor(rng.standard_normal((2, 3)))
     check("encoder_shared", "n=4,m=2,in=3,d=2",
-          lambda t: T.tsum(T.mul(enc.encode_shared([t], [q_fixed])[0], mix_p)),
+          lambda t: T.tsum(T.mul(enc.encode_shared(t, [4], q_fixed, [2])[0], mix_p)),
           Tensor(rng.standard_normal((4, 3))))
 
     # question-passage attention stack: two LQ steps of the phase path
@@ -108,8 +107,7 @@ def run_grad_checks(seed=0):
     v_q = Tensor(rng.standard_normal((3, 4)))
 
     def pointer_loss(t):
-        [(hops, _)] = head.predict_span(t, head.initial_query([v_q]))
-        return span_loss(hops, 1, 3)
+        return span_loss(head.predict_span(t, head.initial_query(v_q))[0], [5], [(1, 3)])
 
     check("pointer_head", "n=5,w=4,hops=2", pointer_loss,
           Tensor(rng.standard_normal((5, 4))))
@@ -120,14 +118,9 @@ def run_grad_checks(seed=0):
               t, head.summary_proj, head.summary_score), mix_sum)),
           Tensor(rng.standard_normal((3, 4))))
 
-    # span loss against raw (pre-softmax) boundary scores
-    def loss_from_scores(t):
-        p_s = T.softmax_rows(T.rows(t, 0, 1))
-        p_e = T.softmax_rows(T.rows(t, 1, 2))
-        return span_loss([(p_s, p_e)], 2, 4)
-
-    check("span_loss", "n=5", loss_from_scores,
-          Tensor(rng.standard_normal((2, 5))))
+    # span loss against raw boundary scores, start and end as columns
+    check("span_loss", "n=5", lambda t: span_loss(t, [5], [(2, 4)]),
+          Tensor(rng.standard_normal((2, 5)).T.copy()))
 
     # character CNN parameters
     params_cnn = ParamSet()
@@ -147,13 +140,13 @@ def run_grad_checks(seed=0):
 
     # the pointer head over a packed minibatch of mixed passage lengths
     passage_lengths = [3, 1, 4, 2]
-    questions = [Tensor(rng.standard_normal((m, 4))) for m in (2, 3, 1, 2)]
+    question_lengths = (2, 3, 1, 2)
+    questions = [Tensor(rng.standard_normal((m, 4))) for m in question_lengths]
     golds = [(0, 2), (0, 0), (1, 3), (1, 1)]
 
     def pointer_packed_loss(t):
-        results = head.predict_span(t, head.initial_query(questions), passage_lengths)
-        return reduce(T.add, [span_loss(hops, s, e)
-                              for (hops, _), (s, e) in zip(results, golds)])
+        query = head.initial_query(T.concat(questions, axis=0), question_lengths)
+        return span_loss(head.predict_span(t, query, passage_lengths)[0], passage_lengths, golds)
 
     check("pointer_packed", "lengths=3,1,4,2,w=4,hops=2", pointer_packed_loss,
           Tensor(rng.standard_normal((sum(passage_lengths), 4))))
@@ -166,5 +159,11 @@ def run_grad_checks(seed=0):
           lambda t: T.tsum(T.mul(
               run_path(path_model, t, us, questions, passage_lengths)[0], mix_path)),
           Tensor(rng.standard_normal((sum(passage_lengths), 4))))
+
+    # the span loss where every gold boundary scores 2e3 below the best
+    # position: its probability underflows to 0, its log-probability does not
+    extreme = np.where(np.arange(5)[:, None] == 0, 1e3, -1e3) + rng.standard_normal((5, 2))
+    check("span_loss_extreme", "n=5,scores=+-1e3",
+          lambda t: span_loss(t, [5], [(2, 4)]), Tensor(extreme))
 
     return reports

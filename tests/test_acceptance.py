@@ -14,7 +14,7 @@ import pytest
 from phasecond.attention import qp_align, qp_represent, self_align, self_propagate
 from phasecond.cli import main, mean_row_entropy
 from phasecond.conductor import build_from_examples, forward, gold_loss, parse_path
-from phasecond.config import DEFAULT_PATH, ITERATIVE_ALIGNER_PATH, RunConfig
+from phasecond.config import DEFAULT_PATH, ITERATIVE_ALIGNER_PATH, RunConfig, desk_config
 from phasecond.data import SyntheticSpec, evaluate, generate_synthetic
 from phasecond.errors import PathValidationError
 from phasecond.fusion import InnerFusionLayer, OuterFusionStack
@@ -47,14 +47,6 @@ def report(criterion, detail):
     print(f"\nACCEPTANCE {criterion}: PASS - {detail}")
 
 
-def desk_config():
-    return RunConfig(hidden=32, word_dim=16, char_dim=8, char_filters=8,
-                     feat_dim=8, dropout=0.1, lr=0.01, batch_size=32, seed=7,
-                     epochs=DESK_EPOCH_BUDGET,
-                     early_stop_train_em=DESK_TRAIN_EM,
-                     early_stop_dev_em=DESK_DEV_EM)
-
-
 @pytest.fixture(scope="module")
 def desk_run():
     """Criterion 7's training run; also feeds criterion 10."""
@@ -63,6 +55,8 @@ def desk_run():
     dev_data = generate_synthetic(SyntheticSpec(
         n_examples=50, vocab_size=50, min_len=20, max_len=30, seed=1))
     cfg = desk_config()
+    assert (cfg.epochs, cfg.early_stop_train_em, cfg.early_stop_dev_em) == (
+        DESK_EPOCH_BUDGET, DESK_TRAIN_EM, DESK_DEV_EM)
     model = build_from_examples(cfg, train_data)
     start = time.monotonic()
     result = train(model, train_data, dev_data, cfg)
@@ -85,7 +79,7 @@ def test_criterion_1_gradient_suite():
     names = {r.component for r in reports}
     assert {"encoder_independent", "encoder_shared", "qp_attention_stack",
             "self_attention", "outer_fusion", "inner_fusion", "pointer_head",
-            "span_loss"} <= names
+            "span_loss", "span_loss_extreme"} <= names
     report(1, f"{len(reports)} layer types, worst rel err "
               f"{worst.max_rel_err:.2e} ({worst.component}), {elapsed:.1f}s")
 
@@ -290,7 +284,7 @@ def test_criterion_8_loss_sanity():
     losses = []
     for _ in range(OVERFIT_STEPS):
         model.params.zero_grads()
-        loss = gold_loss(data[0], forward(model, data[0], rng=rng))
+        loss = gold_loss(model, data[:1], rng=rng)
         assert loss.data >= 0.0
         losses.append(float(loss.data))
         if losses[-1] < OVERFIT_LOSS:

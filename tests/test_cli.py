@@ -209,7 +209,7 @@ class TestGradCheckCommand:
     def test_fresh_build_passes(self, capsys):
         assert main(["grad-check", "--seed", "11"]) == 0
         printed = capsys.readouterr().out
-        assert "all 13 components passed" in printed
+        assert "all 14 components passed" in printed
         assert "seed=11" in printed and "dims=" in printed
 
     def test_corrupted_gradient_rule_named(self, monkeypatch, capsys):

@@ -1,3 +1,6 @@
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,11 +11,12 @@ from phasecond.conductor import (
     build_from_examples,
     forward,
     forward_batch,
+    gold_loss,
     parse_path,
     run_path,
     validate_steps,
 )
-from phasecond.config import DEFAULT_PATH, ITERATIVE_ALIGNER_PATH, RunConfig
+from phasecond.config import DEFAULT_PATH, ITERATIVE_ALIGNER_PATH, RunConfig, desk_config
 from phasecond.data import QAExample, SyntheticSpec, generate_synthetic
 from phasecond.errors import BuildError, PathSyntaxError, PathValidationError, PhaseCondError
 from phasecond.tensor import Tensor
@@ -155,8 +159,8 @@ class TestForward:
         examples = tiny_examples()
         model = build_from_examples(cfg, examples)
         result = forward(model, examples[0])
-        assert abs(result.start_dist.data.sum() - 1.0) <= 1e-9
-        assert abs(result.end_dist.data.sum() - 1.0) <= 1e-9
+        assert abs(result.start_dist.sum() - 1.0) <= 1e-9
+        assert abs(result.end_dist.sum() - 1.0) <= 1e-9
 
     def test_trace_matches_path(self):
         cfg = small_config()
@@ -176,8 +180,8 @@ class TestForward:
         model = build_from_examples(cfg, examples)
         r1 = forward(model, examples[0])
         r2 = forward(model, examples[0])
-        assert np.array_equal(r1.start_dist.data, r2.start_dist.data)
-        assert np.array_equal(r1.end_dist.data, r2.end_dist.data)
+        assert np.array_equal(r1.start_dist, r2.start_dist)
+        assert np.array_equal(r1.end_dist, r2.end_dist)
 
     def test_train_mode_uses_dropout(self):
         cfg = small_config()
@@ -186,7 +190,7 @@ class TestForward:
         rng = np.random.default_rng(0)
         r1 = forward(model, examples[0], rng=rng)
         r2 = forward(model, examples[0])
-        assert not np.array_equal(r1.start_dist.data, r2.start_dist.data)
+        assert not np.array_equal(r1.start_dist, r2.start_dist)
 
     def test_span_respects_constraints(self):
         cfg = small_config(max_span=2)
@@ -218,11 +222,11 @@ class TestForward:
         for ex, result in zip(examples, batch):
             alone = forward(model, ex)
             pairs = [(result.start_dist, alone.start_dist), (result.end_dist, alone.end_dist)]
-            pairs += [(a.weights, b.weights) for a, b in zip(result.trace, alone.trace)]
+            pairs += [(a.weights.data, b.weights.data) for a, b in zip(result.trace, alone.trace)]
             assert len(result.trace) == len(alone.trace)
             for got, want in pairs:
-                assert got.data.shape == want.data.shape
-                assert np.abs(got.data - want.data).max() <= 1e-12
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-12
             assert (result.span.start, result.span.end) == (alone.span.start, alone.span.end)
 
 
@@ -312,14 +316,41 @@ def test_forward_properties_on_hand_built_batches(property_models, path, batch):
         assert span.end - span.start < PROPERTY_MAX_SPAN
         alone = forward(model, ex)
         pairs = [(result.start_dist, alone.start_dist), (result.end_dist, alone.end_dist)]
-        pairs += [(a.weights, b.weights) for a, b in zip(result.trace, alone.trace)]
+        pairs += [(a.weights.data, b.weights.data) for a, b in zip(result.trace, alone.trace)]
         assert len(result.trace) == len(alone.trace)
         for got, want in pairs:
-            assert got.data.shape == want.data.shape
-            assert np.abs(got.data - want.data).max() <= 1e-12
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12
 
 
 @pytest.mark.parametrize("passage,question", [([], ["what"]), (["cat"], [])])
 def test_empty_passage_or_question_raises_typed_error(property_models, passage, question):
     with pytest.raises(PhaseCondError, match="empty"):
         forward(property_models[DEFAULT_PATH], hand_built(0, passage, question))
+
+
+def test_desk_preset_matches_the_benchmark_copy():
+    path = os.path.join(os.path.dirname(__file__), "..", "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert workloads.desk_config() == desk_config()
+
+
+# Tape nodes per example in one desk training batch; the graph ran at 69.7
+# when features and the pointer tail still ran once per example.
+DESK_NODE_BUDGET = 40
+
+
+def test_desk_batch_tape_stays_within_node_budget():
+    examples = generate_synthetic(SyntheticSpec(n_examples=32, vocab_size=50,
+                                                min_len=20, max_len=30, seed=0))
+    model = build_from_examples(desk_config(), examples)
+    loss = gold_loss(model, examples, rng=np.random.default_rng(0))
+    ops, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in ops and node._backward is not None:
+            ops.add(id(node))
+            stack.extend(node._parents)
+    assert len(ops) / len(examples) <= DESK_NODE_BUDGET

@@ -115,20 +115,20 @@ class TestBiLSTMEncoder:
     def test_output_width_and_length(self):
         pair, _ = make_pair(in_dim=4, hidden=128)
         rng = np.random.default_rng(3)
-        h, [u] = pair.encode_shared([Tensor(rng.standard_normal((7, 4)))],
-                                    [Tensor(rng.standard_normal((4, 4)))])
+        h, u = pair.encode_shared(Tensor(rng.standard_normal((7, 4))), [7],
+                                  Tensor(rng.standard_normal((4, 4))), [4])
         assert h.data.shape == (7, 256)
         assert u.data.shape == (4, 256)
 
     def test_single_step(self):
         pair, _ = make_pair()
-        [out] = pair.encode_independent_question([Tensor(np.ones((1, 3)))])
+        out = pair.encode_independent_question(Tensor(np.ones((1, 3))), [1])
         assert out.data.shape == (1, 4)
 
     def test_empty_sequence_rejected(self):
         pair, _ = make_pair()
         with pytest.raises(ShapeError, match="empty"):
-            pair.encode_independent_question([Tensor(np.zeros((0, 3)))])
+            pair.encode_independent_question(Tensor(np.zeros((0, 3))), [0])
 
     def test_sequence_locality_of_forward_states(self):
         params = ParamSet()
@@ -143,7 +143,7 @@ class TestEncoderPair:
     def test_shared_weights_are_literal(self):
         pair, _ = make_pair(seed=6)
         feats = Tensor(np.random.default_rng(7).standard_normal((5, 3)))
-        h, [u] = pair.encode_shared([feats], [feats])
+        h, u = pair.encode_shared(feats, [5], feats, [5])
         assert np.array_equal(h.data, u.data)
 
     def test_permuting_question_leaves_passage_encoding(self):
@@ -151,8 +151,8 @@ class TestEncoderPair:
         rng = np.random.default_rng(9)
         p = rng.standard_normal((6, 3))
         q = rng.standard_normal((4, 3))
-        h1, [u1] = pair.encode_shared([Tensor(p)], [Tensor(q)])
-        h2, [u2] = pair.encode_shared([Tensor(p)], [Tensor(q[::-1].copy())])
+        h1, u1 = pair.encode_shared(Tensor(p), [6], Tensor(q), [4])
+        h2, u2 = pair.encode_shared(Tensor(p), [6], Tensor(q[::-1].copy()), [4])
         assert np.array_equal(h1.data, h2.data)
         assert not np.allclose(u1.data, u2.data)
 
@@ -167,8 +167,8 @@ class TestEncoderPair:
     def test_independent_params_disjoint(self):
         pair, params = make_pair(seed=10)
         feats = Tensor(np.random.default_rng(11).standard_normal((3, 3)))
-        [v] = pair.encode_independent_question([feats])
-        _, [u] = pair.encode_shared([feats], [feats])
+        v = pair.encode_independent_question(feats, [3])
+        _, u = pair.encode_shared(feats, [3], feats, [3])
         assert not np.allclose(v.data, u.data)
 
     def test_encoder_gradient_through_stack(self):
@@ -177,22 +177,27 @@ class TestEncoderPair:
         mixer = Tensor(rng.standard_normal((3, 4)))
         x = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
         err = grad_check(
-            lambda t: T.tsum(T.mul(pair.encode_independent_question([t])[0], mixer)), x
+            lambda t: T.tsum(T.mul(pair.encode_independent_question(t, [3]), mixer)), x
         )
         assert err < 1e-4
 
     def test_batch_matches_one_example_at_a_time(self):
         pair, _ = make_pair(seed=15)
         rng = np.random.default_rng(16)
-        passages = [Tensor(rng.standard_normal((n, 3))) for n in (4, 2, 5)]
-        questions = [Tensor(rng.standard_normal((m, 3))) for m in (2, 3, 1)]
-        vs = pair.encode_independent_question(questions)
-        packed, us = pair.encode_shared(passages, questions)
-        assert packed.data.shape == (4 + 2 + 5, 4)
-        hs = T.split_rows(packed, [4, 2, 5])
+        p_lengths, q_lengths = [4, 2, 5], [2, 3, 1]
+        passages = [Tensor(rng.standard_normal((n, 3))) for n in p_lengths]
+        questions = [Tensor(rng.standard_normal((m, 3))) for m in q_lengths]
+        packed_q = T.concat(questions, axis=0)
+        v_packed = pair.encode_independent_question(packed_q, q_lengths)
+        h_packed, u_packed = pair.encode_shared(T.concat(passages, axis=0), p_lengths,
+                                                packed_q, q_lengths)
+        assert h_packed.data.shape == (4 + 2 + 5, 4)
+        assert u_packed.data.shape == (2 + 3 + 1, 4)
+        vs, us = T.split_rows(v_packed, q_lengths), T.split_rows(u_packed, q_lengths)
+        hs = T.split_rows(h_packed, p_lengths)
         for k, (p, q) in enumerate(zip(passages, questions)):
-            [v] = pair.encode_independent_question([q])
-            h, [u] = pair.encode_shared([p], [q])
+            v = pair.encode_independent_question(q, [q.data.shape[0]])
+            h, u = pair.encode_shared(p, [p.data.shape[0]], q, [q.data.shape[0]])
             for batched, alone in ((vs[k], v), (hs[k], h), (us[k], u)):
                 assert batched.data.shape == alone.data.shape
                 assert np.abs(batched.data - alone.data).max() <= 1e-12

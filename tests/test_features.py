@@ -124,33 +124,33 @@ class TestEmbedSequence:
         spec = build_vocab_embedding(["a", "b", "c"], 100, rng)
         params = ParamSet()
         ext = FeatureExtractor(params, spec, build_char_vocab(["a", "b", "c"]), cfg, rng)
-        out = ext.embed_sequence(["a", "b", "c"], side="passage")
+        out = ext.embed_sequence([["a", "b", "c"]], side="passage")
         assert out.data.shape == (3, 201)
 
     def test_empty_sequence(self):
         ext, _ = make_extractor(["x"])
-        out = ext.embed_sequence([], side="passage")
+        out = ext.embed_sequence([[]], side="passage")
         assert out.data.shape == (0, ext.width)
 
     def test_eval_mode_deterministic(self):
         ext, _ = make_extractor(["alpha", "beta"])
-        a = ext.embed_sequence(["alpha", "beta"], side="passage")
-        b = ext.embed_sequence(["alpha", "beta"], side="passage")
+        a = ext.embed_sequence([["alpha", "beta"]], side="passage")
+        b = ext.embed_sequence([["alpha", "beta"]], side="passage")
         assert np.array_equal(a.data, b.data)
 
     def test_train_mode_applies_dropout(self):
         ext, _ = make_extractor(["alpha", "beta"], seed=7)
         rng = np.random.default_rng(0)
-        dropped = ext.embed_sequence(["alpha", "beta"], side="passage",
+        dropped = ext.embed_sequence([["alpha", "beta"]], side="passage",
                                      draw=rng.random((2, ext.width)))
-        plain = ext.embed_sequence(["alpha", "beta"], side="passage")
+        plain = ext.embed_sequence([["alpha", "beta"]], side="passage")
         assert not np.array_equal(dropped.data, plain.data)
 
     def test_qtype_slot_zero_on_passage(self):
         cfg = small_cfg(use_qtype=True)
         ext, _ = make_extractor(["what", "city"], cfg=cfg)
-        p = ext.embed_sequence(["city"], side="passage")
-        q = ext.embed_sequence(["what", "city"], side="question")
+        p = ext.embed_sequence([["city"]], side="passage")
+        q = ext.embed_sequence([["what", "city"]], side="question")
         assert np.all(p.data[:, -cfg.feat_dim:] == 0.0)
         assert np.any(q.data[:, -cfg.feat_dim:] != 0.0)
         # same type embedding row attached to every question token
@@ -163,15 +163,47 @@ class TestEmbedSequence:
         params = ParamSet()
         ext = FeatureExtractor(params, spec, build_char_vocab(["dog", "ran"]), cfg, rng,
                                pos_vocab={"NN": 1, "VB": 2})
-        out = ext.embed_sequence(["dog", "ran"], side="passage", pos=["NN", "VB"])
+        out = ext.embed_sequence([["dog", "ran"]], side="passage", pos=[["NN", "VB"]])
         assert out.data.shape == (2, ext.width)
         with pytest.raises(DataError):
-            ext.embed_sequence(["dog", "ran"], side="passage", pos=["NN"])
+            ext.embed_sequence([["dog", "ran"]], side="passage", pos=[["NN"]])
+
+    def test_packed_batch_matches_one_sequence_at_a_time(self):
+        cfg = small_cfg(use_qtype=True)
+        seqs = [["what", "city", "is", "it"], ["Who", "ran"], ["city", "city", "unseen"]]
+        ext, params = make_extractor([t for s in seqs for t in s], cfg=cfg)
+        bits = [np.arange(len(s)) % 2.0 for s in seqs]
+        packed = ext.embed_sequence(seqs, side="question", em_bits=bits)
+        alone = [ext.embed_sequence([s], side="question", em_bits=[b])
+                 for s, b in zip(seqs, bits)]
+        # equal up to the char CNN's padding to the batch's longest word
+        assert np.abs(packed.data - np.concatenate([a.data for a in alone])).max() <= 1e-12
+
+    def test_char_cnn_runs_once_per_distinct_word(self):
+        ext, _ = make_extractor(["a", "bb", "c"])
+        calls = []
+        char = ext.char
+        ext.char = lambda words: calls.append(list(words)) or char(words)
+        out = ext.embed_sequence([["a", "bb", "a"], ["bb", "c", "a"]], side="passage")
+        assert calls == [["a", "bb", "c"]]
+        rows = out.data[:, ext.cfg.word_dim:ext.cfg.word_dim + ext.cfg.char_filters]
+        assert np.array_equal(rows[0], rows[2]) and np.array_equal(rows[0], rows[5])
+
+    def test_sequence_without_tags_gets_zero_rows(self):
+        cfg = small_cfg(use_pos=True)
+        rng = np.random.default_rng(8)
+        spec = build_vocab_embedding(["dog", "ran"], cfg.word_dim, rng)
+        ext = FeatureExtractor(ParamSet(), spec, build_char_vocab(["dog", "ran"]), cfg, rng,
+                               pos_vocab={"NN": 1, "VB": 2})
+        out = ext.embed_sequence([["dog"], ["ran", "dog"]], side="passage",
+                                 pos=[None, ["VB", "NN"]])
+        tags = out.data[:, -cfg.feat_dim:]
+        assert np.all(tags[0] == 0.0) and np.any(tags[1:] != 0.0)
 
     def test_exact_match_bit_lands_in_column(self):
         ext, _ = make_extractor(["a", "b"])
         cfg = ext.cfg
-        out = ext.embed_sequence(["a", "b"], side="passage", em_bits=np.array([1.0, 0.0]))
+        out = ext.embed_sequence([["a", "b"]], side="passage", em_bits=[np.array([1.0, 0.0])])
         col = cfg.word_dim + cfg.char_filters
         assert out.data[:, col].tolist() == [1.0, 0.0]
 
@@ -215,7 +247,7 @@ class TestCharCNN:
 
 def test_word_pad_row_receives_zero_gradient():
     ext, params = make_extractor(["tok"])
-    out = ext.embed_sequence(["tok", "tok"], side="passage")
+    out = ext.embed_sequence([["tok", "tok"]], side="passage")
     backward(T.tsum(out))
     params.apply_grad_masks()
     assert np.all(params["feat.word_emb"].grad[0] == 0.0)

@@ -10,7 +10,7 @@ from phasecond.pointer import (
     question_summary,
     span_loss,
 )
-from phasecond.tensor import Tensor, grad_check
+from phasecond.tensor import Tensor, backward, grad_check
 
 
 def brute_force_span(ps, pe, max_span):
@@ -86,17 +86,16 @@ class TestDecodeSpan:
 
 class TestPredictSpan:
     def test_distributions_valid_per_hop(self):
-        head, _ = make_head(width=6, query_width=4, hops=3, seed=4)
-        rng = np.random.default_rng(5)
-        h = Tensor(rng.standard_normal((5, 6)))
-        q = head.initial_query([Tensor(rng.standard_normal((3, 4)))])
-        [(hops, span)] = head.predict_span(h, q)
-        assert len(hops) == 3
-        for p_s, p_e in hops:
-            assert np.all(p_s.data >= 0) and np.all(p_e.data >= 0)
-            assert abs(p_s.data.sum() - 1.0) <= 1e-9
-            assert abs(p_e.data.sum() - 1.0) <= 1e-9
-        assert 0 <= span.start <= span.end < 5
+        for hops in (1, 2, 3):
+            head, _ = make_head(width=6, query_width=4, hops=hops, seed=4)
+            rng = np.random.default_rng(5)
+            h = Tensor(rng.standard_normal((5, 6)))
+            q = head.initial_query(Tensor(rng.standard_normal((3, 4))))
+            scores, probs, [span] = head.predict_span(h, q)
+            assert scores.data.shape == probs.shape == (5, 2)
+            assert np.all(probs >= 0)
+            assert np.all(np.abs(probs.sum(axis=0) - 1.0) <= 1e-9)
+            assert 0 <= span.start <= span.end < 5
 
     def test_uniform_scores_give_uniform_distribution(self):
         head, params = make_head(width=4, hops=1, seed=6)
@@ -104,14 +103,14 @@ class TestPredictSpan:
         rng = np.random.default_rng(7)
         h = Tensor(rng.standard_normal((4, 4)))
         q = Tensor(rng.standard_normal((1, 4)))
-        [(hops, _)] = head.predict_span(h, q)
-        assert np.allclose(hops[0][0].data, 0.25)
+        _, probs, _ = head.predict_span(h, q)
+        assert np.allclose(probs[:, 0], 0.25)
 
     def test_adapter_reconciles_query_width(self):
         head, params = make_head(width=6, query_width=4, seed=10)
         assert "ptr.adapter" in params
         v = Tensor(np.random.default_rng(11).standard_normal((2, 4)))
-        q = head.initial_query([v])
+        q = head.initial_query(v)
         assert q.data.shape == (1, 6)
 
     def test_gradient_wrt_passage(self):
@@ -121,27 +120,25 @@ class TestPredictSpan:
         h = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
 
         def f(t):
-            [(hops, _)] = head.predict_span(t, head.initial_query([q_src]))
-            return span_loss(hops, 1, 3)
+            scores, _, _ = head.predict_span(t, head.initial_query(q_src))
+            return span_loss(scores, [5], [(1, 3)])
 
         assert grad_check(f, h) < 1e-4
 
     def test_packed_batch_matches_one_passage_at_a_time(self):
         head, _ = make_head(width=6, query_width=4, hops=3, seed=15, max_span=3)
         rng = np.random.default_rng(16)
-        lengths = [4, 1, 7, 2]
+        lengths, q_lengths = [4, 1, 7, 2], [3, 1, 2, 5]
         passages = [Tensor(rng.standard_normal((n, 6))) for n in lengths]
-        questions = [Tensor(rng.standard_normal((m, 4))) for m in (3, 1, 2, 5)]
-        packed = head.predict_span(T.concat(passages, axis=0),
-                                   head.initial_query(questions), lengths)
-        assert len(packed) == len(lengths)
-        for (hops, span), h, v in zip(packed, passages, questions):
-            [(alone_hops, alone_span)] = head.predict_span(h, head.initial_query([v]))
-            assert len(hops) == len(alone_hops) == 3
-            for pair, alone_pair in zip(hops, alone_hops):
-                for p, alone in zip(pair, alone_pair):
-                    assert p.data.shape == alone.data.shape == (1, h.data.shape[0])
-                    assert np.abs(p.data - alone.data).max() <= 1e-12
+        questions = [Tensor(rng.standard_normal((m, 4))) for m in q_lengths]
+        query = head.initial_query(T.concat(questions, axis=0), q_lengths)
+        scores, probs, spans = head.predict_span(T.concat(passages, axis=0), query, lengths)
+        assert len(spans) == len(lengths)
+        ends = np.cumsum(lengths)
+        for h, v, span, n, end in zip(passages, questions, spans, lengths, ends):
+            alone_scores, alone_probs, [alone_span] = head.predict_span(h, head.initial_query(v))
+            assert np.abs(probs[end - n:end] - alone_probs).max() <= 1e-12
+            assert np.abs(scores.data[end - n:end] - alone_scores.data).max() <= 1e-12
             assert (span.start, span.end) == (alone_span.start, alone_span.end)
 
     def test_packed_shapes_checked(self):
@@ -153,40 +150,47 @@ class TestPredictSpan:
             head.predict_span(h, Tensor(np.zeros((1, 4))), [2, 3])
 
 
-class TestSpanLoss:
-    def make_hops(self, ps, pe):
-        return [(Tensor(np.array([ps])), Tensor(np.array([pe])))]
+def scores_of(start_scores, end_scores):
+    return Tensor(np.column_stack([start_scores, end_scores]), requires_grad=True)
 
+
+class TestSpanLoss:
     def test_half_half(self):
-        hops = self.make_hops([0.5, 0.5], [0.5, 0.5])
-        loss = span_loss(hops, 0, 1)
-        assert loss.data == pytest.approx(2 * np.log(2), abs=1e-9)
+        loss = span_loss(scores_of([0.3, 0.3], [-1.0, -1.0]), [2], [(0, 1)])
+        assert loss.data == pytest.approx(2 * np.log(2), abs=1e-12)
 
     def test_perfect_prediction(self):
-        hops = self.make_hops([1.0, 0.0], [0.0, 1.0])
-        assert span_loss(hops, 0, 1).data == pytest.approx(0.0)
+        assert span_loss(scores_of([1e3, -1e3], [-1e3, 1e3]), [2], [(0, 1)]).data == 0.0
 
-    def test_zero_probability_clamped(self):
-        hops = self.make_hops([0.0, 1.0], [1.0, 0.0])
-        loss = span_loss(hops, 0, 1)
-        assert np.isfinite(loss.data)
-        assert loss.data == pytest.approx(-2 * np.log(1e-12))
+    def test_extreme_scores_keep_gold_gradient(self):
+        # the gold probabilities underflow to 0; a loss built on them would
+        # have to clamp, and a clamped loss has no gradient
+        scores = scores_of([1e3, -1e3, -1e3], [1e3, 1e3, -1e3])
+        loss = span_loss(scores, [3], [(1, 2)])
+        assert loss.data == pytest.approx(4000.0 + np.log(2))
+        backward(loss)
+        expected = np.array([[1.0, 0.5], [-1.0, 0.5], [0.0, -1.0]])
+        assert np.abs(scores.grad - expected).max() <= 1e-12
 
     def test_out_of_range_gold(self):
-        hops = self.make_hops([0.5, 0.5], [0.5, 0.5])
         with pytest.raises(DataError):
-            span_loss(hops, 0, 2)
+            span_loss(scores_of([0.5, 0.5], [0.5, 0.5]), [2], [(0, 2)])
 
     def test_non_negative_and_uses_last_hop(self):
+        head, _ = make_head(width=4, query_width=4, hops=3, seed=14)
         rng = np.random.default_rng(14)
-        hops = []
-        for _ in range(3):
-            ps = rng.random(4)
-            ps /= ps.sum()
-            pe = rng.random(4)
-            pe /= pe.sum()
-            hops.append((Tensor(ps[None, :]), Tensor(pe[None, :])))
-        loss = span_loss(hops, 1, 2)
-        expected = -np.log(hops[-1][0].data[0, 1]) - np.log(hops[-1][1].data[0, 2])
-        assert loss.data == pytest.approx(expected)
+        q = head.initial_query(Tensor(rng.standard_normal((2, 4))))
+        scores, probs, _ = head.predict_span(Tensor(rng.standard_normal((4, 4))), q)
+        loss = span_loss(scores, [4], [(1, 2)])
+        assert loss.data == pytest.approx(-np.log(probs[1, 0]) - np.log(probs[2, 1]))
         assert loss.data >= 0
+
+    def test_batch_mean_over_passages(self):
+        rng = np.random.default_rng(17)
+        lengths, golds = [3, 1, 4], [(2, 0), (0, 0), (1, 3)]
+        scores = Tensor(rng.standard_normal((8, 2)))
+        loss = span_loss(scores, lengths, golds)
+        ends = np.cumsum(lengths)
+        alone = [span_loss(Tensor(scores.data[end - n:end]), [n], [gold]).data
+                 for n, end, gold in zip(lengths, ends, golds)]
+        assert loss.data == pytest.approx(np.mean(alone), abs=1e-12)

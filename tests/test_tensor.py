@@ -210,13 +210,12 @@ class TestStructureOps:
         expected[3] = 1.0
         assert np.array_equal(table.grad, expected)
 
-    def test_rows_cols_pick(self):
+    def test_split_rows_blocks(self):
         x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
-        assert T.rows(x, 1, 2).data.tolist() == [[4.0, 5.0, 6.0, 7.0]]
-        p = T.pick(x, 2, 3)
-        assert p.data == 11.0
-        backward(p)
-        assert x.grad[2, 3] == 1.0 and x.grad.sum() == 1.0
+        top, middle, bottom = T.split_rows(x, [1, 1, 1])
+        assert middle.data.tolist() == [[4.0, 5.0, 6.0, 7.0]]
+        backward(T.tsum(middle))
+        assert x.grad[1].tolist() == [1.0] * 4 and x.grad.sum() == 4.0
 
     def test_repeat_rows(self):
         x = Tensor([[1.0, 2.0]], requires_grad=True)
@@ -238,22 +237,19 @@ class TestStructureOps:
             with pytest.raises(ShapeError, match="count"):
                 T.repeat_rows(x, bad)
 
-    def test_reshape_gradient(self):
-        rng = np.random.default_rng(10)
-        x = rand(rng, 2, 6)
-        w = rng.standard_normal((3, 4))
-        err = grad_check(lambda t: T.tsum(T.mul(T.reshape(t, (3, 4)), Tensor(w))), x)
-        assert err < 1e-6
 
+def dense_split_rows(a, lengths):
+    """Row blocks whose backward returns a zero-padded array of a's shape."""
+    def block(start, stop):
+        def bwd(g):
+            full = np.zeros_like(a.data)
+            full[start:stop] = g
+            return (full,)
 
-def dense_rows(a, start, stop):
-    """A row slice whose backward returns a zero-padded array of a's shape."""
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        full[start:stop] = g
-        return (full,)
+        return T.make_node(a.data[start:stop], (a,), bwd)
 
-    return T.make_node(a.data[start:stop], (a,), bwd)
+    ends = np.cumsum(lengths)
+    return [block(end - n, end) for n, end in zip(lengths, ends)]
 
 
 class TestRowSlices:
@@ -263,7 +259,6 @@ class TestRowSlices:
 
     def test_all_rows_is_the_tensor(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
-        assert T.rows(x, 0, 2) is x
         assert T.split_rows(x, [2]) == [x]
         with pytest.raises(ShapeError, match="sum to"):
             T.split_rows(x, [1])
@@ -276,19 +271,17 @@ class TestRowSlices:
         lengths = [2, 4, 3]
         mixes = [Tensor(rng.standard_normal((n, 4))) for n in lengths]
 
-        def grad_with(slicer):
+        def grad_with(splitter):
             x = Tensor(x0.copy(), requires_grad=True)
             h = T.tanh(x)  # an intermediate: slices and dense uses meet in backward()
             loss = T.tsum(T.mul(h, w))
-            end = 0
-            for n, mix in zip(lengths, mixes):
-                loss = T.add(loss, T.tsum(T.mul(T.tanh(slicer(h, end, end + n)), mix)))
-                end += n
+            for block, mix in zip(splitter(h, lengths), mixes):
+                loss = T.add(loss, T.tsum(T.mul(T.tanh(block), mix)))
             loss = T.add(loss, T.tsum(T.matmul(h, v)))
             backward(loss)
             return x.grad
 
-        assert grad_with(T.rows).tobytes() == grad_with(dense_rows).tobytes()
+        assert grad_with(T.split_rows).tobytes() == grad_with(dense_split_rows).tobytes()
 
     @pytest.mark.parametrize("slice_first", [True, False])
     def test_rule_outputs_are_never_written(self, slice_first):
@@ -299,7 +292,7 @@ class TestRowSlices:
         shared = rng.standard_normal((4, 3))
         before = shared.copy()
         fork = T.make_node(x.data + y.data, (x, y), lambda g: (shared, shared))
-        terms = [T.tsum(T.rows(x, 1, 3)), T.tsum(fork)]
+        terms = [T.tsum(T.split_rows(x, [1, 2, 1])[1]), T.tsum(fork)]
         if not slice_first:
             terms.reverse()
         backward(T.add(*terms))
@@ -308,6 +301,60 @@ class TestRowSlices:
         assert np.array_equal(shared, before)
         assert np.array_equal(y.grad, before)
         assert np.array_equal(x.grad, before + padded)
+
+
+class TestSegmentOps:
+    LENGTHS = [3, 1, 4, 2]
+
+    def test_softmax_matches_softmax_rows_bitwise(self):
+        rng = np.random.default_rng(30)
+        for _ in range(50):
+            lengths = rng.integers(1, 30, size=rng.integers(1, 6))
+            x = rng.standard_normal((lengths.sum(), 1)) * rng.choice([1.0, 30.0])
+            got = T.segment_softmax(Tensor(x), lengths).data
+            want = [T.softmax_rows(Tensor(block.T.copy())).data.T
+                    for block in np.split(x, np.cumsum(lengths)[:-1])]
+            assert got.tobytes() == np.concatenate(want).tobytes()
+
+    def test_weighted_sum_is_per_segment_matmul(self):
+        rng = np.random.default_rng(31)
+        w, x = Tensor(rng.random((10, 1))), Tensor(rng.standard_normal((10, 3)))
+        out = T.segment_weighted_sum(w, x, self.LENGTHS).data
+        ends = np.cumsum(self.LENGTHS)
+        for k, (n, end) in enumerate(zip(self.LENGTHS, ends)):
+            assert np.array_equal(out[k], w.data[end - n:end, 0] @ x.data[end - n:end])
+
+    def test_gradients(self):
+        rng = np.random.default_rng(32)
+        lengths = self.LENGTHS
+        h = Tensor(rng.standard_normal((10, 3)))
+        mix = Tensor(rng.standard_normal((4, 3)))
+
+        def pooled(t):
+            return T.tsum(T.mul(T.segment_weighted_sum(
+                T.segment_softmax(t, lengths), h, lengths), mix))
+
+        assert grad_check(pooled, rand(rng, 10, 1)) < 1e-6
+        weights = Tensor(rng.random((10, 1)))
+        assert grad_check(lambda t: T.tsum(T.mul(
+            T.segment_weighted_sum(weights, t, lengths), mix)), rand(rng, 10, 3)) < 1e-6
+        targets = [[0, 2], [3, 3], [5, 7], [9, 8]]
+        assert grad_check(lambda t: T.segment_nll(t, lengths, targets), rand(rng, 10, 2)) < 1e-6
+
+    def test_nll_is_mean_negative_log_softmax(self):
+        x = np.array([[0.0], [np.log(3.0)], [5.0]])
+        loss = T.segment_nll(Tensor(x), [2, 1], [[0], [2]])
+        assert loss.data == pytest.approx(np.log(4.0) / 2)
+
+    def test_bad_segments_raise(self):
+        x = Tensor(np.zeros((3, 1)))
+        for lengths in ([], [1, 1], [3, 0], [1, 3]):
+            with pytest.raises(ShapeError, match="segments"):
+                T.segment_softmax(x, lengths)
+        with pytest.raises(ShapeError, match="targets"):
+            T.segment_nll(x, [1, 2], [[0]])
+        with pytest.raises(ShapeError, match="weights"):
+            T.segment_weighted_sum(Tensor(np.zeros((3, 2))), x, [3])
 
 
 class TestGradCheck:

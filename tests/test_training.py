@@ -11,7 +11,7 @@ from phasecond.config import RunConfig
 from phasecond.data import EvalResult, SyntheticSpec, generate_synthetic
 from phasecond.errors import CheckpointError, NumericsError, ShapeError
 from phasecond.params import ParamSet
-from phasecond.tensor import backward
+from phasecond.tensor import Tensor, backward
 from phasecond.training import (
     AdamState,
     _optimizer_step,
@@ -156,7 +156,7 @@ class TestTrainLoop:
         losses = []
         for _ in range(200):
             model.params.zero_grads()
-            loss = gold_loss(data[0], forward(model, data[0], rng=np.random.default_rng(0)))
+            loss = gold_loss(model, data[:1], rng=np.random.default_rng(0))
             backward(loss)
             model.params.apply_grad_masks()
             clip_gradients(model.params, cfg.grad_clip)
@@ -180,9 +180,9 @@ class TestBatchedStep:
         reference.params.zero_grads()
         total = None
         for ex in data:
-            loss = gold_loss(ex, forward(reference, ex, rng=rng_reference))
+            loss = gold_loss(reference, [ex], rng=rng_reference)
             total = loss if total is None else T.add(total, loss)
-        expected = T.mul_const(total, 1.0 / len(data))
+        expected = T.mul(total, Tensor(1.0 / len(data)))
         backward(expected)
         reference.params.apply_grad_masks()
         clip_gradients(reference.params, cfg.grad_clip)
@@ -239,8 +239,8 @@ class TestCheckpoint:
         before = forward(model, data[0])
         restored, _state = restore_model(result.checkpoint_path)
         after = forward(restored, data[0])
-        assert np.array_equal(before.start_dist.data, after.start_dist.data)
-        assert np.array_equal(before.end_dist.data, after.end_dist.data)
+        assert np.array_equal(before.start_dist, after.start_dist)
+        assert np.array_equal(before.end_dist, after.end_dist)
 
     def test_adam_state_roundtrip(self, tmp_path):
         model, data, result = self.build_trained(tmp_path)
@@ -276,12 +276,26 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(str(old))
 
+    def test_version_2_checkpoint_rejected_with_its_version(self, tmp_path):
+        model, data, result = self.build_trained(tmp_path)
+        with np.load(result.checkpoint_path, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        meta = json.loads(str(arrays["meta"]))
+        assert "path" not in meta and meta["config"]["path"] == model.path.render()
+        meta.update(format_version=2, path=model.path.render())
+        arrays["meta"] = np.array(json.dumps(meta))
+        old = tmp_path / "v2.ckpt"
+        with open(old, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(CheckpointError, match="version 2"):
+            load_checkpoint(str(old))
+
     def test_adam_moments_bitwise_and_writable(self, tmp_path):
         data = tiny_dataset(n=4, seed=5)
         cfg = small_config(epochs=1)
         model = build_from_examples(cfg, data)
         state = AdamState(lr=cfg.lr)
-        loss = gold_loss(data[0], forward(model, data[0], rng=np.random.default_rng(0)))
+        loss = gold_loss(model, data[:1], rng=np.random.default_rng(0))
         backward(loss)
         adam_step(model.params, state)
         path = str(tmp_path / "step.ckpt")
