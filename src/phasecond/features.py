@@ -195,8 +195,8 @@ def char_cnn(char_emb, filters, bias, char_idx, n_valid_windows, width):
 
     char_idx: [n_words, L] int indices (0 pad), every word padded to at
     least `width` and all words to a common L. n_valid_windows[w] limits
-    the max-pool to windows fully inside word w's (padded) length, so a
-    word's output never depends on its neighbors in the batch.
+    the max-pool to windows fully inside word w's (padded) length. Only the
+    last bits of a word's output depend on the call's longest word (BLAS size).
     """
     n_words, length = char_idx.shape
     n_filters = filters.data.shape[1]

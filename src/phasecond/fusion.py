@@ -45,9 +45,7 @@ class OuterFusionStack:
             raise ShapeError(f"outer fusion built for width {self.width}, got {c0.data.shape[1]}")
         c = c0
         for w_c, b_c, w_z, b_z in self.layers:
-            candidate = T.relu(T.add(T.matmul(c, w_c), b_c))
-            z = T.sigmoid(T.add(T.matmul(c, w_z), b_z))
-            c = T.add(T.mul(T.rsub_const(1.0, z), c), T.mul(z, candidate))
+            c = T.gated_mix(c, T.relu(T.affine(c, w_c, b_c)), T.affine(c, w_z, b_z))
         return c
 
 
@@ -69,6 +67,5 @@ class InnerFusionLayer:
         if b_new.data.shape[1] != self.width:
             raise ShapeError(f"inner fusion built for width {self.width}, got {b_new.data.shape[1]}")
         cat = T.concat([b_new, b_prev, T.mul(b_new, b_prev)], axis=1)
-        candidate = T.tanh(T.add(T.matmul(cat, self.w_b), self.b_b))
-        f = T.sigmoid(T.add(T.matmul(cat, self.w_f), self.b_f))
-        return T.add(T.mul(T.rsub_const(1.0, f), b_prev), T.mul(f, candidate))
+        candidate = T.tanh(T.affine(cat, self.w_b, self.b_b))
+        return T.gated_mix(b_prev, candidate, T.affine(cat, self.w_f, self.b_f))

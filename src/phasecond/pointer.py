@@ -62,10 +62,10 @@ class GRUCell:
     def __call__(self, state, x):
         w = self.w
         r = T.sigmoid(T.add(T.add(T.matmul(x, w["Wr"]), T.matmul(state, w["Ur"])), w["br"]))
-        u = T.sigmoid(T.add(T.add(T.matmul(x, w["Wu"]), T.matmul(state, w["Uu"])), w["bu"]))
+        u = T.add(T.add(T.matmul(x, w["Wu"]), T.matmul(state, w["Uu"])), w["bu"])
         cand = T.tanh(T.add(T.add(T.matmul(x, w["Wc"]), T.matmul(T.mul(r, state), w["Uc"])),
                             w["bc"]))
-        return T.add(T.mul(T.rsub_const(1.0, u), state), T.mul(u, cand))
+        return T.gated_mix(state, cand, u)
 
 
 def question_summary(v_independent, w_proj, w_score, lengths=None):

@@ -3,11 +3,10 @@
 Every value in the model is a `Tensor` wrapping a row-major numpy array.
 Operations record their inputs and a local backward rule; `backward()`
 replays the tape in reverse topological order and accumulates gradients
-additively across fan-out, so two calls on the same graph are bitwise
-identical; the row slices of one tensor add into a single buffer.
-Gradients land in `.grad` on leaves only (tensors no op produced, such as
-parameters); an intermediate node's gradient is dropped once its backward
-rule has consumed it.
+additively across fan-out; the row slices of one tensor add into a single
+buffer. Gradients land in `.grad` on leaves only (tensors no op produced,
+such as parameters). The walk consumes the tape: each node drops its inputs
+and rule once passed, so forward arrays are freed during the walk.
 
 Broadcasting is deliberately restricted: shapes must be equal, or the
 smaller operand's shape must equal the trailing dimensions of the larger
@@ -63,8 +62,8 @@ def backward(loss):
 
     loss must be a scalar (shape ()). A leaf is a tensor with no backward
     rule; intermediate nodes never get a .grad. Gradients add onto existing
-    .grad buffers, so the tape is not consumed: calling backward twice
-    doubles every leaf gradient. Callers zero them between steps.
+    .grad buffers; callers zero them between steps. The walk consumes the
+    graph: a second call on it raises GraphError before touching any .grad.
     """
     if loss.data.shape != ():
         raise GraphError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -81,6 +80,8 @@ def backward(loss):
             continue
         if id(node) in visited:
             continue
+        if node._backward is _SPENT:
+            raise GraphError("this graph was already consumed by backward()")
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -89,18 +90,20 @@ def backward(loss):
 
     grads = {id(loss): np.ones((), dtype=np.float64)}
     owned = set()  # ids whose pending gradient backward() allocated itself
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node._backward is None:
-            node.grad = g.copy() if node.grad is None else node.grad + g
-            continue
-        parent_grads = node._backward(g)
-        for p, pg in zip(node._parents, parent_grads):
-            if pg is not None and p.requires_grad:
-                _accumulate(grads, owned, p, pg)
+        if node._backward is not None:
+            if g is not None:
+                for p, pg in zip(node._parents, node._backward(g)):
+                    if pg is not None and p.requires_grad:
+                        _accumulate(grads, owned, p, pg)
+            node._parents, node._backward = (), _SPENT
+        elif g is not None:  # a leaf; copy an array a rule returned, other parents may share it
+            node.grad = (g if id(node) in owned else g.copy()) if node.grad is None else node.grad + g
 
+
+_SPENT = object()  # the rule of a node that backward() has walked past
 
 # The gradient of a row slice: g in rows start:stop of the parent, zero elsewhere.
 _RowsGrad = namedtuple("_RowsGrad", "start stop g")
@@ -170,11 +173,6 @@ def mul(a, b):
     return make_node(a.data * b.data, (a, b), bwd)
 
 
-def rsub_const(c, a):
-    """c - a for a python scalar c."""
-    return make_node(float(c) - a.data, (a,), lambda g: (-g,))
-
-
 def relu(a):
     mask = a.data > 0  # subgradient at 0 fixed to 0
 
@@ -209,6 +207,24 @@ def sigmoid(a):
     return make_node(out, (a,), bwd)
 
 
+def gated_mix(carry, cand, gate):
+    """(1 - z) * carry + z * cand with z = sigmoid(gate), as one node that keeps
+    only z; value and gradients are bitwise those of the five-node form."""
+    if not carry.data.shape == cand.data.shape == gate.data.shape:
+        raise ShapeError(
+            f"gated_mix operands {carry.data.shape}, {cand.data.shape}, {gate.data.shape}")
+    z = stable_sigmoid(gate.data)
+
+    def bwd(g):
+        keep = 1.0 - z
+        return (g * keep if carry.requires_grad else None,
+                (g * cand.data - g * carry.data) * z * keep if gate.requires_grad else None,
+                g * z if cand.requires_grad else None)
+
+    # Parents in the order the five-node form was walked, so fan-out sums keep their bits.
+    return make_node((1.0 - z) * carry.data + z * cand.data, (carry, gate, cand), bwd)
+
+
 def dropout(a, rate, draw):
     """Inverted dropout with a mask from `draw`, uniforms in [0, 1) of a's shape.
 
@@ -230,17 +246,33 @@ def dropout(a, rate, draw):
 # ---------------------------------------------------------------------------
 # Linear algebra and structure ops
 
-def matmul(a, b):
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul expects matrices, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
+def _matmul_data(a, b):
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+        raise ShapeError(f"matmul needs [n, k] @ [k, m], got {a.data.shape} @ {b.data.shape}")
+    return a.data @ b.data
 
+
+def matmul(a, b):
     def bwd(g):
         return (g @ b.data.T if a.requires_grad else None,
                 a.data.T @ g if b.requires_grad else None)
 
-    return make_node(a.data @ b.data, (a, b), bwd)
+    return make_node(_matmul_data(a, b), (a, b), bwd)
+
+
+def affine(x, w, b):
+    """x @ w + b with a bias row b, bitwise add(matmul(x, w), b) as one node."""
+    if b.data.shape != w.data.shape[1:]:
+        raise ShapeError(f"affine bias {b.data.shape} for weights {w.data.shape}")
+    out = _matmul_data(x, w)
+    out += b.data
+
+    def bwd(g):
+        return (g @ w.data.T if x.requires_grad else None,
+                x.data.T @ g if w.requires_grad else None,
+                g.sum(axis=0) if b.requires_grad else None)
+
+    return make_node(out, (x, w, b), bwd)
 
 
 def tsum(a):

@@ -145,6 +145,7 @@ def train(model, train_examples, dev_examples, config, run_dir=None):
                 halted = True
                 break
             batch_losses.append(batch_loss)
+        model.params.zero_grads()  # free the last step's gradients before evaluating and saving
         if halted:
             break
 

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -180,16 +182,72 @@ class TestBackward:
         assert x.grad is not None and w.grad is not None
         assert h.grad is None
 
-    def test_second_backward_doubles_leaf_grads(self):
+    def test_second_backward_raises(self):
         rng = np.random.default_rng(9)
         x = rand(rng, 3, 3)
         w = rand(rng, 3, 3)
-        loss = T.tsum(T.mul(T.softmax_rows(T.matmul(x, w)), T.tanh(x)))
+        h = T.tanh(x)
+        loss = T.tsum(T.mul(T.softmax_rows(T.matmul(x, w)), h))
         backward(loss)
         once_x, once_w = x.grad.copy(), w.grad.copy()
+        with pytest.raises(GraphError, match="consumed"):
+            backward(loss)
+        with pytest.raises(GraphError, match="consumed"):
+            backward(T.tsum(T.mul(h, x)))  # reaches a used node: no .grad is touched
+        assert np.array_equal(x.grad, once_x) and np.array_equal(w.grad, once_w)
+
+    def test_intermediate_freed_while_loss_is_referenced(self):
+        rng = np.random.default_rng(10)
+        x = rand(rng, 4, 3)
+        h = T.tanh(T.matmul(x, rand(rng, 3, 3)))
+        freed = weakref.ref(h.data)
+        loss = T.tsum(T.mul(h, h))
+        del h
+        assert freed() is not None
         backward(loss)
-        assert np.array_equal(x.grad, 2.0 * once_x)
-        assert np.array_equal(w.grad, 2.0 * once_w)
+        assert freed() is None and loss.data.shape == ()
+
+
+def one_minus(a):
+    return T.make_node(1.0 - a.data, (a,), lambda g: (-g,))
+
+
+class TestFusedNodes:
+    def test_gated_mix_matches_five_node_composition(self):
+        rng = np.random.default_rng(13)
+        gates = np.array([0.0, 30.0, -30.0, 1e3, -1e3])
+        base = [rng.standard_normal((3, 5)), rng.standard_normal((3, 5)),
+                np.vstack([gates, -gates, rng.standard_normal(5)])]
+        mix = Tensor(rng.standard_normal((3, 5)))
+        results = []
+        for fused in (True, False):
+            carry, cand, gate = (Tensor(a.copy(), requires_grad=True) for a in base)
+            if fused:
+                out = T.gated_mix(carry, cand, gate)
+            else:
+                z = T.sigmoid(gate)
+                out = T.add(T.mul(one_minus(z), carry), T.mul(z, cand))
+            backward(T.tsum(T.mul(out, mix)))
+            results.append([out.data, carry.grad, cand.grad, gate.grad])
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)  # bitwise, so within 1e-12 too
+        with pytest.raises(ShapeError, match="gated_mix operands"):
+            T.gated_mix(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
+
+    def test_affine_bitwise_equals_add_of_matmul(self):
+        rng = np.random.default_rng(14)
+        base = [rng.standard_normal((6, 4)), rng.standard_normal((4, 3)), rng.standard_normal(3)]
+        mix = Tensor(rng.standard_normal((6, 3)))
+        results = []
+        for fused in (True, False):
+            x, w, b = (Tensor(a.copy(), requires_grad=True) for a in base)
+            out = T.affine(x, w, b) if fused else T.add(T.matmul(x, w), b)
+            backward(T.tsum(T.mul(T.tanh(out), mix)))
+            results.append([out.data, x.grad, w.grad, b.grad])
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+        with pytest.raises(ShapeError, match="bias"):
+            T.affine(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 3))), Tensor(np.zeros(4)))
 
 
 class TestStructureOps:

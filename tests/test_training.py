@@ -141,6 +141,20 @@ class TestTrainLoop:
         for name, t in model.params.items():
             assert np.array_equal(t.data, result.best_params[name]), name
 
+    def test_evaluation_sees_no_stale_gradients(self, monkeypatch):
+        held = []
+        true_evaluate = training.evaluate_model
+
+        def probe(model, examples):
+            held.append(sum(t.grad is not None for _, t in model.params.items()))
+            return true_evaluate(model, examples)
+
+        monkeypatch.setattr(training, "evaluate_model", probe)
+        data = tiny_dataset(n=8)
+        cfg = small_config(epochs=2)
+        train(build_from_examples(cfg, data), data, data[:4], cfg)
+        assert held and held == [0] * len(held)
+
     def test_determinism_same_seed_same_history(self):
         data = tiny_dataset(n=8)
         cfg = small_config(epochs=2, dropout=0.2)
