@@ -33,7 +33,6 @@ from .config import config_hash
 from .encoders import EncoderPair
 from .errors import BuildError, PathSyntaxError, PathValidationError
 from .features import (
-    FeatureConfig,
     FeatureExtractor,
     build_char_vocab,
     build_vocab_embedding,
@@ -200,16 +199,10 @@ class ModelAssembly:
         self.params = ParamSet()
 
         rng = np.random.default_rng(config.seed)
-        feat_cfg = FeatureConfig(
-            word_dim=word_spec.dim, char_dim=config.char_dim,
-            char_filters=config.char_filters, char_width=config.char_width,
-            feat_dim=config.feat_dim, use_pos=config.use_pos,
-            use_ner=config.use_ner, use_qtype=config.use_qtype,
-            dropout=config.dropout)
         self.extractor = FeatureExtractor(
-            self.params, word_spec, char_vocab, feat_cfg, rng,
+            self.params, word_spec, char_vocab, config, rng,
             pos_vocab=self.pos_vocab, ner_vocab=self.ner_vocab)
-        self.encoders = EncoderPair(self.params, feat_cfg.width(), config.hidden, rng)
+        self.encoders = EncoderPair(self.params, self.extractor.width, config.hidden, rng)
 
         d2 = 2 * config.hidden
         width = d2
@@ -311,12 +304,14 @@ def _dropout_draws(model, examples, rng):
     return [np.concatenate(site) for site in zip(*draws)]
 
 
-def run_path(model, h, us, vs, lengths):
+def run_path(model, h, u, v, lengths, q_lengths):
     """The plan over packed passage rows h ([sum n_k, 2d], n_k = lengths[k]).
 
-    us/vs are each example's shared/independent question encodings. Returns
-    the output rows and, per example, the LQ/LS alignments in plan order.
+    u/v are the packed shared/independent question encodings ([sum m_k, 2d],
+    m_k = q_lengths[k]). Returns the output rows and, per example, the LQ/LS
+    alignments in plan order.
     """
+    us, vs = T.split_rows(u, q_lengths), T.split_rows(v, q_lengths)
     traces = [[] for _ in lengths]
     effective = [None] * len(model.plan)  # per-step output, rewritten by Fi
     inputs = [None] * len(model.plan)     # h as seen by each step
@@ -324,9 +319,9 @@ def run_path(model, h, us, vs, lengths):
         inputs[i] = h
         if step.kind == "LQ":
             query = h if step.projection is None else T.matmul(h, step.projection)
-            aligns = [qp_align(q_k, u, layer_index=step.layer_index)
-                      for q_k, u in zip(T.split_rows(query, lengths), us)]
-            out = T.concat([qp_represent(a, v) for a, v in zip(aligns, vs)], axis=0)
+            aligns = [qp_align(q_k, u_k, layer_index=step.layer_index)
+                      for q_k, u_k in zip(T.split_rows(query, lengths), us)]
+            out = T.concat([qp_represent(a, v_k) for a, v_k in zip(aligns, vs)], axis=0)
         elif step.kind == "LS":
             parts = T.split_rows(h, lengths)
             aligns = [self_align(h_k, mask_diagonal=model.config.mask_diagonal,
@@ -347,31 +342,35 @@ def run_path(model, h, us, vs, lengths):
 
 
 def _packed_pass(model, examples, rng):
-    """(scores, probs, spans, traces, lengths) of one pass over a minibatch;
-    dropout is on exactly when an `rng` is passed and `config.dropout > 0`."""
-    cfg = model.config
-    d_p, d_q, d_v, d_h, d_u, d_out = _dropout_draws(
-        model, examples, rng if cfg.dropout > 0 else None)
+    """(scores, probs, spans, traces, lengths) of one pass over a minibatch.
+
+    This is where every dropout mask is applied: passage and question
+    features, v, h, u and the path's output, each at `config.dropout`, from
+    the uniforms of `_dropout_draws`. Dropout is on exactly when an `rng` is
+    passed and `config.dropout > 0`; spans are at most `config.max_span` long.
+    """
+    rate = model.config.dropout
+    d_p, d_q, d_v, d_h, d_u, d_out = _dropout_draws(model, examples, rng if rate > 0 else None)
     lengths = [len(ex.passage_tokens) for ex in examples]
     q_lengths = [len(ex.question_tokens) for ex in examples]
     bits = [exact_match_features(ex.passage_tokens, ex.question_tokens) for ex in examples]
     embed = model.extractor.embed_sequence
     passages = embed([ex.passage_tokens for ex in examples], "passage",
                      em_bits=[p for p, _ in bits], pos=[ex.passage_pos for ex in examples],
-                     ner=[ex.passage_ner for ex in examples], draw=d_p)
+                     ner=[ex.passage_ner for ex in examples])
     questions = embed([ex.question_tokens for ex in examples], "question",
                       em_bits=[q for _, q in bits], pos=[ex.question_pos for ex in examples],
-                      ner=[ex.question_ner for ex in examples], draw=d_q)
+                      ner=[ex.question_ner for ex in examples])
+    passages, questions = T.dropout(passages, rate, d_p), T.dropout(questions, rate, d_q)
 
     v = model.encoders.encode_independent_question(questions, q_lengths)
     h, u = model.encoders.encode_shared(passages, lengths, questions, q_lengths)
-    v = T.dropout(v, cfg.dropout, d_v)
-    h = T.dropout(h, cfg.dropout, d_h)
-    u = T.dropout(u, cfg.dropout, d_u)
+    v = T.dropout(v, rate, d_v)
+    h = T.dropout(h, rate, d_h)
+    u = T.dropout(u, rate, d_u)
 
-    h, traces = run_path(model, h, T.split_rows(u, q_lengths), T.split_rows(v, q_lengths),
-                         lengths)
-    h = T.dropout(h, cfg.dropout, d_out)
+    h, traces = run_path(model, h, u, v, lengths, q_lengths)
+    h = T.dropout(h, rate, d_out)
     query = model.pointer.initial_query(v, q_lengths)
     return (*model.pointer.predict_span(h, query, lengths), traces, lengths)
 

@@ -48,20 +48,14 @@ class RunConfig:
     dev_data: str = ""
 
     def validate(self):
-        if self.hidden < 1:
-            raise ConfigError("hidden size must be positive")
-        if self.fusion_layers < 1:
-            raise ConfigError("fusion_layers must be >= 1")
-        if self.pointer_hops < 1:
-            raise ConfigError("pointer_hops must be >= 1")
+        for name in ("hidden", "fusion_layers", "pointer_hops", "max_span", "char_dim",
+                     "char_filters", "char_width", "batch_size", "epochs"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.max_span < 1:
-            raise ConfigError("max_span must be >= 1")
         return self
 
 
@@ -101,13 +95,11 @@ def _coerce(name, kind, raw):
 def apply_overrides(cfg, overrides):
     """Set fields from a {name: string-or-value} mapping, with type coercion."""
     known = {f.name: f.type for f in fields(cfg)}
-    types = {"int": int, "float": float, "bool": bool, "str": str}
     for name, value in overrides.items():
         if name not in known:
             raise ConfigError(f"unknown config key: {name}")
-        kind = types.get(known[name], str) if isinstance(known[name], str) else known[name]
         if isinstance(value, str):
-            value = _coerce(name, kind, value)
+            value = _coerce(name, known[name], value)
         setattr(cfg, name, value)
     return cfg
 

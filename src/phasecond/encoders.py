@@ -44,17 +44,15 @@ def _time_major(lengths, reverse):
     return rows[running], bounds.tolist()
 
 
-def lstm_direction(x, w, u, b, reverse=False, lengths=None):
+def lstm_direction(x, w, u, b, lengths, reverse=False):
     """One LSTM direction over packed sequences -> [sum(lengths), d].
 
     x holds the sequences' rows back to back, sequence k being lengths[k]
-    rows long; without lengths, x is one sequence. Gate layout along the 4d
-    axis is (input, forget, cell, output). Output row r is the hidden state
-    after consuming row r in its sequence's processing order.
+    rows long. Gate layout along the 4d axis is (input, forget, cell,
+    output). Output row r is the hidden state after consuming row r in its
+    sequence's processing order.
     """
     n = x.data.shape[0]
-    if lengths is None:
-        lengths = [n]
     if sum(lengths) != n:
         raise ShapeError(f"sequence lengths sum to {sum(lengths)}, input has {n} rows")
     d = u.data.shape[0]
@@ -141,16 +139,16 @@ class BiLSTMEncoder:
             b = params.add(f"{prefix}.{direction}.b", bias)
             self.cells[direction] = (w, u, b)
 
-    def __call__(self, features, lengths=None):
-        """[sum(lengths), in_dim] -> [sum(lengths), 2*hidden]; no lengths means one sequence."""
-        if features.data.shape[0] == 0 or (lengths is not None and min(lengths) == 0):
+    def __call__(self, features, lengths):
+        """[sum(lengths), in_dim] -> [sum(lengths), 2*hidden]."""
+        if min(lengths, default=0) == 0:
             raise ShapeError("cannot encode an empty sequence")
         if features.data.shape[1] != self.in_dim:
             raise ShapeError(
                 f"encoder built for input width {self.in_dim}, got {features.data.shape[1]}"
             )
-        fw = lstm_direction(features, *self.cells["fw"], lengths=lengths)
-        bw = lstm_direction(features, *self.cells["bw"], reverse=True, lengths=lengths)
+        fw = lstm_direction(features, *self.cells["fw"], lengths)
+        bw = lstm_direction(features, *self.cells["bw"], lengths, reverse=True)
         return T.concat([fw, bw], axis=1)
 
 

@@ -28,26 +28,6 @@ QUESTION_TYPES = INTERROGATIVES + ("be", "other")
 
 
 @dataclass
-class FeatureConfig:
-    word_dim: int = 100
-    char_dim: int = 16
-    char_filters: int = 100
-    char_width: int = 5
-    feat_dim: int = 8
-    use_pos: bool = False
-    use_ner: bool = False
-    use_qtype: bool = True
-    dropout: float = 0.2
-
-    def width(self):
-        w = self.word_dim + self.char_filters + 1
-        for flag in (self.use_pos, self.use_ner, self.use_qtype):
-            if flag:
-                w += self.feat_dim
-        return w
-
-
-@dataclass
 class EmbeddingSpec:
     """Word-embedding construction data, pre-registration.
 
@@ -113,6 +93,8 @@ def load_pretrained_vectors(path, dim, rng, corpus_tokens=None, trainable=False)
                 vec = np.array([float(v) for v in parts[1:]])
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: non-numeric component: {exc}") from None
+            if not np.isfinite(vec).all():
+                raise DataFormatError(f"{path}:{lineno}: non-finite component")
             vectors[parts[0]] = vec
 
     if not vectors:
@@ -232,20 +214,21 @@ def char_cnn(char_emb, filters, bias, char_idx, n_valid_windows, width):
 
 
 class CharCNN:
-    """Per-word character encoder: embeddings, 1-d filters, max pool."""
+    """Per-word character encoder: embeddings, 1-d filters, max pool; sizes
+    from the run config's char_dim, char_width and char_filters."""
 
-    def __init__(self, params, prefix, char_vocab, cfg, rng):
+    def __init__(self, params, prefix, char_vocab, config, rng):
         self.char_vocab = char_vocab
-        self.width = cfg.char_width
+        self.width = config.char_width
         n_chars = len(char_vocab) + 2
-        emb = uniform(rng, (n_chars, cfg.char_dim))
+        emb = uniform(rng, (n_chars, config.char_dim))
         emb[PAD_INDEX] = 0.0
         mask = np.ones((n_chars, 1))
         mask[PAD_INDEX] = 0.0
         self.emb = params.add(f"{prefix}.char_emb", emb, grad_mask=mask)
-        self.filters = params.add(
-            f"{prefix}.filters", xavier_uniform(rng, (cfg.char_width * cfg.char_dim, cfg.char_filters)))
-        self.bias = params.add(f"{prefix}.bias", np.zeros(cfg.char_filters))
+        self.filters = params.add(f"{prefix}.filters", xavier_uniform(
+            rng, (config.char_width * config.char_dim, config.char_filters)))
+        self.bias = params.add(f"{prefix}.bias", np.zeros(config.char_filters))
 
     def __call__(self, tokens):
         lengths = np.array([max(len(t), self.width) for t in tokens])
@@ -259,30 +242,30 @@ class CharCNN:
 
 
 class FeatureExtractor:
-    """Maps token sequences to the model's input feature rows."""
+    """Maps token sequences to the model's input feature rows, `width` wide:
+    the word vectors' dimension, the config's char filters, the exact-match
+    bit and feat_dim per enabled tag slot."""
 
-    def __init__(self, params, word_spec, char_vocab, cfg, rng,
+    def __init__(self, params, word_spec, char_vocab, config, rng,
                  pos_vocab=None, ner_vocab=None):
-        self.cfg = cfg
+        self.config = config
         self.word_spec = word_spec
+        flags = config.use_pos + config.use_ner + config.use_qtype
+        self.width = word_spec.dim + config.char_filters + 1 + flags * config.feat_dim
         word_mask = word_spec.trainable.astype(np.float64)[:, None]
         self.word_emb = params.add("feat.word_emb", word_spec.matrix, grad_mask=word_mask)
-        self.char = CharCNN(params, "feat.char", char_vocab, cfg, rng)
+        self.char = CharCNN(params, "feat.char", char_vocab, config, rng)
         self.pos_vocab = pos_vocab or {}
         self.ner_vocab = ner_vocab or {}
-        if cfg.use_pos:
+        if config.use_pos:
             self.pos_emb = params.add(
-                "feat.pos_emb", uniform(rng, (len(self.pos_vocab) + 1, cfg.feat_dim)))
-        if cfg.use_ner:
+                "feat.pos_emb", uniform(rng, (len(self.pos_vocab) + 1, config.feat_dim)))
+        if config.use_ner:
             self.ner_emb = params.add(
-                "feat.ner_emb", uniform(rng, (len(self.ner_vocab) + 1, cfg.feat_dim)))
-        if cfg.use_qtype:
+                "feat.ner_emb", uniform(rng, (len(self.ner_vocab) + 1, config.feat_dim)))
+        if config.use_qtype:
             self.qtype_emb = params.add(
-                "feat.qtype_emb", uniform(rng, (len(QUESTION_TYPES), cfg.feat_dim)))
-
-    @property
-    def width(self):
-        return self.cfg.width()
+                "feat.qtype_emb", uniform(rng, (len(QUESTION_TYPES), config.feat_dim)))
 
     def _tag_part(self, emb, vocab, tags, sequences):
         """Tag embedding rows; a sequence without tags gets zero rows."""
@@ -292,13 +275,13 @@ class FeatureExtractor:
                 raise DataError(f"tag list length {len(seq_tags)} != token count {len(seq)}")
             idx += [0] * len(seq) if seq_tags is None else [vocab.get(t, 0) for t in seq_tags]
             keep += [float(seq_tags is not None)] * len(seq)
-        return T.mul(T.gather_rows(emb, idx), Tensor(np.outer(keep, np.ones(self.cfg.feat_dim))))
+        return T.mul(T.gather_rows(emb, idx), Tensor(np.outer(keep, np.ones(self.config.feat_dim))))
 
-    def embed_sequence(self, sequences, side, em_bits=None, pos=None, ner=None, draw=None):
+    def embed_sequence(self, sequences, side, em_bits=None, pos=None, ner=None):
         """[sum n_k, width] feature rows of token sequences, packed in order; the
         char CNN runs once per distinct word. `em_bits` (an array per sequence)
         defaults to zeros; `pos`/`ner` (a tag list or None per sequence) are read
-        when enabled. `draw` holds the uniforms behind the training dropout mask."""
+        when enabled. The rows come back undropped."""
         tokens = [t for seq in sequences for t in seq]
         n = len(tokens)
         if n == 0:
@@ -311,15 +294,15 @@ class FeatureExtractor:
                  T.gather_rows(self.char(list(distinct)), slots)]
         em = np.zeros(n) if em_bits is None else np.concatenate(em_bits)
         parts.append(Tensor(np.asarray(em, dtype=np.float64).reshape(n, 1)))
-        if self.cfg.use_pos:
+        if self.config.use_pos:
             parts.append(self._tag_part(self.pos_emb, self.pos_vocab, pos, sequences))
-        if self.cfg.use_ner:
+        if self.config.use_ner:
             parts.append(self._tag_part(self.ner_emb, self.ner_vocab, ner, sequences))
-        if self.cfg.use_qtype:
+        if self.config.use_qtype:
             if side == "question":
                 types = [QUESTION_TYPES.index(question_type(seq)) for seq in sequences]
                 parts.append(T.gather_rows(
                     self.qtype_emb, np.repeat(types, [len(seq) for seq in sequences])))
             else:
-                parts.append(Tensor(np.zeros((n, self.cfg.feat_dim))))
-        return T.dropout(T.concat(parts, axis=1), self.cfg.dropout, draw)
+                parts.append(Tensor(np.zeros((n, self.config.feat_dim))))
+        return T.concat(parts, axis=1)

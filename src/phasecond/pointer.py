@@ -4,7 +4,7 @@ Each hop scores every passage position for the start boundary with
 additive attention against a memory vector, pools the evidence, updates
 the memory through a GRU cell, then repeats for the end boundary. The
 final span maximizes p_start * p_end over pairs with start <= end and
-length below max_span, using the last hop's distributions; training
+at most max_span tokens, using the last hop's distributions; training
 minimizes the negative log probability of the gold boundaries at that
 last hop, averaged over the batch.
 
@@ -23,8 +23,6 @@ from . import tensor as T
 from .errors import ConfigError, DataError, ShapeError
 from .params import xavier_uniform
 
-DEFAULT_MAX_SPAN = 15
-
 
 @dataclass
 class SpanPrediction:
@@ -33,7 +31,7 @@ class SpanPrediction:
     score: float
 
 
-def decode_span(p_start, p_end, max_span=DEFAULT_MAX_SPAN):
+def decode_span(p_start, p_end, max_span):
     """Best (start, end) with start <= end < start + max_span."""
     ps = np.asarray(p_start, dtype=np.float64).reshape(-1)
     pe = np.asarray(p_end, dtype=np.float64).reshape(-1)
@@ -68,11 +66,10 @@ class GRUCell:
         return T.gated_mix(state, cand, u)
 
 
-def question_summary(v_independent, w_proj, w_score, lengths=None):
+def question_summary(v_independent, w_proj, w_score, lengths):
     """[B, 2d] attention-pooled question vectors: each question's rows of v
     under softmax(tanh(v W) w) over that question. v packs the questions'
-    rows, question k being lengths[k] rows long; no lengths means one question."""
-    lengths = [v_independent.data.shape[0]] if lengths is None else lengths
+    rows, question k being lengths[k] rows long."""
     scores = T.matmul(T.tanh(T.matmul(v_independent, w_proj)), w_score)
     return T.segment_weighted_sum(T.segment_softmax(scores, lengths), v_independent, lengths)
 
@@ -80,8 +77,7 @@ def question_summary(v_independent, w_proj, w_score, lengths=None):
 class PointerHead:
     """Boundary predictor over the final passage representation."""
 
-    def __init__(self, params, passage_width, query_width, hops, rng,
-                 max_span=DEFAULT_MAX_SPAN):
+    def __init__(self, params, passage_width, query_width, hops, rng, max_span):
         if hops < 1:
             raise ConfigError(f"pointer needs at least one hop, got {hops}")
         self.width = passage_width
@@ -105,7 +101,7 @@ class PointerHead:
                 )
         self.memory = GRUCell(params, "ptr.mem", passage_width, rng)
 
-    def initial_query(self, v, lengths=None):
+    def initial_query(self, v, lengths):
         """[B, w] memory rows, one per question; v packs the questions'
         encodings [sum m_k, 2d], question k being lengths[k] rows long."""
         q = question_summary(v, self.summary_proj, self.summary_score, lengths)
@@ -119,19 +115,17 @@ class PointerHead:
         hidden = T.tanh(T.add(T.matmul(h, w_h), T.repeat_rows(T.matmul(q, w_q), lengths)))
         return T.matmul(hidden, v)
 
-    def predict_span(self, h, q, lengths=None):
+    def predict_span(self, h, q, lengths):
         """(scores, probs, spans) of the last hop: the [sum n_k, 2] start and
         end scores (a Tensor), their softmax per passage (an array), and the
         span decoded from it for each passage.
 
         h holds the passages' rows packed in order, passage k being lengths[k]
-        rows long (no lengths: h is one passage), and q holds one memory row
-        per passage.
+        rows long, and q holds one memory row per passage.
         """
         n, width = h.data.shape
         if width != self.width:
             raise ShapeError(f"pointer built for width {self.width}, got {width}")
-        lengths = [n] if lengths is None else list(lengths)
         if sum(lengths) != n:
             raise ShapeError(f"passage lengths sum to {sum(lengths)}, got {n} rows")
         if q.data.shape != (len(lengths), self.width):

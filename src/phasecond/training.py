@@ -106,6 +106,7 @@ class TrainResult:
 
 def train(model, train_examples, dev_examples, config, run_dir=None):
     """Optimize the model and leave it at its best epoch; returns the metric history."""
+    config.validate()
     if not train_examples:
         raise DataError("training set is empty")
     if not dev_examples:
@@ -177,7 +178,7 @@ def train(model, train_examples, dev_examples, config, run_dir=None):
             break
 
     if best_params is not None:
-        load_into(model, {"params": best_params})
+        load_into(model, best_params)
     return TrainResult(history=history, best_dev_em=best_em, best_epoch=best_epoch,
                        status=status, checkpoint_path=ckpt_path,
                        best_params=best_params)
@@ -311,9 +312,8 @@ def _check_array(what, arr, shape):
             f"model float64 {shape}")
 
 
-def load_into(model, payload):
-    """Copy checkpoint parameters into an assembled model."""
-    stored = payload["params"]
+def load_into(model, stored):
+    """Copy a name -> array mapping of parameters into an assembled model."""
     names = set(model.params.names())
     if set(stored) != names:
         missing = names - set(stored)
@@ -326,10 +326,9 @@ def load_into(model, payload):
         t.data[...] = stored[name]
 
 
-def restore_model(path_or_payload):
+def restore_model(path):
     """Rebuild the full model (and Adam state) a checkpoint describes."""
-    payload = (load_checkpoint(path_or_payload)
-               if isinstance(path_or_payload, (str, os.PathLike)) else path_or_payload)
+    payload = load_checkpoint(path)
     config = RunConfig(**payload["config"])
     vocab = payload["vocab"]
     trainable = np.array([bool(b) for b in vocab["word_trainable"]])
@@ -340,7 +339,7 @@ def restore_model(path_or_payload):
     model = build_model(config, word_spec, dict(vocab["char_vocab"]),
                         pos_vocab=dict(vocab["pos_vocab"]) or None,
                         ner_vocab=dict(vocab["ner_vocab"]) or None)
-    load_into(model, payload)
+    load_into(model, payload["params"])
     adam = payload["adam"]
     state = AdamState(lr=adam["lr"], beta1=adam["beta1"], beta2=adam["beta2"],
                       eps=adam["eps"], step=adam["step"])

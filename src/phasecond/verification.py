@@ -15,7 +15,7 @@ from .attention import self_align, self_propagate
 from .conductor import build_from_examples, run_path
 from .config import DEFAULT_PATH, RunConfig
 from .encoders import EncoderPair
-from .features import CharCNN, FeatureConfig
+from .features import CharCNN
 from .fusion import InnerFusionLayer, OuterFusionStack
 from .params import ParamSet
 from .pointer import PointerHead, question_summary, span_loss
@@ -76,7 +76,7 @@ def run_grad_checks(seed=0):
     v = Tensor(rng.standard_normal((3, 4)))
     mix_qp = _mix(rng, (4, 4))
     check("qp_attention_stack", "n=4,m=3,d=2,path=LQ->LQ",
-          lambda t: T.tsum(T.mul(run_path(lq_model, t, [u], [v], [4])[0], mix_qp)),
+          lambda t: T.tsum(T.mul(run_path(lq_model, t, u, v, [4], [3])[0], mix_qp)),
           Tensor(rng.standard_normal((4, 4))))
 
     # self-attention
@@ -103,11 +103,12 @@ def run_grad_checks(seed=0):
 
     # pointer head through the span loss
     params_ptr = ParamSet()
-    head = PointerHead(params_ptr, 4, 4, 2, rng)
+    head = PointerHead(params_ptr, 4, 4, 2, rng, RunConfig().max_span)
     v_q = Tensor(rng.standard_normal((3, 4)))
 
     def pointer_loss(t):
-        return span_loss(head.predict_span(t, head.initial_query(v_q))[0], [5], [(1, 3)])
+        return span_loss(head.predict_span(t, head.initial_query(v_q, [3]), [5])[0],
+                         [5], [(1, 3)])
 
     check("pointer_head", "n=5,w=4,hops=2", pointer_loss,
           Tensor(rng.standard_normal((5, 4))))
@@ -115,7 +116,7 @@ def run_grad_checks(seed=0):
     mix_sum = _mix(rng, (1, 4))
     check("question_summary", "m=3,w=4",
           lambda t: T.tsum(T.mul(question_summary(
-              t, head.summary_proj, head.summary_score), mix_sum)),
+              t, head.summary_proj, head.summary_score, [3]), mix_sum)),
           Tensor(rng.standard_normal((3, 4))))
 
     # span loss against raw boundary scores, start and end as columns
@@ -125,7 +126,7 @@ def run_grad_checks(seed=0):
     # character CNN parameters
     params_cnn = ParamSet()
     cnn = CharCNN(params_cnn, "cnn", {"a": 2, "b": 3, "c": 4},
-                  FeatureConfig(char_dim=3, char_filters=4, char_width=5), rng)
+                  RunConfig(char_dim=3, char_filters=4, char_width=5), rng)
     mix_cnn = _mix(rng, (2, 4))
     check("char_cnn", "words=2,dc=3,F=4",
           lambda _p: T.tsum(T.mul(cnn(["abca", "cb"]), mix_cnn)),
@@ -141,11 +142,11 @@ def run_grad_checks(seed=0):
     # the pointer head over a packed minibatch of mixed passage lengths
     passage_lengths = [3, 1, 4, 2]
     question_lengths = (2, 3, 1, 2)
-    questions = [Tensor(rng.standard_normal((m, 4))) for m in question_lengths]
+    questions = Tensor(rng.standard_normal((sum(question_lengths), 4)))
     golds = [(0, 2), (0, 0), (1, 3), (1, 1)]
 
     def pointer_packed_loss(t):
-        query = head.initial_query(T.concat(questions, axis=0), question_lengths)
+        query = head.initial_query(questions, question_lengths)
         return span_loss(head.predict_span(t, query, passage_lengths)[0], passage_lengths, golds)
 
     check("pointer_packed", "lengths=3,1,4,2,w=4,hops=2", pointer_packed_loss,
@@ -153,11 +154,11 @@ def run_grad_checks(seed=0):
 
     # the default phase path over a packed minibatch, Fi and Fo included
     path_model = _path_model(DEFAULT_PATH, seed)
-    us = [Tensor(rng.standard_normal((m, 4))) for m in (2, 3, 1, 2)]
+    u_path = Tensor(rng.standard_normal((sum(question_lengths), 4)))
     mix_path = _mix(rng, (sum(passage_lengths), path_model.final_width))
     check("phase_path", f"lengths=3,1,4,2,d=2,path={DEFAULT_PATH}",
-          lambda t: T.tsum(T.mul(
-              run_path(path_model, t, us, questions, passage_lengths)[0], mix_path)),
+          lambda t: T.tsum(T.mul(run_path(path_model, t, u_path, questions,
+                                          passage_lengths, question_lengths)[0], mix_path)),
           Tensor(rng.standard_normal((sum(passage_lengths), 4))))
 
     # the span loss where every gold boundary scores 2e3 below the best

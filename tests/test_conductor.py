@@ -6,8 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from phasecond import tensor as T
 from phasecond.attention import qp_align, qp_represent
 from phasecond.conductor import (
+    _dropout_draws,
     build_from_examples,
     forward,
     forward_batch,
@@ -192,6 +194,26 @@ class TestForward:
         r2 = forward(model, examples[0])
         assert not np.array_equal(r1.start_dist, r2.start_dist)
 
+    def test_six_dropout_masks_in_draw_order(self, monkeypatch):
+        # passage and question features, v, h, u, the path's output: each
+        # mask gets its own draw of `_dropout_draws`, in that order
+        cfg = small_config()
+        examples = tiny_examples()
+        model = build_from_examples(cfg, examples)
+        expected = _dropout_draws(model, examples, np.random.default_rng(5))
+        calls, dropout = [], T.dropout
+
+        def recording(a, rate, draw):
+            calls.append((rate, draw))
+            return dropout(a, rate, draw)
+
+        monkeypatch.setattr(T, "dropout", recording)
+        gold_loss(model, examples, rng=np.random.default_rng(5))
+        assert len(calls) == len(expected) == 6
+        for (rate, draw), want in zip(calls, expected):
+            assert rate == cfg.dropout
+            assert np.array_equal(draw, want)
+
     def test_span_respects_constraints(self):
         cfg = small_config(max_span=2)
         examples = tiny_examples()
@@ -244,20 +266,20 @@ class TestRunPath:
 
     def test_single_lq_is_qp_represent_of_qp_align(self):
         h0, u, v = self.inputs(2, 4, 3)
-        h, [trace] = run_path(self.path_model("LQ"), h0, [u], [v], [4])
+        h, [trace] = run_path(self.path_model("LQ"), h0, u, v, [4], [3])
         assert np.array_equal(h.data, qp_represent(qp_align(h0, u), v).data)
         assert [(a.kind, a.layer_index) for a in trace] == [("qp", 1)]
 
     def test_second_lq_aligns_first_lq_output(self):
         h0, u, v = self.inputs(3, 4, 3)
-        _, [trace] = run_path(self.path_model("LQ->LQ"), h0, [u], [v], [4])
+        _, [trace] = run_path(self.path_model("LQ->LQ"), h0, u, v, [4], [3])
         first = qp_represent(trace[0], v)
         assert np.array_equal(trace[1].weights.data, qp_align(first, u).weights.data)
         assert [a.layer_index for a in trace] == [1, 2]
 
     def test_single_question_word_collapses_every_lq_to_v(self):
         h0, u, v = self.inputs(5, 5, 1)
-        h, [trace] = run_path(self.path_model("LQ->LQ->LQ"), h0, [u], [v], [5])
+        h, [trace] = run_path(self.path_model("LQ->LQ->LQ"), h0, u, v, [5], [1])
         assert len(trace) == 3
         for align in trace:
             assert np.array_equal(align.weights.data, np.ones((5, 1)))

@@ -20,7 +20,7 @@ class TestLSTMDirection:
         w = Tensor(np.zeros((3, 8)))
         u = Tensor(np.zeros((2, 8)))
         b = Tensor(np.zeros(8))
-        out = lstm_direction(x, w, u, b)
+        out = lstm_direction(x, w, u, b, [4])
         assert np.array_equal(out.data, np.zeros((4, 2)))
 
     def test_gradients_match_finite_differences(self):
@@ -33,13 +33,13 @@ class TestLSTMDirection:
         mixer = Tensor(rng.standard_normal((3, 2)))
 
         def loss_wrt(t, reverse=False):
-            return T.tsum(T.mul(lstm_direction(x if t is not x else t, w, u, b,
+            return T.tsum(T.mul(lstm_direction(x if t is not x else t, w, u, b, [3],
                                                reverse=reverse), mixer))
 
         assert grad_check(lambda t: loss_wrt(t), x) < 1e-4
         for p in (w, u, b):
             assert grad_check(lambda q, p=p: T.tsum(T.mul(
-                lstm_direction(x, w, u, b), mixer)), p) < 1e-4
+                lstm_direction(x, w, u, b, [3]), mixer)), p) < 1e-4
         assert grad_check(lambda t: loss_wrt(t, reverse=True), x) < 1e-4
 
     def test_reverse_direction_sees_suffix(self):
@@ -49,9 +49,9 @@ class TestLSTMDirection:
         u = params.add("U", rng.standard_normal((1, 4)))
         b = params.add("b", rng.standard_normal(4))
         x = rng.standard_normal((5, 2))
-        full = lstm_direction(Tensor(x), w, u, b, reverse=True).data
+        full = lstm_direction(Tensor(x), w, u, b, [5], reverse=True).data
         # last row depends only on the last input position
-        tail = lstm_direction(Tensor(x[-1:]), w, u, b, reverse=True).data
+        tail = lstm_direction(Tensor(x[-1:]), w, u, b, [1], reverse=True).data
         assert np.allclose(full[-1], tail[0])
 
 
@@ -80,8 +80,7 @@ class TestPackedLSTMDirection:
         x, cell, mixer = packed_fixture(20)
 
         def loss(_leaf):
-            return T.tsum(T.mul(lstm_direction(x, *cell, reverse=reverse,
-                                               lengths=LENGTHS), mixer))
+            return T.tsum(T.mul(lstm_direction(x, *cell, LENGTHS, reverse=reverse), mixer))
 
         for leaf in (x, *cell):
             assert grad_check(loss, leaf) < 1e-4
@@ -90,7 +89,7 @@ class TestPackedLSTMDirection:
     def test_matches_per_sequence(self, reverse):
         x, cell, mixer = packed_fixture(21)
         x.requires_grad = True
-        packed = lstm_direction(x, *cell, reverse=reverse, lengths=LENGTHS)
+        packed = lstm_direction(x, *cell, LENGTHS, reverse=reverse)
         backward(T.tsum(T.mul(packed, mixer)))
         packed_grads = [t.grad for t in (x, *cell)]
 
@@ -98,7 +97,7 @@ class TestPackedLSTMDirection:
             t.grad = None
         for lo, hi in segments(LENGTHS):
             piece = Tensor(x.data[lo:hi], requires_grad=True)
-            alone = lstm_direction(piece, *cell, reverse=reverse)
+            alone = lstm_direction(piece, *cell, [hi - lo], reverse=reverse)
             assert np.abs(packed.data[lo:hi] - alone.data).max() <= 1e-12
             backward(T.tsum(T.mul(alone, Tensor(mixer.data[lo:hi]))))
             assert np.abs(packed_grads[0][lo:hi] - piece.grad).max() <= 1e-12
@@ -108,7 +107,7 @@ class TestPackedLSTMDirection:
     def test_lengths_must_cover_rows(self):
         x, cell, _ = packed_fixture(23)
         with pytest.raises(ShapeError, match="sum to"):
-            lstm_direction(x, *cell, lengths=[3, 1, 4])
+            lstm_direction(x, *cell, [3, 1, 4])
 
 
 class TestBiLSTMEncoder:
@@ -134,8 +133,8 @@ class TestBiLSTMEncoder:
         params = ParamSet()
         enc = BiLSTMEncoder(params, "e", 3, 2, np.random.default_rng(4))
         x = np.random.default_rng(5).standard_normal((6, 3))
-        full = enc(Tensor(x)).data
-        trunc = enc(Tensor(x[:-1])).data
+        full = enc(Tensor(x), [6]).data
+        trunc = enc(Tensor(x[:-1]), [5]).data
         assert np.allclose(full[:-1, :2], trunc[:, :2])
 
 

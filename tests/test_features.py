@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from phasecond import tensor as T
+from phasecond.config import RunConfig
 from phasecond.errors import DataError, DataFormatError
 from phasecond.features import (
-    FeatureConfig,
     FeatureExtractor,
     build_char_vocab,
     build_vocab_embedding,
@@ -19,9 +19,9 @@ from phasecond.tensor import Tensor, backward, grad_check
 
 def small_cfg(**over):
     base = dict(word_dim=6, char_dim=4, char_filters=5, char_width=5,
-                feat_dim=3, use_qtype=False, dropout=0.2)
+                feat_dim=3, use_qtype=False)
     base.update(over)
-    return FeatureConfig(**base)
+    return RunConfig(**base)
 
 
 def make_extractor(tokens, cfg=None, seed=0):
@@ -58,6 +58,13 @@ class TestPretrainedVectors:
         path = tmp_path / "vecs.txt"
         path.write_text("ok 1 2 3\nbad 1 two 3\n")
         with pytest.raises(DataFormatError, match=":2:"):
+            load_pretrained_vectors(path, 3, np.random.default_rng(2))
+
+    @pytest.mark.parametrize("component", ["nan", "inf", "-inf"])
+    def test_non_finite_component_reports_line_number(self, tmp_path, component):
+        path = tmp_path / "vecs.txt"
+        path.write_text(f"ok 1 2 3\nbad 1 {component} 3\n")
+        with pytest.raises(DataFormatError, match=r"vecs\.txt:2: non-finite"):
             load_pretrained_vectors(path, 3, np.random.default_rng(2))
 
     def test_dim_mismatch(self, tmp_path):
@@ -118,8 +125,7 @@ class TestQuestionType:
 
 class TestEmbedSequence:
     def test_width_word_char_em(self):
-        cfg = FeatureConfig(word_dim=100, char_dim=4, char_filters=100,
-                            use_qtype=False)
+        cfg = RunConfig(word_dim=100, char_dim=4, char_filters=100, use_qtype=False)
         rng = np.random.default_rng(6)
         spec = build_vocab_embedding(["a", "b", "c"], 100, rng)
         params = ParamSet()
@@ -137,14 +143,6 @@ class TestEmbedSequence:
         a = ext.embed_sequence([["alpha", "beta"]], side="passage")
         b = ext.embed_sequence([["alpha", "beta"]], side="passage")
         assert np.array_equal(a.data, b.data)
-
-    def test_train_mode_applies_dropout(self):
-        ext, _ = make_extractor(["alpha", "beta"], seed=7)
-        rng = np.random.default_rng(0)
-        dropped = ext.embed_sequence([["alpha", "beta"]], side="passage",
-                                     draw=rng.random((2, ext.width)))
-        plain = ext.embed_sequence([["alpha", "beta"]], side="passage")
-        assert not np.array_equal(dropped.data, plain.data)
 
     def test_qtype_slot_zero_on_passage(self):
         cfg = small_cfg(use_qtype=True)
@@ -186,7 +184,7 @@ class TestEmbedSequence:
         ext.char = lambda words: calls.append(list(words)) or char(words)
         out = ext.embed_sequence([["a", "bb", "a"], ["bb", "c", "a"]], side="passage")
         assert calls == [["a", "bb", "c"]]
-        rows = out.data[:, ext.cfg.word_dim:ext.cfg.word_dim + ext.cfg.char_filters]
+        rows = out.data[:, ext.config.word_dim:ext.config.word_dim + ext.config.char_filters]
         assert np.array_equal(rows[0], rows[2]) and np.array_equal(rows[0], rows[5])
 
     def test_sequence_without_tags_gets_zero_rows(self):
@@ -202,7 +200,7 @@ class TestEmbedSequence:
 
     def test_exact_match_bit_lands_in_column(self):
         ext, _ = make_extractor(["a", "b"])
-        cfg = ext.cfg
+        cfg = ext.config
         out = ext.embed_sequence([["a", "b"]], side="passage", em_bits=[np.array([1.0, 0.0])])
         col = cfg.word_dim + cfg.char_filters
         assert out.data[:, col].tolist() == [1.0, 0.0]
@@ -212,7 +210,7 @@ class TestCharCNN:
     def test_output_dim_independent_of_word_length(self):
         ext, _ = make_extractor(["a", "extraordinarily"])
         out = ext.char(["a", "extraordinarily"])
-        assert out.data.shape == (2, ext.cfg.char_filters)
+        assert out.data.shape == (2, ext.config.char_filters)
 
     def test_identical_words_identical_outputs(self):
         ext, _ = make_extractor(["hello", "hello", "x"])
@@ -238,7 +236,7 @@ class TestCharCNN:
 
     def test_gradients_match_finite_differences(self):
         ext, params = make_extractor(["abc", "de"], seed=9)
-        mixer = Tensor(np.random.default_rng(10).standard_normal((2, ext.cfg.char_filters)))
+        mixer = Tensor(np.random.default_rng(10).standard_normal((2, ext.config.char_filters)))
         for pname in ("feat.char.filters", "feat.char.bias", "feat.char.char_emb"):
             err = grad_check(lambda _p: T.tsum(T.mul(ext.char(["abc", "de"]), mixer)),
                              params[pname])

@@ -36,14 +36,14 @@ class TestQuestionSummary:
     def test_single_row_passthrough(self):
         head, params = make_head(query_width=4)
         v = Tensor(np.array([[1.0, -2.0, 0.5, 3.0]]))
-        out = question_summary(v, head.summary_proj, head.summary_score)
+        out = question_summary(v, head.summary_proj, head.summary_score, [1])
         assert np.allclose(out.data, v.data)
 
     def test_identical_rows_convexity(self):
         head, _ = make_head(query_width=4)
         row = np.array([0.3, -1.0, 2.0, 0.0])
         v = Tensor(np.tile(row, (3, 1)))
-        out = question_summary(v, head.summary_proj, head.summary_score)
+        out = question_summary(v, head.summary_proj, head.summary_score, [3])
         assert np.allclose(out.data[0], row)
 
     def test_gradient(self):
@@ -52,7 +52,7 @@ class TestQuestionSummary:
         mix = Tensor(rng.standard_normal((1, 4)))
         v = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         err = grad_check(lambda t: T.tsum(T.mul(
-            question_summary(t, head.summary_proj, head.summary_score), mix)), v)
+            question_summary(t, head.summary_proj, head.summary_score, [3]), mix)), v)
         assert err < 1e-4
 
 
@@ -90,8 +90,8 @@ class TestPredictSpan:
             head, _ = make_head(width=6, query_width=4, hops=hops, seed=4)
             rng = np.random.default_rng(5)
             h = Tensor(rng.standard_normal((5, 6)))
-            q = head.initial_query(Tensor(rng.standard_normal((3, 4))))
-            scores, probs, [span] = head.predict_span(h, q)
+            q = head.initial_query(Tensor(rng.standard_normal((3, 4))), [3])
+            scores, probs, [span] = head.predict_span(h, q, [5])
             assert scores.data.shape == probs.shape == (5, 2)
             assert np.all(probs >= 0)
             assert np.all(np.abs(probs.sum(axis=0) - 1.0) <= 1e-9)
@@ -103,14 +103,14 @@ class TestPredictSpan:
         rng = np.random.default_rng(7)
         h = Tensor(rng.standard_normal((4, 4)))
         q = Tensor(rng.standard_normal((1, 4)))
-        _, probs, _ = head.predict_span(h, q)
+        _, probs, _ = head.predict_span(h, q, [4])
         assert np.allclose(probs[:, 0], 0.25)
 
     def test_adapter_reconciles_query_width(self):
         head, params = make_head(width=6, query_width=4, seed=10)
         assert "ptr.adapter" in params
         v = Tensor(np.random.default_rng(11).standard_normal((2, 4)))
-        q = head.initial_query(v)
+        q = head.initial_query(v, [2])
         assert q.data.shape == (1, 6)
 
     def test_gradient_wrt_passage(self):
@@ -120,7 +120,7 @@ class TestPredictSpan:
         h = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
 
         def f(t):
-            scores, _, _ = head.predict_span(t, head.initial_query(q_src))
+            scores, _, _ = head.predict_span(t, head.initial_query(q_src, [3]), [5])
             return span_loss(scores, [5], [(1, 3)])
 
         assert grad_check(f, h) < 1e-4
@@ -135,8 +135,9 @@ class TestPredictSpan:
         scores, probs, spans = head.predict_span(T.concat(passages, axis=0), query, lengths)
         assert len(spans) == len(lengths)
         ends = np.cumsum(lengths)
-        for h, v, span, n, end in zip(passages, questions, spans, lengths, ends):
-            alone_scores, alone_probs, [alone_span] = head.predict_span(h, head.initial_query(v))
+        for h, v, span, n, m, end in zip(passages, questions, spans, lengths, q_lengths, ends):
+            alone_scores, alone_probs, [alone_span] = head.predict_span(
+                h, head.initial_query(v, [m]), [n])
             assert np.abs(probs[end - n:end] - alone_probs).max() <= 1e-12
             assert np.abs(scores.data[end - n:end] - alone_scores.data).max() <= 1e-12
             assert (span.start, span.end) == (alone_span.start, alone_span.end)
@@ -179,8 +180,8 @@ class TestSpanLoss:
     def test_non_negative_and_uses_last_hop(self):
         head, _ = make_head(width=4, query_width=4, hops=3, seed=14)
         rng = np.random.default_rng(14)
-        q = head.initial_query(Tensor(rng.standard_normal((2, 4))))
-        scores, probs, _ = head.predict_span(Tensor(rng.standard_normal((4, 4))), q)
+        q = head.initial_query(Tensor(rng.standard_normal((2, 4))), [2])
+        scores, probs, _ = head.predict_span(Tensor(rng.standard_normal((4, 4))), q, [4])
         loss = span_loss(scores, [4], [(1, 2)])
         assert loss.data == pytest.approx(-np.log(probs[1, 0]) - np.log(probs[2, 1]))
         assert loss.data >= 0

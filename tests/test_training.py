@@ -9,7 +9,7 @@ from phasecond import training
 from phasecond.conductor import build_from_examples, forward, gold_loss
 from phasecond.config import RunConfig
 from phasecond.data import EvalResult, SyntheticSpec, generate_synthetic
-from phasecond.errors import CheckpointError, NumericsError, ShapeError
+from phasecond.errors import CheckpointError, ConfigError, NumericsError, ShapeError
 from phasecond.params import ParamSet
 from phasecond.tensor import Tensor, backward
 from phasecond.training import (
@@ -47,6 +47,18 @@ def adam_oracle(grads, lr, b1=0.9, b2=0.999, eps=1e-8):
         v = b2 * v + (1 - b2) * g * g
         theta -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
     return theta
+
+
+@pytest.mark.parametrize("field,value", [
+    ("char_width", 0), ("char_width", -1), ("char_dim", 0), ("char_filters", 0), ("epochs", 0)])
+def test_config_values_below_one_rejected_before_any_work(field, value):
+    data = tiny_dataset(n=2)
+    cfg = small_config(**{field: value})
+    with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
+        build_from_examples(cfg, data)
+    model = build_from_examples(small_config(), data)
+    with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
+        train(model, data, data, cfg)
 
 
 class TestAdam:
@@ -258,8 +270,7 @@ class TestCheckpoint:
 
     def test_adam_state_roundtrip(self, tmp_path):
         model, data, result = self.build_trained(tmp_path)
-        payload = load_checkpoint(result.checkpoint_path)
-        _, state = restore_model(payload)
+        _, state = restore_model(result.checkpoint_path)
         assert state.step > 0
         assert set(state.m) == set(model.params.names())
 
@@ -353,7 +364,7 @@ class TestCheckpoint:
         other_cfg = small_config(hidden=4, epochs=1)
         other = build_from_examples(other_cfg, data)
         with pytest.raises(CheckpointError, match="enc\\."):
-            load_into(other, payload)
+            load_into(other, payload["params"])
 
     def test_run_dir_contains_artifacts(self, tmp_path):
         model, data, result = self.build_trained(tmp_path)
