@@ -32,13 +32,7 @@ from .attention import qp_align, qp_represent, self_align, self_propagate
 from .config import config_hash
 from .encoders import EncoderPair
 from .errors import BuildError, PathSyntaxError, PathValidationError
-from .features import (
-    FeatureExtractor,
-    build_char_vocab,
-    build_vocab_embedding,
-    exact_match_features,
-    load_pretrained_vectors,
-)
+from .features import FeatureExtractor, build_vocabulary, exact_match_features
 from .fusion import InnerFusionLayer, OuterFusionStack
 from .params import ParamSet, xavier_uniform
 from .pointer import PointerHead, span_loss
@@ -185,23 +179,19 @@ class ForwardResult:
 
 
 class ModelAssembly:
-    """Instantiated encoders, path steps, and pointer head."""
+    """Instantiated encoders, path steps, and pointer head over a Vocabulary;
+    `word_rows` initialize the word embedding."""
 
-    def __init__(self, config, word_spec, char_vocab, pos_vocab=None, ner_vocab=None):
+    def __init__(self, config, vocab, word_rows):
         config.validate()
         self.path = path = parse_path(config.path)
         self.config = config
         self.config_hash = config_hash(config)
-        self.word_spec = word_spec
-        self.char_vocab = char_vocab
-        self.pos_vocab = pos_vocab or {}
-        self.ner_vocab = ner_vocab or {}
+        self.vocab = vocab
         self.params = ParamSet()
 
         rng = np.random.default_rng(config.seed)
-        self.extractor = FeatureExtractor(
-            self.params, word_spec, char_vocab, config, rng,
-            pos_vocab=self.pos_vocab, ner_vocab=self.ner_vocab)
+        self.extractor = FeatureExtractor(self.params, vocab, word_rows, config, rng)
         self.encoders = EncoderPair(self.params, self.extractor.width, config.hidden, rng)
 
         d2 = 2 * config.hidden
@@ -250,42 +240,14 @@ class ModelAssembly:
         return self.params.count()
 
 
-def build_model(config, word_spec, char_vocab, pos_vocab=None, ner_vocab=None):
-    return ModelAssembly(config, word_spec, char_vocab,
-                         pos_vocab=pos_vocab, ner_vocab=ner_vocab)
+def build_model(config, vocab, word_rows):
+    return ModelAssembly(config, vocab, word_rows)
 
 
 def build_from_examples(config, examples):
-    """Assemble a model with vocabularies drawn from a training set."""
-    tokens = []
-    for ex in examples:
-        tokens.extend(ex.passage_tokens)
-        tokens.extend(ex.question_tokens)
-    rng = np.random.default_rng(config.seed)
-    if config.vectors:
-        word_spec, _coverage = load_pretrained_vectors(
-            config.vectors, config.word_dim, rng,
-            corpus_tokens=tokens, trainable=not config.freeze_pretrained)
-    else:
-        word_spec = build_vocab_embedding(tokens, config.word_dim, rng)
-    char_vocab = build_char_vocab(tokens)
-    pos_vocab = ner_vocab = None
-    if config.use_pos:
-        pos_vocab = _tag_vocab(examples, "passage_pos", "question_pos")
-    if config.use_ner:
-        ner_vocab = _tag_vocab(examples, "passage_ner", "question_ner")
-    return build_model(config, word_spec, char_vocab,
-                       pos_vocab=pos_vocab, ner_vocab=ner_vocab)
-
-
-def _tag_vocab(examples, *attrs):
-    vocab = {}
-    for ex in examples:
-        for attr in attrs:
-            for tag in getattr(ex, attr) or []:
-                if tag not in vocab:
-                    vocab[tag] = len(vocab) + 1  # 0 reserved for unknown tags
-    return vocab
+    """Assemble a model with the vocabulary of a training set."""
+    return build_model(config, *build_vocabulary(config, examples,
+                                                 np.random.default_rng(config.seed)))
 
 
 def _dropout_draws(model, examples, rng):

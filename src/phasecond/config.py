@@ -48,8 +48,9 @@ class RunConfig:
     dev_data: str = ""
 
     def validate(self):
-        for name in ("hidden", "fusion_layers", "pointer_hops", "max_span", "char_dim",
-                     "char_filters", "char_width", "batch_size", "epochs"):
+        for name in ("hidden", "fusion_layers", "pointer_hops", "max_span", "word_dim",
+                     "char_dim", "char_filters", "char_width", "feat_dim", "batch_size",
+                     "epochs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.dropout < 1.0:

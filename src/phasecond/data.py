@@ -138,6 +138,15 @@ def load_squad(path, training=False):
     return examples
 
 
+def _joined_text(tokens):
+    """The tokens joined by single spaces, and each token's character offsets."""
+    offsets, cursor = [], 0
+    for tok in tokens:
+        offsets.append((cursor, cursor + len(tok)))
+        cursor += len(tok) + 1
+    return " ".join(tokens), offsets
+
+
 # ---------------------------------------------------------------------------
 # Synthetic cloze data
 
@@ -190,11 +199,7 @@ def generate_synthetic(spec):
         tokens[pos] = key
         tokens[pos + 1:pos + 1 + ans_len] = answer
 
-        passage_text = " ".join(tokens)
-        offsets, cursor = [], 0
-        for tok in tokens:
-            offsets.append((cursor, cursor + len(tok)))
-            cursor += len(tok) + 1
+        passage_text, offsets = _joined_text(tokens)
         examples.append(QAExample(
             id=f"syn-{spec.seed}-{k:05d}",
             passage_text=passage_text,
@@ -236,11 +241,7 @@ def load_jsonl(path):
             except json.JSONDecodeError as exc:
                 raise DataFormatError(f"{path}:{lineno}: bad JSON: {exc}") from None
             tokens = _require(record, "passage_tokens", f"{path}:{lineno}")
-            passage_text = " ".join(tokens)
-            offsets, cursor = [], 0
-            for tok in tokens:
-                offsets.append((cursor, cursor + len(tok)))
-                cursor += len(tok) + 1
+            passage_text, offsets = _joined_text(tokens)
             spans = [tuple(s) for s in record.get("gold_spans", [])]
             for s, e in spans:
                 if not (0 <= s <= e < len(tokens)):

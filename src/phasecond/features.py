@@ -7,6 +7,11 @@ encoder can consume both; slots that only apply to one side (the question
 type embedding) are zero-filled on the other. A minibatch's sequences of one
 side are embedded in one call, packed row after row, and the char CNN runs
 once per distinct word of the batch.
+
+The lookup tables behind those rows (words, chars, tags) form one
+`Vocabulary` record, which `build_vocabulary` draws from a training set
+together with the initial word rows and a checkpoint stores as its `vocab`
+section.
 """
 
 import warnings
@@ -28,54 +33,25 @@ QUESTION_TYPES = INTERROGATIVES + ("be", "other")
 
 
 @dataclass
-class EmbeddingSpec:
-    """Word-embedding construction data, pre-registration.
+class Vocabulary:
+    """A model's lookup tables, as the checkpoint's `vocab` section stores them.
 
-    tokens[0] is the padding slot (zero, frozen) and tokens[1] the unknown
-    slot; `trainable` marks rows the optimizer may move.
+    word_tokens[0] is the padding slot (zero, frozen) and word_tokens[1] the
+    unknown slot; word_trainable holds 1 for rows the optimizer may move, 0
+    otherwise. Chars index from 2 (0 pad, 1 unknown), tags from 1 (0 unknown).
+    The initial word rows are not part of the record: they are the model's
+    `feat.word_emb` parameter.
     """
 
-    tokens: list
-    matrix: np.ndarray
-    trainable: np.ndarray
-
-    @property
-    def dim(self):
-        return self.matrix.shape[1]
-
-    def index_of(self, token):
-        idx = self._index.get(token)
-        if idx is None:
-            idx = self._index.get(token.lower(), UNK_INDEX)
-        return idx
-
-    def __post_init__(self):
-        self._index = {tok: i for i, tok in enumerate(self.tokens)}
+    word_tokens: list
+    word_trainable: list
+    char_vocab: dict
+    pos_vocab: dict
+    ner_vocab: dict
 
 
-def _fresh_spec(dim, rng):
-    matrix = np.zeros((2, dim))
-    matrix[UNK_INDEX] = uniform(rng, (dim,))
-    trainable = np.array([False, True])
-    return EmbeddingSpec(["<pad>", "<unk>"], matrix, trainable)
-
-
-def build_vocab_embedding(tokens, dim, rng):
-    """Random trainable embedding over the distinct tokens, in first-seen order."""
-    spec = _fresh_spec(dim, rng)
-    extend_with_tokens(spec, tokens, rng)
-    return spec
-
-
-def load_pretrained_vectors(path, dim, rng, corpus_tokens=None, trainable=False):
-    """Read whitespace-separated "token v1 .. v_dim" lines into an embedding.
-
-    With `corpus_tokens`, the vocabulary is pad/unk + those tokens, rows
-    filled from the file where available (frozen unless `trainable`) and
-    uniform(-0.05, 0.05) trainable rows otherwise. Without it, the
-    vocabulary is pad/unk + every file token. Returns (spec, coverage)
-    where coverage is the fraction of corpus tokens found in the file.
-    """
+def read_vectors(path, dim):
+    """{token: vector} from whitespace-separated "token v1 .. v_dim" lines."""
     vectors = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -96,60 +72,47 @@ def load_pretrained_vectors(path, dim, rng, corpus_tokens=None, trainable=False)
             if not np.isfinite(vec).all():
                 raise DataFormatError(f"{path}:{lineno}: non-finite component")
             vectors[parts[0]] = vec
-
     if not vectors:
         warnings.warn(f"vector file {path} is empty; embeddings will be random")
+    return vectors
 
-    spec = _fresh_spec(dim, rng)
-    wanted = list(dict.fromkeys(corpus_tokens)) if corpus_tokens is not None else list(vectors)
-    hits = 0
-    rows, flags = [], []
-    for tok in wanted:
-        vec = vectors.get(tok, vectors.get(tok.lower()))
+
+def build_vocabulary(config, examples, rng):
+    """(Vocabulary, word rows) of a training set.
+
+    The words are pad, unk and the distinct passage and question tokens in
+    first-seen order. A word found in `config.vectors` (as is, else
+    lowercased) takes its vector and is trainable unless `freeze_pretrained`;
+    unk and every other word draw a trainable uniform(-0.05, 0.05) row from
+    `rng`, in word order. Tag vocabularies are built only for enabled tags.
+    """
+    config.validate()
+    tokens = [t for ex in examples for seq in (ex.passage_tokens, ex.question_tokens)
+              for t in seq]
+    vectors = read_vectors(config.vectors, config.word_dim) if config.vectors else {}
+    words = ["<pad>", "<unk>"] + [t for t in dict.fromkeys(tokens) if t not in ("<pad>", "<unk>")]
+    found = [None, None] + [vectors.get(t, vectors.get(t.lower())) for t in words[2:]]
+    misses = [i for i, vec in enumerate(found) if vec is None and i > 0]
+    rows = np.zeros((len(words), config.word_dim))
+    rows[misses] = uniform(rng, (len(misses), config.word_dim))  # one draw, in word order
+    for i, vec in enumerate(found):
         if vec is not None:
-            hits += 1
-            rows.append(vec)
-            flags.append(bool(trainable))
-        else:
-            rows.append(uniform(rng, (dim,)))
-            flags.append(True)
-        spec.tokens.append(tok)
-    if rows:
-        spec.matrix = np.vstack([spec.matrix, np.array(rows)])
-        spec.trainable = np.concatenate([spec.trainable, np.array(flags)])
-    spec.__post_init__()
-    coverage = hits / len(wanted) if wanted else 0.0
-    return spec, coverage
-
-
-def extend_with_tokens(spec, tokens, rng):
-    """Add unseen tokens as uniform trainable rows; returns coverage of the input."""
-    known = set(spec.tokens)
-    fresh, hits, total = [], 0, 0
-    queued = set()
-    for tok in tokens:
-        total += 1
-        if tok in known:
-            hits += 1
-        elif tok not in queued:
-            queued.add(tok)
-            fresh.append(tok)
-    if fresh:
-        spec.tokens.extend(fresh)
-        spec.matrix = np.vstack([spec.matrix, uniform(rng, (len(fresh), spec.dim))])
-        spec.trainable = np.concatenate([spec.trainable, np.ones(len(fresh), dtype=bool)])
-        spec.__post_init__()
-    return hits / total if total else 1.0
-
-
-def build_char_vocab(tokens):
-    """Char -> index map over the training tokens; 0 pad, 1 unk."""
+            rows[i] = vec
+    trainable = [0] + [1 if vec is None else int(not config.freeze_pretrained) for vec in found[1:]]
     chars = {}
-    for tok in tokens:
-        for ch in tok:
-            if ch not in chars:
-                chars[ch] = len(chars) + 2
-    return chars
+    for ch in "".join(tokens):
+        chars.setdefault(ch, len(chars) + 2)
+
+    def tag_vocab(*attrs):
+        vocab = {}
+        for tag in (t for ex in examples for a in attrs for t in getattr(ex, a) or []):
+            vocab.setdefault(tag, len(vocab) + 1)
+        return vocab
+
+    vocab = Vocabulary(words, trainable, chars,
+                       tag_vocab("passage_pos", "question_pos") if config.use_pos else {},
+                       tag_vocab("passage_ner", "question_ner") if config.use_ner else {})
+    return vocab, rows
 
 
 def exact_match_features(passage_tokens, question_tokens):
@@ -243,26 +206,25 @@ class CharCNN:
 
 class FeatureExtractor:
     """Maps token sequences to the model's input feature rows, `width` wide:
-    the word vectors' dimension, the config's char filters, the exact-match
-    bit and feat_dim per enabled tag slot."""
+    the config's word_dim and char filters, the exact-match bit and feat_dim
+    per enabled tag slot. `word_rows` are the initial word vectors, one per
+    word of the Vocabulary."""
 
-    def __init__(self, params, word_spec, char_vocab, config, rng,
-                 pos_vocab=None, ner_vocab=None):
+    def __init__(self, params, vocab, word_rows, config, rng):
         self.config = config
-        self.word_spec = word_spec
+        self.vocab = vocab
+        self.word_index = {tok: i for i, tok in enumerate(vocab.word_tokens)}
         flags = config.use_pos + config.use_ner + config.use_qtype
-        self.width = word_spec.dim + config.char_filters + 1 + flags * config.feat_dim
-        word_mask = word_spec.trainable.astype(np.float64)[:, None]
-        self.word_emb = params.add("feat.word_emb", word_spec.matrix, grad_mask=word_mask)
-        self.char = CharCNN(params, "feat.char", char_vocab, config, rng)
-        self.pos_vocab = pos_vocab or {}
-        self.ner_vocab = ner_vocab or {}
+        self.width = config.word_dim + config.char_filters + 1 + flags * config.feat_dim
+        word_mask = np.array(vocab.word_trainable, dtype=np.float64)[:, None]
+        self.word_emb = params.add("feat.word_emb", word_rows, grad_mask=word_mask)
+        self.char = CharCNN(params, "feat.char", vocab.char_vocab, config, rng)
         if config.use_pos:
             self.pos_emb = params.add(
-                "feat.pos_emb", uniform(rng, (len(self.pos_vocab) + 1, config.feat_dim)))
+                "feat.pos_emb", uniform(rng, (len(vocab.pos_vocab) + 1, config.feat_dim)))
         if config.use_ner:
             self.ner_emb = params.add(
-                "feat.ner_emb", uniform(rng, (len(self.ner_vocab) + 1, config.feat_dim)))
+                "feat.ner_emb", uniform(rng, (len(vocab.ner_vocab) + 1, config.feat_dim)))
         if config.use_qtype:
             self.qtype_emb = params.add(
                 "feat.qtype_emb", uniform(rng, (len(QUESTION_TYPES), config.feat_dim)))
@@ -289,15 +251,17 @@ class FeatureExtractor:
 
         distinct = {}
         slots = [distinct.setdefault(t, len(distinct)) for t in tokens]
-        word_idx = np.array([self.word_spec.index_of(t) for t in distinct])[slots]
+        index = self.word_index
+        word_idx = np.array([index.get(t, index.get(t.lower(), UNK_INDEX))
+                             for t in distinct])[slots]
         parts = [T.gather_rows(self.word_emb, word_idx),
                  T.gather_rows(self.char(list(distinct)), slots)]
         em = np.zeros(n) if em_bits is None else np.concatenate(em_bits)
         parts.append(Tensor(np.asarray(em, dtype=np.float64).reshape(n, 1)))
         if self.config.use_pos:
-            parts.append(self._tag_part(self.pos_emb, self.pos_vocab, pos, sequences))
+            parts.append(self._tag_part(self.pos_emb, self.vocab.pos_vocab, pos, sequences))
         if self.config.use_ner:
-            parts.append(self._tag_part(self.ner_emb, self.ner_vocab, ner, sequences))
+            parts.append(self._tag_part(self.ner_emb, self.vocab.ner_vocab, ner, sequences))
         if self.config.use_qtype:
             if side == "question":
                 types = [QUESTION_TYPES.index(question_type(seq)) for seq in sequences]

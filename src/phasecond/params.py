@@ -73,4 +73,4 @@ class ParamSet:
         for name, mask in self._grad_masks.items():
             t = self._params[name]
             if t.grad is not None:
-                t.grad = t.grad * mask
+                t.grad *= mask

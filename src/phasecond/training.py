@@ -14,15 +14,15 @@ import json
 import logging
 import os
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .conductor import build_model, forward, gold_loss
 from .config import RunConfig, config_hash, to_text
 from .data import evaluate
-from .errors import CheckpointError, DataError, NumericsError
-from .features import EmbeddingSpec
+from .errors import CheckpointError, ConfigError, DataError, NumericsError
+from .features import Vocabulary
 from .tensor import backward
 
 log = logging.getLogger(__name__)
@@ -77,7 +77,7 @@ def clip_gradients(params, max_norm):
         scale = max_norm / norm
         for _, t in params.items():
             if t.grad is not None:
-                t.grad = t.grad * scale
+                t.grad *= scale
     return norm
 
 
@@ -105,8 +105,11 @@ class TrainResult:
 
 
 def train(model, train_examples, dev_examples, config, run_dir=None):
-    """Optimize the model and leave it at its best epoch; returns the metric history."""
+    """Optimize the model and leave it at its best epoch; returns the metric history.
+    `config` must be the model's own config."""
     config.validate()
+    if config != model.config:
+        raise ConfigError("train() config differs from the config the model was built with")
     if not train_examples:
         raise DataError("training set is empty")
     if not dev_examples:
@@ -240,13 +243,7 @@ def save_checkpoint(model, state, path, epoch=0, best_dev_em=0.0, lr_history=())
         "epoch": epoch,
         "best_dev_em": best_dev_em,
         "lr_history": list(lr_history),
-        "vocab": {
-            "word_tokens": model.word_spec.tokens,
-            "word_trainable": [int(b) for b in model.word_spec.trainable],
-            "char_vocab": model.char_vocab,
-            "pos_vocab": model.pos_vocab,
-            "ner_vocab": model.ner_vocab,
-        },
+        "vocab": asdict(model.vocab),
         "adam": {
             "lr": state.lr,
             "beta1": state.beta1,
@@ -264,7 +261,7 @@ def save_checkpoint(model, state, path, epoch=0, best_dev_em=0.0, lr_history=())
     os.replace(tmp, path)
 
 
-def load_checkpoint(path, expected_config_hash=None):
+def load_checkpoint(path):
     """Read a checkpoint payload; verifies integrity and the config hash."""
     try:
         with np.load(path, allow_pickle=False) as npz:
@@ -288,11 +285,6 @@ def load_checkpoint(path, expected_config_hash=None):
         raise CheckpointError(
             f"{path}: stored config does not match the stored config hash "
             f"{payload['config_hash'][:12]}...; refusing to load")
-    if expected_config_hash is not None and payload["config_hash"] != expected_config_hash:
-        raise CheckpointError(
-            f"{path}: checkpoint was produced under a different configuration "
-            f"(hash {payload['config_hash'][:12]}... != expected "
-            f"{expected_config_hash[:12]}...); refusing to load")
     sections = {"params": {}, "m": {}, "v": {}}
     for key, arr in arrays.items():
         section, _, name = key.partition("/")
@@ -330,15 +322,12 @@ def restore_model(path):
     """Rebuild the full model (and Adam state) a checkpoint describes."""
     payload = load_checkpoint(path)
     config = RunConfig(**payload["config"])
-    vocab = payload["vocab"]
-    trainable = np.array([bool(b) for b in vocab["word_trainable"]])
-    word_spec = EmbeddingSpec(
-        tokens=list(vocab["word_tokens"]),
-        matrix=np.zeros((len(vocab["word_tokens"]), config.word_dim)),
-        trainable=trainable)
-    model = build_model(config, word_spec, dict(vocab["char_vocab"]),
-                        pos_vocab=dict(vocab["pos_vocab"]) or None,
-                        ner_vocab=dict(vocab["ner_vocab"]) or None)
+    try:
+        vocab = Vocabulary(**payload["vocab"])
+    except TypeError as exc:
+        raise CheckpointError(f"{path}: stored vocab is not a Vocabulary: {exc}") from None
+    # the zero word rows are placeholders that load_into overwrites
+    model = build_model(config, vocab, np.zeros((len(vocab.word_tokens), config.word_dim)))
     load_into(model, payload["params"])
     adam = payload["adam"]
     state = AdamState(lr=adam["lr"], beta1=adam["beta1"], beta2=adam["beta2"],

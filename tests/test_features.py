@@ -1,3 +1,6 @@
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -6,12 +9,10 @@ from phasecond.config import RunConfig
 from phasecond.errors import DataError, DataFormatError
 from phasecond.features import (
     FeatureExtractor,
-    build_char_vocab,
-    build_vocab_embedding,
+    build_vocabulary,
     exact_match_features,
-    extend_with_tokens,
-    load_pretrained_vectors,
     question_type,
+    read_vectors,
 )
 from phasecond.params import ParamSet
 from phasecond.tensor import Tensor, backward, grad_check
@@ -24,68 +25,110 @@ def small_cfg(**over):
     return RunConfig(**base)
 
 
-def make_extractor(tokens, cfg=None, seed=0):
+def passages(*token_lists):
+    """Examples that carry only tokens, as build_vocabulary reads them."""
+    return [SimpleNamespace(passage_tokens=list(toks), question_tokens=[], passage_pos=None,
+                            question_pos=None, passage_ner=None, question_ner=None)
+            for toks in token_lists]
+
+
+def make_extractor(tokens, cfg=None, seed=0, **tag_vocabs):
     cfg = cfg or small_cfg()
     rng = np.random.default_rng(seed)
-    spec = build_vocab_embedding(tokens, cfg.word_dim, rng)
+    vocab, rows = build_vocabulary(cfg, passages(tokens), rng)
     params = ParamSet()
-    ext = FeatureExtractor(params, spec, build_char_vocab(tokens), cfg, rng)
+    ext = FeatureExtractor(params, dataclasses.replace(vocab, **tag_vocabs), rows, cfg, rng)
     return ext, params
 
 
 class TestPretrainedVectors:
     def test_direct_read(self, tmp_path):
         path = tmp_path / "vecs.txt"
-        path.write_text("hello 1 2 3\nworld 4 5 6\n")
-        spec, coverage = load_pretrained_vectors(path, 3, np.random.default_rng(0))
-        assert spec.tokens == ["<pad>", "<unk>", "hello", "world"]
-        assert spec.matrix[2].tolist() == [1.0, 2.0, 3.0]
-        assert spec.matrix[3].tolist() == [4.0, 5.0, 6.0]
-        assert not spec.trainable[2] and not spec.trainable[3]
-        assert coverage == 1.0
+        path.write_text("hello 1 2 3\n\nworld 4 5 6\n")
+        vectors = read_vectors(path, 3)
+        assert list(vectors) == ["hello", "world"]
+        assert vectors["hello"].tolist() == [1.0, 2.0, 3.0]
+        assert vectors["world"].tolist() == [4.0, 5.0, 6.0]
 
     def test_missing_corpus_token_gets_random_trainable_row(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("hello 1 2 3\n")
-        spec, coverage = load_pretrained_vectors(
-            path, 3, np.random.default_rng(1), corpus_tokens=["hello", "zzz"])
-        assert coverage == 0.5
-        zzz = spec.matrix[spec.index_of("zzz")]
-        assert np.all(np.abs(zzz) <= 0.05)
-        assert spec.trainable[spec.index_of("zzz")]
+        cfg = small_cfg(word_dim=3, vectors=str(path))
+        vocab, rows = build_vocabulary(cfg, passages(["Hello", "zzz"]),
+                                       np.random.default_rng(1))
+        assert vocab.word_tokens == ["<pad>", "<unk>", "Hello", "zzz"]
+        assert rows[2].tolist() == [1.0, 2.0, 3.0]  # found lowercased
+        assert np.all(np.abs(rows[3]) <= 0.05)
+        assert vocab.word_trainable == [0, 1, 0, 1]
+        trainable = dataclasses.replace(cfg, freeze_pretrained=False)
+        assert build_vocabulary(trainable, passages(["Hello", "zzz"]),
+                                np.random.default_rng(1))[0].word_trainable == [0, 1, 1, 1]
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("ok 1 2 3\nbad 1 two 3\n")
         with pytest.raises(DataFormatError, match=":2:"):
-            load_pretrained_vectors(path, 3, np.random.default_rng(2))
+            read_vectors(path, 3)
 
     @pytest.mark.parametrize("component", ["nan", "inf", "-inf"])
     def test_non_finite_component_reports_line_number(self, tmp_path, component):
         path = tmp_path / "vecs.txt"
         path.write_text(f"ok 1 2 3\nbad 1 {component} 3\n")
         with pytest.raises(DataFormatError, match=r"vecs\.txt:2: non-finite"):
-            load_pretrained_vectors(path, 3, np.random.default_rng(2))
+            read_vectors(path, 3)
 
     def test_dim_mismatch(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("short 1 2\n")
         with pytest.raises(DataFormatError, match="expected 3 components"):
-            load_pretrained_vectors(path, 3, np.random.default_rng(3))
+            read_vectors(path, 3)
 
     def test_empty_file_warns(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("")
         with pytest.warns(UserWarning, match="empty"):
-            spec, _ = load_pretrained_vectors(path, 3, np.random.default_rng(4))
-        assert spec.tokens == ["<pad>", "<unk>"]
+            assert read_vectors(path, 3) == {}
 
-    def test_extend_coverage(self):
-        rng = np.random.default_rng(5)
-        spec = build_vocab_embedding(["a", "b"], 4, rng)
-        coverage = extend_with_tokens(spec, ["a", "c", "c"], rng)
-        assert coverage == pytest.approx(1 / 3)
-        assert "c" in spec.tokens
+
+class TestBuildVocabulary:
+    def test_rows_are_one_draw_without_vectors(self):
+        cfg = small_cfg()
+        vocab, rows = build_vocabulary(cfg, passages(["b", "a", "b"], ["c", "a"]),
+                                       np.random.default_rng(3))
+        assert vocab.word_tokens == ["<pad>", "<unk>", "b", "a", "c"]
+        assert vocab.word_trainable == [0, 1, 1, 1, 1]
+        assert np.all(rows[0] == 0.0)
+        draw = np.random.default_rng(3).uniform(-0.05, 0.05, (4, cfg.word_dim))
+        assert rows[1:].tobytes() == draw.tobytes()
+
+    def test_only_misses_draw_with_vectors(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("a 1 2 3\nc 4 5 6\n")
+        cfg = small_cfg(word_dim=3, vectors=str(path))
+        vocab, rows = build_vocabulary(cfg, passages(["b", "a", "d", "c"]),
+                                       np.random.default_rng(4))
+        assert vocab.word_tokens == ["<pad>", "<unk>", "b", "a", "d", "c"]
+        draw = np.random.default_rng(4).uniform(-0.05, 0.05, (3, 3))  # unk, b, d
+        assert rows[[1, 2, 4]].tobytes() == draw.tobytes()
+        assert rows[[3, 5]].tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+
+    def test_corpus_pad_and_unk_tokens_are_not_repeated(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("a 1 2 3\n")
+        for cfg in (small_cfg(word_dim=3), small_cfg(word_dim=3, vectors=str(path))):
+            vocab, rows = build_vocabulary(cfg, passages(["<unk>", "a", "<pad>"]),
+                                           np.random.default_rng(5))
+            assert vocab.word_tokens == ["<pad>", "<unk>", "a"]
+            assert rows.shape == (3, 3)
+
+    def test_char_and_tag_vocabularies(self):
+        ex = SimpleNamespace(passage_tokens=["ab", "ba"], question_tokens=["c"],
+                             passage_pos=["NN", "VB"], question_pos=None,
+                             passage_ner=None, question_ner=["O"])
+        vocab, _ = build_vocabulary(small_cfg(use_pos=True), [ex], np.random.default_rng(0))
+        assert vocab.char_vocab == {"a": 2, "b": 3, "c": 4}
+        assert vocab.pos_vocab == {"NN": 1, "VB": 2}
+        assert vocab.ner_vocab == {}  # use_ner is off
 
 
 class TestExactMatch:
@@ -126,10 +169,7 @@ class TestQuestionType:
 class TestEmbedSequence:
     def test_width_word_char_em(self):
         cfg = RunConfig(word_dim=100, char_dim=4, char_filters=100, use_qtype=False)
-        rng = np.random.default_rng(6)
-        spec = build_vocab_embedding(["a", "b", "c"], 100, rng)
-        params = ParamSet()
-        ext = FeatureExtractor(params, spec, build_char_vocab(["a", "b", "c"]), cfg, rng)
+        ext, _ = make_extractor(["a", "b", "c"], cfg=cfg, seed=6)
         out = ext.embed_sequence([["a", "b", "c"]], side="passage")
         assert out.data.shape == (3, 201)
 
@@ -156,11 +196,7 @@ class TestEmbedSequence:
 
     def test_pos_tags_checked_and_embedded(self):
         cfg = small_cfg(use_pos=True)
-        rng = np.random.default_rng(8)
-        spec = build_vocab_embedding(["dog", "ran"], cfg.word_dim, rng)
-        params = ParamSet()
-        ext = FeatureExtractor(params, spec, build_char_vocab(["dog", "ran"]), cfg, rng,
-                               pos_vocab={"NN": 1, "VB": 2})
+        ext, _ = make_extractor(["dog", "ran"], cfg=cfg, seed=8, pos_vocab={"NN": 1, "VB": 2})
         out = ext.embed_sequence([["dog", "ran"]], side="passage", pos=[["NN", "VB"]])
         assert out.data.shape == (2, ext.width)
         with pytest.raises(DataError):
@@ -189,10 +225,7 @@ class TestEmbedSequence:
 
     def test_sequence_without_tags_gets_zero_rows(self):
         cfg = small_cfg(use_pos=True)
-        rng = np.random.default_rng(8)
-        spec = build_vocab_embedding(["dog", "ran"], cfg.word_dim, rng)
-        ext = FeatureExtractor(ParamSet(), spec, build_char_vocab(["dog", "ran"]), cfg, rng,
-                               pos_vocab={"NN": 1, "VB": 2})
+        ext, _ = make_extractor(["dog", "ran"], cfg=cfg, seed=8, pos_vocab={"NN": 1, "VB": 2})
         out = ext.embed_sequence([["dog"], ["ran", "dog"]], side="passage",
                                  pos=[None, ["VB", "NN"]])
         tags = out.data[:, -cfg.feat_dim:]

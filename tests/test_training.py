@@ -50,7 +50,8 @@ def adam_oracle(grads, lr, b1=0.9, b2=0.999, eps=1e-8):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("char_width", 0), ("char_width", -1), ("char_dim", 0), ("char_filters", 0), ("epochs", 0)])
+    ("char_width", 0), ("char_width", -1), ("char_dim", 0), ("char_filters", 0), ("epochs", 0),
+    ("word_dim", 0), ("word_dim", -1), ("feat_dim", 0), ("feat_dim", -2)])
 def test_config_values_below_one_rejected_before_any_work(field, value):
     data = tiny_dataset(n=2)
     cfg = small_config(**{field: value})
@@ -59,6 +60,13 @@ def test_config_values_below_one_rejected_before_any_work(field, value):
     model = build_from_examples(small_config(), data)
     with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
         train(model, data, data, cfg)
+
+
+def test_train_refuses_a_config_other_than_the_models():
+    data = tiny_dataset(n=2)
+    model = build_from_examples(small_config(), data)
+    with pytest.raises(ConfigError, match="differs"):
+        train(model, data, data, small_config(dropout=0.5))
 
 
 class TestAdam:
@@ -353,10 +361,34 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(str(edited))
 
-    def test_config_hash_guard(self, tmp_path):
+    def test_tagged_model_roundtrips_its_vocabulary(self, tmp_path):
+        data = tiny_dataset(n=4, seed=8)
+        for i, ex in enumerate(data):
+            ex.passage_pos = ["NN" if (i + j) % 2 else "VB" for j in range(len(ex.passage_tokens))]
+            ex.question_ner = ["O"] * (i % 2) * len(ex.question_tokens) or None
+        model = build_from_examples(small_config(use_pos=True, use_ner=True), data)
+        assert model.vocab.pos_vocab == {"VB": 1, "NN": 2} and model.vocab.ner_vocab == {"O": 1}
+        path = str(tmp_path / "tagged.ckpt")
+        save_checkpoint(model, AdamState(lr=0.1), path)
+        restored, _ = restore_model(path)
+        assert restored.vocab == model.vocab
+        for name, t in model.params.items():
+            assert np.array_equal(restored.params[name].data, t.data), name
+        before, after = forward(model, data[1]), forward(restored, data[1])
+        assert np.array_equal(before.start_dist, after.start_dist)
+
+    def test_vocab_section_missing_a_key_rejected(self, tmp_path):
         model, data, result = self.build_trained(tmp_path)
-        with pytest.raises(CheckpointError, match="different configuration"):
-            load_checkpoint(result.checkpoint_path, expected_config_hash="0" * 64)
+        with np.load(result.checkpoint_path) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        meta = json.loads(str(arrays["meta"]))
+        del meta["vocab"]["char_vocab"]
+        arrays["meta"] = np.array(json.dumps(meta))
+        edited = tmp_path / "edited.ckpt"
+        with open(edited, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(CheckpointError, match="not a Vocabulary"):
+            restore_model(str(edited))
 
     def test_shape_mismatch_names_parameter(self, tmp_path):
         model, data, result = self.build_trained(tmp_path)
