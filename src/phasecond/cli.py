@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .conductor import forward, parse_path
+from .conductor import build_from_examples, forward, parse_path
 from .config import RunConfig, apply_overrides, from_file
 from .data import (
     QAExample,
@@ -32,6 +32,7 @@ from .errors import (
     PathValidationError,
     PhaseCondError,
 )
+from .training import predict, restore_model, train
 from .verification import THRESHOLD, run_grad_checks
 
 log = logging.getLogger(__name__)
@@ -65,9 +66,6 @@ def build_config(args):
 
 
 def cmd_train(args):
-    from .conductor import build_from_examples
-    from .training import train
-
     cfg = build_config(args)
     if not cfg.train_data:
         raise ConfigError("train requires --train-data (or train_data in the config)")
@@ -88,21 +86,12 @@ def cmd_train(args):
     return 1 if result.status == "halted_nonfinite" else 0
 
 
-def _restore(checkpoint):
-    from .training import restore_model
-
-    model, _state = restore_model(checkpoint)
-    return model
-
-
 def cmd_evaluate(args):
-    from .training import predict
-
     if bool(args.checkpoint) == bool(args.predictions):
         raise ConfigError("evaluate needs exactly one of --checkpoint or --predictions")
     examples = load_dataset(args.data)
     if args.checkpoint:
-        predictions = predict(_restore(args.checkpoint), examples)
+        predictions = predict(restore_model(args.checkpoint)[0], examples)
     else:
         with open(args.predictions, encoding="utf-8") as fh:
             predictions = json.load(fh)
@@ -121,9 +110,7 @@ def cmd_evaluate(args):
 
 
 def cmd_predict(args):
-    from .training import predict
-
-    model = _restore(args.checkpoint)
+    model = restore_model(args.checkpoint)[0]
     examples = load_dataset(args.data)
     predictions = predict(model, examples)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -191,7 +178,7 @@ def dump_attention(model, example, out_dir, write_csv=False):
 
 
 def cmd_dump_attention(args):
-    model = _restore(args.checkpoint)
+    model = restore_model(args.checkpoint)[0]
     if args.example_id:
         if not args.data:
             raise ConfigError("--example-id requires --data")

@@ -29,13 +29,12 @@ import numpy as np
 
 from . import tensor as T
 from .attention import qp_align, qp_represent, self_align, self_propagate
-from .config import config_hash
 from .encoders import EncoderPair
 from .errors import BuildError, PathSyntaxError, PathValidationError
 from .features import FeatureExtractor, build_vocabulary, exact_match_features
 from .fusion import InnerFusionLayer, OuterFusionStack
 from .params import ParamSet, xavier_uniform
-from .pointer import PointerHead, span_loss
+from .pointer import PointerHead, decode_span, span_loss
 
 STEP_NAMES = ("LQ", "LS", "Fi", "Fo")
 ATTENTION_STEPS = ("LQ", "LS")
@@ -186,7 +185,6 @@ class ModelAssembly:
         config.validate()
         self.path = path = parse_path(config.path)
         self.config = config
-        self.config_hash = config_hash(config)
         self.vocab = vocab
         self.params = ParamSet()
 
@@ -233,8 +231,7 @@ class ModelAssembly:
                 width = cat_width
 
         self.final_width = width
-        self.pointer = PointerHead(self.params, width, d2, config.pointer_hops,
-                                   rng, max_span=config.max_span)
+        self.pointer = PointerHead(self.params, width, d2, config.pointer_hops, rng)
 
     def parameter_count(self):
         return self.params.count()
@@ -304,12 +301,12 @@ def run_path(model, h, u, v, lengths, q_lengths):
 
 
 def _packed_pass(model, examples, rng):
-    """(scores, probs, spans, traces, lengths) of one pass over a minibatch.
+    """(scores, probs, traces, lengths) of one pass over a minibatch.
 
     This is where every dropout mask is applied: passage and question
     features, v, h, u and the path's output, each at `config.dropout`, from
     the uniforms of `_dropout_draws`. Dropout is on exactly when an `rng` is
-    passed and `config.dropout > 0`; spans are at most `config.max_span` long.
+    passed and `config.dropout > 0`.
     """
     rate = model.config.dropout
     d_p, d_q, d_v, d_h, d_u, d_out = _dropout_draws(model, examples, rng if rate > 0 else None)
@@ -338,12 +335,13 @@ def _packed_pass(model, examples, rng):
 
 
 def forward_batch(model, examples, rng=None):
-    """One ForwardResult per example of a minibatch."""
-    _, probs, spans, traces, lengths = _packed_pass(model, examples, rng)
-    ends = np.cumsum(lengths)
-    return [ForwardResult(start_dist=probs[end - n:end, 0], end_dist=probs[end - n:end, 1],
-                          span=span, trace=trace)
-            for n, end, span, trace in zip(lengths, ends, spans, traces)]
+    """One ForwardResult per example of a minibatch; spans are at most
+    `config.max_span` long."""
+    _, probs, traces, lengths = _packed_pass(model, examples, rng)
+    dists = [(probs[end - n:end, 0], probs[end - n:end, 1])
+             for n, end in zip(lengths, np.cumsum(lengths))]
+    return [ForwardResult(ps, pe, decode_span(ps, pe, model.config.max_span), trace)
+            for (ps, pe), trace in zip(dists, traces)]
 
 
 def forward(model, example, rng=None):
@@ -354,5 +352,5 @@ def forward(model, example, rng=None):
 def gold_loss(model, examples, rng=None):
     """The batch loss: the mean span loss of the examples' first gold spans,
     from one pass over the batch."""
-    scores, _, _, _, lengths = _packed_pass(model, examples, rng)
+    scores, _, _, lengths = _packed_pass(model, examples, rng)
     return span_loss(scores, lengths, [ex.gold_spans[0] for ex in examples])

@@ -77,12 +77,11 @@ def question_summary(v_independent, w_proj, w_score, lengths):
 class PointerHead:
     """Boundary predictor over the final passage representation."""
 
-    def __init__(self, params, passage_width, query_width, hops, rng, max_span):
+    def __init__(self, params, passage_width, query_width, hops, rng):
         if hops < 1:
             raise ConfigError(f"pointer needs at least one hop, got {hops}")
         self.width = passage_width
         self.hops = hops
-        self.max_span = max_span
         self.summary_proj = params.add(
             "ptr.summary.W", xavier_uniform(rng, (query_width, query_width)))
         self.summary_score = params.add(
@@ -116,9 +115,8 @@ class PointerHead:
         return T.matmul(hidden, v)
 
     def predict_span(self, h, q, lengths):
-        """(scores, probs, spans) of the last hop: the [sum n_k, 2] start and
-        end scores (a Tensor), their softmax per passage (an array), and the
-        span decoded from it for each passage.
+        """(scores, probs) of the last hop: the [sum n_k, 2] start and end
+        scores (a Tensor) and their softmax per passage (an array).
 
         h holds the passages' rows packed in order, passage k being lengths[k]
         rows long, and q holds one memory row per passage.
@@ -139,10 +137,8 @@ class PointerHead:
             p_end = T.segment_softmax(s_end, lengths)
             if t < self.hops:
                 q = self.memory(q, T.segment_weighted_sum(p_end, h, lengths))
-        probs, ends = np.concatenate([p_start.data, p_end.data], axis=1), np.cumsum(lengths)
-        spans = [decode_span(probs[end - k:end, 0], probs[end - k:end, 1], self.max_span)
-                 for k, end in zip(lengths, ends)]
-        return T.concat([s_start, s_end], axis=1), probs, spans
+        return (T.concat([s_start, s_end], axis=1),
+                np.concatenate([p_start.data, p_end.data], axis=1))
 
 
 def span_loss(scores, lengths, golds):

@@ -181,7 +181,8 @@ def train(model, train_examples, dev_examples, config, run_dir=None):
             break
 
     if best_params is not None:
-        load_into(model, best_params)
+        for name, t in model.params.items():
+            t.data[...] = best_params[name]
     return TrainResult(history=history, best_dev_em=best_em, best_epoch=best_epoch,
                        status=status, checkpoint_path=ckpt_path,
                        best_params=best_params)
@@ -235,22 +236,19 @@ def write_metrics_csv(history, path):
 # moment is a native float64 member named "<section>/<parameter name>".
 
 
+ADAM_SCALARS = ("lr", "beta1", "beta2", "eps", "step")
+
+
 def save_checkpoint(model, state, path, epoch=0, best_dev_em=0.0, lr_history=()):
     meta = {
         "format_version": CHECKPOINT_VERSION,
-        "config_hash": model.config_hash,
-        "config": {k: getattr(model.config, k) for k in vars(model.config)},
+        "config_hash": config_hash(model.config),
+        "config": asdict(model.config),
         "epoch": epoch,
         "best_dev_em": best_dev_em,
         "lr_history": list(lr_history),
         "vocab": asdict(model.vocab),
-        "adam": {
-            "lr": state.lr,
-            "beta1": state.beta1,
-            "beta2": state.beta2,
-            "eps": state.eps,
-            "step": state.step,
-        },
+        "adam": {key: getattr(state, key) for key in ADAM_SCALARS},
     }
     arrays = {f"params/{name}": t.data for name, t in model.params.items()}
     arrays.update({f"m/{name}": a for name, a in state.m.items()})
@@ -261,81 +259,61 @@ def save_checkpoint(model, state, path, epoch=0, best_dev_em=0.0, lr_history=())
     os.replace(tmp, path)
 
 
-def load_checkpoint(path):
-    """Read a checkpoint payload; verifies integrity and the config hash."""
+def restore_model(path):
+    """Verify a checkpoint and rebuild the model and Adam state it describes."""
     try:
-        with np.load(path, allow_pickle=False) as npz:
-            payload = json.loads(str(npz["meta"]))
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            meta = json.loads(str(npz["meta"]))
             arrays = {name: npz[name] for name in npz.files if name != "meta"}
     except (zipfile.BadZipFile, KeyError, ValueError, EOFError) as exc:
         raise CheckpointError(
             f"{path}: truncated or corrupt checkpoint (expected a version "
             f"{CHECKPOINT_VERSION} npz archive): {exc}") from None
-    if payload.get("format_version") != CHECKPOINT_VERSION:
+    if meta.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
-            f"{path}: unsupported checkpoint version {payload.get('format_version')}")
+            f"{path}: unsupported checkpoint version {meta.get('format_version')}")
     for key in ("config", "adam", "vocab", "config_hash"):
-        if key not in payload:
+        if key not in meta:
             raise CheckpointError(f"{path}: missing checkpoint section '{key}'")
+    if set(meta["adam"]) != set(ADAM_SCALARS):
+        raise CheckpointError(f"{path}: checkpoint section 'adam' holds {sorted(meta['adam'])}, "
+                              f"expected {list(ADAM_SCALARS)}")
     try:
-        stored_config = RunConfig(**payload["config"])
+        config = RunConfig(**meta["config"])
     except TypeError as exc:
         raise CheckpointError(f"{path}: stored config is not a RunConfig: {exc}") from None
-    if config_hash(stored_config) != payload["config_hash"]:
+    if config_hash(config) != meta["config_hash"]:
         raise CheckpointError(
             f"{path}: stored config does not match the stored config hash "
-            f"{payload['config_hash'][:12]}...; refusing to load")
-    sections = {"params": {}, "m": {}, "v": {}}
-    for key, arr in arrays.items():
-        section, _, name = key.partition("/")
-        if section not in sections or not name:
-            raise CheckpointError(f"{path}: unexpected checkpoint array '{key}'")
-        sections[section][name] = arr
-    payload["params"] = sections["params"]
-    payload["adam"]["m"] = sections["m"]
-    payload["adam"]["v"] = sections["v"]
-    return payload
-
-
-def _check_array(what, arr, shape):
-    if arr.shape != shape or arr.dtype != np.float64:
-        raise CheckpointError(
-            f"{what}: checkpoint array {arr.dtype} {arr.shape} does not match "
-            f"model float64 {shape}")
-
-
-def load_into(model, stored):
-    """Copy a name -> array mapping of parameters into an assembled model."""
-    names = set(model.params.names())
-    if set(stored) != names:
-        missing = names - set(stored)
-        extra = set(stored) - names
-        raise CheckpointError(
-            f"parameter sets differ (missing: {sorted(missing)[:3]}, "
-            f"unexpected: {sorted(extra)[:3]})")
-    for name, t in model.params.items():
-        _check_array(f"parameter {name}", stored[name], t.data.shape)
-        t.data[...] = stored[name]
-
-
-def restore_model(path):
-    """Rebuild the full model (and Adam state) a checkpoint describes."""
-    payload = load_checkpoint(path)
-    config = RunConfig(**payload["config"])
+            f"{meta['config_hash'][:12]}...; refusing to load")
     try:
-        vocab = Vocabulary(**payload["vocab"])
+        vocab = Vocabulary(**meta["vocab"])
     except TypeError as exc:
         raise CheckpointError(f"{path}: stored vocab is not a Vocabulary: {exc}") from None
-    # the zero word rows are placeholders that load_into overwrites
+    if len(vocab.word_trainable) != len(vocab.word_tokens):
+        raise CheckpointError(
+            f"{path}: stored vocab has {len(vocab.word_trainable)} trainable flags "
+            f"for {len(vocab.word_tokens)} words")
+
+    # the zero word rows are placeholders that the stored parameters overwrite
     model = build_model(config, vocab, np.zeros((len(vocab.word_tokens), config.word_dim)))
-    load_into(model, payload["params"])
-    adam = payload["adam"]
-    state = AdamState(lr=adam["lr"], beta1=adam["beta1"], beta2=adam["beta2"],
-                      eps=adam["eps"], step=adam["step"])
-    for moments, stored in ((state.m, adam["m"]), (state.v, adam["v"])):
-        for name, arr in stored.items():
-            if name not in model.params:
-                raise CheckpointError(f"Adam moment for unknown parameter {name}")
-            _check_array(f"Adam moment {name}", arr, model.params[name].data.shape)
-            moments[name] = arr
+    names = model.params.names()
+    required = {f"params/{name}" for name in names}
+    known = required | {f"{moment}/{name}" for moment in ("m", "v") for name in names}
+    if not required <= set(arrays) <= known:
+        raise CheckpointError(
+            f"{path}: checkpoint arrays differ from the model's parameters (missing: "
+            f"{sorted(required - set(arrays))[:3]}, unexpected: {sorted(set(arrays) - known)[:3]})")
+    state = AdamState(**meta["adam"])
+    for key, arr in arrays.items():
+        section, _, name = key.partition("/")
+        t = model.params[name]
+        if arr.shape != t.data.shape or arr.dtype != np.float64:
+            raise CheckpointError(
+                f"{path}: {key}: checkpoint array {arr.dtype} {arr.shape} does not match "
+                f"model float64 {t.data.shape}")
+        if section == "params":
+            t.data[...] = arr
+        else:
+            getattr(state, section)[name] = arr
     return model, state

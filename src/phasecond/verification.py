@@ -103,7 +103,7 @@ def run_grad_checks(seed=0):
 
     # pointer head through the span loss
     params_ptr = ParamSet()
-    head = PointerHead(params_ptr, 4, 4, 2, rng, RunConfig().max_span)
+    head = PointerHead(params_ptr, 4, 4, 2, rng)
     v_q = Tensor(rng.standard_normal((3, 4)))
 
     def pointer_loss(t):

@@ -154,8 +154,9 @@ class TestDumpAttention:
 
     def test_matrices_validate_against_published_schema(self, workspace, tmp_path):
         _, out = self.dump(workspace, tmp_path)
-        schema = json.loads(open(
-            os.path.join(ROOT, "docs", "attention_dump_schema.json")).read())
+        with open(os.path.join(ROOT, "docs", "attention_dump_schema.json"),
+                  encoding="utf-8") as fh:
+            schema = json.load(fh)
         for name in ("qp_1", "qp_2", "self_1", "self_2"):
             record = json.loads((out / f"{name}.json").read_text())
             jsonschema.validate(record, schema)

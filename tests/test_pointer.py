@@ -25,10 +25,9 @@ def brute_force_span(ps, pe, max_span):
     return best, best_score
 
 
-def make_head(width=4, query_width=4, hops=2, seed=0, max_span=15):
+def make_head(width=4, query_width=4, hops=2, seed=0):
     params = ParamSet()
-    head = PointerHead(params, width, query_width, hops, np.random.default_rng(seed),
-                       max_span=max_span)
+    head = PointerHead(params, width, query_width, hops, np.random.default_rng(seed))
     return head, params
 
 
@@ -91,11 +90,10 @@ class TestPredictSpan:
             rng = np.random.default_rng(5)
             h = Tensor(rng.standard_normal((5, 6)))
             q = head.initial_query(Tensor(rng.standard_normal((3, 4))), [3])
-            scores, probs, [span] = head.predict_span(h, q, [5])
+            scores, probs = head.predict_span(h, q, [5])
             assert scores.data.shape == probs.shape == (5, 2)
             assert np.all(probs >= 0)
             assert np.all(np.abs(probs.sum(axis=0) - 1.0) <= 1e-9)
-            assert 0 <= span.start <= span.end < 5
 
     def test_uniform_scores_give_uniform_distribution(self):
         head, params = make_head(width=4, hops=1, seed=6)
@@ -103,7 +101,7 @@ class TestPredictSpan:
         rng = np.random.default_rng(7)
         h = Tensor(rng.standard_normal((4, 4)))
         q = Tensor(rng.standard_normal((1, 4)))
-        _, probs, _ = head.predict_span(h, q, [4])
+        _, probs = head.predict_span(h, q, [4])
         assert np.allclose(probs[:, 0], 0.25)
 
     def test_adapter_reconciles_query_width(self):
@@ -120,27 +118,24 @@ class TestPredictSpan:
         h = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
 
         def f(t):
-            scores, _, _ = head.predict_span(t, head.initial_query(q_src, [3]), [5])
+            scores, _ = head.predict_span(t, head.initial_query(q_src, [3]), [5])
             return span_loss(scores, [5], [(1, 3)])
 
         assert grad_check(f, h) < 1e-4
 
     def test_packed_batch_matches_one_passage_at_a_time(self):
-        head, _ = make_head(width=6, query_width=4, hops=3, seed=15, max_span=3)
+        head, _ = make_head(width=6, query_width=4, hops=3, seed=15)
         rng = np.random.default_rng(16)
         lengths, q_lengths = [4, 1, 7, 2], [3, 1, 2, 5]
         passages = [Tensor(rng.standard_normal((n, 6))) for n in lengths]
         questions = [Tensor(rng.standard_normal((m, 4))) for m in q_lengths]
         query = head.initial_query(T.concat(questions, axis=0), q_lengths)
-        scores, probs, spans = head.predict_span(T.concat(passages, axis=0), query, lengths)
-        assert len(spans) == len(lengths)
+        scores, probs = head.predict_span(T.concat(passages, axis=0), query, lengths)
         ends = np.cumsum(lengths)
-        for h, v, span, n, m, end in zip(passages, questions, spans, lengths, q_lengths, ends):
-            alone_scores, alone_probs, [alone_span] = head.predict_span(
-                h, head.initial_query(v, [m]), [n])
+        for h, v, n, m, end in zip(passages, questions, lengths, q_lengths, ends):
+            alone_scores, alone_probs = head.predict_span(h, head.initial_query(v, [m]), [n])
             assert np.abs(probs[end - n:end] - alone_probs).max() <= 1e-12
             assert np.abs(scores.data[end - n:end] - alone_scores.data).max() <= 1e-12
-            assert (span.start, span.end) == (alone_span.start, alone_span.end)
 
     def test_packed_shapes_checked(self):
         head, _ = make_head(width=4)
@@ -181,7 +176,7 @@ class TestSpanLoss:
         head, _ = make_head(width=4, query_width=4, hops=3, seed=14)
         rng = np.random.default_rng(14)
         q = head.initial_query(Tensor(rng.standard_normal((2, 4))), [2])
-        scores, probs, _ = head.predict_span(Tensor(rng.standard_normal((4, 4))), q, [4])
+        scores, probs = head.predict_span(Tensor(rng.standard_normal((4, 4))), q, [4])
         loss = span_loss(scores, [4], [(1, 2)])
         assert loss.data == pytest.approx(-np.log(probs[1, 0]) - np.log(probs[2, 1]))
         assert loss.data >= 0

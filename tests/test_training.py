@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +18,6 @@ from phasecond.training import (
     _optimizer_step,
     adam_step,
     clip_gradients,
-    load_checkpoint,
-    load_into,
     restore_model,
     save_checkpoint,
     train,
@@ -268,6 +267,18 @@ class TestCheckpoint:
         result = train(model, data, data[:3], cfg, run_dir=str(tmp_path / "run"))
         return model, data, result
 
+    @staticmethod
+    def rewrite_meta(path, out, edit):
+        """Copy the checkpoint at path to out with edit(meta) applied to its meta."""
+        with np.load(path, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        meta = json.loads(str(arrays["meta"]))
+        edit(meta)
+        arrays["meta"] = np.array(json.dumps(meta))
+        with open(out, "wb") as fh:
+            np.savez(fh, **arrays)
+        return str(out)
+
     def test_roundtrip_forward_bitwise(self, tmp_path):
         model, data, result = self.build_trained(tmp_path)
         before = forward(model, data[0])
@@ -284,15 +295,15 @@ class TestCheckpoint:
 
     def test_truncated_file_integrity_error(self, tmp_path):
         model, data, result = self.build_trained(tmp_path)
-        blob = open(result.checkpoint_path, "rb").read()
+        blob = Path(result.checkpoint_path).read_bytes()
         bad = tmp_path / "broken.ckpt"
         bad.write_bytes(blob[:len(blob) // 2])
         with pytest.raises(CheckpointError, match="truncated|corrupt"):
-            load_checkpoint(str(bad))
+            restore_model(str(bad))
 
     def test_flipped_parameter_byte_integrity_error(self, tmp_path):
         model, data, result = self.build_trained(tmp_path)
-        blob = bytearray(open(result.checkpoint_path, "rb").read())
+        blob = bytearray(Path(result.checkpoint_path).read_bytes())
         stored = model.params["enc.indep.fw.W"].data.tobytes()
         at = blob.find(stored)
         assert at > 0
@@ -300,28 +311,25 @@ class TestCheckpoint:
         bad = tmp_path / "flipped.ckpt"
         bad.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="truncated|corrupt"):
-            load_checkpoint(str(bad))
+            restore_model(str(bad))
 
     def test_version_1_json_checkpoint_rejected(self, tmp_path):
         old = tmp_path / "v1.ckpt"
         old.write_text(json.dumps({"format_version": 1, "config": {}, "params": {},
                                    "adam": {}, "vocab": {}, "config_hash": ""}))
-        with pytest.raises(CheckpointError):
-            load_checkpoint(str(old))
+        with pytest.raises(CheckpointError, match="truncated|corrupt"):
+            restore_model(str(old))
 
     def test_version_2_checkpoint_rejected_with_its_version(self, tmp_path):
         model, data, result = self.build_trained(tmp_path)
-        with np.load(result.checkpoint_path, allow_pickle=False) as npz:
-            arrays = {name: npz[name] for name in npz.files}
-        meta = json.loads(str(arrays["meta"]))
-        assert "path" not in meta and meta["config"]["path"] == model.path.render()
-        meta.update(format_version=2, path=model.path.render())
-        arrays["meta"] = np.array(json.dumps(meta))
-        old = tmp_path / "v2.ckpt"
-        with open(old, "wb") as fh:
-            np.savez(fh, **arrays)
+
+        def to_version_2(meta):
+            assert "path" not in meta and meta["config"]["path"] == model.path.render()
+            meta.update(format_version=2, path=model.path.render())
+
+        old = self.rewrite_meta(result.checkpoint_path, tmp_path / "v2.ckpt", to_version_2)
         with pytest.raises(CheckpointError, match="version 2"):
-            load_checkpoint(str(old))
+            restore_model(old)
 
     def test_adam_moments_bitwise_and_writable(self, tmp_path):
         data = tiny_dataset(n=4, seed=5)
@@ -349,17 +357,14 @@ class TestCheckpoint:
     ])
     def test_edited_config_rejected(self, tmp_path, key, value, message):
         model, data, result = self.build_trained(tmp_path)
-        with np.load(result.checkpoint_path) as npz:
-            arrays = {name: npz[name] for name in npz.files}
-        meta = json.loads(str(arrays["meta"]))
-        assert meta["config"].get(key) != value
-        meta["config"][key] = value
-        arrays["meta"] = np.array(json.dumps(meta))
-        edited = tmp_path / "edited.ckpt"
-        with open(edited, "wb") as fh:
-            np.savez(fh, **arrays)
+
+        def set_key(meta):
+            assert meta["config"].get(key) != value
+            meta["config"][key] = value
+
+        edited = self.rewrite_meta(result.checkpoint_path, tmp_path / "edited.ckpt", set_key)
         with pytest.raises(CheckpointError, match=message):
-            load_checkpoint(str(edited))
+            restore_model(edited)
 
     def test_tagged_model_roundtrips_its_vocabulary(self, tmp_path):
         data = tiny_dataset(n=4, seed=8)
@@ -379,24 +384,47 @@ class TestCheckpoint:
 
     def test_vocab_section_missing_a_key_rejected(self, tmp_path):
         model, data, result = self.build_trained(tmp_path)
-        with np.load(result.checkpoint_path) as npz:
-            arrays = {name: npz[name] for name in npz.files}
-        meta = json.loads(str(arrays["meta"]))
-        del meta["vocab"]["char_vocab"]
-        arrays["meta"] = np.array(json.dumps(meta))
-        edited = tmp_path / "edited.ckpt"
-        with open(edited, "wb") as fh:
-            np.savez(fh, **arrays)
+        edited = self.rewrite_meta(result.checkpoint_path, tmp_path / "edited.ckpt",
+                                   lambda meta: meta["vocab"].pop("char_vocab"))
         with pytest.raises(CheckpointError, match="not a Vocabulary"):
-            restore_model(str(edited))
+            restore_model(edited)
+
+    def test_trainable_flags_must_match_words(self, tmp_path):
+        model, data, result = self.build_trained(tmp_path)
+        edited = self.rewrite_meta(result.checkpoint_path, tmp_path / "edited.ckpt",
+                                   lambda meta: meta["vocab"]["word_trainable"].pop())
+        with pytest.raises(CheckpointError, match="trainable flags"):
+            restore_model(edited)
+
+    def test_adam_section_missing_a_scalar_rejected(self, tmp_path):
+        model, data, result = self.build_trained(tmp_path)
+        edited = self.rewrite_meta(result.checkpoint_path, tmp_path / "edited.ckpt",
+                                   lambda meta: meta["adam"].pop("beta2"))
+        with pytest.raises(CheckpointError, match="'adam'"):
+            restore_model(edited)
 
     def test_shape_mismatch_names_parameter(self, tmp_path):
-        model, data, result = self.build_trained(tmp_path)
-        payload = load_checkpoint(result.checkpoint_path)
-        other_cfg = small_config(hidden=4, epochs=1)
-        other = build_from_examples(other_cfg, data)
-        with pytest.raises(CheckpointError, match="enc\\."):
-            load_into(other, payload["params"])
+        data = tiny_dataset(n=4, seed=5)
+        model = build_from_examples(small_config(epochs=1), data)
+        model.params["enc.indep.fw.W"].data = model.params["enc.indep.fw.W"].data[1:]
+        path = str(tmp_path / "short.ckpt")
+        save_checkpoint(model, AdamState(lr=0.1), path)
+        with pytest.raises(CheckpointError, match="enc\\.indep\\.fw\\.W"):
+            restore_model(path)
+
+    def test_arrays_must_match_the_parameters(self, tmp_path):
+        data = tiny_dataset(n=4, seed=5)
+        model = build_from_examples(small_config(epochs=1), data)
+        path = str(tmp_path / "ghost.ckpt")
+        save_checkpoint(model, AdamState(lr=0.1, m={"ghost": np.zeros(2)}), path)
+        with pytest.raises(CheckpointError, match=r"unexpected: \['m/ghost'\]"):
+            restore_model(path)
+        with np.load(path) as npz:
+            arrays = {k: npz[k] for k in npz.files if k not in ("m/ghost", "params/ptr.mem.b_c")}
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(CheckpointError, match=r"missing: \['params/ptr\.mem\.b_c'\]"):
+            restore_model(path)
 
     def test_run_dir_contains_artifacts(self, tmp_path):
         model, data, result = self.build_trained(tmp_path)
