@@ -179,18 +179,18 @@ class ForwardResult:
 
 class ModelAssembly:
     """Instantiated encoders, path steps, and pointer head over a Vocabulary;
-    `word_rows` initialize the word embedding."""
+    each parameter is the array `given` under its name, else drawn in
+    declaration order from a generator seeded with `config.seed`."""
 
-    def __init__(self, config, vocab, word_rows):
+    def __init__(self, config, vocab, given):
         config.validate()
         self.path = path = parse_path(config.path)
         self.config = config
         self.vocab = vocab
-        self.params = ParamSet()
+        self.params = ParamSet(np.random.default_rng(config.seed), given)
 
-        rng = np.random.default_rng(config.seed)
-        self.extractor = FeatureExtractor(self.params, vocab, word_rows, config, rng)
-        self.encoders = EncoderPair(self.params, self.extractor.width, config.hidden, rng)
+        self.extractor = FeatureExtractor(self.params, vocab, config)
+        self.encoders = EncoderPair(self.params, self.extractor.width, config.hidden)
 
         d2 = 2 * config.hidden
         width = d2
@@ -202,7 +202,7 @@ class ModelAssembly:
                 projection = None
                 if width != d2:
                     projection = self.params.add(
-                        f"path.s{i + 1}.lq_proj", xavier_uniform(rng, (width, d2)))
+                        f"path.s{i + 1}.lq_proj", (width, d2), xavier_uniform)
                 self.plan.append(PlanStep("LQ", layer_index=qp_count,
                                           projection=projection,
                                           in_width=width, out_width=d2))
@@ -217,34 +217,34 @@ class ModelAssembly:
                     raise BuildError(
                         f"step {i + 1}: inner fusion needs matching widths, but the "
                         f"preceding {prev.kind} maps {prev.in_width} -> {prev.out_width}")
-                fusion = InnerFusionLayer(self.params, f"path.s{i + 1}.fi",
-                                          prev.out_width, rng)
+                fusion = InnerFusionLayer(self.params, f"path.s{i + 1}.fi", prev.out_width)
                 self.plan.append(PlanStep("Fi", fusion=fusion,
                                           in_width=width, out_width=width))
             else:  # Fo
                 block = _fo_block(path.steps, i)
                 cat_width = sum(self.plan[j].out_width for j in block)
                 fusion = OuterFusionStack(self.params, f"path.s{i + 1}.fo",
-                                          cat_width, config.fusion_layers, rng)
+                                          cat_width, config.fusion_layers)
                 self.plan.append(PlanStep("Fo", fusion=fusion, block=tuple(block),
                                           in_width=width, out_width=cat_width))
                 width = cat_width
 
         self.final_width = width
-        self.pointer = PointerHead(self.params, width, d2, config.pointer_hops, rng)
+        self.pointer = PointerHead(self.params, width, d2, config.pointer_hops)
 
     def parameter_count(self):
         return self.params.count()
 
 
-def build_model(config, vocab, word_rows):
-    return ModelAssembly(config, vocab, word_rows)
+def build_model(config, vocab, given):
+    return ModelAssembly(config, vocab, given)
 
 
 def build_from_examples(config, examples):
-    """Assemble a model with the vocabulary of a training set."""
-    return build_model(config, *build_vocabulary(config, examples,
-                                                 np.random.default_rng(config.seed)))
+    """Assemble a model with the vocabulary of a training set; its word rows
+    come from a second generator seeded like the model's."""
+    vocab, rows = build_vocabulary(config, examples, np.random.default_rng(config.seed))
+    return build_model(config, vocab, {"feat.word_emb": rows})
 
 
 def _dropout_draws(model, examples, rng):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ShapeError
-from .params import orthogonal, xavier_uniform
+from .params import constant, orthogonal, xavier_uniform
 from .tensor import make_node, stable_sigmoid
 
 
@@ -126,17 +126,15 @@ def lstm_direction(x, w, u, b, lengths, reverse=False):
 class BiLSTMEncoder:
     """Forward and backward LSTM over packed sequences, states concatenated."""
 
-    def __init__(self, params, prefix, in_dim, hidden, rng):
+    def __init__(self, params, prefix, in_dim, hidden):
         self.in_dim = in_dim
         self.hidden = hidden
         self.cells = {}
         for direction in ("fw", "bw"):
-            w = params.add(f"{prefix}.{direction}.W", xavier_uniform(rng, (in_dim, 4 * hidden)))
-            u = params.add(f"{prefix}.{direction}.U", np.concatenate(
-                [orthogonal(rng, hidden, hidden) for _ in range(4)], axis=1))
-            bias = np.zeros(4 * hidden)
-            bias[hidden:2 * hidden] = 1.0  # forget gate open at init
-            b = params.add(f"{prefix}.{direction}.b", bias)
+            w = params.add(f"{prefix}.{direction}.W", (in_dim, 4 * hidden), xavier_uniform)
+            u = params.add(f"{prefix}.{direction}.U", (hidden, 4 * hidden), orthogonal)
+            b = params.add(f"{prefix}.{direction}.b", (4 * hidden,),  # forget gate open at init
+                           constant(np.repeat([0.0, 1.0, 0.0, 0.0], hidden)))
             self.cells[direction] = (w, u, b)
 
     def __call__(self, features, lengths):
@@ -159,9 +157,9 @@ class EncoderPair:
     back, with the sequences' lengths.
     """
 
-    def __init__(self, params, in_dim, hidden, rng):
-        self.independent = BiLSTMEncoder(params, "enc.indep", in_dim, hidden, rng)
-        self.shared = BiLSTMEncoder(params, "enc.shared", in_dim, hidden, rng)
+    def __init__(self, params, in_dim, hidden):
+        self.independent = BiLSTMEncoder(params, "enc.indep", in_dim, hidden)
+        self.shared = BiLSTMEncoder(params, "enc.shared", in_dim, hidden)
 
     def encode_independent_question(self, questions, lengths):
         """v: [sum m_k, 2d], packed like `questions`; parameters disjoint from the shared encoder."""

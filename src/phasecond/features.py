@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import DataError, DataFormatError
-from .params import uniform, xavier_uniform
+from .params import constant, uniform, xavier_uniform
 from .tensor import Tensor, make_node
 
 PAD_INDEX = 0
@@ -180,18 +180,18 @@ class CharCNN:
     """Per-word character encoder: embeddings, 1-d filters, max pool; sizes
     from the run config's char_dim, char_width and char_filters."""
 
-    def __init__(self, params, prefix, char_vocab, config, rng):
+    def __init__(self, params, prefix, char_vocab, config):
         self.char_vocab = char_vocab
         self.width = config.char_width
         n_chars = len(char_vocab) + 2
-        emb = uniform(rng, (n_chars, config.char_dim))
-        emb[PAD_INDEX] = 0.0
         mask = np.ones((n_chars, 1))
         mask[PAD_INDEX] = 0.0
-        self.emb = params.add(f"{prefix}.char_emb", emb, grad_mask=mask)
-        self.filters = params.add(f"{prefix}.filters", xavier_uniform(
-            rng, (config.char_width * config.char_dim, config.char_filters)))
-        self.bias = params.add(f"{prefix}.bias", np.zeros(config.char_filters))
+        self.emb = params.add(f"{prefix}.char_emb", (n_chars, config.char_dim),
+                              lambda rng, shape: np.where(mask, uniform(rng, shape), 0.0),
+                              grad_mask=mask)
+        self.filters = params.add(f"{prefix}.filters", (
+            config.char_width * config.char_dim, config.char_filters), xavier_uniform)
+        self.bias = params.add(f"{prefix}.bias", (config.char_filters,), constant(0.0))
 
     def __call__(self, tokens):
         lengths = np.array([max(len(t), self.width) for t in tokens])
@@ -207,27 +207,28 @@ class CharCNN:
 class FeatureExtractor:
     """Maps token sequences to the model's input feature rows, `width` wide:
     the config's word_dim and char filters, the exact-match bit and feat_dim
-    per enabled tag slot. `word_rows` are the initial word vectors, one per
-    word of the Vocabulary."""
+    per enabled tag slot. The word rows, one per word of the Vocabulary, are
+    the `feat.word_emb` array given to `params` (drawn uniform without one)."""
 
-    def __init__(self, params, vocab, word_rows, config, rng):
+    def __init__(self, params, vocab, config):
         self.config = config
         self.vocab = vocab
         self.word_index = {tok: i for i, tok in enumerate(vocab.word_tokens)}
         flags = config.use_pos + config.use_ner + config.use_qtype
         self.width = config.word_dim + config.char_filters + 1 + flags * config.feat_dim
         word_mask = np.array(vocab.word_trainable, dtype=np.float64)[:, None]
-        self.word_emb = params.add("feat.word_emb", word_rows, grad_mask=word_mask)
-        self.char = CharCNN(params, "feat.char", vocab.char_vocab, config, rng)
+        self.word_emb = params.add("feat.word_emb", (len(vocab.word_tokens), config.word_dim),
+                                   uniform, grad_mask=word_mask)
+        self.char = CharCNN(params, "feat.char", vocab.char_vocab, config)
         if config.use_pos:
             self.pos_emb = params.add(
-                "feat.pos_emb", uniform(rng, (len(vocab.pos_vocab) + 1, config.feat_dim)))
+                "feat.pos_emb", (len(vocab.pos_vocab) + 1, config.feat_dim), uniform)
         if config.use_ner:
             self.ner_emb = params.add(
-                "feat.ner_emb", uniform(rng, (len(vocab.ner_vocab) + 1, config.feat_dim)))
+                "feat.ner_emb", (len(vocab.ner_vocab) + 1, config.feat_dim), uniform)
         if config.use_qtype:
             self.qtype_emb = params.add(
-                "feat.qtype_emb", uniform(rng, (len(QUESTION_TYPES), config.feat_dim)))
+                "feat.qtype_emb", (len(QUESTION_TYPES), config.feat_dim), uniform)
 
     def _tag_part(self, emb, vocab, tags, sequences):
         """Tag embedding rows; a sequence without tags gets zero rows."""

@@ -21,7 +21,7 @@ so early training favors the carry path.
 
 from . import tensor as T
 from .errors import ShapeError
-from .params import xavier_uniform
+from .params import constant, xavier_uniform
 
 GATE_BIAS_INIT = -1.0
 
@@ -29,15 +29,15 @@ GATE_BIAS_INIT = -1.0
 class OuterFusionStack:
     """K width-preserving highway layers over a [n, width] input."""
 
-    def __init__(self, params, prefix, width, n_layers, rng):
+    def __init__(self, params, prefix, width, n_layers):
         self.width = width
         self.n_layers = n_layers
         self.layers = []
         for t in range(1, n_layers + 1):
-            w_c = params.add(f"{prefix}.l{t}.W_C", xavier_uniform(rng, (width, width)))
-            b_c = params.add(f"{prefix}.l{t}.b_C", [0.0] * width)
-            w_z = params.add(f"{prefix}.l{t}.W_z", xavier_uniform(rng, (width, width)))
-            b_z = params.add(f"{prefix}.l{t}.b_z", [GATE_BIAS_INIT] * width)
+            w_c = params.add(f"{prefix}.l{t}.W_C", (width, width), xavier_uniform)
+            b_c = params.add(f"{prefix}.l{t}.b_C", (width,), constant(0.0))
+            w_z = params.add(f"{prefix}.l{t}.W_z", (width, width), xavier_uniform)
+            b_z = params.add(f"{prefix}.l{t}.b_z", (width,), constant(GATE_BIAS_INIT))
             self.layers.append((w_c, b_c, w_z, b_z))
 
     def __call__(self, c0):
@@ -52,12 +52,12 @@ class OuterFusionStack:
 class InnerFusionLayer:
     """GRU-like gate merging an attention output with the layer's input."""
 
-    def __init__(self, params, prefix, width, rng):
+    def __init__(self, params, prefix, width):
         self.width = width
-        self.w_b = params.add(f"{prefix}.W_B", xavier_uniform(rng, (3 * width, width)))
-        self.b_b = params.add(f"{prefix}.b_B", [0.0] * width)
-        self.w_f = params.add(f"{prefix}.W_f", xavier_uniform(rng, (3 * width, width)))
-        self.b_f = params.add(f"{prefix}.b_f", [GATE_BIAS_INIT] * width)
+        self.w_b = params.add(f"{prefix}.W_B", (3 * width, width), xavier_uniform)
+        self.b_b = params.add(f"{prefix}.b_B", (width,), constant(0.0))
+        self.w_f = params.add(f"{prefix}.W_f", (3 * width, width), xavier_uniform)
+        self.b_f = params.add(f"{prefix}.b_f", (width,), constant(GATE_BIAS_INIT))
 
     def __call__(self, b_new, b_prev):
         if b_new.data.shape != b_prev.data.shape:

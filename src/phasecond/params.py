@@ -12,39 +12,53 @@ from .tensor import Tensor
 
 
 def xavier_uniform(rng, shape):
-    fan_in, fan_out = (shape[0], shape[-1]) if len(shape) > 1 else (shape[0], shape[0])
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    limit = np.sqrt(6.0 / (shape[0] + shape[-1]))
     return rng.uniform(-limit, limit, size=shape)
 
 
-def orthogonal(rng, rows, cols):
-    """Orthogonal slice via QR; used for recurrent matrices."""
-    n = max(rows, cols)
-    a = rng.normal(size=(n, n))
-    q, r = np.linalg.qr(a)
-    q = q * np.sign(np.diag(r))  # fix sign ambiguity for determinism
-    return q[:rows, :cols]
+def orthogonal(rng, shape):
+    """[rows, k * rows]: k orthogonal square blocks side by side, each the Q of its
+    own normal draw with signs fixed for determinism; the LSTM's U has four."""
+    rows, cols = shape
+    blocks = [np.linalg.qr(rng.normal(size=(rows, rows))) for _ in range(cols // rows)]
+    return np.concatenate([q * np.sign(np.diag(r)) for q, r in blocks], axis=1)
 
 
-def uniform(rng, shape, low=-0.05, high=0.05):
-    return rng.uniform(low, high, size=shape)
+def uniform(rng, shape):
+    return rng.uniform(-0.05, 0.05, size=shape)
+
+
+def constant(value):
+    """An initializer that draws nothing: `value` broadcast to the shape."""
+    return lambda rng, shape: np.full(shape, value, dtype=np.float64)
 
 
 class ParamSet:
     """Ordered name -> Tensor registry with optional per-entry grad masks.
 
-    A grad mask zeroes gradient rows of partially frozen tensors (padding
-    and pretrained embedding rows) before the optimizer sees them.
+    A parameter's first value is the array `given` under its name, else
+    `init(rng, shape)` drawn when a layer declares it (shape a tuple), so draws
+    follow declaration order. A grad mask zeroes gradient rows of partially
+    frozen tensors (padding and pretrained embedding rows) before the
+    optimizer sees them.
     """
 
-    def __init__(self):
+    def __init__(self, rng=None, given=None):
+        self._rng = rng
+        self._given = given or {}
         self._params = {}
         self._grad_masks = {}
 
-    def add(self, name, data, grad_mask=None):
+    def add(self, name, shape, init, grad_mask=None):
         if name in self._params:
             raise BuildError(f"duplicate parameter name: {name}")
-        t = Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
+        data = self._given.get(name)
+        if data is None:
+            data = init(self._rng, shape)
+        elif data.dtype != np.float64 or data.shape != shape:
+            raise BuildError(f"parameter {name}: array {data.dtype} {data.shape} does not "
+                             f"match the declared float64 {shape}")
+        t = Tensor(data, requires_grad=True)
         self._params[name] = t
         if grad_mask is not None:
             self._grad_masks[name] = np.asarray(grad_mask, dtype=np.float64)

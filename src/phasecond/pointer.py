@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DataError, ShapeError
-from .params import xavier_uniform
+from .params import constant, xavier_uniform
 
 
 @dataclass
@@ -48,14 +48,14 @@ def decode_span(p_start, p_end, max_span):
 class GRUCell:
     """Gated memory update: state <- (1 - u) * state + u * candidate."""
 
-    def __init__(self, params, prefix, width, rng):
+    def __init__(self, params, prefix, width):
         self.width = width
         self.w = {}
         for gate in ("r", "u", "c"):
             for kind in ("W", "U"):
-                self.w[kind + gate] = params.add(f"{prefix}.{kind}_{gate}",
-                                                 xavier_uniform(rng, (width, width)))
-            self.w["b" + gate] = params.add(f"{prefix}.b_{gate}", [0.0] * width)
+                self.w[kind + gate] = params.add(f"{prefix}.{kind}_{gate}", (width, width),
+                                                 xavier_uniform)
+            self.w["b" + gate] = params.add(f"{prefix}.b_{gate}", (width,), constant(0.0))
 
     def __call__(self, state, x):
         w = self.w
@@ -77,28 +77,27 @@ def question_summary(v_independent, w_proj, w_score, lengths):
 class PointerHead:
     """Boundary predictor over the final passage representation."""
 
-    def __init__(self, params, passage_width, query_width, hops, rng):
+    def __init__(self, params, passage_width, query_width, hops):
         if hops < 1:
             raise ConfigError(f"pointer needs at least one hop, got {hops}")
         self.width = passage_width
         self.hops = hops
         self.summary_proj = params.add(
-            "ptr.summary.W", xavier_uniform(rng, (query_width, query_width)))
-        self.summary_score = params.add(
-            "ptr.summary.w", xavier_uniform(rng, (query_width, 1)))
+            "ptr.summary.W", (query_width, query_width), xavier_uniform)
+        self.summary_score = params.add("ptr.summary.w", (query_width, 1), xavier_uniform)
         self.adapter = None
         if query_width != passage_width:
             self.adapter = params.add(
-                "ptr.adapter", xavier_uniform(rng, (query_width, passage_width)))
+                "ptr.adapter", (query_width, passage_width), xavier_uniform)
         self.boundary = {}
         for t in range(1, hops + 1):
             for b in ("start", "end"):
                 self.boundary[(t, b)] = (
-                    params.add(f"ptr.hop{t}.{b}.W_h", xavier_uniform(rng, (passage_width, passage_width))),
-                    params.add(f"ptr.hop{t}.{b}.W_q", xavier_uniform(rng, (passage_width, passage_width))),
-                    params.add(f"ptr.hop{t}.{b}.v", xavier_uniform(rng, (passage_width, 1))),
+                    params.add(f"ptr.hop{t}.{b}.W_h", (passage_width, passage_width), xavier_uniform),
+                    params.add(f"ptr.hop{t}.{b}.W_q", (passage_width, passage_width), xavier_uniform),
+                    params.add(f"ptr.hop{t}.{b}.v", (passage_width, 1), xavier_uniform),
                 )
-        self.memory = GRUCell(params, "ptr.mem", passage_width, rng)
+        self.memory = GRUCell(params, "ptr.mem", passage_width)
 
     def initial_query(self, v, lengths):
         """[B, w] memory rows, one per question; v packs the questions'

@@ -21,7 +21,7 @@ import numpy as np
 from .conductor import build_model, forward, gold_loss
 from .config import RunConfig, config_hash, to_text
 from .data import evaluate
-from .errors import CheckpointError, ConfigError, DataError, NumericsError
+from .errors import CheckpointError, ConfigError, DataError, NumericsError, PhaseCondError
 from .features import Vocabulary
 from .tensor import backward
 
@@ -260,7 +260,8 @@ def save_checkpoint(model, state, path, epoch=0, best_dev_em=0.0, lr_history=())
 
 
 def restore_model(path):
-    """Verify a checkpoint and rebuild the model and Adam state it describes."""
+    """Verify a checkpoint and rebuild the model and Adam state it describes.
+    The model is built from the stored parameter arrays; nothing is drawn."""
     try:
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             meta = json.loads(str(npz["meta"]))
@@ -269,15 +270,19 @@ def restore_model(path):
         raise CheckpointError(
             f"{path}: truncated or corrupt checkpoint (expected a version "
             f"{CHECKPOINT_VERSION} npz archive): {exc}") from None
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: checkpoint meta is a {type(meta).__name__}, not an object")
     if meta.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported checkpoint version {meta.get('format_version')}")
     for key in ("config", "adam", "vocab", "config_hash"):
         if key not in meta:
             raise CheckpointError(f"{path}: missing checkpoint section '{key}'")
-    if set(meta["adam"]) != set(ADAM_SCALARS):
-        raise CheckpointError(f"{path}: checkpoint section 'adam' holds {sorted(meta['adam'])}, "
-                              f"expected {list(ADAM_SCALARS)}")
+    adam = meta["adam"]
+    if not (isinstance(adam, dict) and set(adam) == set(ADAM_SCALARS)
+            and all(type(adam[key]) in (int, float) for key in ADAM_SCALARS)):
+        raise CheckpointError(f"{path}: checkpoint section 'adam' holds {adam!r}, "
+                              f"expected the numbers {list(ADAM_SCALARS)}")
     try:
         config = RunConfig(**meta["config"])
     except TypeError as exc:
@@ -285,7 +290,7 @@ def restore_model(path):
     if config_hash(config) != meta["config_hash"]:
         raise CheckpointError(
             f"{path}: stored config does not match the stored config hash "
-            f"{meta['config_hash'][:12]}...; refusing to load")
+            f"{meta['config_hash']!s:.12}...; refusing to load")
     try:
         vocab = Vocabulary(**meta["vocab"])
     except TypeError as exc:
@@ -295,8 +300,11 @@ def restore_model(path):
             f"{path}: stored vocab has {len(vocab.word_trainable)} trainable flags "
             f"for {len(vocab.word_tokens)} words")
 
-    # the zero word rows are placeholders that the stored parameters overwrite
-    model = build_model(config, vocab, np.zeros((len(vocab.word_tokens), config.word_dim)))
+    stored = {key[len("params/"):]: arr for key, arr in arrays.items() if key.startswith("params/")}
+    try:
+        model = build_model(config, vocab, stored)
+    except PhaseCondError as exc:  # an invalid stored config or a misshapen array
+        raise CheckpointError(f"{path}: cannot build the stored model: {exc}") from None
     names = model.params.names()
     required = {f"params/{name}" for name in names}
     known = required | {f"{moment}/{name}" for moment in ("m", "v") for name in names}
@@ -304,16 +312,15 @@ def restore_model(path):
         raise CheckpointError(
             f"{path}: checkpoint arrays differ from the model's parameters (missing: "
             f"{sorted(required - set(arrays))[:3]}, unexpected: {sorted(set(arrays) - known)[:3]})")
-    state = AdamState(**meta["adam"])
+    state = AdamState(**adam)
     for key, arr in arrays.items():
         section, _, name = key.partition("/")
+        if section == "params":
+            continue  # the model was built from these
         t = model.params[name]
         if arr.shape != t.data.shape or arr.dtype != np.float64:
             raise CheckpointError(
                 f"{path}: {key}: checkpoint array {arr.dtype} {arr.shape} does not match "
                 f"model float64 {t.data.shape}")
-        if section == "params":
-            t.data[...] = arr
-        else:
-            getattr(state, section)[name] = arr
+        getattr(state, section)[name] = arr
     return model, state

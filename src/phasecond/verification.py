@@ -58,8 +58,7 @@ def run_grad_checks(seed=0):
     rng = np.random.default_rng(seed)
 
     # encoders: independent question and shared passage paths
-    params = ParamSet()
-    enc = EncoderPair(params, 3, 2, rng)
+    enc = EncoderPair(ParamSet(rng), 3, 2)
     mix_q = _mix(rng, (3, 4))
     check("encoder_independent", "m=3,in=3,d=2",
           lambda t: T.tsum(T.mul(enc.encode_independent_question(t, [3]), mix_q)),
@@ -86,15 +85,13 @@ def run_grad_checks(seed=0):
           Tensor(rng.standard_normal((4, 4))))
 
     # fusion layers
-    params_fo = ParamSet()
-    fo = OuterFusionStack(params_fo, "fo", 6, 2, rng)
+    fo = OuterFusionStack(ParamSet(rng), "fo", 6, 2)
     mix_fo = _mix(rng, (3, 6))
     check("outer_fusion", "n=3,w=6,K=2",
           lambda t: T.tsum(T.mul(fo(t), mix_fo)),
           Tensor(rng.standard_normal((3, 6))))
 
-    params_fi = ParamSet()
-    fi = InnerFusionLayer(params_fi, "fi", 4, rng)
+    fi = InnerFusionLayer(ParamSet(rng), "fi", 4)
     prev = Tensor(rng.standard_normal((3, 4)))
     mix_fi = _mix(rng, (3, 4))
     check("inner_fusion", "n=3,w=4",
@@ -102,8 +99,7 @@ def run_grad_checks(seed=0):
           Tensor(rng.standard_normal((3, 4))))
 
     # pointer head through the span loss
-    params_ptr = ParamSet()
-    head = PointerHead(params_ptr, 4, 4, 2, rng)
+    head = PointerHead(ParamSet(rng), 4, 4, 2)
     v_q = Tensor(rng.standard_normal((3, 4)))
 
     def pointer_loss(t):
@@ -124,13 +120,12 @@ def run_grad_checks(seed=0):
           Tensor(rng.standard_normal((2, 5)).T.copy()))
 
     # character CNN parameters
-    params_cnn = ParamSet()
-    cnn = CharCNN(params_cnn, "cnn", {"a": 2, "b": 3, "c": 4},
-                  RunConfig(char_dim=3, char_filters=4, char_width=5), rng)
+    cnn = CharCNN(ParamSet(rng), "cnn", {"a": 2, "b": 3, "c": 4},
+                  RunConfig(char_dim=3, char_filters=4, char_width=5))
     mix_cnn = _mix(rng, (2, 4))
     check("char_cnn", "words=2,dc=3,F=4",
           lambda _p: T.tsum(T.mul(cnn(["abca", "cb"]), mix_cnn)),
-          params_cnn["cnn.filters"])
+          cnn.filters)
 
     # both shared-encoder directions over a packed minibatch of mixed lengths
     lengths = [3, 1, 4, 2]

@@ -127,9 +127,9 @@ def test_criterion_3_fusion_interpolation():
     for k in range(n_instances):
         width = int(rng.integers(2, 7))
         n = int(rng.integers(1, 5))
-        params = ParamSet()
-        outer = OuterFusionStack(params, "fo", width, 1, rng)
-        inner = InnerFusionLayer(params, "fi", width, rng)
+        params = ParamSet(rng)
+        outer = OuterFusionStack(params, "fo", width, 1)
+        inner = InnerFusionLayer(params, "fi", width)
         w_c, b_c = params["fo.l1.W_C"].data, params["fo.l1.b_C"].data
         w_b, b_b = params["fi.W_B"].data, params["fi.b_B"].data
         for _ in range(trials_per_instance // 2):

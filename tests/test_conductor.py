@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import os
 
@@ -153,6 +154,28 @@ class TestBuildModel:
         cfg = small_config(path="LQ->LQ->Fo->LQ->Fi")
         with pytest.raises(BuildError, match="step 5"):
             build_from_examples(cfg, tiny_examples())
+
+    @pytest.mark.parametrize("tagged,digest", [
+        (False, "841dab86a94f34987642f0c062743e69ccc5295cbafa2a3b1572598bae2c589f"),
+        (True, "916bd79b029f5ded88b7453b6751e53facb5aae952386b2de7f3992a21b2a3dc"),
+    ])
+    def test_initial_parameters_are_pinned(self, tagged, digest):
+        """sha256 over (name, bytes) of every parameter of criterion 7's desk model,
+        and of the same model with pos and ner slots: a change that moves any
+        initial bit, such as a reordered draw, changes the digest."""
+        examples = generate_synthetic(SyntheticSpec(n_examples=200, vocab_size=50,
+                                                    min_len=20, max_len=30, seed=0))
+        if tagged:
+            for i, ex in enumerate(examples):
+                ex.passage_pos = ["NN" if (i + j) % 3 else "VB"
+                                  for j in range(len(ex.passage_tokens))]
+                ex.question_ner = ["O"] * len(ex.question_tokens) if i % 2 else None
+        model = build_from_examples(desk_config(use_pos=tagged, use_ner=tagged), examples)
+        sha = hashlib.sha256()
+        for name, t in model.params.items():
+            sha.update(name.encode())
+            sha.update(t.data.tobytes())
+        assert sha.hexdigest() == digest
 
 
 class TestForward:

@@ -4,13 +4,13 @@ import pytest
 from phasecond import tensor as T
 from phasecond.encoders import BiLSTMEncoder, EncoderPair, lstm_direction
 from phasecond.errors import ShapeError
-from phasecond.params import ParamSet
+from phasecond.params import ParamSet, constant
 from phasecond.tensor import Tensor, backward, grad_check
 
 
 def make_pair(in_dim=3, hidden=2, seed=0):
-    params = ParamSet()
-    pair = EncoderPair(params, in_dim, hidden, np.random.default_rng(seed))
+    params = ParamSet(np.random.default_rng(seed))
+    pair = EncoderPair(params, in_dim, hidden)
     return pair, params
 
 
@@ -26,9 +26,9 @@ class TestLSTMDirection:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(1)
         params = ParamSet()
-        w = params.add("W", rng.standard_normal((3, 8)) * 0.4)
-        u = params.add("U", rng.standard_normal((2, 8)) * 0.4)
-        b = params.add("b", rng.standard_normal(8) * 0.1)
+        w = params.add("W", (3, 8), constant(rng.standard_normal((3, 8)) * 0.4))
+        u = params.add("U", (2, 8), constant(rng.standard_normal((2, 8)) * 0.4))
+        b = params.add("b", (8,), constant(rng.standard_normal(8) * 0.1))
         x = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
         mixer = Tensor(rng.standard_normal((3, 2)))
 
@@ -45,9 +45,9 @@ class TestLSTMDirection:
     def test_reverse_direction_sees_suffix(self):
         rng = np.random.default_rng(2)
         params = ParamSet()
-        w = params.add("W", rng.standard_normal((2, 4)))
-        u = params.add("U", rng.standard_normal((1, 4)))
-        b = params.add("b", rng.standard_normal(4))
+        w = params.add("W", (2, 4), constant(rng.standard_normal((2, 4))))
+        u = params.add("U", (1, 4), constant(rng.standard_normal((1, 4))))
+        b = params.add("b", (4,), constant(rng.standard_normal(4)))
         x = rng.standard_normal((5, 2))
         full = lstm_direction(Tensor(x), w, u, b, [5], reverse=True).data
         # last row depends only on the last input position
@@ -61,9 +61,9 @@ LENGTHS = [3, 1, 4, 2]
 def packed_fixture(seed):
     rng = np.random.default_rng(seed)
     params = ParamSet()
-    cell = (params.add("W", rng.standard_normal((3, 8)) * 0.4),
-            params.add("U", rng.standard_normal((2, 8)) * 0.4),
-            params.add("b", rng.standard_normal(8) * 0.1))
+    cell = (params.add("W", (3, 8), constant(rng.standard_normal((3, 8)) * 0.4)),
+            params.add("U", (2, 8), constant(rng.standard_normal((2, 8)) * 0.4)),
+            params.add("b", (8,), constant(rng.standard_normal(8) * 0.1)))
     x = Tensor(rng.standard_normal((sum(LENGTHS), 3)))
     mixer = Tensor(rng.standard_normal((sum(LENGTHS), 2)))
     return x, cell, mixer
@@ -130,8 +130,8 @@ class TestBiLSTMEncoder:
             pair.encode_independent_question(Tensor(np.zeros((0, 3))), [0])
 
     def test_sequence_locality_of_forward_states(self):
-        params = ParamSet()
-        enc = BiLSTMEncoder(params, "e", 3, 2, np.random.default_rng(4))
+        params = ParamSet(np.random.default_rng(4))
+        enc = BiLSTMEncoder(params, "e", 3, 2)
         x = np.random.default_rng(5).standard_normal((6, 3))
         full = enc(Tensor(x), [6]).data
         trunc = enc(Tensor(x[:-1]), [5]).data

@@ -36,8 +36,8 @@ def make_extractor(tokens, cfg=None, seed=0, **tag_vocabs):
     cfg = cfg or small_cfg()
     rng = np.random.default_rng(seed)
     vocab, rows = build_vocabulary(cfg, passages(tokens), rng)
-    params = ParamSet()
-    ext = FeatureExtractor(params, dataclasses.replace(vocab, **tag_vocabs), rows, cfg, rng)
+    params = ParamSet(rng, {"feat.word_emb": rows})
+    ext = FeatureExtractor(params, dataclasses.replace(vocab, **tag_vocabs), cfg)
     return ext, params
 
 

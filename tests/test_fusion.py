@@ -9,14 +9,14 @@ from phasecond.tensor import Tensor, grad_check
 
 
 def make_outer(width, n_layers=2, seed=0):
-    params = ParamSet()
-    stack = OuterFusionStack(params, "fo", width, n_layers, np.random.default_rng(seed))
+    params = ParamSet(np.random.default_rng(seed))
+    stack = OuterFusionStack(params, "fo", width, n_layers)
     return stack, params
 
 
 def make_inner(width, seed=0):
-    params = ParamSet()
-    layer = InnerFusionLayer(params, "fi", width, np.random.default_rng(seed))
+    params = ParamSet(np.random.default_rng(seed))
+    layer = InnerFusionLayer(params, "fi", width)
     return layer, params
 
 

@@ -26,8 +26,8 @@ def brute_force_span(ps, pe, max_span):
 
 
 def make_head(width=4, query_width=4, hops=2, seed=0):
-    params = ParamSet()
-    head = PointerHead(params, width, query_width, hops, np.random.default_rng(seed))
+    params = ParamSet(np.random.default_rng(seed))
+    head = PointerHead(params, width, query_width, hops)
     return head, params
 
 

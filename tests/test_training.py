@@ -8,10 +8,10 @@ import pytest
 from phasecond import tensor as T
 from phasecond import training
 from phasecond.conductor import build_from_examples, forward, gold_loss
-from phasecond.config import RunConfig
+from phasecond.config import RunConfig, config_hash
 from phasecond.data import EvalResult, SyntheticSpec, generate_synthetic
 from phasecond.errors import CheckpointError, ConfigError, NumericsError, ShapeError
-from phasecond.params import ParamSet
+from phasecond.params import ParamSet, constant
 from phasecond.tensor import Tensor, backward
 from phasecond.training import (
     AdamState,
@@ -71,7 +71,7 @@ def test_train_refuses_a_config_other_than_the_models():
 class TestAdam:
     def make_scalar_param(self, value=0.0):
         params = ParamSet()
-        p = params.add("w", value)
+        p = params.add("w", (), constant(value))
         return params, p
 
     def test_first_step_update(self):
@@ -96,8 +96,8 @@ class TestAdam:
 
     def test_non_finite_gradient_aborts_naming_parameter(self):
         params = ParamSet()
-        a = params.add("layer.good", [1.0])
-        b = params.add("layer.bad", [1.0])
+        a = params.add("layer.good", (1,), constant(1.0))
+        b = params.add("layer.bad", (1,), constant(1.0))
         a.grad = np.array([1.0])
         b.grad = np.array([np.nan])
         before = a.data.copy()
@@ -109,7 +109,7 @@ class TestAdam:
 class TestClipping:
     def test_norm_scaling(self):
         params = ParamSet()
-        p = params.add("w", np.zeros(4))
+        p = params.add("w", (4,), constant(0.0))
         p.grad = np.full(4, 10.0)
         norm = clip_gradients(params, 5.0)
         assert norm == pytest.approx(20.0)
@@ -117,7 +117,7 @@ class TestClipping:
 
     def test_below_threshold_untouched(self):
         params = ParamSet()
-        p = params.add("w", np.zeros(2))
+        p = params.add("w", (2,), constant(0.0))
         p.grad = np.array([0.3, 0.4])
         clip_gradients(params, 5.0)
         assert np.allclose(p.grad, [0.3, 0.4])
@@ -425,6 +425,55 @@ class TestCheckpoint:
             np.savez(fh, **arrays)
         with pytest.raises(CheckpointError, match=r"missing: \['params/ptr\.mem\.b_c'\]"):
             restore_model(path)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("dropout", 1.5, "dropout must be in"),
+        ("path", "LS->LQ", "first attention step"),
+    ])
+    def test_stored_config_that_does_not_build_rejected(self, tmp_path, key, value, message):
+        model, data, result = self.build_trained(tmp_path)
+
+        def set_key_and_hash(meta):
+            meta["config"][key] = value
+            meta["config_hash"] = config_hash(RunConfig(**meta["config"]))
+
+        edited = self.rewrite_meta(result.checkpoint_path, tmp_path / "edited.ckpt",
+                                   set_key_and_hash)
+        with pytest.raises(CheckpointError, match=message):
+            restore_model(edited)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda meta: [3], "not an object"),
+        (lambda meta: {**meta, "adam": 5}, "'adam'"),
+        (lambda meta: {**meta, "adam": list(meta["adam"])}, "'adam'"),
+        (lambda meta: {**meta, "config_hash": 123}, "config hash"),
+        (lambda meta: {**meta, "adam": {**meta["adam"], "lr": "x"}}, "'adam'"),
+    ], ids=["meta-list", "adam-number", "adam-names", "hash-number", "lr-string"])
+    def test_mistyped_meta_rejected(self, tmp_path, edit, message):
+        model = build_from_examples(small_config(), tiny_dataset(n=4, seed=5))
+        path = str(tmp_path / "typed.ckpt")
+        save_checkpoint(model, AdamState(lr=0.1), path)
+        with np.load(path, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        arrays["meta"] = np.array(json.dumps(edit(json.loads(str(arrays["meta"])))))
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(CheckpointError, match=message):
+            restore_model(path)
+
+    def test_restore_draws_nothing(self, tmp_path, monkeypatch):
+        model, data, result = self.build_trained(tmp_path)
+
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"restore_model drew from the generator ({name})")
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: NoDraws())
+        restored, _ = restore_model(result.checkpoint_path)
+        monkeypatch.undo()
+        assert restored.params.names() == model.params.names()
+        for name, t in restored.params.items():
+            assert np.array_equal(t.data, result.best_params[name]), name
 
     def test_run_dir_contains_artifacts(self, tmp_path):
         model, data, result = self.build_trained(tmp_path)
