@@ -135,7 +135,8 @@ def mean_row_entropy(weights):
 def dump_attention(model, example, out_dir, write_csv=False):
     """Write per-layer score/weight matrices plus an entropy manifest."""
     os.makedirs(out_dir, exist_ok=True)
-    result = forward(model, example)
+    with model.params.frozen():
+        result = forward(model, example)
     manifest = {"example_id": example.id, "span": [result.span.start, result.span.end],
                 "answer_text": (example.span_text(result.span.start, result.span.end)
                                 if example.passage_tokens else ""),

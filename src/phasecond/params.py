@@ -5,6 +5,8 @@ optimizer, checkpointing, and gradient clipping can iterate one flat,
 deterministically ordered mapping.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from .errors import BuildError
@@ -78,6 +80,18 @@ class ParamSet:
 
     def count(self):
         return sum(t.data.size for t in self._params.values())
+
+    @contextmanager
+    def frozen(self):
+        """No parameter requires grad in the block (no tape); flags restored on exit."""
+        flags = [(t, t.requires_grad) for t in self._params.values()]
+        for t, _ in flags:
+            t.requires_grad = False
+        try:
+            yield
+        finally:
+            for t, flag in flags:
+                t.requires_grad = flag
 
     def zero_grads(self):
         for t in self._params.values():

@@ -27,7 +27,7 @@ from .tensor import backward
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 @dataclass
@@ -82,11 +82,12 @@ def clip_gradients(params, max_norm):
 
 
 def predict(model, examples):
-    """Answer texts decoded from the last-hop distributions."""
+    """Answer texts decoded from the last-hop distributions; frozen, so no tape."""
     out = {}
-    for ex in examples:
-        span = forward(model, ex).span
-        out[ex.id] = ex.span_text(span.start, span.end)
+    with model.params.frozen():
+        for ex in examples:
+            span = forward(model, ex).span
+            out[ex.id] = ex.span_text(span.start, span.end)
     return out
 
 
@@ -167,8 +168,7 @@ def train(model, train_examples, dev_examples, config, run_dir=None):
             best_em, best_epoch = dev_result.em, epoch
             best_params = {k: t.data.copy() for k, t in model.params.items()}
             if ckpt_path is not None:
-                save_checkpoint(model, state, ckpt_path,
-                                epoch=epoch, best_dev_em=best_em,
+                save_checkpoint(model, ckpt_path, epoch=epoch, best_dev_em=best_em,
                                 lr_history=[r["lr"] for r in history])
         else:
             state.lr /= 2.0  # bad checkpoint: dev EM did not improve
@@ -231,15 +231,15 @@ def write_metrics_csv(history, path):
 # ---------------------------------------------------------------------------
 # Checkpoints
 #
-# A checkpoint is one uncompressed npz archive: the member "meta" holds a
-# JSON string with everything but the arrays, and each parameter and Adam
-# moment is a native float64 member named "<section>/<parameter name>".
+# A checkpoint is one uncompressed npz archive of the model alone: a JSON "meta"
+# member (config, hash, vocabulary, run record) and one native float64 member
+# "params/<name>" per parameter. No Adam state is stored: runs do not resume.
 
 
-ADAM_SCALARS = ("lr", "beta1", "beta2", "eps", "step")
+RUN_RECORD = ("epoch", "best_dev_em", "lr_history")
 
 
-def save_checkpoint(model, state, path, epoch=0, best_dev_em=0.0, lr_history=()):
+def save_checkpoint(model, path, epoch=0, best_dev_em=0.0, lr_history=()):
     meta = {
         "format_version": CHECKPOINT_VERSION,
         "config_hash": config_hash(model.config),
@@ -248,11 +248,8 @@ def save_checkpoint(model, state, path, epoch=0, best_dev_em=0.0, lr_history=())
         "best_dev_em": best_dev_em,
         "lr_history": list(lr_history),
         "vocab": asdict(model.vocab),
-        "adam": {key: getattr(state, key) for key in ADAM_SCALARS},
     }
     arrays = {f"params/{name}": t.data for name, t in model.params.items()}
-    arrays.update({f"m/{name}": a for name, a in state.m.items()})
-    arrays.update({f"v/{name}": a for name, a in state.v.items()})
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
         np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
@@ -260,8 +257,8 @@ def save_checkpoint(model, state, path, epoch=0, best_dev_em=0.0, lr_history=())
 
 
 def restore_model(path):
-    """Verify a checkpoint and rebuild the model and Adam state it describes.
-    The model is built from the stored parameter arrays; nothing is drawn."""
+    """Verify a checkpoint; returns its model, built from the stored arrays with no
+    draw, and its run record {epoch, best_dev_em, lr_history}."""
     try:
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             meta = json.loads(str(npz["meta"]))
@@ -275,14 +272,15 @@ def restore_model(path):
     if meta.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported checkpoint version {meta.get('format_version')}")
-    for key in ("config", "adam", "vocab", "config_hash"):
+    for key in ("config", "vocab", "config_hash", *RUN_RECORD):
         if key not in meta:
             raise CheckpointError(f"{path}: missing checkpoint section '{key}'")
-    adam = meta["adam"]
-    if not (isinstance(adam, dict) and set(adam) == set(ADAM_SCALARS)
-            and all(type(adam[key]) in (int, float) for key in ADAM_SCALARS)):
-        raise CheckpointError(f"{path}: checkpoint section 'adam' holds {adam!r}, "
-                              f"expected the numbers {list(ADAM_SCALARS)}")
+    record = {key: meta[key] for key in RUN_RECORD}
+    lrs = record["lr_history"]
+    if not (type(record["epoch"]) is int and type(record["best_dev_em"]) in (int, float)
+            and type(lrs) is list and all(type(lr) in (int, float) for lr in lrs)):
+        raise CheckpointError(f"{path}: checkpoint run record holds {record!r}, expected an "
+                              f"integer epoch, a number best_dev_em and a list of numbers")
     try:
         config = RunConfig(**meta["config"])
     except TypeError as exc:
@@ -305,22 +303,9 @@ def restore_model(path):
         model = build_model(config, vocab, stored)
     except PhaseCondError as exc:  # an invalid stored config or a misshapen array
         raise CheckpointError(f"{path}: cannot build the stored model: {exc}") from None
-    names = model.params.names()
-    required = {f"params/{name}" for name in names}
-    known = required | {f"{moment}/{name}" for moment in ("m", "v") for name in names}
-    if not required <= set(arrays) <= known:
+    required, present = {f"params/{name}" for name in model.params.names()}, set(arrays)
+    if present != required:
         raise CheckpointError(
             f"{path}: checkpoint arrays differ from the model's parameters (missing: "
-            f"{sorted(required - set(arrays))[:3]}, unexpected: {sorted(set(arrays) - known)[:3]})")
-    state = AdamState(**adam)
-    for key, arr in arrays.items():
-        section, _, name = key.partition("/")
-        if section == "params":
-            continue  # the model was built from these
-        t = model.params[name]
-        if arr.shape != t.data.shape or arr.dtype != np.float64:
-            raise CheckpointError(
-                f"{path}: {key}: checkpoint array {arr.dtype} {arr.shape} does not match "
-                f"model float64 {t.data.shape}")
-        getattr(state, section)[name] = arr
-    return model, state
+            f"{sorted(required - present)[:3]}, unexpected: {sorted(present - required)[:3]})")
+    return model, record

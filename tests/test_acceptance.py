@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
 report. The desk-scale training run (criterion 7) is shared with the
-attention-dynamics diagnostic (criterion 10) through a module fixture.
+attention-dynamics diagnostic (criterion 10) and the frozen-inference check
+through a module fixture.
 """
 
 import json
@@ -26,6 +27,7 @@ from phasecond.training import (
     adam_step,
     clip_gradients,
     evaluate_model,
+    predict,
     train,
 )
 from phasecond.verification import THRESHOLD, run_grad_checks
@@ -271,6 +273,18 @@ def test_criterion_7_desk_scale_learning(desk_run):
     report(7, f"train EM {desk_run['train_em']:.1f} / dev EM "
               f"{desk_run['dev_em']:.1f} after {len(result.history)} epochs "
               f"in {desk_run['elapsed']:.0f}s")
+
+
+def test_frozen_predict_matches_taped_on_criterion_7_dev_set(desk_run):
+    model, dev_data = desk_run["model"], desk_run["dev_data"]
+    taped = [forward(model, ex) for ex in dev_data]
+    with model.params.frozen():
+        frozen = [forward(model, ex) for ex in dev_data]
+    for ex, a, b in zip(dev_data, taped, frozen):
+        assert np.array_equal(a.start_dist, b.start_dist), ex.id
+        assert np.array_equal(a.end_dist, b.end_dist), ex.id
+    answers = {ex.id: ex.span_text(r.span.start, r.span.end) for ex, r in zip(dev_data, taped)}
+    assert predict(model, dev_data) == answers
 
 
 def test_criterion_8_loss_sanity():

@@ -18,6 +18,7 @@ from phasecond.training import (
     _optimizer_step,
     adam_step,
     clip_gradients,
+    predict,
     restore_model,
     save_checkpoint,
     train,
@@ -259,6 +260,42 @@ class TestNonFinite:
             assert np.array_equal(t.data, before[name]), name
 
 
+class TestFrozenInference:
+    def test_predict_restores_requires_grad_also_when_forward_raises(self, monkeypatch):
+        data = tiny_dataset(n=3, seed=7)
+        model = build_from_examples(small_config(), data)
+        model.params["ptr.mem.b_c"].requires_grad = False
+        flags = {name: t.requires_grad for name, t in model.params.items()}
+        taped = []
+
+        def spy(model, ex):
+            taped.append(any(t.requires_grad for _, t in model.params.items()))
+            return forward(model, ex)
+
+        monkeypatch.setattr(training, "forward", spy)
+        predict(model, data)
+        assert taped == [False] * len(data)
+        assert {name: t.requires_grad for name, t in model.params.items()} == flags
+        with pytest.raises(ShapeError):
+            predict(model, [data[0], dataclasses.replace(data[1], passage_tokens=[])])
+        assert {name: t.requires_grad for name, t in model.params.items()} == flags
+
+    def test_frozen_forward_keeps_no_parents(self):
+        data = tiny_dataset(n=2, seed=7)
+        model = build_from_examples(small_config(), data)
+        with model.params.frozen():
+            assert not any(t.requires_grad for _, t in model.params.items())
+            frozen = forward(model, data[0])
+        taped = forward(model, data[0])
+        assert len(frozen.trace) == len(taped.trace) > 0
+        for a, b in zip(frozen.trace, taped.trace):
+            assert a.weights._parents == () and a.scores._parents == ()
+            assert b.weights._parents  # the same pass outside the block is taped
+            assert np.array_equal(a.weights.data, b.weights.data)
+        assert np.array_equal(frozen.start_dist, taped.start_dist)
+        assert np.array_equal(frozen.end_dist, taped.end_dist)
+
+
 class TestCheckpoint:
     def build_trained(self, tmp_path, cfg=None):
         data = tiny_dataset(n=6, seed=4)
@@ -287,11 +324,17 @@ class TestCheckpoint:
         assert np.array_equal(before.start_dist, after.start_dist)
         assert np.array_equal(before.end_dist, after.end_dist)
 
-    def test_adam_state_roundtrip(self, tmp_path):
+    def test_run_record_roundtrip(self, tmp_path):
+        model, data, result = self.build_trained(tmp_path, small_config(epochs=3))
+        _, record = restore_model(result.checkpoint_path)
+        assert record == {"epoch": result.best_epoch, "best_dev_em": result.best_dev_em,
+                          "lr_history": [row["lr"] for row in result.history[:result.best_epoch]]}
+
+    def test_members_are_meta_and_one_array_per_parameter(self, tmp_path):
         model, data, result = self.build_trained(tmp_path)
-        _, state = restore_model(result.checkpoint_path)
-        assert state.step > 0
-        assert set(state.m) == set(model.params.names())
+        with np.load(result.checkpoint_path, allow_pickle=False) as npz:
+            members = set(npz.files)
+        assert members == {"meta"} | {f"params/{name}" for name in model.params.names()}
 
     def test_truncated_file_integrity_error(self, tmp_path):
         model, data, result = self.build_trained(tmp_path)
@@ -331,25 +374,31 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version 2"):
             restore_model(old)
 
-    def test_adam_moments_bitwise_and_writable(self, tmp_path):
+    def test_version_3_checkpoint_rejected_with_its_version(self, tmp_path):
+        model, data, result = self.build_trained(tmp_path)
+        adam = {"lr": 0.1, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "step": 1}
+        old = self.rewrite_meta(result.checkpoint_path, tmp_path / "v3.ckpt",
+                                lambda meta: meta.update(format_version=3, adam=adam))
+        with pytest.raises(CheckpointError, match="version 3"):
+            restore_model(old)
+
+    def test_restored_parameters_take_an_adam_step(self, tmp_path):
         data = tiny_dataset(n=4, seed=5)
         cfg = small_config(epochs=1)
         model = build_from_examples(cfg, data)
-        state = AdamState(lr=cfg.lr)
-        loss = gold_loss(model, data[:1], rng=np.random.default_rng(0))
-        backward(loss)
-        adam_step(model.params, state)
+        backward(gold_loss(model, data[:1], rng=np.random.default_rng(0)))
         path = str(tmp_path / "step.ckpt")
-        save_checkpoint(model, state, path)
-        restored, restored_state = restore_model(path)
-        assert restored_state.step == state.step
-        for moments, saved in ((restored_state.m, state.m), (restored_state.v, state.v)):
-            assert set(moments) == set(saved)
-            assert all(np.array_equal(moments[k], saved[k]) for k in saved)
+        save_checkpoint(model, path)
+        restored, _ = restore_model(path)
         for name, t in restored.params.items():
             t.grad = model.params[name].grad
-        adam_step(restored.params, restored_state)
-        assert restored_state.step == state.step + 1
+        adam_step(restored.params, AdamState(lr=cfg.lr))  # writes into the restored arrays
+        adam_step(model.params, AdamState(lr=cfg.lr))
+        with np.load(path) as npz:
+            saved = {name: npz[f"params/{name}"] for name in restored.params.names()}
+        for name, t in restored.params.items():
+            assert np.array_equal(t.data, model.params[name].data), name
+        assert any(not np.array_equal(t.data, saved[name]) for name, t in restored.params.items())
 
     @pytest.mark.parametrize("key,value,message", [
         ("max_span", 16, "config hash"),
@@ -374,7 +423,7 @@ class TestCheckpoint:
         model = build_from_examples(small_config(use_pos=True, use_ner=True), data)
         assert model.vocab.pos_vocab == {"VB": 1, "NN": 2} and model.vocab.ner_vocab == {"O": 1}
         path = str(tmp_path / "tagged.ckpt")
-        save_checkpoint(model, AdamState(lr=0.1), path)
+        save_checkpoint(model, path)
         restored, _ = restore_model(path)
         assert restored.vocab == model.vocab
         for name, t in model.params.items():
@@ -396,11 +445,11 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="trainable flags"):
             restore_model(edited)
 
-    def test_adam_section_missing_a_scalar_rejected(self, tmp_path):
+    def test_run_record_mistyped_rejected(self, tmp_path):
         model, data, result = self.build_trained(tmp_path)
         edited = self.rewrite_meta(result.checkpoint_path, tmp_path / "edited.ckpt",
-                                   lambda meta: meta["adam"].pop("beta2"))
-        with pytest.raises(CheckpointError, match="'adam'"):
+                                   lambda meta: meta.update(epoch=str(meta["epoch"])))
+        with pytest.raises(CheckpointError, match="run record"):
             restore_model(edited)
 
     def test_shape_mismatch_names_parameter(self, tmp_path):
@@ -408,7 +457,7 @@ class TestCheckpoint:
         model = build_from_examples(small_config(epochs=1), data)
         model.params["enc.indep.fw.W"].data = model.params["enc.indep.fw.W"].data[1:]
         path = str(tmp_path / "short.ckpt")
-        save_checkpoint(model, AdamState(lr=0.1), path)
+        save_checkpoint(model, path)
         with pytest.raises(CheckpointError, match="enc\\.indep\\.fw\\.W"):
             restore_model(path)
 
@@ -416,11 +465,14 @@ class TestCheckpoint:
         data = tiny_dataset(n=4, seed=5)
         model = build_from_examples(small_config(epochs=1), data)
         path = str(tmp_path / "ghost.ckpt")
-        save_checkpoint(model, AdamState(lr=0.1, m={"ghost": np.zeros(2)}), path)
-        with pytest.raises(CheckpointError, match=r"unexpected: \['m/ghost'\]"):
-            restore_model(path)
+        save_checkpoint(model, path)
         with np.load(path) as npz:
-            arrays = {k: npz[k] for k in npz.files if k not in ("m/ghost", "params/ptr.mem.b_c")}
+            arrays = {k: npz[k] for k in npz.files}
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays, **{"m/ptr.mem.b_c": np.zeros_like(arrays["params/ptr.mem.b_c"])})
+        with pytest.raises(CheckpointError, match=r"unexpected: \['m/ptr\.mem\.b_c'\]"):
+            restore_model(path)
+        del arrays["params/ptr.mem.b_c"]
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)
         with pytest.raises(CheckpointError, match=r"missing: \['params/ptr\.mem\.b_c'\]"):
@@ -444,15 +496,19 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("edit,message", [
         (lambda meta: [3], "not an object"),
-        (lambda meta: {**meta, "adam": 5}, "'adam'"),
-        (lambda meta: {**meta, "adam": list(meta["adam"])}, "'adam'"),
+        (lambda meta: {**meta, "epoch": 1.0}, "run record"),
+        (lambda meta: {**meta, "lr_history": 0.1}, "run record"),
         (lambda meta: {**meta, "config_hash": 123}, "config hash"),
-        (lambda meta: {**meta, "adam": {**meta["adam"], "lr": "x"}}, "'adam'"),
-    ], ids=["meta-list", "adam-number", "adam-names", "hash-number", "lr-string"])
+        (lambda meta: {**meta, "lr_history": [0.1, "x"]}, "run record"),
+        (lambda meta: {**meta, "best_dev_em": True}, "run record"),
+        (lambda meta: {k: v for k, v in meta.items() if k != "best_dev_em"},
+         "missing checkpoint section 'best_dev_em'"),
+    ], ids=["meta-list", "epoch-float", "lr-history-number", "hash-number", "lr-string",
+            "best-em-bool", "record-incomplete"])
     def test_mistyped_meta_rejected(self, tmp_path, edit, message):
         model = build_from_examples(small_config(), tiny_dataset(n=4, seed=5))
         path = str(tmp_path / "typed.ckpt")
-        save_checkpoint(model, AdamState(lr=0.1), path)
+        save_checkpoint(model, path)
         with np.load(path, allow_pickle=False) as npz:
             arrays = {name: npz[name] for name in npz.files}
         arrays["meta"] = np.array(json.dumps(edit(json.loads(str(arrays["meta"])))))
