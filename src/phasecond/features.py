@@ -158,15 +158,15 @@ def char_cnn(char_emb, filters, bias, char_idx, n_valid_windows, width):
     out = np.take_along_axis(masked, winner[:, None, :], axis=1)[:, 0, :]
 
     def bwd(g):
-        dact = np.zeros_like(act)
-        np.put_along_axis(dact, winner[:, None, :], g[:, None, :], axis=1)
-        dscores = dact * (scores > 0)
+        # Only each winner's score gets a gradient, and it passed the ReLU iff out > 0.
+        dscores = np.zeros((n_words, n_win, n_filters))
+        np.put_along_axis(dscores, winner[:, None, :], (g * (out > 0))[:, None, :], axis=1)
         dbias = dscores.sum(axis=(0, 1))
         flat_cols = cols.reshape(-1, width * dc)
         flat_ds = dscores.reshape(-1, n_filters)
         dfilters = flat_cols.T @ flat_ds
         dcols = (flat_ds @ filters.data.T).reshape(n_words, n_win, width, dc)
-        dembedded = np.zeros_like(embedded)
+        dembedded = np.zeros((n_words, length, dc))
         for k in range(width):
             dembedded[:, k:k + n_win, :] += dcols[:, :, k, :]
         demb = np.zeros_like(char_emb.data)

@@ -45,7 +45,7 @@ class OuterFusionStack:
             raise ShapeError(f"outer fusion built for width {self.width}, got {c0.data.shape[1]}")
         c = c0
         for w_c, b_c, w_z, b_z in self.layers:
-            c = T.gated_mix(c, T.relu(T.affine(c, w_c, b_c)), T.affine(c, w_z, b_z))
+            c = T.gated_mix(c, T.affine(c, w_c, b_c, T.RELU), T.affine(c, w_z, b_z, T.SIGMOID))
         return c
 
 
@@ -67,5 +67,5 @@ class InnerFusionLayer:
         if b_new.data.shape[1] != self.width:
             raise ShapeError(f"inner fusion built for width {self.width}, got {b_new.data.shape[1]}")
         cat = T.concat([b_new, b_prev, T.mul(b_new, b_prev)], axis=1)
-        candidate = T.tanh(T.affine(cat, self.w_b, self.b_b))
-        return T.gated_mix(b_prev, candidate, T.affine(cat, self.w_f, self.b_f))
+        return T.gated_mix(b_prev, T.affine(cat, self.w_b, self.b_b, T.TANH),
+                           T.affine(cat, self.w_f, self.b_f, T.SIGMOID))

@@ -63,7 +63,7 @@ class GRUCell:
         u = T.add(T.add(T.matmul(x, w["Wu"]), T.matmul(state, w["Uu"])), w["bu"])
         cand = T.tanh(T.add(T.add(T.matmul(x, w["Wc"]), T.matmul(T.mul(r, state), w["Uc"])),
                             w["bc"]))
-        return T.gated_mix(state, cand, u)
+        return T.gated_mix(state, cand, T.sigmoid(u))
 
 
 def question_summary(v_independent, w_proj, w_score, lengths):
@@ -110,7 +110,7 @@ class PointerHead:
     def _boundary_scores(self, h, q, t, b, lengths):
         """[sum n_k, 1] scores of every passage position for one boundary."""
         w_h, w_q, v = self.boundary[(t, b)]
-        hidden = T.tanh(T.add(T.matmul(h, w_h), T.repeat_rows(T.matmul(q, w_q), lengths)))
+        hidden = T.affine(h, w_h, T.matmul(q, w_q), T.TANH, lengths)
         return T.matmul(hidden, v)
 
     def predict_span(self, h, q, lengths):

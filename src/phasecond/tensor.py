@@ -8,10 +8,16 @@ buffer. Gradients land in `.grad` on leaves only (tensors no op produced,
 such as parameters). The walk consumes the tape: each node drops its inputs
 and rule once passed, so forward arrays are freed during the walk.
 
+A backward rule captures only the arrays it reads. Activations come from
+one table of (value, rule) pairs whose rule reads the activation's output,
+never its input, so `affine` applies one inside its node and its
+pre-activation is freed as soon as the node is built.
+
 Broadcasting is deliberately restricted: shapes must be equal, or the
 smaller operand's shape must equal the trailing dimensions of the larger
-(bias-vector style). Anything fancier must be spelled out with explicit
-ops like `repeat_rows`, which keeps every gradient rule auditable.
+(bias-vector style). The one wider form, a bias row per segment of rows,
+is spelled out by `affine`'s lengths, which keeps every gradient rule
+auditable.
 """
 
 from collections import namedtuple
@@ -173,24 +179,6 @@ def mul(a, b):
     return make_node(a.data * b.data, (a, b), bwd)
 
 
-def relu(a):
-    mask = a.data > 0  # subgradient at 0 fixed to 0
-
-    def bwd(g):
-        return (g * mask,)
-
-    return make_node(np.where(mask, a.data, 0.0), (a,), bwd)
-
-
-def tanh(a):
-    out = np.tanh(a.data)
-
-    def bwd(g):
-        return (g * (1.0 - out * out),)
-
-    return make_node(out, (a,), bwd)
-
-
 def stable_sigmoid(x):
     """Elementwise logistic of an array; exp only ever sees -|x|, so it never overflows."""
     e = np.exp(-np.abs(x))
@@ -198,31 +186,43 @@ def stable_sigmoid(x):
     return np.where(x >= 0, 1.0 / denom, e / denom)
 
 
+# An activation is value(x) and rule(g, out): the gradient at its input,
+# read off its output alone.
+Activation = namedtuple("Activation", "value rule")
+TANH = Activation(np.tanh, lambda g, out: g * (1.0 - out * out))
+SIGMOID = Activation(stable_sigmoid, lambda g, out: g * out * (1.0 - out))
+RELU = Activation(lambda x: np.where(x > 0, x, 0.0),  # subgradient at 0 fixed to 0
+                  lambda g, out: g * (out > 0))
+
+
+def activate(a, act):
+    """act applied to a as one node, whose rule reads only the output."""
+    out = act.value(a.data)
+    return make_node(out, (a,), lambda g: (act.rule(g, out),))
+
+
+def tanh(a):
+    return activate(a, TANH)
+
+
 def sigmoid(a):
-    out = stable_sigmoid(a.data)
-
-    def bwd(g):
-        return (g * out * (1.0 - out),)
-
-    return make_node(out, (a,), bwd)
+    return activate(a, SIGMOID)
 
 
-def gated_mix(carry, cand, gate):
-    """(1 - z) * carry + z * cand with z = sigmoid(gate), as one node that keeps
-    only z; value and gradients are bitwise those of the five-node form."""
-    if not carry.data.shape == cand.data.shape == gate.data.shape:
+def gated_mix(carry, cand, z):
+    """(1 - z) * carry + z * cand for gate values z in [0, 1], as one node;
+    value and gradients are bitwise those of the four-node form."""
+    if not carry.data.shape == cand.data.shape == z.data.shape:
         raise ShapeError(
-            f"gated_mix operands {carry.data.shape}, {cand.data.shape}, {gate.data.shape}")
-    z = stable_sigmoid(gate.data)
+            f"gated_mix operands {carry.data.shape}, {cand.data.shape}, {z.data.shape}")
 
     def bwd(g):
-        keep = 1.0 - z
-        return (g * keep if carry.requires_grad else None,
-                (g * cand.data - g * carry.data) * z * keep if gate.requires_grad else None,
-                g * z if cand.requires_grad else None)
+        return (g * (1.0 - z.data) if carry.requires_grad else None,
+                g * cand.data - g * carry.data if z.requires_grad else None,
+                g * z.data if cand.requires_grad else None)
 
-    # Parents in the order the five-node form was walked, so fan-out sums keep their bits.
-    return make_node((1.0 - z) * carry.data + z * cand.data, (carry, gate, cand), bwd)
+    # Parents in the order the four-node form was walked, so fan-out sums keep their bits.
+    return make_node((1.0 - z.data) * carry.data + z.data * cand.data, (carry, z, cand), bwd)
 
 
 def dropout(a, rate, draw):
@@ -235,12 +235,12 @@ def dropout(a, rate, draw):
         return a
     if draw.shape != a.data.shape:
         raise ShapeError(f"dropout draw of shape {draw.shape} for input {a.data.shape}")
-    keep = (draw >= rate) / (1.0 - rate)
+    kept = draw >= rate  # bools; scaled where used, to the same float64 values
 
     def bwd(g):
-        return (g * keep,)
+        return (g * (kept / (1.0 - rate)),)
 
-    return make_node(a.data * keep, (a,), bwd)
+    return make_node(a.data * (kept / (1.0 - rate)), (a,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -260,17 +260,32 @@ def matmul(a, b):
     return make_node(_matmul_data(a, b), (a, b), bwd)
 
 
-def affine(x, w, b):
-    """x @ w + b with a bias row b, bitwise add(matmul(x, w), b) as one node."""
-    if b.data.shape != w.data.shape[1:]:
-        raise ShapeError(f"affine bias {b.data.shape} for weights {w.data.shape}")
+def affine(x, w, b, act=None, lengths=None):
+    """act(x @ w + b) as one node that keeps no pre-activation, bitwise the
+    chain of matmul, add and activation nodes. b is a bias row, or with
+    `lengths` one row per segment, row k added to the next lengths[k] rows."""
     out = _matmul_data(x, w)
-    out += b.data
+    if lengths is None:
+        if b.data.shape != w.data.shape[1:]:
+            raise ShapeError(f"affine bias {b.data.shape} for weights {w.data.shape}")
+        out += b.data
+    else:
+        lengths, starts = _segments(out, lengths)
+        if b.data.shape != (len(lengths), out.shape[1]):
+            raise ShapeError(f"affine bias {b.data.shape} for {len(lengths)} segments "
+                             f"of width {out.shape[1]}")
+        out += np.repeat(b.data, lengths, axis=0)
+    if act is not None:
+        out = act.value(out)
 
     def bwd(g):
+        if act is not None:
+            g = act.rule(g, out)
+        db = None
+        if b.requires_grad:
+            db = g.sum(axis=0) if lengths is None else np.add.reduceat(g, starts, axis=0)
         return (g @ w.data.T if x.requires_grad else None,
-                x.data.T @ g if w.requires_grad else None,
-                g.sum(axis=0) if b.requires_grad else None)
+                x.data.T @ g if w.requires_grad else None, db)
 
     return make_node(out, (x, w, b), bwd)
 
@@ -317,22 +332,6 @@ def split_rows(a, lengths):
         return make_node(a.data[start:stop], (a,), lambda g: (_RowsGrad(start, stop, g),))
 
     return [block(end - k, end) for k, end in zip(lengths, ends)]
-
-
-def repeat_rows(a, counts):
-    """Repeat row k of a [B, w] matrix counts[k] times; the gradient sums
-    each row's copies back."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"repeat_rows expects a matrix, got shape {a.data.shape}")
-    counts = np.asarray(counts, dtype=np.intp)
-    if counts.shape != (a.data.shape[0],) or counts.min(initial=1) < 1:
-        raise ShapeError(f"repeat_rows needs one count >= 1 per row of {a.data.shape}, "
-                         f"got {counts.tolist()}")
-
-    def bwd(g):
-        return (np.add.reduceat(g, np.cumsum(counts) - counts, axis=0),)
-
-    return make_node(np.repeat(a.data, counts, axis=0), (a,), bwd)
 
 
 def gather_rows(table, indices):

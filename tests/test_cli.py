@@ -214,17 +214,9 @@ class TestGradCheckCommand:
         assert "seed=11" in printed and "dims=" in printed
 
     def test_corrupted_gradient_rule_named(self, monkeypatch, capsys):
-        true_relu = phasecond.tensor.relu
-
-        def bad_relu(a):
-            out = true_relu(a)
-            if out._backward is not None:
-                good = out._backward
-                out._backward = lambda g: tuple(
-                    None if p is None else p * 1.05 for p in good(g))
-            return out
-
-        monkeypatch.setattr(phasecond.tensor, "relu", bad_relu)
+        relu = phasecond.tensor.RELU
+        bad_relu = relu._replace(rule=lambda g, out: relu.rule(g, out) * 1.05)
+        monkeypatch.setattr(phasecond.tensor, "RELU", bad_relu)
         assert main(["grad-check", "--seed", "11"]) == 1
         printed = capsys.readouterr().out
         assert "FAIL outer_fusion" in printed

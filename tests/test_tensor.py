@@ -88,11 +88,11 @@ class TestElementwise:
         assert T.sigmoid(Tensor([0.0])).data.tolist() == [0.5]
 
     def test_relu(self):
-        assert T.relu(Tensor([-1.0, 2.0])).data.tolist() == [0.0, 2.0]
+        assert T.activate(Tensor([-1.0, 2.0]), T.RELU).data.tolist() == [0.0, 2.0]
 
     def test_relu_gradient_at_zero_is_zero(self):
         x = Tensor([0.0], requires_grad=True)
-        backward(T.tsum(T.relu(x)))
+        backward(T.tsum(T.activate(x, T.RELU)))
         assert x.grad.tolist() == [0.0]
 
     def test_tanh_gradient(self):
@@ -212,6 +212,32 @@ def one_minus(a):
     return T.make_node(1.0 - a.data, (a,), lambda g: (-g,))
 
 
+def reference_activation(kind, a):
+    """tanh, sigmoid or relu as a node written out with its own gradient rule."""
+    if kind == "relu":
+        mask = a.data > 0
+        return T.make_node(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
+    out = np.tanh(a.data) if kind == "tanh" else T.stable_sigmoid(a.data)
+    if kind == "tanh":
+        return T.make_node(out, (a,), lambda g: (g * (1.0 - out * out),))
+    return T.make_node(out, (a,), lambda g: (g * out * (1.0 - out),))
+
+
+def repeated_rows(a, lengths):
+    """Row k of a repeated lengths[k] times, its gradient summed back per segment."""
+    starts = np.cumsum(lengths) - lengths
+    return T.make_node(np.repeat(a.data, lengths, axis=0), (a,),
+                       lambda g: (np.add.reduceat(g, starts, axis=0),))
+
+
+def assert_bitwise(results):
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)  # bitwise, so within 1e-12 too
+
+
+ACTIVATIONS = {"tanh": T.TANH, "sigmoid": T.SIGMOID, "relu": T.RELU}
+
+
 class TestFusedNodes:
     def test_gated_mix_matches_five_node_composition(self):
         rng = np.random.default_rng(13)
@@ -223,7 +249,7 @@ class TestFusedNodes:
         for fused in (True, False):
             carry, cand, gate = (Tensor(a.copy(), requires_grad=True) for a in base)
             if fused:
-                out = T.gated_mix(carry, cand, gate)
+                out = T.gated_mix(carry, cand, T.sigmoid(gate))
             else:
                 z = T.sigmoid(gate)
                 out = T.add(T.mul(one_minus(z), carry), T.mul(z, cand))
@@ -248,6 +274,79 @@ class TestFusedNodes:
             assert np.array_equal(got, want)
         with pytest.raises(ShapeError, match="bias"):
             T.affine(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 3))), Tensor(np.zeros(4)))
+
+    @pytest.mark.parametrize("kind", sorted(ACTIVATIONS))
+    def test_affine_activation_bitwise_equals_chain(self, kind):
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((6, 4))
+        x[0] = 0.0  # pre-activations equal to the bias: exact zeros for relu
+        base = [x, 10.0 * rng.standard_normal((4, 3)), np.array([0.0, 40.0, -40.0])]
+        mix = Tensor(rng.standard_normal((6, 3)))
+        results = []
+        for fused in (True, False):
+            x, w, b = (Tensor(a.copy(), requires_grad=True) for a in base)
+            if fused:
+                out = T.affine(x, w, b, ACTIVATIONS[kind])
+            else:
+                out = reference_activation(kind, T.add(T.matmul(x, w), b))
+            backward(T.tsum(T.mul(out, mix)))
+            results.append([out.data, x.grad, w.grad, b.grad])
+        assert_bitwise(results)
+
+    @pytest.mark.parametrize("kind", sorted(ACTIVATIONS))
+    def test_activation_node_bitwise_equals_reference(self, kind):
+        rng = np.random.default_rng(16)
+        base = np.concatenate([[0.0, 1e3, -1e3], rng.standard_normal(9)]).reshape(3, 4)
+        mix = Tensor(rng.standard_normal((3, 4)))
+        results = []
+        for fused in (True, False):
+            a = Tensor(base.copy(), requires_grad=True)
+            out = T.activate(a, ACTIVATIONS[kind]) if fused else reference_activation(kind, a)
+            backward(T.tsum(T.mul(out, mix)))
+            results.append([out.data, a.grad])
+        assert_bitwise(results)
+
+    def test_affine_segment_bias_matches_repeated_rows(self):
+        rng = np.random.default_rng(17)
+        base = [rng.standard_normal((5, 4)), rng.standard_normal((4, 3)),
+                rng.standard_normal((2, 3))]
+        mix = Tensor(rng.standard_normal((5, 3)))
+        results = []
+        for fused in (True, False):
+            x, w, b = (Tensor(a.copy(), requires_grad=True) for a in base)
+            if fused:
+                out = T.affine(x, w, b, T.TANH, lengths=[2, 3])
+            else:
+                out = T.tanh(T.add(T.matmul(x, w), repeated_rows(b, [2, 3])))
+            backward(T.tsum(T.mul(out, mix)))
+            results.append([out.data, x.grad, w.grad, b.grad])
+        assert_bitwise(results)
+
+    def test_affine_segment_bias_rows(self):
+        eye = Tensor(np.eye(2))
+        b = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+        out = T.affine(Tensor(np.zeros((5, 2))), eye, b, lengths=[2, 3])
+        assert out.data.tolist() == [[1.0, 2.0]] * 2 + [[3.0, 4.0]] * 3
+        backward(T.tsum(out))
+        assert b.grad.tolist() == [[2.0, 2.0], [3.0, 3.0]]
+        rng = np.random.default_rng(12)
+        x, w = Tensor(rng.standard_normal((5, 2))), Tensor(rng.standard_normal((5, 2)))
+        err = grad_check(lambda t: T.tsum(T.mul(T.affine(x, eye, t, T.TANH, [2, 3]), w)),
+                         rand(rng, 2, 2))
+        assert err < 1e-6
+        for bad in ([5], [2, 2], [2, 0, 3], [1, 1, 3]):
+            with pytest.raises(ShapeError, match="segment|bias"):
+                T.affine(x, eye, b, lengths=bad)
+
+    def test_dropout_gradient_is_the_scaled_mask(self):
+        rng = np.random.default_rng(18)
+        x = rand(rng, 4, 5)
+        draw, g = rng.random((4, 5)), rng.standard_normal((4, 5))
+        keep = (draw >= 0.3) / (1.0 - 0.3)
+        out = T.dropout(x, 0.3, draw)
+        assert np.array_equal(out.data, x.data * keep)
+        backward(T.tsum(T.mul(out, Tensor(g))))
+        assert np.array_equal(x.grad, g * keep)
 
 
 class TestStructureOps:
@@ -274,26 +373,6 @@ class TestStructureOps:
         assert middle.data.tolist() == [[4.0, 5.0, 6.0, 7.0]]
         backward(T.tsum(middle))
         assert x.grad[1].tolist() == [1.0] * 4 and x.grad.sum() == 4.0
-
-    def test_repeat_rows(self):
-        x = Tensor([[1.0, 2.0]], requires_grad=True)
-        out = T.repeat_rows(x, [3])
-        assert out.data.shape == (3, 2)
-        backward(T.tsum(out))
-        assert x.grad.tolist() == [[3.0, 3.0]]
-
-    def test_repeat_rows_per_row_counts(self):
-        x = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        out = T.repeat_rows(x, [2, 3])
-        assert out.data.tolist() == [[1.0, 2.0]] * 2 + [[3.0, 4.0]] * 3
-        rng = np.random.default_rng(12)
-        w = Tensor(rng.standard_normal((5, 2)))
-        err = grad_check(lambda t: T.tsum(T.mul(T.tanh(T.repeat_rows(t, [2, 3])), w)),
-                         rand(rng, 2, 2))
-        assert err < 1e-6
-        for bad in (2, [2], [2, 0]):
-            with pytest.raises(ShapeError, match="count"):
-                T.repeat_rows(x, bad)
 
 
 def dense_split_rows(a, lengths):
