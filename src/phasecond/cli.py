@@ -10,6 +10,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -48,12 +49,8 @@ def load_dataset(path, training=False):
 
 def build_config(args):
     cfg = from_file(args.config) if getattr(args, "config", None) else RunConfig()
-    overrides = {}
-    for name in ("path", "hidden", "seed", "lr", "epochs", "batch_size", "dropout",
-                 "train_data", "dev_data", "vectors", "word_dim"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
+    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+                 if getattr(args, f.name, None) is not None}
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -143,8 +140,7 @@ def dump_attention(model, example, out_dir, write_csv=False):
                 "matrices": [], "entropy": []}
     for matrix in result.trace:
         weights = matrix.weights.data
-        sums = weights.sum(axis=1)
-        if np.max(np.abs(sums - 1.0)) > 1e-9:
+        if not np.all(np.abs(weights.sum(axis=1) - 1.0) <= 1e-9):  # NaN fails too
             raise PhaseCondError(
                 f"{matrix.kind}{matrix.layer_index}: rows do not sum to 1 before export")
         cols = (example.question_tokens if matrix.kind == "qp"

@@ -8,10 +8,11 @@ A path is a chain of steps:
     Fo  outer fusion (concatenates the preceding same-kind attention
         block's outputs and runs highway layers over them)
 
-with groups repeatable as "(...)xN". The default two-phase path is
-"LQ->LQ->Fo->LS->Fi->LS->Fi"; the alternating baseline is
-"(LQ->Fi->LS->Fi)x2". Width consistency is checked once at build time,
-so a malformed chain fails before any data is seen.
+with groups repeatable as "(...)xN", at most MAX_STEPS (64) steps once
+expanded. The default two-phase path is "LQ->LQ->Fo->LS->Fi->LS->Fi"; the
+alternating baseline is "(LQ->Fi->LS->Fi)x2". `parse_path` reads a path in
+one pass and refuses an over-long one before expanding it; widths are checked
+once at build time, so a malformed chain fails before any data is seen.
 
 `forward_batch` runs the model on `config.path` over a minibatch, and
 `gold_loss` turns the same pass into the batch loss. Rows stay packed from
@@ -36,7 +37,6 @@ from .fusion import InnerFusionLayer, OuterFusionStack
 from .params import ParamSet, xavier_uniform
 from .pointer import PointerHead, decode_span, span_loss
 
-STEP_NAMES = ("LQ", "LS", "Fi", "Fo")
 ATTENTION_STEPS = ("LQ", "LS")
 
 
@@ -48,93 +48,67 @@ class PhasePath:
         return "->".join(self.steps)
 
 
-_TOKEN_RE = re.compile(r"\s*(LQ|LS|Fi|Fo|\(|\)|x\d+|->)")
+# Longest expanded path: "(LQ->Fi)x1000" would otherwise declare 3 GB of
+# parameters at the default config before any data is read.
+MAX_STEPS = 64
 
+_TOKEN_RE = re.compile(r"\s*(?:(?P<step>LQ|LS|Fi|Fo)|(?P<arrow>->)|(?P<open>\()"
+                       r"|(?P<close>\))|(?P<count>x\d+)|(?P<other>\S))")
 
-def _lex(expr):
-    tokens, pos = [], 0
-    while pos < len(expr):
-        m = _TOKEN_RE.match(expr, pos)
-        if m is None:
-            if expr[pos:].strip() == "":
-                break
-            raise PathSyntaxError(f"unexpected input {expr[pos:pos + 8]!r}", position=pos)
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return tokens
+# Parser states: what each lets come next, as the syntax errors name it, and
+# the state each allowed token leads to.
+_STATES = {
+    "item": ("a step or '('", {"step": "next", "open": "item"}),
+    "next": ("'->' or the end", {"arrow": "item"}),
+    "next_in_group": ("'->' or ')'", {"arrow": "item", "close": "count"}),
+    "count": ("a repetition xN with N >= 1", {"count": "next"}),
+}
 
 
 def parse_path(expr):
-    """Parse and validate a path expression into a flat PhasePath."""
-    tokens = _lex(expr)
-    if not tokens:
-        raise PathSyntaxError("empty path expression", position=0)
-    index = 0
+    """Parse and validate a path expression into a flat PhasePath.
 
-    def peek():
-        return tokens[index][0] if index < len(tokens) else None
-
-    def take(expected=None):
-        nonlocal index
-        if index >= len(tokens):
-            raise PathSyntaxError(f"unexpected end of expression, wanted {expected}",
-                                  position=len(expr))
-        tok, pos = tokens[index]
-        if expected is not None and tok != expected:
-            raise PathSyntaxError(f"expected {expected}, found {tok!r}", position=pos)
-        index += 1
-        return tok, pos
-
-    def parse_item():
-        tok = peek()
-        if tok == "(":
-            take("(")
-            inner = parse_seq()
-            take(")")
-            rep, pos = take()
-            if not rep.startswith("x"):
-                raise PathSyntaxError(f"expected a repetition like x2, found {rep!r}",
-                                      position=pos)
-            count = int(rep[1:])
-            if count < 1:
-                raise PathSyntaxError("repetition count must be >= 1", position=pos)
-            return inner * count
-        tok, pos = take()
-        if tok not in STEP_NAMES:
-            raise PathSyntaxError(f"expected a step, found {tok!r}", position=pos)
-        return [tok]
-
-    def parse_seq():
-        steps = parse_item()
-        while peek() == "->":
-            take("->")
-            steps.extend(parse_item())
-        return steps
-
-    steps = parse_seq()
-    if index != len(tokens):
-        raise PathSyntaxError(f"trailing input at {tokens[index][0]!r}",
-                              position=tokens[index][1])
+    One pass over the tokens: `groups` holds the steps before each open "(",
+    and `state` is what the next token may be. A step or a group's "xN" is
+    refused before it is built if the path would grow past MAX_STEPS.
+    """
+    steps, groups, state = [], [], "item"
+    for m in _TOKEN_RE.finditer(expr):
+        kind, at = m.lastgroup, m.start(m.lastgroup)
+        tok = m.group(kind)
+        expected, moves = _STATES[state]
+        count = int(tok[1:]) if kind == "count" else 1
+        if kind not in moves or count < 1:
+            raise PathSyntaxError(f"expected {expected}, found {tok!r}", position=at)
+        state = moves[kind]
+        if kind == "open":
+            groups.append(steps)
+            steps = []
+        elif state == "next":  # a step, or the count that closes a group
+            head, body = (steps, [tok]) if kind == "step" else (groups.pop(), steps)
+            if len(head) + len(body) * count > MAX_STEPS:
+                raise PathSyntaxError(f"path is longer than {MAX_STEPS} steps", position=at)
+            steps = head + body * count
+            state = "next_in_group" if groups else "next"
+    if state != "next":
+        raise PathSyntaxError(f"expected {_STATES[state][0]}, found the end",
+                              position=len(expr))
     validate_steps(steps)
     return PhasePath(steps=tuple(steps))
 
 
 def _fo_block(steps, i):
-    """Indices of the same-kind attention block an Fo at position i fuses."""
+    """Plan indices of the outputs an Fo at position i concatenates: one per
+    attention step of the same-kind block before it, the step's Fi if it has
+    one, else the step itself."""
     block, kind = [], None
-    j = i - 1
-    while j >= 0:
-        step = steps[j]
-        if step == "Fi":
-            j -= 1
+    for j in range(i - 1, -1, -1):
+        if steps[j] == "Fi":
             continue
-        if step in ATTENTION_STEPS and (kind is None or step == kind):
-            kind = step
-            block.append(j)
-            j -= 1
-            continue
-        break
-    block.reverse()
+        if steps[j] not in ATTENTION_STEPS or kind not in (None, steps[j]):
+            break
+        kind = steps[j]
+        block.insert(0, j + 1 if steps[j + 1] == "Fi" else j)
     return block
 
 
@@ -195,21 +169,19 @@ class ModelAssembly:
         d2 = 2 * config.hidden
         width = d2
         self.plan = []
-        qp_count = self_count = 0
         for i, step in enumerate(path.steps):
+            layer_index = path.steps[:i + 1].count(step)  # 1-based among its kind
             if step == "LQ":
-                qp_count += 1
                 projection = None
                 if width != d2:
                     projection = self.params.add(
                         f"path.s{i + 1}.lq_proj", (width, d2), xavier_uniform)
-                self.plan.append(PlanStep("LQ", layer_index=qp_count,
+                self.plan.append(PlanStep("LQ", layer_index=layer_index,
                                           projection=projection,
                                           in_width=width, out_width=d2))
                 width = d2
             elif step == "LS":
-                self_count += 1
-                self.plan.append(PlanStep("LS", layer_index=self_count,
+                self.plan.append(PlanStep("LS", layer_index=layer_index,
                                           in_width=width, out_width=width))
             elif step == "Fi":
                 prev = self.plan[i - 1]
@@ -272,10 +244,8 @@ def run_path(model, h, u, v, lengths, q_lengths):
     """
     us, vs = T.split_rows(u, q_lengths), T.split_rows(v, q_lengths)
     traces = [[] for _ in lengths]
-    effective = [None] * len(model.plan)  # per-step output, rewritten by Fi
-    inputs = [None] * len(model.plan)     # h as seen by each step
-    for i, step in enumerate(model.plan):
-        inputs[i] = h
+    outputs = []  # per plan step
+    for step in model.plan:
         if step.kind == "LQ":
             query = h if step.projection is None else T.matmul(h, step.projection)
             aligns = [qp_align(q_k, u_k, layer_index=step.layer_index)
@@ -287,15 +257,14 @@ def run_path(model, h, u, v, lengths, q_lengths):
                                  layer_index=step.layer_index) for h_k in parts]
             out = T.concat([self_propagate(a, h_k) for a, h_k in zip(aligns, parts)], axis=0)
         elif step.kind == "Fi":
-            out = step.fusion(b_new=effective[i - 1], b_prev=inputs[i - 1])
-            effective[i - 1] = out
+            out = step.fusion(b_new=h, b_prev=attention_input)
         else:  # Fo
-            cat = T.concat([effective[j] for j in step.block], axis=1)
-            out = step.fusion(cat)
+            out = step.fusion(T.concat([outputs[j] for j in step.block], axis=1))
         if step.kind in ATTENTION_STEPS:
+            attention_input = h
             for trace, align in zip(traces, aligns):
                 trace.append(align)
-        effective[i] = out
+        outputs.append(out)
         h = out
     return h, traces
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, NumericsError, ShapeError
 from .params import constant, xavier_uniform
 
 
@@ -32,9 +32,12 @@ class SpanPrediction:
 
 
 def decode_span(p_start, p_end, max_span):
-    """Best (start, end) with start <= end < start + max_span."""
+    """Best (start, end) with start <= end < start + max_span. Non-finite
+    probabilities raise NumericsError: an argmax over NaN would pick (0, 0)."""
     ps = np.asarray(p_start, dtype=np.float64).reshape(-1)
     pe = np.asarray(p_end, dtype=np.float64).reshape(-1)
+    if not (np.isfinite(ps).all() and np.isfinite(pe).all()):
+        raise NumericsError("span probabilities are not finite")
     outer = ps[:, None] * pe[None, :]
     n = ps.size
     idx = np.arange(n)

@@ -1,12 +1,18 @@
+import argparse
 import json
 import os
+from dataclasses import fields
 
 import jsonschema
 import numpy as np
 import pytest
 
+import phasecond.cli
 import phasecond.tensor
-from phasecond.cli import main
+from phasecond.cli import build_config, build_parser, main
+from phasecond.config import RunConfig
+from phasecond.errors import PhaseCondError
+from phasecond.training import restore_model, save_checkpoint
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -67,6 +73,12 @@ class TestTrainCommand:
                      "--path", "LS->LQ", "--out", str(tmp_path)])
         assert code == 2
         assert "first attention" in capsys.readouterr().err
+
+    def test_over_long_path_is_usage_error(self, tmp_path, capsys):
+        code = main(["train", "--train-data", "x.jsonl", "--dev-data", "y.jsonl",
+                     "--path", "LQ->(LS)x99999999999", "--out", str(tmp_path)])
+        assert code == 2
+        assert "longer than 64 steps (at position 8)" in capsys.readouterr().err
 
     def test_missing_data_is_usage_error(self, tmp_path):
         assert main(["train", "--out", str(tmp_path)]) == 2
@@ -204,6 +216,81 @@ class TestDumpAttention:
         for name in ("qp_1", "qp_2", "self_1", "self_2"):
             assert (out1 / f"{name}.json").read_bytes() == \
                    (out2 / f"{name}.json").read_bytes()
+
+
+class TestNonFiniteModel:
+    """A checkpoint with one NaN parameter: every command that runs it fails
+    with exit 1 and says why, instead of answering with the first token."""
+
+    @pytest.fixture(scope="class")
+    def nan_checkpoint(self, workspace):
+        model = restore_model(str(workspace / "run" / "best.ckpt"))[0]
+        model.params["enc.shared.fw.W"].data[0, 0] = np.nan
+        path = workspace / "nan.ckpt"
+        save_checkpoint(model, str(path))
+        return path
+
+    def test_predict_exits_1(self, workspace, nan_checkpoint, tmp_path, capsys):
+        code = main(["predict", "--checkpoint", str(nan_checkpoint),
+                     "--data", str(workspace / "data" / "dev.jsonl"),
+                     "--out", str(tmp_path / "preds.json")])
+        assert code == 1
+        assert "span probabilities are not finite" in capsys.readouterr().err
+        assert not (tmp_path / "preds.json").exists()
+
+    def test_dump_attention_exits_1_and_writes_no_matrix(self, workspace, nan_checkpoint,
+                                                         tmp_path, capsys):
+        out = tmp_path / "att"
+        code = main(["dump-attention", "--checkpoint", str(nan_checkpoint),
+                     "--passage", "tok01 ans02 tok03", "--question", "which word ?",
+                     "--out", str(out)])
+        assert code == 1
+        assert "not finite" in capsys.readouterr().err
+        assert not list(out.glob("*.json"))
+
+    def test_nan_attention_rows_fail_the_row_check(self, workspace, monkeypatch, tmp_path):
+        # the span decodes; only the exported weights are NaN
+        model = restore_model(str(workspace / "run" / "best.ckpt"))[0]
+        forward = phasecond.cli.forward
+
+        def nan_weights(model, example):
+            result = forward(model, example)
+            result.trace[0].weights.data[0, 0] = np.nan
+            return result
+
+        monkeypatch.setattr(phasecond.cli, "forward", nan_weights)
+        example = phasecond.cli._adhoc_example("tok01 ans02 tok03", "which word ?")
+        with pytest.raises(PhaseCondError, match="qp1: rows do not sum to 1"):
+            phasecond.cli.dump_attention(model, example, str(tmp_path))
+        assert not list(tmp_path.glob("*.json"))
+
+
+SUBCOMMANDS = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
+CONFIG_FLAGS = [a for a in SUBCOMMANDS["train"]._actions if a.dest in CONFIG_FIELDS]
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+def test_help_exits_zero(name, capsys):
+    with pytest.raises(SystemExit) as done:
+        main([name, "--help"])
+    assert done.value.code == 0
+    assert f"usage: phasecond {name}" in capsys.readouterr().out
+
+
+def test_every_train_option_is_a_config_flag_or_a_known_extra():
+    dests = {a.dest for a in SUBCOMMANDS["train"]._actions}
+    assert dests - CONFIG_FIELDS == {"help", "config", "set", "out"}
+    assert len(CONFIG_FLAGS) == 11
+
+
+@pytest.mark.parametrize("flag", CONFIG_FLAGS, ids=lambda a: a.option_strings[0])
+def test_config_flag_reaches_the_config(flag):
+    value = {int: 5, float: 0.125}.get(flag.type, "LQ->Fo" if flag.dest == "path" else "x.txt")
+    assert getattr(RunConfig(), flag.dest) != value
+    cfg = build_config(build_parser().parse_args(["train", flag.option_strings[0], str(value)]))
+    assert getattr(cfg, flag.dest) == value
 
 
 class TestGradCheckCommand:

@@ -1,6 +1,8 @@
 import hashlib
 import importlib.util
 import os
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from phasecond import tensor as T
 from phasecond.attention import qp_align, qp_represent
 from phasecond.conductor import (
+    MAX_STEPS,
     _dropout_draws,
     build_from_examples,
     forward,
@@ -63,6 +66,47 @@ class TestParsePath:
             parse_path("(LQ->Fi")
         with pytest.raises(PathSyntaxError):
             parse_path("")
+
+    @pytest.mark.parametrize("expr,position,expected", [
+        ("", 0, "a step or '('"),
+        ("LQ->", 4, "a step or '('"),
+        ("LQ->->LQ", 4, "a step or '('"),
+        ("(LQ->Fi", 7, "'->' or ')'"),
+        ("LQ->(LS)", 8, "a repetition xN"),
+        ("LQ x2", 3, "'->' or the end"),
+        ("LQ->Fo)", 6, "'->' or the end,"),
+        ("(LQ)x0", 4, "a repetition xN with N >= 1"),
+        ("LQ->XX", 4, "a step or '('"),
+    ])
+    def test_malformed_path_names_what_was_expected(self, expr, position, expected):
+        with pytest.raises(PathSyntaxError) as err:
+            parse_path(expr)
+        assert err.value.position == position
+        assert f"expected {expected}" in str(err.value)
+        assert f"(at position {position})" in str(err.value)
+
+    def test_huge_repetition_refused_before_expanding(self):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(PathSyntaxError, match=f"longer than {MAX_STEPS} steps") as err:
+                parse_path("LQ->(LS)x99999999999")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 1_000_000
+        assert err.value.position == 8
+
+    @pytest.mark.parametrize("longest", [
+        "LQ->" + "->".join(["LS"] * (MAX_STEPS - 1)),
+        f"LQ->(LS)x{MAX_STEPS - 1}",
+        f"(LQ->(LS)x{MAX_STEPS // 2 - 1})x2",
+    ])
+    def test_path_of_max_steps_parses_and_one_more_is_refused(self, longest):
+        assert len(parse_path(longest).steps) == MAX_STEPS
+        with pytest.raises(PathSyntaxError, match=f"longer than {MAX_STEPS} steps"):
+            parse_path(longest + "->LS")
 
     def test_path_without_attention_rejected(self):
         with pytest.raises(PathValidationError, match="no attention"):
@@ -308,6 +352,16 @@ class TestRunPath:
             assert np.array_equal(align.weights.data, np.ones((5, 1)))
             assert np.array_equal(qp_represent(align, v).data, np.repeat(v.data, 5, axis=0))
         assert np.array_equal(h.data, np.repeat(v.data, 5, axis=0))
+
+    def test_fo_concatenates_the_inner_fusion_outputs(self):
+        h0, u, v = self.inputs(7, 4, 3)
+        model = self.path_model("LQ->Fi->LQ->Fi->Fo")
+        h, _ = run_path(model, h0, u, v, [4], [3])
+        _, fi1, _, fi2, fo = model.plan
+        assert fo.block == (1, 3)
+        f1 = fi1.fusion(b_new=qp_represent(qp_align(h0, u, layer_index=1), v), b_prev=h0)
+        f2 = fi2.fusion(b_new=qp_represent(qp_align(f1, u, layer_index=2), v), b_prev=f1)
+        assert np.array_equal(h.data, fo.fusion(T.concat([f1, f2], axis=1)).data)
 
 
 # Tokens the property test draws from: words of the build vocabulary,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from phasecond import tensor as T
-from phasecond.errors import DataError, ShapeError
+from phasecond.errors import DataError, NumericsError, ShapeError
 from phasecond.params import ParamSet
 from phasecond.pointer import (
     PointerHead,
@@ -65,6 +65,14 @@ class TestDecodeSpan:
         span = decode_span([0.1, 0.7, 0.2], [0.05, 0.15, 0.8], max_span=1)
         assert (span.start, span.end) == (2, 2)
         assert span.score == pytest.approx(0.16)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_probabilities_raise(self, bad):
+        # an argmax over a NaN matrix would decode to (0, 0)
+        with pytest.raises(NumericsError, match="not finite"):
+            decode_span([0.1, bad, 0.2], [0.05, 0.15, 0.8], max_span=15)
+        with pytest.raises(NumericsError, match="not finite"):
+            decode_span([0.1, 0.7, 0.2], [bad, 0.15, 0.8], max_span=15)
 
     @pytest.mark.parametrize("max_span", [1, 5, 15])
     def test_matches_brute_force(self, max_span):
