@@ -59,15 +59,10 @@ def qp_represent(alignment, v_independent):
     return T.matmul(alignment.weights, v_independent)
 
 
-def self_align(h_prev, mask_diagonal=False, layer_index=1):
-    """Passage-vs-passage alignment [n, n] by dot product."""
-    n = h_prev.data.shape[0]
+def self_align(h_prev, layer_index=1):
+    """Passage-vs-passage alignment [n, n] by dot product, diagonal included."""
     scores = T.matmul(h_prev, T.transpose(h_prev))
-    mask = None
-    if mask_diagonal:
-        mask = np.ones((n, n), dtype=bool)
-        np.fill_diagonal(mask, False)
-    weights = T.softmax_rows(scores, mask=mask)
+    weights = T.softmax_rows(scores)
     return AlignmentMatrix(weights=weights, scores=scores, kind="self", layer_index=layer_index)
 
 

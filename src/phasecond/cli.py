@@ -56,8 +56,7 @@ def build_config(args):
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
         overrides[key.strip()] = value
-    apply_overrides(cfg, overrides)
-    cfg.validate()
+    cfg = apply_overrides(cfg, overrides)
     parse_path(cfg.path)
     return cfg
 

@@ -77,7 +77,8 @@ def parse_path(expr):
         kind, at = m.lastgroup, m.start(m.lastgroup)
         tok = m.group(kind)
         expected, moves = _STATES[state]
-        count = int(tok[1:]) if kind == "count" else 1
+        # A count is read to one more digit than MAX_STEPS has: enough to refuse it.
+        count = int(tok[1:].lstrip("0")[:len(str(MAX_STEPS)) + 1] or 0) if kind == "count" else 1
         if kind not in moves or count < 1:
             raise PathSyntaxError(f"expected {expected}, found {tok!r}", position=at)
         state = moves[kind]
@@ -157,7 +158,6 @@ class ModelAssembly:
     declaration order from a generator seeded with `config.seed`."""
 
     def __init__(self, config, vocab, given):
-        config.validate()
         self.path = path = parse_path(config.path)
         self.config = config
         self.vocab = vocab
@@ -253,8 +253,7 @@ def run_path(model, h, u, v, lengths, q_lengths):
             out = T.concat([qp_represent(a, v_k) for a, v_k in zip(aligns, vs)], axis=0)
         elif step.kind == "LS":
             parts = T.split_rows(h, lengths)
-            aligns = [self_align(h_k, mask_diagonal=model.config.mask_diagonal,
-                                 layer_index=step.layer_index) for h_k in parts]
+            aligns = [self_align(h_k, layer_index=step.layer_index) for h_k in parts]
             out = T.concat([self_propagate(a, h_k) for a, h_k in zip(aligns, parts)], axis=0)
         elif step.kind == "Fi":
             out = step.fusion(b_new=h, b_prev=attention_input)

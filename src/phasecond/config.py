@@ -1,12 +1,13 @@
-"""Run configuration: one flat dataclass, serialized as key=value lines.
+"""Run configuration: one flat frozen dataclass, serialized as key=value lines.
 
-CLI flags override file values; the effective config is echoed into every
-run directory and hashed into checkpoints so a loaded model can refuse
+A RunConfig is checked when it is made and cannot change afterwards. CLI flags
+override file values by making a new config; the effective config is echoed into
+every run directory and hashed into checkpoints so a loaded model can refuse
 mismatched settings.
 """
 
 import hashlib
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 
@@ -14,7 +15,7 @@ DEFAULT_PATH = "LQ->LQ->Fo->LS->Fi->LS->Fi"
 ITERATIVE_ALIGNER_PATH = "(LQ->Fi->LS->Fi)x2"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     # architecture
     path: str = DEFAULT_PATH
@@ -22,7 +23,6 @@ class RunConfig:
     fusion_layers: int = 2
     pointer_hops: int = 2
     max_span: int = 15
-    mask_diagonal: bool = False
     # features
     word_dim: int = 100
     char_dim: int = 16
@@ -47,7 +47,7 @@ class RunConfig:
     train_data: str = ""
     dev_data: str = ""
 
-    def validate(self):
+    def __post_init__(self):
         for name in ("hidden", "fusion_layers", "pointer_hops", "max_span", "word_dim",
                      "char_dim", "char_filters", "char_width", "feat_dim", "batch_size",
                      "epochs"):
@@ -55,9 +55,12 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
-        if self.lr <= 0:
+        if not self.lr > 0:  # NaN too
             raise ConfigError("lr must be positive")
-        return self
+        if not self.grad_clip >= 0:
+            raise ConfigError("grad_clip must be >= 0 (0 disables clipping)")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def desk_config(**overrides):
@@ -69,12 +72,12 @@ def desk_config(**overrides):
 
 
 def to_text(cfg):
-    lines = [f"{f.name}={getattr(cfg, f.name)}" for f in fields(cfg)]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{f.name}={getattr(cfg, f.name)}\n" for f in fields(cfg))
 
 
-def config_hash(cfg):
-    canonical = "\n".join(sorted(f"{k}={v}" for k, v in asdict(cfg).items()))
+def config_hash(values):
+    """sha256 of a {name: value} mapping: a config's `asdict` or a stored config."""
+    canonical = "\n".join(sorted(f"{k}={v}" for k, v in values.items()))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -94,19 +97,18 @@ def _coerce(name, kind, raw):
 
 
 def apply_overrides(cfg, overrides):
-    """Set fields from a {name: string-or-value} mapping, with type coercion."""
+    """A new config with fields from a {name: string-or-value} mapping, strings
+    coerced to the field's type; `cfg` is left as it is."""
     known = {f.name: f.type for f in fields(cfg)}
+    coerced = {}
     for name, value in overrides.items():
         if name not in known:
             raise ConfigError(f"unknown config key: {name}")
-        if isinstance(value, str):
-            value = _coerce(name, known[name], value)
-        setattr(cfg, name, value)
-    return cfg
+        coerced[name] = _coerce(name, known[name], value) if isinstance(value, str) else value
+    return replace(cfg, **coerced)
 
 
 def from_file(path):
-    cfg = RunConfig()
     overrides = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -117,4 +119,4 @@ def from_file(path):
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
             key, _, value = stripped.partition("=")
             overrides[key.strip()] = value
-    return apply_overrides(cfg, overrides)
+    return apply_overrides(RunConfig(), overrides)

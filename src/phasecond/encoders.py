@@ -128,7 +128,6 @@ class BiLSTMEncoder:
 
     def __init__(self, params, prefix, in_dim, hidden):
         self.in_dim = in_dim
-        self.hidden = hidden
         self.cells = {}
         for direction in ("fw", "bw"):
             w = params.add(f"{prefix}.{direction}.W", (in_dim, 4 * hidden), xavier_uniform)

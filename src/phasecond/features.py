@@ -32,15 +32,16 @@ BE_FORMS = frozenset({"be", "is", "are", "was", "were", "am", "been", "being"})
 QUESTION_TYPES = INTERROGATIVES + ("be", "other")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Vocabulary:
     """A model's lookup tables, as the checkpoint's `vocab` section stores them.
 
     word_tokens[0] is the padding slot (zero, frozen) and word_tokens[1] the
-    unknown slot; word_trainable holds 1 for rows the optimizer may move, 0
-    otherwise. Chars index from 2 (0 pad, 1 unknown), tags from 1 (0 unknown).
-    The initial word rows are not part of the record: they are the model's
-    `feat.word_emb` parameter.
+    unknown slot; word_trainable holds one flag per word (checked when the
+    record is made): 1 for rows the optimizer may move, 0 otherwise. Chars
+    index from 2 (0 pad, 1 unknown), tags from 1 (0 unknown). The initial word
+    rows are not part of the record: they are the model's `feat.word_emb`
+    parameter.
     """
 
     word_tokens: list
@@ -48,6 +49,11 @@ class Vocabulary:
     char_vocab: dict
     pos_vocab: dict
     ner_vocab: dict
+
+    def __post_init__(self):
+        if len(self.word_trainable) != len(self.word_tokens):
+            raise DataError(f"{len(self.word_trainable)} trainable flags "
+                            f"for {len(self.word_tokens)} words")
 
 
 def read_vectors(path, dim):
@@ -86,7 +92,6 @@ def build_vocabulary(config, examples, rng):
     unk and every other word draw a trainable uniform(-0.05, 0.05) row from
     `rng`, in word order. Tag vocabularies are built only for enabled tags.
     """
-    config.validate()
     tokens = [t for ex in examples for seq in (ex.passage_tokens, ex.question_tokens)
               for t in seq]
     vectors = read_vectors(config.vectors, config.word_dim) if config.vectors else {}

@@ -31,7 +31,6 @@ class OuterFusionStack:
 
     def __init__(self, params, prefix, width, n_layers):
         self.width = width
-        self.n_layers = n_layers
         self.layers = []
         for t in range(1, n_layers + 1):
             w_c = params.add(f"{prefix}.l{t}.W_C", (width, width), xavier_uniform)

@@ -52,7 +52,6 @@ class GRUCell:
     """Gated memory update: state <- (1 - u) * state + u * candidate."""
 
     def __init__(self, params, prefix, width):
-        self.width = width
         self.w = {}
         for gate in ("r", "u", "c"):
             for kind in ("W", "U"):

@@ -27,7 +27,7 @@ from .tensor import backward
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 @dataclass
@@ -67,7 +67,8 @@ def adam_step(params, state):
 
 
 def clip_gradients(params, max_norm):
-    """Scale all gradients so their global L2 norm is at most max_norm."""
+    """Scale all gradients so their global L2 norm is at most max_norm; a
+    max_norm of 0 disables clipping. Returns the norm before clipping."""
     total = 0.0
     for _, t in params.items():
         if t.grad is not None:
@@ -108,7 +109,6 @@ class TrainResult:
 def train(model, train_examples, dev_examples, config, run_dir=None):
     """Optimize the model and leave it at its best epoch; returns the metric history.
     `config` must be the model's own config."""
-    config.validate()
     if config != model.config:
         raise ConfigError("train() config differs from the config the model was built with")
     if not train_examples:
@@ -242,7 +242,7 @@ RUN_RECORD = ("epoch", "best_dev_em", "lr_history")
 def save_checkpoint(model, path, epoch=0, best_dev_em=0.0, lr_history=()):
     meta = {
         "format_version": CHECKPOINT_VERSION,
-        "config_hash": config_hash(model.config),
+        "config_hash": config_hash(asdict(model.config)),
         "config": asdict(model.config),
         "epoch": epoch,
         "best_dev_em": best_dev_em,
@@ -283,25 +283,21 @@ def restore_model(path):
                               f"integer epoch, a number best_dev_em and a list of numbers")
     try:
         config = RunConfig(**meta["config"])
-    except TypeError as exc:
+    except (TypeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: stored config is not a RunConfig: {exc}") from None
-    if config_hash(config) != meta["config_hash"]:
+    if config_hash(meta["config"]) != meta["config_hash"]:
         raise CheckpointError(
             f"{path}: stored config does not match the stored config hash "
             f"{meta['config_hash']!s:.12}...; refusing to load")
     try:
         vocab = Vocabulary(**meta["vocab"])
-    except TypeError as exc:
+    except (TypeError, DataError) as exc:
         raise CheckpointError(f"{path}: stored vocab is not a Vocabulary: {exc}") from None
-    if len(vocab.word_trainable) != len(vocab.word_tokens):
-        raise CheckpointError(
-            f"{path}: stored vocab has {len(vocab.word_trainable)} trainable flags "
-            f"for {len(vocab.word_tokens)} words")
 
     stored = {key[len("params/"):]: arr for key, arr in arrays.items() if key.startswith("params/")}
     try:
         model = build_model(config, vocab, stored)
-    except PhaseCondError as exc:  # an invalid stored config or a misshapen array
+    except PhaseCondError as exc:  # an invalid stored path or a misshapen array
         raise CheckpointError(f"{path}: cannot build the stored model: {exc}") from None
     required, present = {f"params/{name}" for name in model.params.names()}, set(arrays)
     if present != required:

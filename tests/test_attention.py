@@ -89,16 +89,6 @@ class TestSelfAttention:
         a = self_align(Tensor([[1.0, 0.0], [0.0, 1.0]]))
         assert np.allclose(a.weights.data[0], [0.73106, 0.26894], atol=5e-6)
 
-    def test_diagonal_mask(self):
-        rng = np.random.default_rng(6)
-        a = self_align(Tensor(rng.standard_normal((4, 3))), mask_diagonal=True)
-        assert np.all(np.diag(a.weights.data) == 0.0)
-        assert rows_stochastic(a.weights)
-
-    def test_single_row_with_diagonal_mask_degenerate(self):
-        with pytest.raises(DegenerateRowError):
-            self_align(Tensor([[1.0, 2.0]]), mask_diagonal=True)
-
     def test_propagate_identity(self):
         h = Tensor(np.arange(6.0).reshape(2, 3))
         ident = self_align(Tensor([[40.0, 0.0], [0.0, 40.0]]))

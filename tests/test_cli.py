@@ -80,6 +80,29 @@ class TestTrainCommand:
         assert code == 2
         assert "longer than 64 steps (at position 8)" in capsys.readouterr().err
 
+    def test_count_too_long_for_int_is_usage_error(self, tmp_path, capsys):
+        code = main(["train", "--train-data", "x.jsonl", "--dev-data", "y.jsonl",
+                     "--path", "(LQ)x" + "9" * 5000, "--out", str(tmp_path)])
+        assert code == 2
+        assert "longer than 64 steps (at position 4)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--seed", "-1"], "seed must be >= 0"),
+        (["--set", "grad_clip=-1"], "grad_clip must be >= 0"),
+        (["--set", "dropout=1"], "dropout must be in [0, 1)"),
+        (["--hidden", "0"], "hidden must be >= 1"),
+        (["--set", "mask_diagonal=true"], "unknown config key: mask_diagonal"),
+    ], ids=["seed", "grad_clip", "dropout", "hidden", "mask_diagonal"])
+    def test_invalid_config_is_usage_error_before_any_data_is_read(self, tmp_path, capsys,
+                                                                    flags, message):
+        code = main(["train", "--train-data", str(tmp_path / "missing.jsonl"),
+                     "--dev-data", str(tmp_path / "missing.jsonl"),
+                     "--out", str(tmp_path / "run"), *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
+        assert not (tmp_path / "run").exists()
+
     def test_missing_data_is_usage_error(self, tmp_path):
         assert main(["train", "--out", str(tmp_path)]) == 2
 

@@ -98,6 +98,16 @@ class TestParsePath:
         assert peak < 1_000_000
         assert err.value.position == 8
 
+    def test_count_too_long_for_int_is_refused_by_the_cap(self):
+        with pytest.raises(PathSyntaxError, match=f"longer than {MAX_STEPS} steps") as err:
+            parse_path("(LQ)x" + "9" * 5000)
+        assert err.value.position == 4
+
+    def test_leading_zeros_of_a_count_are_read_past(self):
+        assert parse_path("LQ->(LS)x" + "0" * 5000 + "1").steps == ("LQ", "LS")
+        with pytest.raises(PathSyntaxError, match="N >= 1"):
+            parse_path("LQ->(LS)x" + "0" * 5000)
+
     @pytest.mark.parametrize("longest", [
         "LQ->" + "->".join(["LS"] * (MAX_STEPS - 1)),
         f"LQ->(LS)x{MAX_STEPS - 1}",

@@ -8,9 +8,10 @@ import pytest
 from phasecond import tensor as T
 from phasecond import training
 from phasecond.conductor import build_from_examples, forward, gold_loss
-from phasecond.config import RunConfig, config_hash
+from phasecond.config import RunConfig, apply_overrides, config_hash, desk_config, from_file
 from phasecond.data import EvalResult, SyntheticSpec, generate_synthetic
-from phasecond.errors import CheckpointError, ConfigError, NumericsError, ShapeError
+from phasecond.errors import CheckpointError, ConfigError, DataError, NumericsError, ShapeError
+from phasecond.features import Vocabulary
 from phasecond.params import ParamSet, constant
 from phasecond.tensor import Tensor, backward
 from phasecond.training import (
@@ -53,13 +54,8 @@ def adam_oracle(grads, lr, b1=0.9, b2=0.999, eps=1e-8):
     ("char_width", 0), ("char_width", -1), ("char_dim", 0), ("char_filters", 0), ("epochs", 0),
     ("word_dim", 0), ("word_dim", -1), ("feat_dim", 0), ("feat_dim", -2)])
 def test_config_values_below_one_rejected_before_any_work(field, value):
-    data = tiny_dataset(n=2)
-    cfg = small_config(**{field: value})
     with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
-        build_from_examples(cfg, data)
-    model = build_from_examples(small_config(), data)
-    with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
-        train(model, data, data, cfg)
+        small_config(**{field: value})
 
 
 def test_train_refuses_a_config_other_than_the_models():
@@ -67,6 +63,61 @@ def test_train_refuses_a_config_other_than_the_models():
     model = build_from_examples(small_config(), data)
     with pytest.raises(ConfigError, match="differs"):
         train(model, data, data, small_config(dropout=0.5))
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("field,value,message", [
+        ("seed", -1, "seed must be >= 0"),
+        ("grad_clip", -1.0, "grad_clip must be >= 0"),
+        ("grad_clip", float("nan"), "grad_clip must be >= 0"),
+        ("lr", float("nan"), "lr must be positive"),
+    ])
+    def test_invalid_value_rejected_when_made(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(**{field: value})
+
+    def test_zero_grad_clip_is_a_config(self):
+        assert RunConfig(grad_clip=0.0).grad_clip == 0.0
+
+    def test_built_models_config_cannot_change(self):
+        cfg = small_config()
+        model = build_from_examples(cfg, tiny_dataset(n=2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.config.hidden = 4
+        assert model.config == cfg and cfg.hidden == 3
+
+    def test_apply_overrides_returns_a_new_config(self):
+        cfg = small_config()
+        before = dataclasses.asdict(cfg)
+        changed = apply_overrides(cfg, {"hidden": "4", "dropout": 0.5})
+        assert dataclasses.asdict(cfg) == before
+        assert (changed.hidden, changed.dropout) == (4, 0.5)
+        assert changed == dataclasses.replace(cfg, hidden=4, dropout=0.5)
+
+    def test_config_file_with_a_removed_key_rejected(self, tmp_path):
+        old = tmp_path / "effective.cfg"
+        old.write_text("hidden=3\nmask_diagonal=False\n")
+        with pytest.raises(ConfigError, match="unknown config key: mask_diagonal"):
+            from_file(str(old))
+
+    @pytest.mark.parametrize("make", [
+        lambda tmp_path: RunConfig(),
+        lambda tmp_path: desk_config(),
+        lambda tmp_path: small_config(vectors=str(tmp_path / "vectors.txt"), use_pos=True,
+                                      path="(LQ->Fi->LS->Fi)x2"),
+    ], ids=["default", "desk", "vectors-pos-aligner"])
+    def test_effective_cfg_reads_back_as_the_config(self, tmp_path, monkeypatch, make):
+        (tmp_path / "vectors.txt").write_text("tok01 0.1 0.2 0.3 0.4 0.5 0.6\n")
+        data = tiny_dataset(n=2)
+        cfg = make(tmp_path)
+        model = build_from_examples(cfg, data)
+        monkeypatch.setattr(training, "_optimizer_step", lambda *args: None)  # halt at once
+        assert train(model, data, data, cfg, run_dir=str(tmp_path / "run")).history == []
+        assert from_file(str(tmp_path / "run" / "effective.cfg")) == cfg
+
+    def test_vocabulary_with_a_flag_too_few_rejected_when_made(self):
+        with pytest.raises(DataError, match="2 trainable flags for 3 words"):
+            Vocabulary(["<pad>", "<unk>", "a"], [0, 1], {}, {}, {})
 
 
 class TestAdam:
@@ -115,6 +166,13 @@ class TestClipping:
         norm = clip_gradients(params, 5.0)
         assert norm == pytest.approx(20.0)
         assert np.linalg.norm(p.grad) == pytest.approx(5.0)
+
+    def test_zero_max_norm_disables_clipping(self):
+        params = ParamSet()
+        p = params.add("w", (2,), constant(0.0))
+        p.grad = np.array([30.0, 40.0])
+        assert clip_gradients(params, 0.0) == pytest.approx(50.0)
+        assert p.grad.tolist() == [30.0, 40.0]
 
     def test_below_threshold_untouched(self):
         params = ParamSet()
@@ -382,6 +440,13 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version 3"):
             restore_model(old)
 
+    def test_version_4_checkpoint_rejected_with_its_version(self, tmp_path):
+        model, data, result = self.build_trained(tmp_path)
+        old = self.rewrite_meta(result.checkpoint_path, tmp_path / "v4.ckpt",
+                                lambda meta: meta.update(format_version=4))
+        with pytest.raises(CheckpointError, match="version 4"):
+            restore_model(old)
+
     def test_restored_parameters_take_an_adam_step(self, tmp_path):
         data = tiny_dataset(n=4, seed=5)
         cfg = small_config(epochs=1)
@@ -487,7 +552,7 @@ class TestCheckpoint:
 
         def set_key_and_hash(meta):
             meta["config"][key] = value
-            meta["config_hash"] = config_hash(RunConfig(**meta["config"]))
+            meta["config_hash"] = config_hash(meta["config"])
 
         edited = self.rewrite_meta(result.checkpoint_path, tmp_path / "edited.ckpt",
                                    set_key_and_hash)
