@@ -15,6 +15,11 @@ DEFAULT_PATH = "LQ->LQ->Fo->LS->Fi->LS->Fi"
 ITERATIVE_ALIGNER_PATH = "(LQ->Fi->LS->Fi)x2"
 
 
+# The values a field of each annotated type takes; bool is an int but is refused
+# wherever the field is not a bool.
+_ACCEPTS = {int: int, bool: bool, float: (int, float), str: str}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     # architecture
@@ -48,6 +53,11 @@ class RunConfig:
     dev_data: str = ""
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            wrong_bool = isinstance(value, bool) is not (f.type is bool)
+            if wrong_bool or not isinstance(value, _ACCEPTS[f.type]):
+                raise ConfigError(f"{f.name} must be {f.type.__name__}, got {value!r}")
         for name in ("hidden", "fusion_layers", "pointer_hops", "max_span", "word_dim",
                      "char_dim", "char_filters", "char_width", "feat_dim", "batch_size",
                      "epochs"):

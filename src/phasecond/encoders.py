@@ -8,12 +8,15 @@ Two encoder roles over the same feature space:
 
 Each encoder runs once per minibatch: every sequence it sees in the batch
 (for the shared encoder, the passages and the questions together) is packed
-row after row, and each direction's whole pass over them is a single graph
-node with a hand-written backward-through-time rule. At step t the node
-updates only the sequences still running, so nothing is padded or masked,
-and the per-step Python loop stays out of the autodiff tape. The rule is
-pinned by finite-difference tests. Encoders take and return packed rows
-with the sequences' lengths; nothing is split per example here.
+row after row, and the whole BiLSTM pass over them is a single graph node
+with a hand-written backward-through-time rule. Its two directions step
+together: one recurrent product and one pass of pointwise work per step
+covers both. At step t the node updates only the sequences still running,
+so nothing is padded or masked, and reads their incoming state from the rows
+step t - 1 wrote to its output and cell buffers; the per-step Python loop
+stays out of the autodiff tape. The rule is pinned by finite-difference
+tests. Encoders take and return packed rows with the sequences' lengths;
+nothing is split per example here.
 """
 
 import numpy as np
@@ -24,14 +27,15 @@ from .params import constant, orthogonal, xavier_uniform
 from .tensor import make_node, stable_sigmoid
 
 
-def _time_major(lengths, reverse):
-    """(perm, bounds): the packed rows in processing order, step by step.
+def _time_major(lengths, reverses):
+    """(perms, bounds): the packed rows in processing order, step by step,
+    one perm per direction.
 
     Sequences are taken longest first, so the ones still running at step t
     are always a prefix of that order: step t reads packed rows
-    perm[bounds[t]:bounds[t + 1]], and their states are the first
-    bounds[t + 1] - bounds[t] rows of the state matrix. The reverse direction
-    starts at each sequence's own last row.
+    perm[bounds[t]:bounds[t + 1]], and the states entering it are the first
+    bounds[t + 1] - bounds[t] rows step t - 1 wrote. The reverse direction
+    starts at each sequence's own last row; the directions share bounds.
     """
     lengths = np.asarray(lengths, dtype=np.intp)
     starts = np.cumsum(lengths) - lengths
@@ -39,102 +43,109 @@ def _time_major(lengths, reverse):
     starts, lengths = starts[order], lengths[order]
     t = np.arange(lengths[0])[:, None]
     running = t < lengths  # [steps, sequences]; each row is a prefix
-    rows = starts + (lengths - 1 - t if reverse else t)
     bounds = np.concatenate(([0], np.cumsum(running.sum(axis=1))))
-    return rows[running], bounds.tolist()
+    return ([(starts + (lengths - 1 - t if reverse else t))[running] for reverse in reverses],
+            bounds.tolist())
 
 
-def lstm_direction(x, w, u, b, lengths, reverse=False):
-    """One LSTM direction over packed sequences -> [sum(lengths), d].
+def lstm_direction(x, cells, lengths):
+    """Every direction of an LSTM over packed sequences -> [sum(lengths), k*d].
 
-    x holds the sequences' rows back to back, sequence k being lengths[k]
-    rows long. Gate layout along the 4d axis is (input, forget, cell,
-    output). Output row r is the hidden state after consuming row r in its
-    sequence's processing order.
+    x holds the sequences' rows back to back, sequence s being lengths[s]
+    rows long. `cells` holds one (W, U, b, reverse) per direction, k in all;
+    the directions step together and their outputs sit side by side. Gate layout
+    along the 4d axis is (input, forget, cell, output). Output row r is the
+    hidden state after consuming row r in its sequence's processing order.
     """
     n = x.data.shape[0]
     if sum(lengths) != n:
         raise ShapeError(f"sequence lengths sum to {sum(lengths)}, input has {n} rows")
-    d = u.data.shape[0]
-    perm, bounds = _time_major(lengths, reverse)
+    k, d = len(cells), cells[0][1].data.shape[0]
+    perms, bounds = _time_major(lengths, [reverse for *_, reverse in cells])
     blocks = list(zip(bounds[:-1], bounds[1:]))
-    xw = (x.data @ w.data + b.data)[perm]  # [n, 4d], time-major like everything below
+    # Time-major rows, and within a row gate-major: gates[r, q] is gate q of
+    # every direction, so a one-row step works on whole contiguous blocks.
+    gates = np.empty((n, 4, k, d))  # pre-activations, then activated (i, f, g, o)
+    for j, ((w, _, b, _), perm) in enumerate(zip(cells, perms)):
+        gates[:, :, j] = (x.data @ w.data + b.data)[perm].reshape(n, 4, d)
+    us = np.stack([u.data for _, u, _, _ in cells])  # [k, d, 4d]
+    outs, cs, tanh_cs = (np.empty((n, k, d)) for _ in range(3))
+    zeros = np.zeros((bounds[1], k, d))  # the state entering step 0
 
-    outs = np.empty((n, d))
-    h_prevs = np.empty((n, d))      # hidden state entering each row's step
-    c_prevs = np.empty((n, d))
-    gates = np.empty((n, 4 * d))    # activated (i, f, g, o) per row
-    tanh_cs = np.empty((n, d))
-    h = np.zeros((len(lengths), d))
-    c = np.zeros((len(lengths), d))
-    for lo, hi in blocks:
+    def prev(buf, t, a):
+        """The state rows entering step t: the prefix of step t - 1's rows."""
+        return buf[blocks[t - 1][0]:blocks[t - 1][0] + a] if t else zeros
+
+    for t, (lo, hi) in enumerate(blocks):
         a = hi - lo
-        pre = xw[lo:hi] + h[:a] @ u.data
         act = gates[lo:hi]
-        act[:] = stable_sigmoid(pre)
-        act[:, 2 * d:3 * d] = np.tanh(pre[:, 2 * d:3 * d])
-        i = act[:, :d]
-        f = act[:, d:2 * d]
-        g = act[:, 2 * d:3 * d]
-        o = act[:, 3 * d:]
-        h_prevs[lo:hi] = h[:a]
-        c_prevs[lo:hi] = c[:a]
-        c[:a] = f * c[:a] + i * g
-        tanh_c = tanh_cs[lo:hi]
-        tanh_c[:] = np.tanh(c[:a])
-        h[:a] = o * tanh_c
-        outs[lo:hi] = h[:a]
-    out = np.empty((n, d))
-    out[perm] = outs
+        act += np.matmul(prev(outs, t, a).transpose(1, 0, 2), us).reshape(
+            k, a, 4, d).transpose(1, 2, 0, 3)
+        g = np.tanh(act[:, 2])
+        act[:] = stable_sigmoid(act)
+        act[:, 2] = g
+        c = np.multiply(act[:, 1], prev(cs, t, a), out=cs[lo:hi])
+        c += act[:, 0] * g
+        np.multiply(act[:, 3], np.tanh(c, out=tanh_cs[lo:hi]), out=outs[lo:hi])
+    out = np.empty((n, k * d))
+    for j, perm in enumerate(perms):
+        out[perm, j * d:(j + 1) * d] = outs[:, j]
 
     def bwd(grad_out):
-        grad_tm = grad_out[perm]
-        dpre_tm = np.empty((n, 4 * d))
-        u_t = u.data.T
-        dh_carry = np.zeros((len(lengths), d))
-        dc_carry = np.zeros((len(lengths), d))
-        for lo, hi in reversed(blocks):
+        grad_tm = np.empty((n, k, d))
+        for j, perm in enumerate(perms):
+            grad_tm[:, j] = grad_out[perm, j * d:(j + 1) * d]
+        dgates = np.empty((k, n, 4 * d))  # direction-major, so BLAS reads each step as it is
+        # U stacked again rather than kept: the tape holds no copy of a parameter
+        u_t = np.stack([u.data for _, u, _, _ in cells]).transpose(0, 2, 1)
+        dh_carry = np.zeros((bounds[1], k, d))
+        dc_carry = np.zeros((bounds[1], k, d))
+        for t in reversed(range(len(blocks))):
+            lo, hi = blocks[t]
             a = hi - lo
-            i = gates[lo:hi, :d]
-            f = gates[lo:hi, d:2 * d]
-            g = gates[lo:hi, 2 * d:3 * d]
-            o = gates[lo:hi, 3 * d:]
+            i, f, g, o = gates[lo:hi].transpose(1, 0, 2, 3)
             tanh_c = tanh_cs[lo:hi]
             dh = grad_tm[lo:hi] + dh_carry[:a]
             do = dh * tanh_c
             dc = dc_carry[:a] + dh * o * (1.0 - tanh_c * tanh_c)
-            step = dpre_tm[lo:hi]
-            step[:, :d] = dc * g * i * (1.0 - i)
-            step[:, d:2 * d] = dc * c_prevs[lo:hi] * f * (1.0 - f)
-            step[:, 2 * d:3 * d] = dc * i * (1.0 - g * g)
-            step[:, 3 * d:] = do * o * (1.0 - o)
+            step = dgates[:, lo:hi].transpose(1, 0, 2)
+            step[..., :d] = dc * g * i * (1.0 - i)
+            step[..., d:2 * d] = dc * prev(cs, t, a) * f * (1.0 - f)
+            step[..., 2 * d:3 * d] = dc * i * (1.0 - g * g)
+            step[..., 3 * d:] = do * o * (1.0 - o)
             dc_carry[:a] = dc * f
-            dh_carry[:a] = step @ u_t
-        dpre = np.empty((n, 4 * d))
-        dpre[perm] = dpre_tm
-        h_prev = np.empty((n, d))
-        h_prev[perm] = h_prevs
-        dx = dpre @ w.data.T if x.requires_grad else None
-        dw = x.data.T @ dpre
-        du = h_prev.T @ dpre
-        db = dpre.sum(axis=0)
-        return dx, dw, du, db
+            np.matmul(dgates[:, lo:hi], u_t, out=dh_carry[:a].transpose(1, 0, 2))
+        # the state entering a row is the output of the row before it in its
+        # sequence's processing order, or zero at the sequence's first step
+        sizes = np.diff(bounds)
+        before = np.arange(bounds[1], n) - np.repeat(sizes[:-1], sizes[1:])
+        grads = []
+        for j, ((w, _, _, _), perm) in enumerate(zip(cells, perms)):
+            dpre = np.empty((n, 4 * d))
+            dpre[perm] = dgates[j]
+            h_prev = np.zeros((n, d))
+            h_prev[perm[bounds[1]:]] = outs[before, j]
+            grads += [dpre @ w.data.T if x.requires_grad else None,
+                      x.data.T @ dpre, h_prev.T @ dpre, dpre.sum(axis=0)]
+        return grads
 
-    return make_node(out, (x, w, u, b), bwd)
+    # x is a parent once per direction, so its gradient adds the directions' parts
+    # one at a time, as it would from one node per direction
+    return make_node(out, tuple(p for cell in cells for p in (x, *cell[:3])), bwd)
 
 
 class BiLSTMEncoder:
-    """Forward and backward LSTM over packed sequences, states concatenated."""
+    """Forward and backward LSTM over packed sequences, states side by side."""
 
     def __init__(self, params, prefix, in_dim, hidden):
         self.in_dim = in_dim
-        self.cells = {}
-        for direction in ("fw", "bw"):
+        self.cells = []
+        for direction, reverse in (("fw", False), ("bw", True)):
             w = params.add(f"{prefix}.{direction}.W", (in_dim, 4 * hidden), xavier_uniform)
             u = params.add(f"{prefix}.{direction}.U", (hidden, 4 * hidden), orthogonal)
             b = params.add(f"{prefix}.{direction}.b", (4 * hidden,),  # forget gate open at init
                            constant(np.repeat([0.0, 1.0, 0.0, 0.0], hidden)))
-            self.cells[direction] = (w, u, b)
+            self.cells.append((w, u, b, reverse))
 
     def __call__(self, features, lengths):
         """[sum(lengths), in_dim] -> [sum(lengths), 2*hidden]."""
@@ -144,9 +155,7 @@ class BiLSTMEncoder:
             raise ShapeError(
                 f"encoder built for input width {self.in_dim}, got {features.data.shape[1]}"
             )
-        fw = lstm_direction(features, *self.cells["fw"], lengths)
-        bw = lstm_direction(features, *self.cells["bw"], lengths, reverse=True)
-        return T.concat([fw, bw], axis=1)
+        return lstm_direction(features, self.cells, lengths)
 
 
 class EncoderPair:

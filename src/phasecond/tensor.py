@@ -182,8 +182,7 @@ def mul(a, b):
 def stable_sigmoid(x):
     """Elementwise logistic of an array; exp only ever sees -|x|, so it never overflows."""
     e = np.exp(-np.abs(x))
-    denom = 1.0 + e
-    return np.where(x >= 0, 1.0 / denom, e / denom)
+    return np.maximum(e, x >= 0) / (1.0 + e)  # numerator 1 where x >= 0, else e
 
 
 # An activation is value(x) and rule(g, out): the gradient at its input,
@@ -191,8 +190,8 @@ def stable_sigmoid(x):
 Activation = namedtuple("Activation", "value rule")
 TANH = Activation(np.tanh, lambda g, out: g * (1.0 - out * out))
 SIGMOID = Activation(stable_sigmoid, lambda g, out: g * out * (1.0 - out))
-RELU = Activation(lambda x: np.where(x > 0, x, 0.0),  # subgradient at 0 fixed to 0
-                  lambda g, out: g * (out > 0))
+RELU = Activation(lambda x: np.fmax(x, 0.0) + 0.0,  # + 0.0 turns -0.0 into 0.0; NaN -> 0.0
+                  lambda g, out: g * (out > 0))  # subgradient at 0 fixed to 0
 
 
 def activate(a, act):

@@ -20,7 +20,7 @@ class TestLSTMDirection:
         w = Tensor(np.zeros((3, 8)))
         u = Tensor(np.zeros((2, 8)))
         b = Tensor(np.zeros(8))
-        out = lstm_direction(x, w, u, b, [4])
+        out = lstm_direction(x, [(w, u, b, False)], [4])
         assert np.array_equal(out.data, np.zeros((4, 2)))
 
     def test_gradients_match_finite_differences(self):
@@ -33,13 +33,13 @@ class TestLSTMDirection:
         mixer = Tensor(rng.standard_normal((3, 2)))
 
         def loss_wrt(t, reverse=False):
-            return T.tsum(T.mul(lstm_direction(x if t is not x else t, w, u, b, [3],
-                                               reverse=reverse), mixer))
+            return T.tsum(T.mul(lstm_direction(x if t is not x else t, [(w, u, b, reverse)],
+                                               [3]), mixer))
 
         assert grad_check(lambda t: loss_wrt(t), x) < 1e-4
         for p in (w, u, b):
             assert grad_check(lambda q, p=p: T.tsum(T.mul(
-                lstm_direction(x, w, u, b, [3]), mixer)), p) < 1e-4
+                lstm_direction(x, [(w, u, b, False)], [3]), mixer)), p) < 1e-4
         assert grad_check(lambda t: loss_wrt(t, reverse=True), x) < 1e-4
 
     def test_reverse_direction_sees_suffix(self):
@@ -49,9 +49,9 @@ class TestLSTMDirection:
         u = params.add("U", (1, 4), constant(rng.standard_normal((1, 4))))
         b = params.add("b", (4,), constant(rng.standard_normal(4)))
         x = rng.standard_normal((5, 2))
-        full = lstm_direction(Tensor(x), w, u, b, [5], reverse=True).data
+        full = lstm_direction(Tensor(x), [(w, u, b, True)], [5]).data
         # last row depends only on the last input position
-        tail = lstm_direction(Tensor(x[-1:]), w, u, b, [1], reverse=True).data
+        tail = lstm_direction(Tensor(x[-1:]), [(w, u, b, True)], [1]).data
         assert np.allclose(full[-1], tail[0])
 
 
@@ -80,7 +80,7 @@ class TestPackedLSTMDirection:
         x, cell, mixer = packed_fixture(20)
 
         def loss(_leaf):
-            return T.tsum(T.mul(lstm_direction(x, *cell, LENGTHS, reverse=reverse), mixer))
+            return T.tsum(T.mul(lstm_direction(x, [(*cell, reverse)], LENGTHS), mixer))
 
         for leaf in (x, *cell):
             assert grad_check(loss, leaf) < 1e-4
@@ -89,7 +89,7 @@ class TestPackedLSTMDirection:
     def test_matches_per_sequence(self, reverse):
         x, cell, mixer = packed_fixture(21)
         x.requires_grad = True
-        packed = lstm_direction(x, *cell, LENGTHS, reverse=reverse)
+        packed = lstm_direction(x, [(*cell, reverse)], LENGTHS)
         backward(T.tsum(T.mul(packed, mixer)))
         packed_grads = [t.grad for t in (x, *cell)]
 
@@ -97,7 +97,7 @@ class TestPackedLSTMDirection:
             t.grad = None
         for lo, hi in segments(LENGTHS):
             piece = Tensor(x.data[lo:hi], requires_grad=True)
-            alone = lstm_direction(piece, *cell, [hi - lo], reverse=reverse)
+            alone = lstm_direction(piece, [(*cell, reverse)], [hi - lo])
             assert np.abs(packed.data[lo:hi] - alone.data).max() <= 1e-12
             backward(T.tsum(T.mul(alone, Tensor(mixer.data[lo:hi]))))
             assert np.abs(packed_grads[0][lo:hi] - piece.grad).max() <= 1e-12
@@ -107,7 +107,49 @@ class TestPackedLSTMDirection:
     def test_lengths_must_cover_rows(self):
         x, cell, _ = packed_fixture(23)
         with pytest.raises(ShapeError, match="sum to"):
-            lstm_direction(x, *cell, [3, 1, 4])
+            lstm_direction(x, [(*cell, False)], [3, 1, 4])
+
+
+def two_cells(seed):
+    """Two directions' (W, U, b) over 3-wide inputs at hidden 2."""
+    rng = np.random.default_rng(seed)
+    params = ParamSet()
+    return [tuple(params.add(f"{direction}.{name}", shape, constant(rng.standard_normal(shape) * 0.4))
+                  for name, shape in (("W", (3, 8)), ("U", (2, 8)), ("b", (8,))))
+            for direction in ("fw", "bw")]
+
+
+class TestDirectionsTogether:
+    @pytest.mark.parametrize("lengths", [LENGTHS, [1]])
+    def test_equals_one_direction_calls_side_by_side(self, lengths):
+        fw, bw = two_cells(24)
+        rng = np.random.default_rng(25)
+        x = Tensor(rng.standard_normal((sum(lengths), 3)), requires_grad=True)
+        mixer = Tensor(rng.standard_normal((sum(lengths), 4)))
+        both = lstm_direction(x, [(*fw, False), (*bw, True)], lengths)
+        backward(T.tsum(T.mul(both, mixer)))
+        together = [t.grad for t in (x, *fw, *bw)]
+
+        for t in (x, *fw, *bw):
+            t.grad = None
+        apart = T.concat([lstm_direction(x, [(*fw, False)], lengths),
+                          lstm_direction(x, [(*bw, True)], lengths)], axis=1)
+        backward(T.tsum(T.mul(apart, mixer)))
+        assert np.array_equal(both.data, apart.data)
+        for grad, t in zip(together, (x, *fw, *bw)):
+            assert np.array_equal(grad, t.grad)
+
+    def test_gradients_match_finite_differences(self):
+        fw, bw = two_cells(26)
+        rng = np.random.default_rng(27)
+        x = Tensor(rng.standard_normal((sum(LENGTHS), 3)))
+        mixer = Tensor(rng.standard_normal((sum(LENGTHS), 4)))
+
+        def loss(_leaf):
+            return T.tsum(T.mul(lstm_direction(x, [(*fw, False), (*bw, True)], LENGTHS), mixer))
+
+        for leaf in (x, *fw, *bw):
+            assert grad_check(loss, leaf) < 1e-4
 
 
 class TestBiLSTMEncoder:

@@ -38,4 +38,4 @@ def test_tape_memory_pins_what_a_desk_batch_keeps():
     loss = gold_loss(model, data, rng=np.random.default_rng(0))
     holdings = tape_memory.tape_holdings(loss, model.params)
     nodes, held = (sum(column) for column in zip(*holdings.values()))
-    assert (nodes, held) == (829, 37_346_776)
+    assert (nodes, held) == (825, 36_781_528)

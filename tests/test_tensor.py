@@ -95,6 +95,24 @@ class TestElementwise:
         backward(T.tsum(T.activate(x, T.RELU)))
         assert x.grad.tolist() == [0.0]
 
+    def test_relu_and_sigmoid_values_match_their_where_forms_bit_for_bit(self):
+        def where_relu(x):
+            return np.where(x > 0, x, 0.0)
+
+        def where_sigmoid(x):
+            return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                            np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+
+        rng = np.random.default_rng(17)
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300,
+                             5e-324, -5e-324, 3.0, -3.0, 745.0, -745.0, 800.0, -800.0])
+        arrays = [rng.permutation(np.tile(specials, 1 + k % 5)) for k in range(40)]
+        arrays += [rng.standard_normal(10**5) * scale for scale in (1, 50, 1000)]
+        arrays += [np.full(n, -0.0) for n in range(1, 18)]  # SIMD body and scalar tail
+        for x in arrays:
+            for value, oracle in ((T.RELU.value, where_relu), (T.SIGMOID.value, where_sigmoid)):
+                assert np.array_equal(value(x).view(np.int64), oracle(x).view(np.int64))
+
     def test_tanh_gradient(self):
         rng = np.random.default_rng(4)
         x = rand(rng, 2, 3)

@@ -71,6 +71,12 @@ class TestRunConfig:
         ("grad_clip", -1.0, "grad_clip must be >= 0"),
         ("grad_clip", float("nan"), "grad_clip must be >= 0"),
         ("lr", float("nan"), "lr must be positive"),
+        ("seed", True, "seed must be int, got True"),
+        ("seed", 1.5, "seed must be int"),
+        ("use_pos", "yes", "use_pos must be bool"),
+        ("use_pos", 1, "use_pos must be bool"),
+        ("lr", True, "lr must be float"),
+        ("path", None, "path must be str"),
     ])
     def test_invalid_value_rejected_when_made(self, field, value, message):
         with pytest.raises(ConfigError, match=message):
@@ -78,6 +84,9 @@ class TestRunConfig:
 
     def test_zero_grad_clip_is_a_config(self):
         assert RunConfig(grad_clip=0.0).grad_clip == 0.0
+
+    def test_float_field_takes_an_int(self):
+        assert RunConfig(lr=1, dropout=0).lr == 1
 
     def test_built_models_config_cannot_change(self):
         cfg = small_config()
@@ -546,6 +555,9 @@ class TestCheckpoint:
     @pytest.mark.parametrize("key,value,message", [
         ("dropout", 1.5, "dropout must be in"),
         ("path", "LS->LQ", "first attention step"),
+        ("seed", 1.5, "not a RunConfig: seed must be int"),
+        ("use_pos", "yes", "not a RunConfig: use_pos must be bool"),
+        ("seed", True, "not a RunConfig: seed must be int"),
     ])
     def test_stored_config_that_does_not_build_rejected(self, tmp_path, key, value, message):
         model, data, result = self.build_trained(tmp_path)
