@@ -22,6 +22,7 @@ from .data import (
     evaluate,
     generate_synthetic,
     load_jsonl,
+    load_predictions,
     load_squad,
     tokenize_with_offsets,
     write_jsonl,
@@ -89,8 +90,7 @@ def cmd_evaluate(args):
     if args.checkpoint:
         predictions = predict(restore_model(args.checkpoint)[0], examples)
     else:
-        with open(args.predictions, encoding="utf-8") as fh:
-            predictions = json.load(fh)
+        predictions = load_predictions(args.predictions)
     result = evaluate(predictions, examples, strict=args.strict)
     print(f"EM: {result.em:.2f}")
     print(f"F1: {result.f1:.2f}")

@@ -140,7 +140,6 @@ class PlanStep:
     projection: object = None      # LQ query down-projection when width != 2d
     fusion: object = None          # InnerFusionLayer or OuterFusionStack
     block: tuple = ()              # plan indices an Fo concatenates
-    in_width: int = 0
     out_width: int = 0
 
 
@@ -177,28 +176,24 @@ class ModelAssembly:
                     projection = self.params.add(
                         f"path.s{i + 1}.lq_proj", (width, d2), xavier_uniform)
                 self.plan.append(PlanStep("LQ", layer_index=layer_index,
-                                          projection=projection,
-                                          in_width=width, out_width=d2))
+                                          projection=projection, out_width=d2))
                 width = d2
             elif step == "LS":
-                self.plan.append(PlanStep("LS", layer_index=layer_index,
-                                          in_width=width, out_width=width))
+                self.plan.append(PlanStep("LS", layer_index=layer_index, out_width=width))
             elif step == "Fi":
                 prev = self.plan[i - 1]
-                if prev.in_width != prev.out_width:
-                    raise BuildError(
-                        f"step {i + 1}: inner fusion needs matching widths, but the "
-                        f"preceding {prev.kind} maps {prev.in_width} -> {prev.out_width}")
+                if prev.projection is not None:  # an LQ that maps its input width to 2d
+                    raise BuildError(f"step {i + 1}: inner fusion needs matching widths, but the "
+                                     f"preceding LQ maps {prev.projection.data.shape[0]} -> {d2}")
                 fusion = InnerFusionLayer(self.params, f"path.s{i + 1}.fi", prev.out_width)
-                self.plan.append(PlanStep("Fi", fusion=fusion,
-                                          in_width=width, out_width=width))
+                self.plan.append(PlanStep("Fi", fusion=fusion, out_width=width))
             else:  # Fo
                 block = _fo_block(path.steps, i)
                 cat_width = sum(self.plan[j].out_width for j in block)
                 fusion = OuterFusionStack(self.params, f"path.s{i + 1}.fo",
                                           cat_width, config.fusion_layers)
                 self.plan.append(PlanStep("Fo", fusion=fusion, block=tuple(block),
-                                          in_width=width, out_width=cat_width))
+                                          out_width=cat_width))
                 width = cat_width
 
         self.final_width = width

@@ -53,10 +53,23 @@ class QAExample:
                                  self.passage_offsets[end][1]]
 
 
-def _require(mapping, key, where):
-    if key not in mapping:
-        raise DataFormatError(f"missing field '{key}' at {where}")
-    return mapping[key]
+def _require(mapping, key, where, kind=None):
+    """mapping[key]; a `kind` must match exactly, so an int field refuses a bool."""
+    if not isinstance(mapping, dict) or key not in mapping:
+        raise DataFormatError(f"{where}: missing field '{key}'")
+    value = mapping[key]
+    if kind is not None and type(value) is not kind:
+        raise DataFormatError(
+            f"{where}: field '{key}' is {type(value).__name__}, expected {kind.__name__}")
+    return value
+
+
+def _read_json(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{path}: not valid JSON: {exc}") from None
 
 
 def _char_span_to_tokens(offsets, start, end):
@@ -80,34 +93,29 @@ def load_squad(path, training=False):
     example loses all its answers it is skipped in training mode and
     retained with an empty gold set otherwise. Counts are logged.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: not valid JSON: {exc}") from None
-
+    payload = _read_json(path)
     if not isinstance(payload, dict):
         raise DataFormatError(f"{path}: expected a JSON object at the top level")
-    articles = _require(payload, "data", "$")
+    articles = _require(payload, "data", path)
 
     examples = []
     skipped_answers = expanded = skipped_examples = 0
     for ai, article in enumerate(articles):
-        for pi, para in enumerate(_require(article, "paragraphs", f"data[{ai}]")):
-            where = f"data[{ai}].paragraphs[{pi}]"
-            context = _require(para, "context", where)
+        for pi, para in enumerate(_require(article, "paragraphs", f"{path}: data[{ai}]")):
+            where = f"{path}: data[{ai}].paragraphs[{pi}]"
+            context = _require(para, "context", where, str)
             tokens, offsets = tokenize_with_offsets(context)
             for qi, qa in enumerate(_require(para, "qas", where)):
                 q_where = f"{where}.qas[{qi}]"
                 qid = _require(qa, "id", q_where)
-                question = _require(qa, "question", q_where)
+                question = _require(qa, "question", q_where, str)
                 answers = _require(qa, "answers", q_where)
                 if not answers and training:
-                    raise DataFormatError(f"empty answers at {q_where} in training mode")
+                    raise DataFormatError(f"{q_where}: empty answers in training mode")
                 spans, texts, approx = [], [], False
-                for ans in answers:
-                    text = _require(ans, "text", f"{q_where}.answers")
-                    start = _require(ans, "answer_start", f"{q_where}.answers")
+                for k, ans in enumerate(answers):
+                    text = _require(ans, "text", f"{q_where}.answers[{k}]", str)
+                    start = _require(ans, "answer_start", f"{q_where}.answers[{k}]", int)
                     located = _char_span_to_tokens(offsets, start, start + len(text))
                     if located is None:
                         skipped_answers += 1
@@ -236,23 +244,32 @@ def load_jsonl(path):
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path}:{lineno}"
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{path}:{lineno}: bad JSON: {exc}") from None
-            tokens = _require(record, "passage_tokens", f"{path}:{lineno}")
-            passage_text, offsets = _joined_text(tokens)
-            spans = [tuple(s) for s in record.get("gold_spans", [])]
+                raise DataFormatError(f"{where}: bad JSON: {exc}") from None
+            tokens = _require(record, "passage_tokens", where)
+            for key in ("passage_tokens", "question_tokens", "answer_texts", "passage_pos",
+                        "passage_ner", "question_pos", "question_ner"):
+                value = record.get(key, [])
+                if type(value) is not list or not all(type(t) is str for t in value):
+                    raise DataFormatError(f"{where}: field '{key}' must be a list of strings")
+            spans = record.get("gold_spans", [])
+            if type(spans) is not list or not all(
+                    type(s) is list and list(map(type, s)) == [int, int] for s in spans):
+                raise DataFormatError(f"{where}: 'gold_spans' must be [start, end] integer pairs")
             for s, e in spans:
                 if not (0 <= s <= e < len(tokens)):
-                    raise DataError(f"{path}:{lineno}: span ({s}, {e}) out of range")
+                    raise DataError(f"{where}: span ({s}, {e}) out of range")
+            passage_text, offsets = _joined_text(tokens)
             examples.append(QAExample(
-                id=_require(record, "id", f"{path}:{lineno}"),
+                id=_require(record, "id", where),
                 passage_text=passage_text,
                 passage_tokens=tokens,
                 passage_offsets=offsets,
-                question_tokens=_require(record, "question_tokens", f"{path}:{lineno}"),
-                gold_spans=spans,
+                question_tokens=_require(record, "question_tokens", where),
+                gold_spans=[tuple(s) for s in spans],
                 answer_texts=record.get("answer_texts", []),
                 passage_pos=record.get("passage_pos"),
                 passage_ner=record.get("passage_ner"),
@@ -260,6 +277,16 @@ def load_jsonl(path):
                 question_ner=record.get("question_ner"),
             ))
     return examples
+
+
+def load_predictions(path):
+    """Read a predictions file: one JSON object mapping example ids to answer strings."""
+    predictions = _read_json(path)
+    if not isinstance(predictions, dict):
+        raise DataFormatError(f"{path}: expected a JSON object of answer strings")
+    for qid in predictions:
+        _require(predictions, qid, path, str)
+    return predictions
 
 
 # ---------------------------------------------------------------------------

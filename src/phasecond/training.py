@@ -28,14 +28,12 @@ from .tensor import backward
 log = logging.getLogger(__name__)
 
 CHECKPOINT_VERSION = 5
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
 
 @dataclass
 class AdamState:
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -47,8 +45,8 @@ def adam_step(params, state):
         if t.grad is not None and not np.isfinite(t.grad).all():
             raise NumericsError(f"non-finite gradient in parameter {name}")
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
+    bc1 = 1.0 - BETA1 ** state.step
+    bc2 = 1.0 - BETA2 ** state.step
     for name, t in params.items():
         g = t.grad
         if g is None:
@@ -59,11 +57,11 @@ def adam_step(params, state):
         v = state.v.get(name)
         if v is None:
             v = state.v[name] = np.zeros_like(t.data)
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        t.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        t.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 def clip_gradients(params, max_norm):

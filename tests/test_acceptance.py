@@ -6,6 +6,7 @@ attention-dynamics diagnostic (criterion 10) and the frozen-inference check
 through a module fixture.
 """
 
+import hashlib
 import json
 import time
 
@@ -29,6 +30,7 @@ from phasecond.training import (
     evaluate_model,
     predict,
     train,
+    write_metrics_csv,
 )
 from phasecond.verification import THRESHOLD, run_grad_checks
 
@@ -43,6 +45,10 @@ DESK_EPOCH_BUDGET = 300
 DESK_TIME_BUDGET_S = 900.0
 OVERFIT_LOSS = 0.01
 OVERFIT_STEPS = 200
+DESK_METRICS_SHA256 = "f091a38ac87a9529e01f8b4272b01f41ea9a11186b5619c80d356d1c307c90da"
+GRAD_CHECK_SHA256 = "613f51b9d4da4c887c813435025cb801c14e6cdb0989e5b337b078df8fe8bd19"
+MOVED_BITS = ("a change that moves these bits on purpose updates the digest here and "
+              "says so in CHANGES.md")
 
 
 def report(criterion, detail):
@@ -285,6 +291,21 @@ def test_frozen_predict_matches_taped_on_criterion_7_dev_set(desk_run):
         assert np.array_equal(a.end_dist, b.end_dist), ex.id
     answers = {ex.id: ex.span_text(r.span.start, r.span.end) for ex, r in zip(dev_data, taped)}
     assert predict(model, dev_data) == answers
+
+
+def test_desk_metrics_csv_bytes_are_pinned(desk_run, tmp_path):
+    """Criterion 7's metric log, as a run directory writes it, pinned to the bit."""
+    path = tmp_path / "metrics.csv"
+    write_metrics_csv(desk_run["result"].history, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == DESK_METRICS_SHA256, f"desk metrics.csv sha256 is {digest}; {MOVED_BITS}"
+
+
+def test_grad_check_report_is_pinned(capsys):
+    """Every relative error `phasecond grad-check --seed 0` prints, pinned to the digit."""
+    assert main(["grad-check", "--seed", "0"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == GRAD_CHECK_SHA256, f"grad-check stdout sha256 is {digest}; {MOVED_BITS}"
 
 
 def test_criterion_8_loss_sanity():

@@ -153,6 +153,22 @@ class TestEvaluateCommand:
         out = capsys.readouterr().out
         assert "EM: 100.00" in out and "F1: 100.00" in out
 
+    @pytest.mark.parametrize("content,message", [
+        ("{bad", "not valid JSON"),
+        ("[1, 2]", "expected a JSON object of answer strings"),
+        ('{"syn-3-00000": 5}', "field 'syn-3-00000' is int, expected str"),
+    ])
+    def test_malformed_predictions_file_is_one_error_line(self, workspace, tmp_path, capsys,
+                                                          content, message):
+        preds_path = tmp_path / "preds.json"
+        preds_path.write_text(content)
+        code = main(["evaluate", "--predictions", str(preds_path),
+                     "--data", str(workspace / "data" / "dev.jsonl")])
+        captured = capsys.readouterr()
+        assert code == 1 and "EM:" not in captured.out
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: {preds_path}: {message}")
+
     def test_checkpoint_and_predictions_mutually_exclusive(self, workspace):
         assert main(["evaluate", "--checkpoint", "x", "--predictions", "y",
                      "--data", str(workspace / "data" / "dev.jsonl")]) == 2

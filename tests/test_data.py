@@ -101,6 +101,22 @@ class TestLoadSquad:
         with pytest.raises(DataFormatError, match=r"data\[0\].paragraphs\[0\].qas\[0\]"):
             load_squad(path)
 
+    @pytest.mark.parametrize("field,value,where", [
+        ("answer_start", "48", r"qas\[0\].answers\[0\]: field 'answer_start' is str"),
+        ("answer_start", True, r"qas\[0\].answers\[0\]: field 'answer_start' is bool"),
+        ("text", 5, r"qas\[0\].answers\[0\]: field 'text' is int"),
+        ("question", ["Who"], r"qas\[0\]: field 'question' is list"),
+        ("context", None, r"paragraphs\[0\]: field 'context' is NoneType"),
+    ])
+    def test_mistyped_field_names_file_and_path(self, tmp_path, field, value, where):
+        doc = json.loads(json.dumps(SQUAD_DOC))
+        para = doc["data"][0]["paragraphs"][0]
+        owner = {"context": para, "question": para["qas"][0]}.get(field,
+                                                                   para["qas"][0]["answers"][0])
+        owner[field] = value
+        with pytest.raises(DataFormatError, match=r"squad\.json: data\[0\]\..*" + where):
+            load_squad(write_squad(tmp_path, doc))
+
 
 class TestSynthetic:
     def test_deterministic(self, tmp_path):
@@ -151,6 +167,33 @@ class TestSynthetic:
             assert a.passage_tokens == b.passage_tokens
             assert a.gold_spans == b.gold_spans
             assert a.answer_texts == b.answer_texts
+
+
+class TestLoadJsonl:
+    RECORD = {"id": "a", "passage_tokens": ["x", "y", "z"], "question_tokens": ["q", "?"],
+              "gold_spans": [[1, 2]], "answer_texts": ["y z"]}
+
+    def write(self, tmp_path, **changes):
+        path = tmp_path / "data.jsonl"
+        path.write_text(json.dumps(self.RECORD) + "\n" + json.dumps({**self.RECORD, **changes}))
+        return path
+
+    def test_well_formed_record_loads(self, tmp_path):
+        ex = load_jsonl(self.write(tmp_path))[1]
+        assert ex.passage_tokens == ["x", "y", "z"] and ex.gold_spans == [(1, 2)]
+
+    @pytest.mark.parametrize("spans", [[3], [[1]], [[1, 2, 2]], [[True, 2]], [[1.0, 2]], 3])
+    def test_gold_span_that_is_not_two_ints_is_refused(self, tmp_path, spans):
+        with pytest.raises(DataFormatError, match=r"data\.jsonl:2: 'gold_spans'"):
+            load_jsonl(self.write(tmp_path, gold_spans=spans))
+
+    @pytest.mark.parametrize("field,value", [
+        ("passage_tokens", "xyz"), ("question_tokens", ["q", 1]), ("answer_texts", "y z"),
+        ("passage_pos", [None, "NN", "NN"]),
+    ])
+    def test_token_field_that_is_not_a_list_of_strings_is_refused(self, tmp_path, field, value):
+        with pytest.raises(DataFormatError, match=rf"data\.jsonl:2: field '{field}'"):
+            load_jsonl(self.write(tmp_path, **{field: value}))
 
 
 class TestMetrics:

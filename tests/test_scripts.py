@@ -1,7 +1,10 @@
-"""Every script under scripts/ imports the package and parses its arguments, and
-the tape memory harness pins what a desk batch keeps."""
+"""Every script under scripts/ imports the package and parses its arguments, the
+desk-experiment driver trains a list of paths into one summary, and the tape
+memory harness pins what a desk batch keeps."""
 
 import importlib.util
+import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +15,7 @@ import pytest
 from phasecond.conductor import build_from_examples, gold_loss
 from phasecond.config import desk_config
 from phasecond.data import SyntheticSpec, generate_synthetic
+from phasecond.training import TrainResult
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
@@ -22,6 +26,48 @@ def test_help_exits_zero(name):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "usage:" in done.stdout
+
+
+def run_synthetic(out, *paths):
+    return subprocess.run([sys.executable, os.path.join(SCRIPTS, "run_synthetic.py"),
+                           "--out", str(out), "--paths", *paths, "--train", "8", "--dev", "4",
+                           "--epochs", "1", "--hidden", "2"],
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_run_synthetic_trains_every_path_into_one_summary(tmp_path):
+    done = run_synthetic(tmp_path / "out", "LQ", "LQ->LS->Fi")
+    assert done.returncode == 0, done.stderr
+    rows = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert [(r["tag"], r["path"], r["epochs"]) for r in rows] == [
+        ("path1", "LQ", 1), ("path2", "LQ->LS->Fi", 1)]
+    assert all(os.path.exists(r["best_ckpt"]) for r in rows)
+    assert (tmp_path / "out" / "attention" / "manifest.json").exists()
+
+
+def test_run_synthetic_refuses_a_bad_path_before_writing(tmp_path):
+    done = run_synthetic(tmp_path / "out", "LQ", "LS")
+    assert done.returncode == 2
+    assert "bad path 'LS': first attention step must be LQ" in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_synthetic_reads_nan_for_a_run_halted_before_its_first_epoch(
+        tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "run_synthetic", os.path.join(SCRIPTS, "run_synthetic.py"))
+    driver = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(driver)
+    monkeypatch.setattr(driver, "train", lambda *args, **kwargs: TrainResult(
+        history=[], best_dev_em=-1.0, best_epoch=0, status="halted_nonfinite"))
+    out = tmp_path / "out"
+    monkeypatch.setattr(sys, "argv", ["run_synthetic.py", "--out", str(out), "--paths", "LQ",
+                                      "--train", "8", "--dev", "4", "--hidden", "2"])
+    driver.main()
+    (row,) = json.loads((out / "summary.json").read_text())
+    assert row["epochs"] == 0 and math.isnan(row["dev_em"]) and math.isnan(row["dev_f1"])
+    assert "nan" in capsys.readouterr().out
+    assert not (out / "attention").exists()
 
 
 def test_tape_memory_pins_what_a_desk_batch_keeps():
