@@ -16,11 +16,11 @@ once at build time, so a malformed chain fails before any data is seen.
 
 `forward_batch` runs the model on `config.path` over a minibatch, and
 `gold_loss` turns the same pass into the batch loss. Rows stay packed from
-the features to the loss, [sum n_k, w] in example order: features, encoders,
-fusion, the pointer head and the loss each run once per batch, and only the
-LQ/LS attention layers of `run_path`, the only attention chain (the
-grad-check runs it too), run per example on row slices. `forward` is the
-same code with a batch of one.
+the features to the loss, [sum n_k, w] in example order, and every layer
+runs once per batch: features, encoders, each LQ/LS layer of `run_path` (one
+node that works on each example's rows inside it), fusion, the pointer head
+and the loss. `run_path` is the only attention chain; the grad-check runs
+it too. `forward` is the same code with a batch of one.
 """
 
 import re
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import qp_align, qp_represent, self_align, self_propagate
+from .attention import qp_attention, self_attention
 from .encoders import EncoderPair
 from .errors import BuildError, PathSyntaxError, PathValidationError
 from .features import FeatureExtractor, build_vocabulary, exact_match_features
@@ -234,22 +234,17 @@ def run_path(model, h, u, v, lengths, q_lengths):
     """The plan over packed passage rows h ([sum n_k, 2d], n_k = lengths[k]).
 
     u/v are the packed shared/independent question encodings ([sum m_k, 2d],
-    m_k = q_lengths[k]). Returns the output rows and, per example, the LQ/LS
-    alignments in plan order.
+    m_k = q_lengths[k]). Each LQ/LS step is one node over the batch. Returns the
+    output rows and, per example, the LQ/LS alignments (constants) in plan order.
     """
-    us, vs = T.split_rows(u, q_lengths), T.split_rows(v, q_lengths)
     traces = [[] for _ in lengths]
     outputs = []  # per plan step
     for step in model.plan:
         if step.kind == "LQ":
             query = h if step.projection is None else T.matmul(h, step.projection)
-            aligns = [qp_align(q_k, u_k, layer_index=step.layer_index)
-                      for q_k, u_k in zip(T.split_rows(query, lengths), us)]
-            out = T.concat([qp_represent(a, v_k) for a, v_k in zip(aligns, vs)], axis=0)
+            out, aligns = qp_attention(query, u, v, lengths, q_lengths, step.layer_index)
         elif step.kind == "LS":
-            parts = T.split_rows(h, lengths)
-            aligns = [self_align(h_k, layer_index=step.layer_index) for h_k in parts]
-            out = T.concat([self_propagate(a, h_k) for a, h_k in zip(aligns, parts)], axis=0)
+            out, aligns = self_attention(h, lengths, step.layer_index)
         elif step.kind == "Fi":
             out = step.fusion(b_new=h, b_prev=attention_input)
         else:  # Fo

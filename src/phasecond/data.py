@@ -96,20 +96,20 @@ def load_squad(path, training=False):
     payload = _read_json(path)
     if not isinstance(payload, dict):
         raise DataFormatError(f"{path}: expected a JSON object at the top level")
-    articles = _require(payload, "data", path)
+    articles = _require(payload, "data", path, list)
 
     examples = []
     skipped_answers = expanded = skipped_examples = 0
     for ai, article in enumerate(articles):
-        for pi, para in enumerate(_require(article, "paragraphs", f"{path}: data[{ai}]")):
+        for pi, para in enumerate(_require(article, "paragraphs", f"{path}: data[{ai}]", list)):
             where = f"{path}: data[{ai}].paragraphs[{pi}]"
             context = _require(para, "context", where, str)
             tokens, offsets = tokenize_with_offsets(context)
-            for qi, qa in enumerate(_require(para, "qas", where)):
+            for qi, qa in enumerate(_require(para, "qas", where, list)):
                 q_where = f"{where}.qas[{qi}]"
-                qid = _require(qa, "id", q_where)
+                qid = _require(qa, "id", q_where, str)
                 question = _require(qa, "question", q_where, str)
-                answers = _require(qa, "answers", q_where)
+                answers = _require(qa, "answers", q_where, list)
                 if not answers and training:
                     raise DataFormatError(f"{q_where}: empty answers in training mode")
                 spans, texts, approx = [], [], False
@@ -200,10 +200,10 @@ def generate_synthetic(spec):
         length = int(rng.integers(spec.min_len, spec.max_len + 1))
         ans_len = int(rng.integers(1, spec.max_answer_len + 1))
         key = content_pool[int(rng.integers(len(content_pool)))]
-        answer = [answer_pool[int(rng.integers(n_answer_pool))] for _ in range(ans_len)]
+        answer = [answer_pool[i] for i in rng.integers(n_answer_pool, size=ans_len)]
         fillers = [t for t in content_pool if t != key]
         pos = int(rng.integers(0, length - ans_len))
-        tokens = [fillers[int(rng.integers(len(fillers)))] for _ in range(length)]
+        tokens = [fillers[i] for i in rng.integers(len(fillers), size=length)]
         tokens[pos] = key
         tokens[pos + 1:pos + 1 + ans_len] = answer
 

@@ -194,6 +194,15 @@ RELU = Activation(lambda x: np.fmax(x, 0.0) + 0.0,  # + 0.0 turns -0.0 into 0.0;
                   lambda g, out: g * (out > 0))  # subgradient at 0 fixed to 0
 
 
+def _softmax_rows_value(x):
+    e = np.exp(x - x.max(axis=1, keepdims=True))  # each row shifted by its max
+    return e / e.sum(axis=1, keepdims=True)
+
+
+SOFTMAX_ROWS = Activation(_softmax_rows_value,
+                          lambda g, out: out * (g - (g * out).sum(axis=1, keepdims=True)))
+
+
 def activate(a, act):
     """act applied to a as one node, whose rule reads only the output."""
     out = act.value(a.data)
@@ -357,26 +366,19 @@ def softmax_rows(x, mask=None):
         raise ShapeError(f"softmax_rows expects a matrix, got shape {data.shape}")
     if data.shape[1] < 1:
         raise ShapeError("softmax_rows requires at least one column")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != data.shape:
-            raise ShapeError(f"mask shape {mask.shape} does not match input {data.shape}")
-        dead = ~mask.any(axis=1)
-        if dead.any():
-            raise DegenerateRowError(f"row(s) {np.flatnonzero(dead).tolist()} are fully masked")
-        neg = np.where(mask, data, -np.inf)
-        shifted = neg - neg.max(axis=1, keepdims=True)
-        e = np.where(mask, np.exp(np.where(mask, shifted, 0.0)), 0.0)
-    else:
-        shifted = data - data.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
+    if mask is None:
+        return activate(x, SOFTMAX_ROWS)
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != data.shape:
+        raise ShapeError(f"mask shape {mask.shape} does not match input {data.shape}")
+    dead = ~mask.any(axis=1)
+    if dead.any():
+        raise DegenerateRowError(f"row(s) {np.flatnonzero(dead).tolist()} are fully masked")
+    neg = np.where(mask, data, -np.inf)
+    shifted = neg - neg.max(axis=1, keepdims=True)
+    e = np.where(mask, np.exp(np.where(mask, shifted, 0.0)), 0.0)
     out = e / e.sum(axis=1, keepdims=True)
-
-    def bwd(g):
-        dot = (g * out).sum(axis=1, keepdims=True)
-        return (out * (g - dot),)
-
-    return make_node(out, (x,), bwd)
+    return make_node(out, (x,), lambda g: (SOFTMAX_ROWS.rule(g, out),))
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +391,12 @@ def _segments(x, lengths):
     if min(lengths, default=0) < 1 or starts.pop() != x.shape[0]:
         raise ShapeError(f"segments {lengths} must be non-empty and sum to {x.shape[0]}")
     return lengths, starts
+
+
+def row_slices(x, lengths):
+    """One slice per segment of x's rows, in order."""
+    lengths, starts = _segments(x, lengths)
+    return [slice(lo, lo + n) for lo, n in zip(starts, lengths)]
 
 
 def _segment_exp(x, lengths, starts):

@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 from phasecond import tensor as T
 from phasecond.attention import (
     qp_align,
+    qp_attention,
     qp_represent,
     self_align,
+    self_attention,
     self_propagate,
 )
 from phasecond.errors import DegenerateRowError, ShapeError
-from phasecond.tensor import Tensor, grad_check
+from phasecond.tensor import Tensor, backward, grad_check
 
 
 def rows_stochastic(weights):
@@ -151,3 +153,77 @@ def test_property_scaling_sharpens_rows(n, d, seed, c):
     base = qp_align(Tensor(h), u).weights.data.max(axis=1)
     scaled = qp_align(Tensor(c * h), u).weights.data.max(axis=1)
     assert np.all(scaled >= base - 1e-12)
+
+
+class TestPackedLayers:
+    """qp_attention and self_attention against the one-example forms on
+    split_rows slices joined by concat, the graph the model ran before."""
+
+    LENGTHS, Q_LENGTHS = [1, 6, 1, 3], [1, 4, 2, 1]  # 1-token passages and questions
+
+    @staticmethod
+    def per_example(u, v, lengths, q_lengths):
+        us, vs = T.split_rows(u, q_lengths), T.split_rows(v, q_lengths)
+
+        def lq(x, index):
+            aligns = [qp_align(x_k, u_k, layer_index=index)
+                      for x_k, u_k in zip(T.split_rows(x, lengths), us)]
+            return T.concat([qp_represent(a, v_k) for a, v_k in zip(aligns, vs)], axis=0), aligns
+
+        def ls(x, index):
+            parts = T.split_rows(x, lengths)
+            aligns = [self_align(x_k, layer_index=index) for x_k in parts]
+            return T.concat([self_propagate(a, x_k) for a, x_k in zip(aligns, parts)],
+                            axis=0), aligns
+
+        return lq, ls
+
+    @staticmethod
+    def packed(u, v, lengths, q_lengths):
+        return (lambda x, index: qp_attention(x, u, v, lengths, q_lengths, index),
+                lambda x, index: self_attention(x, lengths, index))
+
+    def run(self, layers):
+        """LQ -> LS -> LQ over fresh leaves; the first output also feeds the loss."""
+        rng = np.random.default_rng(5)
+        n, m = sum(self.LENGTHS), sum(self.Q_LENGTHS)
+        q, u, v = (Tensor(rng.standard_normal(shape) * 2, requires_grad=True)
+                   for shape in ((n, 4), (m, 4), (m, 4)))
+        mix = rng.standard_normal((n, 4))
+        mix[:, 1], mix[:, 2] = 0.0, -0.0  # gradients with signed zeros
+        lq, ls = layers(u, v, self.LENGTHS, self.Q_LENGTHS)
+        a, first = lq(q, 1)
+        b, second = ls(a, 1)
+        c, third = lq(b, 2)
+        backward(T.add(T.tsum(T.mul(c, Tensor(mix))), T.tsum(T.mul(a, Tensor(mix[::-1])))))
+        return c, [first, second, third], [t.grad for t in (q, u, v)]
+
+    def test_output_traces_and_gradients_are_bitwise_the_per_example_graph(self):
+        out, traces, grads = self.run(self.packed)
+        want_out, want_traces, want_grads = self.run(self.per_example)
+        assert out.data.tobytes() == want_out.data.tobytes()
+        for got, want in zip(grads, want_grads):
+            assert got.tobytes() == want.tobytes()
+        for layer, want_layer in zip(traces, want_traces):
+            assert len(layer) == len(want_layer) == len(self.LENGTHS)
+            for a, b in zip(layer, want_layer):
+                assert (a.kind, a.layer_index) == (b.kind, b.layer_index)
+                assert a.weights.data.tobytes() == b.weights.data.tobytes()
+                assert a.scores.data.tobytes() == b.scores.data.tobytes()
+                assert a.weights._parents == a.scores._parents == ()  # constants, off the tape
+
+    def test_one_node_per_layer(self):
+        u, v = Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2)))
+        h = Tensor(np.ones((4, 2)), requires_grad=True)
+        lq, _ = qp_attention(h, u, v, [1, 3], [2, 1], 1)
+        ls, _ = self_attention(lq, [1, 3], 1)
+        assert lq._parents == (h, u, v) and ls._parents == (lq,)
+
+    def test_shape_errors(self):
+        h, u = Tensor(np.zeros((4, 2))), Tensor(np.zeros((3, 2)))
+        with pytest.raises(ShapeError, match="width"):
+            qp_attention(h, Tensor(np.zeros((3, 4))), u, [4], [3], 1)
+        with pytest.raises(ShapeError):
+            qp_attention(h, u, u, [1, 2], [3], 1)
+        with pytest.raises(ShapeError):
+            self_attention(h, [4, 0], 1)

@@ -13,7 +13,9 @@ import os
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Targets the benchmark lists that this version of the package does not have.
-EXPECTED_MISSING = {"conductor.example_loss", "training.example_loss"}
+# The conductor runs the packed attention layers, not the one-example forms.
+EXPECTED_MISSING = {"conductor.example_loss", "training.example_loss", "conductor.qp_align",
+                    "conductor.qp_represent", "conductor.self_align", "conductor.self_propagate"}
 
 
 def load_spans():

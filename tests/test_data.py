@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -117,6 +118,22 @@ class TestLoadSquad:
         with pytest.raises(DataFormatError, match=r"squad\.json: data\[0\]\..*" + where):
             load_squad(write_squad(tmp_path, doc))
 
+    @pytest.mark.parametrize("field,value,where", [
+        ("data", {}, r"squad\.json: field 'data' is dict, expected list"),
+        ("paragraphs", "p", r"data\[0\]: field 'paragraphs' is str, expected list"),
+        ("qas", None, r"paragraphs\[0\]: field 'qas' is NoneType, expected list"),
+        ("answers", 5, r"qas\[0\]: field 'answers' is int, expected list"),
+        ("id", 7, r"qas\[0\]: field 'id' is int, expected str"),
+    ], ids=["data", "paragraphs", "qas", "answers", "id"])
+    def test_mistyped_list_or_id_names_file_and_path(self, tmp_path, field, value, where):
+        doc = json.loads(json.dumps(SQUAD_DOC))
+        article = doc["data"][0]
+        para = article["paragraphs"][0]
+        owner = {"data": doc, "paragraphs": article, "qas": para}.get(field, para["qas"][0])
+        owner[field] = value
+        with pytest.raises(DataFormatError, match=where):
+            load_squad(write_squad(tmp_path, doc))
+
 
 class TestSynthetic:
     def test_deterministic(self, tmp_path):
@@ -127,6 +144,19 @@ class TestSynthetic:
         write_jsonl(a, pa)
         write_jsonl(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+    @pytest.mark.parametrize("n,seed,digest", [
+        (200, 0, "214973e10922ebc210bfa07b5b90890da0dcc97a0f8558de9bf8e9236d584e18"),
+        (50, 1, "16481cbdbf1e3f108eb66f32b7b2de6f2225354c740ed9d2420dba7133f912cd"),
+    ], ids=["desk-train", "desk-dev"])
+    def test_desk_sets_are_pinned(self, tmp_path, n, seed, digest):
+        """The desk train and dev sets, byte for byte. The generator draws a
+        passage's tokens in one call; a numpy whose generator reads its stream
+        differently moves every desk result and fails here first."""
+        path = tmp_path / "set.jsonl"
+        write_jsonl(generate_synthetic(SyntheticSpec(n_examples=n, vocab_size=50, min_len=20,
+                                                     max_len=30, seed=seed)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_spans_in_range_and_valid(self):
         examples = generate_synthetic(SyntheticSpec(n_examples=200, vocab_size=50,

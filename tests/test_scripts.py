@@ -84,4 +84,4 @@ def test_tape_memory_pins_what_a_desk_batch_keeps():
     loss = gold_loss(model, data, rng=np.random.default_rng(0))
     holdings = tape_memory.tape_holdings(loss, model.params)
     nodes, held = (sum(column) for column in zip(*holdings.values()))
-    assert (nodes, held) == (825, 36_781_528)
+    assert (nodes, held) == (121, 32_227_800)

@@ -213,6 +213,17 @@ class TestTrainLoop:
         drops = [a / b for a, b in zip(lrs, lrs[1:]) if b < a]
         assert all(d == pytest.approx(2.0) for d in drops)
 
+    def test_lr_stops_halving_at_its_floor(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(training, "evaluate_model",
+                            lambda model, examples: EvalResult(em=20.0, f1=0.0))
+        data = tiny_dataset(n=4)
+        cfg = small_config(epochs=8, lr=0.01)
+        train(build_from_examples(cfg, data), data, data[:2], cfg, run_dir=str(tmp_path))
+        rows = (tmp_path / "metrics.csv").read_text().splitlines()[1:]
+        lrs = [float(row.split(",")[-1]) for row in rows]
+        assert lrs == [0.01, 0.01, 0.005, 0.0025, 0.00125, 0.000625, 0.000625, 0.000625]
+        assert lrs[-1] == cfg.lr / training.LR_FLOOR_DIVISOR == cfg.lr / 16
+
     def test_returned_model_holds_best_params(self, monkeypatch):
         # dev EM reads 50 after epoch 1 and 10 after epoch 2: epoch 1 is best
         ems = iter([50.0, 10.0])
@@ -353,11 +364,14 @@ class TestFrozenInference:
         with model.params.frozen():
             assert not any(t.requires_grad for _, t in model.params.items())
             frozen = forward(model, data[0])
+            frozen_loss = gold_loss(model, data)
         taped = forward(model, data[0])
+        taped_loss = gold_loss(model, data)
+        assert frozen_loss._parents == ()
+        assert taped_loss._parents  # the same pass outside the block is taped
+        assert frozen_loss.data.tobytes() == taped_loss.data.tobytes()
         assert len(frozen.trace) == len(taped.trace) > 0
         for a, b in zip(frozen.trace, taped.trace):
-            assert a.weights._parents == () and a.scores._parents == ()
-            assert b.weights._parents  # the same pass outside the block is taped
             assert np.array_equal(a.weights.data, b.weights.data)
         assert np.array_equal(frozen.start_dist, taped.start_dist)
         assert np.array_equal(frozen.end_dist, taped.end_dist)
