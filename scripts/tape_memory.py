@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
 """Measure the training tape's memory on one SQuAD-like minibatch.
 
-Builds a default-config model on a seeded batch of four synthetic passages
-of 150-450 tokens, then traces one training step's allocations with
-tracemalloc: the peak during the forward pass and the memory the tape holds
-after it, the peak while `backward()` walks it, and what is still live after
-backward with the loss still referenced. Each figure is printed in MB per 300
-passage tokens, next to the batch's leaf gradients. Then comes the inference
-figure: the peak of one `forward_batch` over the same batch with the
-parameters frozen, which builds no tape. Last, what the tape holds right after
-the forward pass, walked from the loss and split by the op that made each
-node: the node's value and the arrays its backward rule captured, each base
-array counted once, parameters not at all.
+Builds a default-config model on a seeded batch of synthetic passages of
+150-450 tokens, four by default (`--examples 32` is the minibatch `phasecond
+train` steps on at the default batch size), then traces one training step's
+allocations with tracemalloc: the peak during the forward pass and the memory
+the tape holds after it, the peak while `backward()` walks it, and what is
+still live after backward with the loss still referenced. Each figure is
+printed in MB per 300 passage tokens, next to the batch's leaf gradients. Then
+comes the inference figure: the peak of one `forward_batch` over the same
+batch with the parameters frozen, which builds no tape. Last, what the tape
+holds right after the forward pass, walked from the loss and split by the op
+that made each node: the node's value and the arrays its backward rule
+captured, each base array counted once, parameters not at all.
 
     python3 scripts/tape_memory.py --seed 0
+    python3 scripts/tape_memory.py --seed 0 --examples 32
 """
 
 import argparse
@@ -103,10 +105,13 @@ def tape_holdings(loss, params):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--examples", type=int, default=4, help="passages in the batch")
     args = ap.parse_args()
+    if args.examples < 1:
+        ap.error("--examples must be at least 1")
 
-    batch = generate_synthetic(SyntheticSpec(n_examples=4, vocab_size=2000, min_len=150,
-                                             max_len=450, seed=args.seed))
+    batch = generate_synthetic(SyntheticSpec(n_examples=args.examples, vocab_size=2000,
+                                             min_len=150, max_len=450, seed=args.seed))
     model = build_from_examples(RunConfig(seed=args.seed), batch)
     tokens = sum(len(ex.passage_tokens) for ex in batch)
 
@@ -131,7 +136,8 @@ def main():
     tracemalloc.stop()
 
     scale = 300 / tokens / MB
-    print(f"batch: 4 examples, {tokens} passage tokens, {model.params.count():,} parameters")
+    print(f"batch: {args.examples} examples, {tokens} passage tokens, "
+          f"{model.params.count():,} parameters")
     print(f"{'':28}{'MB':>10}{'MB / 300 tokens':>18}")
     for name, value in (("peak during forward", forward_peak),
                         ("live after forward", after_forward),

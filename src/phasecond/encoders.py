@@ -69,7 +69,7 @@ def lstm_direction(x, cells, lengths):
     for j, ((w, _, b, _), perm) in enumerate(zip(cells, perms)):
         gates[:, :, j] = (x.data @ w.data + b.data)[perm].reshape(n, 4, d)
     us = np.stack([u.data for _, u, _, _ in cells])  # [k, d, 4d]
-    outs, cs, tanh_cs = (np.empty((n, k, d)) for _ in range(3))
+    outs, cs = np.empty((n, k, d)), np.empty((n, k, d))
     zeros = np.zeros((bounds[1], k, d))  # the state entering step 0
 
     def prev(buf, t, a):
@@ -86,7 +86,7 @@ def lstm_direction(x, cells, lengths):
         act[:, 2] = g
         c = np.multiply(act[:, 1], prev(cs, t, a), out=cs[lo:hi])
         c += act[:, 0] * g
-        np.multiply(act[:, 3], np.tanh(c, out=tanh_cs[lo:hi]), out=outs[lo:hi])
+        np.multiply(act[:, 3], np.tanh(c), out=outs[lo:hi])
     out = np.empty((n, k * d))
     for j, perm in enumerate(perms):
         out[perm, j * d:(j + 1) * d] = outs[:, j]
@@ -104,7 +104,7 @@ def lstm_direction(x, cells, lengths):
             lo, hi = blocks[t]
             a = hi - lo
             i, f, g, o = gates[lo:hi].transpose(1, 0, 2, 3)
-            tanh_c = tanh_cs[lo:hi]
+            tanh_c = np.tanh(cs[lo:hi])  # remade, not kept: one step's rows at a time
             dh = grad_tm[lo:hi] + dh_carry[:a]
             do = dh * tanh_c
             dc = dc_carry[:a] + dh * o * (1.0 - tanh_c * tanh_c)
@@ -124,7 +124,7 @@ def lstm_direction(x, cells, lengths):
             dpre = np.empty((n, 4 * d))
             dpre[perm] = dgates[j]
             h_prev = np.zeros((n, d))
-            h_prev[perm[bounds[1]:]] = outs[before, j]
+            h_prev[perm[bounds[1]:]] = out[perm[before], j * d:(j + 1) * d]
             grads += [dpre @ w.data.T if x.requires_grad else None,
                       x.data.T @ dpre, h_prev.T @ dpre, dpre.sum(axis=0)]
         return grads

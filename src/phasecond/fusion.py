@@ -17,7 +17,16 @@ input through a GRU-like gate over [new; prev; new * prev]:
 Both are width preserving, and both outputs are elementwise convex
 combinations of their carry and candidate values. Gate biases start at -1
 so early training favors the carry path.
+
+Inner fusion is one tape node that keeps only B~ and f, and lets them go once
+backward has read them. Backward remakes the [n, 3w] concatenation for the
+weight gradients (a copy, no arithmetic) and frees it before it forms the
+input gradient, so the tape keeps no [n, 3w] array. Every value and gradient
+is bitwise that of the generic chain of `mul`, `concat`, two `affine` and
+`gated_mix` nodes: the node makes the same products, shape for shape.
 """
+
+import numpy as np
 
 from . import tensor as T
 from .errors import ShapeError
@@ -65,6 +74,32 @@ class InnerFusionLayer:
             )
         if b_new.data.shape[1] != self.width:
             raise ShapeError(f"inner fusion built for width {self.width}, got {b_new.data.shape[1]}")
-        cat = T.concat([b_new, b_prev, T.mul(b_new, b_prev)], axis=1)
-        return T.gated_mix(b_prev, T.affine(cat, self.w_b, self.b_b, T.TANH),
-                           T.affine(cat, self.w_f, self.b_f, T.SIGMOID))
+        new, prev = b_new.data, b_prev.data
+        w_b, b_b, w_f, b_f = self.w_b, self.b_b, self.w_f, self.b_f
+        cat = np.concatenate([new, prev, new * prev], axis=1)
+        cand = T.TANH.value(cat @ w_b.data + b_b.data)
+        z = cat @ w_f.data
+        del cat
+        z += b_f.data
+        z = T.SIGMOID.value(z)
+
+        def bwd(g):
+            nonlocal cand, z
+            g_f = T.SIGMOID.rule(g * cand - g * prev, z)
+            g_b = T.TANH.rule(g * z, cand)
+            d_carry = g * (1.0 - z)
+            del g
+            cand = z = None  # read for the last time: the tape lets them go now
+            cat = np.concatenate([new, prev, new * prev], axis=1)
+            dw_f, dw_b = cat.T @ g_f, cat.T @ g_b
+            del cat
+            db_f, db_b = g_f.sum(axis=0), g_b.sum(axis=0)
+            dx = g_f @ w_f.data.T  # the concatenation's gradient dx_F + dx_B, as the graph made it
+            del g_f
+            dx += g_b @ w_b.data.T
+            new_blk, prev_blk, g_m = np.split(dx, 3, axis=1)
+            return d_carry, dw_f, db_f, dw_b, db_b, new_blk, prev_blk, g_m * prev, g_m * new
+
+        # parents in the generic chain's walk order, an input once per use: its parts add as there
+        return T.make_node((1.0 - z) * prev + z * cand,
+                           (b_prev, w_f, b_f, w_b, b_b, b_new, b_prev, b_new, b_prev), bwd)

@@ -5,8 +5,9 @@ Operations record their inputs and a local backward rule; `backward()`
 replays the tape in reverse topological order and accumulates gradients
 additively across fan-out; the row slices of one tensor add into a single
 buffer. Gradients land in `.grad` on leaves only (tensors no op produced,
-such as parameters). The walk consumes the tape: each node drops its inputs
-and rule once passed, so forward arrays are freed during the walk.
+such as parameters). The walk consumes the tape: a node drops its inputs and
+rule, and its value unless something still reads it, before its rule runs;
+the rule gets the only reference to its gradient; what it returns goes once added.
 
 A backward rule captures only the arrays it reads. Activations come from
 one table of (value, rule) pairs whose rule reads the activation's output,
@@ -98,15 +99,15 @@ def backward(loss):
     owned = set()  # ids whose pending gradient backward() allocated itself
     while topo:
         node = topo.pop()
-        g = grads.pop(id(node), None)
-        if node._backward is not None:
-            if g is not None:
-                for p, pg in zip(node._parents, node._backward(g)):
-                    if pg is not None and p.requires_grad:
-                        _accumulate(grads, owned, p, pg)
+        key, rule, parents = id(node), node._backward, node._parents
+        if rule is not None:
             node._parents, node._backward = (), _SPENT
-        elif g is not None:  # a leaf; copy an array a rule returned, other parents may share it
-            node.grad = (g if id(node) in owned else g.copy()) if node.grad is None else node.grad + g
+            del node  # its value goes now, unless the caller or a rule still holds it
+            if key in grads:  # the rule gets the only reference to its gradient
+                _accumulate(grads, owned, parents, list(rule(grads.pop(key))))
+        elif key in grads:  # a leaf; copy an array a rule returned, other parents may share it
+            g = grads.pop(key)
+            node.grad = (g if key in owned else g.copy()) if node.grad is None else node.grad + g
 
 
 _SPENT = object()  # the rule of a node that backward() has walked past
@@ -115,27 +116,31 @@ _SPENT = object()  # the rule of a node that backward() has walked past
 _RowsGrad = namedtuple("_RowsGrad", "start stop g")
 
 
-def _accumulate(grads, owned, p, pg):
-    """Add one parent gradient onto p's pending gradient.
+def _accumulate(grads, owned, parents, pgs):
+    """Add a rule's gradients onto its parents' pending ones in order, each dropped once added.
 
     A row slice is added into a buffer of p's shape that backward() owns, so
     slicing a tensor into k pieces costs one buffer, not k. An array that a
     backward rule returned is never written to: rules may hand the same
     array to several parents.
     """
-    key = id(p)
-    acc = grads.get(key)
-    if isinstance(pg, _RowsGrad):
-        if key not in owned:
-            acc = np.zeros_like(p.data) if acc is None else acc.copy()
-            grads[key] = acc
+    for i, p in enumerate(parents):
+        pg, pgs[i] = pgs[i], None
+        if pg is None or not p.requires_grad:
+            continue
+        key = id(p)
+        acc = grads.get(key)
+        if isinstance(pg, _RowsGrad):
+            if key not in owned:
+                acc = np.zeros_like(p.data) if acc is None else acc.copy()
+                grads[key] = acc
+                owned.add(key)
+            acc[pg.start:pg.stop] += pg.g
+        elif acc is None:
+            grads[key] = pg
+        else:
+            grads[key] = acc + pg
             owned.add(key)
-        acc[pg.start:pg.stop] += pg.g
-    elif acc is None:
-        grads[key] = pg
-    else:
-        grads[key] = acc + pg
-        owned.add(key)
 
 
 # ---------------------------------------------------------------------------

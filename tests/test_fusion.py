@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from phasecond import tensor as T
+from phasecond.attention import self_attention
 from phasecond.errors import ShapeError
 from phasecond.fusion import InnerFusionLayer, OuterFusionStack
 from phasecond.params import ParamSet
-from phasecond.tensor import Tensor, grad_check
+from phasecond.tensor import Tensor, backward, grad_check
 
 
 def make_outer(width, n_layers=2, seed=0):
@@ -121,3 +122,91 @@ class TestInnerFusion:
             b_new = Tensor(rng.standard_normal((3, 4)))
             err = grad_check(lambda _p: T.tsum(layer(b_new, b_prev)), params[name])
             assert err < 1e-4, name
+
+
+def generic_inner_fusion(layer, b_new, b_prev):
+    """The Fi gate spelled out in generic nodes: the reference the fused node matches."""
+    cat = T.concat([b_new, b_prev, T.mul(b_new, b_prev)], axis=1)
+    return T.gated_mix(b_prev, T.affine(cat, layer.w_b, layer.b_b, T.TANH),
+                       T.affine(cat, layer.w_f, layer.b_f, T.SIGMOID))
+
+
+LENGTHS = [3, 1, 5]  # a packed ragged batch with a one-row segment
+
+
+def signed_zero_weights(rng, shape):
+    """Upstream-gradient weights with +0.0 and -0.0 entries among the others."""
+    w = rng.standard_normal(shape)
+    w.flat[::4] = 0.0
+    w.flat[1::4] = -0.0
+    return w
+
+
+class TestInnerFusionNode:
+    """The one-node Fi against its generic composition, byte for byte."""
+
+    def run(self, fuse, order, width, lengths, seed=14):
+        """(output bytes, {name: gradient bytes}) with b_prev fanned out to a
+        second consumer walked before the Fi ("before") or after it ("after")."""
+        layer, params = make_inner(width, seed=seed)
+        rng = np.random.default_rng(seed + 1)
+        n = sum(lengths)
+        b_new = Tensor(rng.standard_normal((n, width)), requires_grad=True)
+        b_prev = Tensor(rng.standard_normal((n, width)), requires_grad=True)
+        out = fuse(layer, b_new, b_prev)
+        if order == "before":  # like an Fo over an Fi block: the output and b_prev side by side
+            side = T.concat([out, b_prev], axis=1)
+            loss = T.tsum(T.mul(side, Tensor(signed_zero_weights(rng, side.data.shape))))
+        else:
+            second = T.tsum(T.mul(b_prev, Tensor(rng.standard_normal((n, width)))))
+            loss = T.add(T.tsum(T.mul(out, Tensor(signed_zero_weights(rng, (n, width))))), second)
+        backward(loss)
+        grads = {"b_new": b_new.grad, "b_prev": b_prev.grad}
+        grads.update((name, params[name].grad) for name in params.names())
+        return out.data.tobytes(), {k: g.tobytes() for k, g in grads.items()}
+
+    # Width 32 over 25 rows: a product split into [n, w] column blocks takes
+    # another BLAS path there than the [n, 3w] one and moves the last bits.
+    @pytest.mark.parametrize("width, lengths", [(4, LENGTHS), (32, [12, 1, 12])])
+    @pytest.mark.parametrize("order", ["before", "after"])
+    def test_value_and_six_gradients_match_generic_bytes(self, order, width, lengths):
+        fused = self.run(lambda layer, b_new, b_prev: layer(b_new, b_prev), order, width, lengths)
+        generic = self.run(generic_inner_fusion, order, width, lengths)
+        assert fused[0] == generic[0]
+        assert len(fused[1]) == 6 and fused[1] == generic[1]
+
+    def test_after_self_attention_matches_generic_bytes(self):
+        """The model's shape: b_new is the self-attention of b_prev over the segments."""
+        def run(fuse):
+            layer, params = make_inner(6, seed=16)
+            rng = np.random.default_rng(17)
+            b_prev = Tensor(rng.standard_normal((sum(LENGTHS), 6)), requires_grad=True)
+            b_new, _ = self_attention(b_prev, LENGTHS, 1)
+            out = fuse(layer, b_new, b_prev)
+            backward(T.tsum(T.mul(out, Tensor(signed_zero_weights(rng, out.data.shape)))))
+            return [out.data.tobytes(), b_prev.grad.tobytes(),
+                    *(params[name].grad.tobytes() for name in params.names())]
+
+        assert run(lambda layer, b_new, b_prev: layer(b_new, b_prev)) == run(generic_inner_fusion)
+
+    def test_one_node_on_the_tape(self):
+        layer, _ = make_inner(4)
+        b_new, b_prev = (Tensor(np.ones((2, 4)), requires_grad=True) for _ in range(2))
+        out = layer(b_new, b_prev)
+        assert {id(p) for p in out._parents} == {id(b_new), id(b_prev), id(layer.w_b),
+                                                 id(layer.b_b), id(layer.w_f), id(layer.b_f)}
+
+    def test_frozen_builds_no_tape(self):
+        layer, params = make_inner(4, seed=18)
+        rng = np.random.default_rng(19)
+        b_new, b_prev = (Tensor(rng.standard_normal((sum(LENGTHS), 4))) for _ in range(2))
+        with params.frozen():
+            out = layer(b_new, b_prev)
+            reference = generic_inner_fusion(layer, b_new, b_prev)
+        assert not out.requires_grad and out._parents == () and out._backward is None
+        assert out.data.tobytes() == reference.data.tobytes()
+
+    def test_width_other_than_built_rejected(self):
+        layer, _ = make_inner(4)
+        with pytest.raises(ShapeError, match="built for width 4"):
+            layer(Tensor(np.zeros((3, 5))), Tensor(np.zeros((3, 5))))

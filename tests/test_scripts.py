@@ -84,4 +84,13 @@ def test_tape_memory_pins_what_a_desk_batch_keeps():
     loss = gold_loss(model, data, rng=np.random.default_rng(0))
     holdings = tape_memory.tape_holdings(loss, model.params)
     nodes, held = (sum(column) for column in zip(*holdings.values()))
-    assert (nodes, held) == (121, 32_227_800)
+    assert (nodes, held) == (113, 24_674_776)
+
+
+def test_tape_memory_measures_a_one_example_batch():
+    done = subprocess.run([sys.executable, os.path.join(SCRIPTS, "tape_memory.py"),
+                           "--examples", "1"], capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("batch: 1 examples, ")
+    for row in ("peak during backward", "peak of a frozen forward", "InnerFusionLayer", "total"):
+        assert row in done.stdout

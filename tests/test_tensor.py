@@ -225,6 +225,16 @@ class TestBackward:
         backward(loss)
         assert freed() is None and loss.data.shape == ()
 
+    def test_value_no_rule_reads_is_freed_before_its_own_rule_runs(self):
+        x = Tensor(np.ones(4), requires_grad=True)
+        seen = []
+        h = T.make_node(np.full(4, 2.0), (x,), lambda g: (seen.append(freed() is None) or g,))
+        freed = weakref.ref(h.data)
+        loss = T.tsum(T.mul(h, Tensor(np.full(4, 3.0))))
+        del h
+        backward(loss)
+        assert seen == [True] and np.array_equal(x.grad, np.full(4, 3.0))
+
 
 def one_minus(a):
     return T.make_node(1.0 - a.data, (a,), lambda g: (-g,))
