@@ -217,17 +217,20 @@ def build_from_examples(config, examples):
 def _dropout_draws(model, examples, rng):
     """Uniforms behind the six dropout masks, in the order the model applies
     them: passage and question features, v, h, u, final h. They are drawn
-    example after example, so the masks do not depend on the batch size, and
-    packed like the rows. Without an rng there is no dropout: six Nones."""
+    example after example, so the masks do not depend on the batch size, each
+    into its rows of one buffer per site. Without an rng there is no dropout:
+    six Nones."""
     if rng is None:
         return [None] * 6
     width, d2 = model.extractor.width, 2 * model.config.hidden
-    draws = []
-    for ex in examples:
-        n, m = len(ex.passage_tokens), len(ex.question_tokens)
-        shapes = ((n, width), (m, width), (m, d2), (n, d2), (m, d2), (n, model.final_width))
-        draws.append([rng.random(shape) for shape in shapes])
-    return [np.concatenate(site) for site in zip(*draws)]
+    n = np.cumsum([0] + [len(ex.passage_tokens) for ex in examples])
+    m = np.cumsum([0] + [len(ex.question_tokens) for ex in examples])
+    sites = ((n, width), (m, width), (m, d2), (n, d2), (m, d2), (n, model.final_width))
+    draws = [np.empty((rows[-1], cols)) for rows, cols in sites]
+    for k in range(len(examples)):
+        for (rows, _), draw in zip(sites, draws):
+            rng.random(out=draw[rows[k]:rows[k + 1]])
+    return draws
 
 
 def run_path(model, h, u, v, lengths, q_lengths):
@@ -267,7 +270,7 @@ def _packed_pass(model, examples, rng):
     passed and `config.dropout > 0`.
     """
     rate = model.config.dropout
-    d_p, d_q, d_v, d_h, d_u, d_out = _dropout_draws(model, examples, rng if rate > 0 else None)
+    draws = _dropout_draws(model, examples, rng if rate > 0 else None)  # each popped once applied
     lengths = [len(ex.passage_tokens) for ex in examples]
     q_lengths = [len(ex.question_tokens) for ex in examples]
     bits = [exact_match_features(ex.passage_tokens, ex.question_tokens) for ex in examples]
@@ -278,16 +281,17 @@ def _packed_pass(model, examples, rng):
     questions = embed([ex.question_tokens for ex in examples], "question",
                       em_bits=[q for _, q in bits], pos=[ex.question_pos for ex in examples],
                       ner=[ex.question_ner for ex in examples])
-    passages, questions = T.dropout(passages, rate, d_p), T.dropout(questions, rate, d_q)
+    passages = T.dropout(passages, rate, draws.pop(0))
+    questions = T.dropout(questions, rate, draws.pop(0))
 
     v = model.encoders.encode_independent_question(questions, q_lengths)
     h, u = model.encoders.encode_shared(passages, lengths, questions, q_lengths)
-    v = T.dropout(v, rate, d_v)
-    h = T.dropout(h, rate, d_h)
-    u = T.dropout(u, rate, d_u)
+    v = T.dropout(v, rate, draws.pop(0))
+    h = T.dropout(h, rate, draws.pop(0))
+    u = T.dropout(u, rate, draws.pop(0))
 
     h, traces = run_path(model, h, u, v, lengths, q_lengths)
-    h = T.dropout(h, rate, d_out)
+    h = T.dropout(h, rate, draws.pop(0))
     query = model.pointer.initial_query(v, q_lengths)
     return (*model.pointer.predict_span(h, query, lengths), traces, lengths)
 

@@ -82,7 +82,7 @@ def lstm_direction(x, cells, lengths):
         act += np.matmul(prev(outs, t, a).transpose(1, 0, 2), us).reshape(
             k, a, 4, d).transpose(1, 2, 0, 3)
         g = np.tanh(act[:, 2])
-        act[:] = stable_sigmoid(act)
+        stable_sigmoid(act, out=act)
         act[:, 2] = g
         c = np.multiply(act[:, 1], prev(cs, t, a), out=cs[lo:hi])
         c += act[:, 0] * g

@@ -21,9 +21,14 @@ so early training favors the carry path.
 Inner fusion is one tape node that keeps only B~ and f, and lets them go once
 backward has read them. Backward remakes the [n, 3w] concatenation for the
 weight gradients (a copy, no arithmetic) and frees it before it forms the
-input gradient, so the tape keeps no [n, 3w] array. Every value and gradient
-is bitwise that of the generic chain of `mul`, `concat`, two `affine` and
-`gated_mix` nodes: the node makes the same products, shape for shape.
+input gradient, so the tape keeps no [n, 3w] array. That gradient fills one
+[n, 3w] buffer by row blocks of at least ROW_BLOCK rows, adding each block's
+second product in place. Every value and gradient is bitwise that of the
+generic chain of `mul`, `concat`, two `affine` and `gated_mix` nodes. Row
+blocks keep the bits where [n, w] column blocks did not, since a column block
+is a product of few rows at small n, where OpenBLAS takes another path; but a
+row's bits follow its block unless w is a multiple of 8 (OpenBLAS 0.3.31, w up
+to 520), so other widths take one block.
 """
 
 import numpy as np
@@ -33,6 +38,7 @@ from .errors import ShapeError
 from .params import constant, xavier_uniform
 
 GATE_BIAS_INIT = -1.0
+ROW_BLOCK = 256  # least rows per block of Fi's input gradient; one block below 2 * ROW_BLOCK
 
 
 class OuterFusionStack:
@@ -77,11 +83,12 @@ class InnerFusionLayer:
         new, prev = b_new.data, b_prev.data
         w_b, b_b, w_f, b_f = self.w_b, self.b_b, self.w_f, self.b_f
         cat = np.concatenate([new, prev, new * prev], axis=1)
-        cand = T.TANH.value(cat @ w_b.data + b_b.data)
-        z = cat @ w_f.data
+        cand, z = cat @ w_b.data, cat @ w_f.data
         del cat
+        cand += b_b.data
         z += b_f.data
-        z = T.SIGMOID.value(z)
+        T.TANH.value(cand, out=cand)
+        T.SIGMOID.value(z, out=z)
 
         def bwd(g):
             nonlocal cand, z
@@ -94,9 +101,13 @@ class InnerFusionLayer:
             dw_f, dw_b = cat.T @ g_f, cat.T @ g_b
             del cat
             db_f, db_b = g_f.sum(axis=0), g_b.sum(axis=0)
-            dx = g_f @ w_f.data.T  # the concatenation's gradient dx_F + dx_B, as the graph made it
-            del g_f
-            dx += g_b @ w_b.data.T
+            dx = np.empty((len(new), 3 * self.width))  # the concatenation's gradient dx_F + dx_B
+            step = ROW_BLOCK if self.width % 8 == 0 else len(new)  # see the module docstring
+            edges = [0, *range(step, len(new) - step + 1, step), len(new)]
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                np.matmul(g_f[lo:hi], w_f.data.T, out=dx[lo:hi])
+                dx[lo:hi] += g_b[lo:hi] @ w_b.data.T
+            del g_f, g_b
             new_blk, prev_blk, g_m = np.split(dx, 3, axis=1)
             return d_carry, dw_f, db_f, dw_b, db_b, new_blk, prev_blk, g_m * prev, g_m * new
 

@@ -12,7 +12,7 @@ the rule gets the only reference to its gradient; what it returns goes once adde
 A backward rule captures only the arrays it reads. Activations come from
 one table of (value, rule) pairs whose rule reads the activation's output,
 never its input, so `affine` applies one inside its node and its
-pre-activation is freed as soon as the node is built.
+pre-activation is overwritten by its output as soon as it is formed.
 
 Broadcasting is deliberately restricted: shapes must be equal, or the
 smaller operand's shape must equal the trailing dimensions of the larger
@@ -184,24 +184,42 @@ def mul(a, b):
     return make_node(a.data * b.data, (a, b), bwd)
 
 
-def stable_sigmoid(x):
+def stable_sigmoid(x, out=None):
     """Elementwise logistic of an array; exp only ever sees -|x|, so it never overflows."""
-    e = np.exp(-np.abs(x))
-    return np.maximum(e, x >= 0) / (1.0 + e)  # numerator 1 where x >= 0, else e
+    e = np.abs(x)
+    np.exp(np.negative(e, out=e), out=e)
+    out = np.maximum(e, x >= 0, out=out)  # numerator 1 where x >= 0, else e
+    return np.divide(out, np.add(1.0, e, out=e), out=out)
 
 
-# An activation is value(x) and rule(g, out): the gradient at its input,
-# read off its output alone.
+def _tanh_rule(g, out):
+    d = np.multiply(out, out)
+    return np.multiply(g, np.subtract(1.0, d, out=d), out=d)
+
+
+def _sigmoid_rule(g, out):
+    d = np.multiply(g, out)
+    return np.multiply(d, np.subtract(1.0, out), out=d)
+
+
+def _relu_value(x, out=None):
+    out = np.fmax(x, 0.0, out=out)
+    return np.add(out, 0.0, out=out)  # + 0.0 turns -0.0 into 0.0; NaN -> 0.0
+
+
+# An activation is value(x, out=None) and rule(g, out): the gradient at its input, read
+# off its output alone. Only a caller that owns x and reads it no more passes an `out`,
+# which may be x itself: `affine` and the inner-fusion node pass their own products.
 Activation = namedtuple("Activation", "value rule")
-TANH = Activation(np.tanh, lambda g, out: g * (1.0 - out * out))
-SIGMOID = Activation(stable_sigmoid, lambda g, out: g * out * (1.0 - out))
-RELU = Activation(lambda x: np.fmax(x, 0.0) + 0.0,  # + 0.0 turns -0.0 into 0.0; NaN -> 0.0
-                  lambda g, out: g * (out > 0))  # subgradient at 0 fixed to 0
+TANH = Activation(np.tanh, _tanh_rule)
+SIGMOID = Activation(stable_sigmoid, _sigmoid_rule)
+RELU = Activation(_relu_value, lambda g, out: g * (out > 0))  # subgradient at 0 fixed to 0
 
 
-def _softmax_rows_value(x):
-    e = np.exp(x - x.max(axis=1, keepdims=True))  # each row shifted by its max
-    return e / e.sum(axis=1, keepdims=True)
+def _softmax_rows_value(x, out=None):
+    out = np.subtract(x, x.max(axis=1, keepdims=True), out=out)  # each row shifted by its max
+    np.exp(out, out=out)
+    return np.divide(out, out.sum(axis=1, keepdims=True), out=out)
 
 
 SOFTMAX_ROWS = Activation(_softmax_rows_value,
@@ -287,9 +305,10 @@ def affine(x, w, b, act=None, lengths=None):
         if b.data.shape != (len(lengths), out.shape[1]):
             raise ShapeError(f"affine bias {b.data.shape} for {len(lengths)} segments "
                              f"of width {out.shape[1]}")
-        out += np.repeat(b.data, lengths, axis=0)
+        for lo, n, row in zip(starts, lengths, b.data):
+            out[lo:lo + n] += row
     if act is not None:
-        out = act.value(out)
+        act.value(out, out=out)
 
     def bwd(g):
         if act is not None:
@@ -439,7 +458,8 @@ def segment_weighted_sum(w, x, lengths):
 
     def bwd(g):
         g_rows = np.repeat(g, lengths, axis=0)
-        return ((x.data * g_rows).sum(axis=1, keepdims=True), w.data * g_rows)
+        dx = w.data * g_rows
+        return np.multiply(x.data, g_rows, out=g_rows).sum(axis=1, keepdims=True), dx
 
     return make_node(out, (w, x), bwd)
 

@@ -68,16 +68,16 @@ def adam_step(params, state):
 def clip_gradients(params, max_norm):
     """Scale all gradients so their global L2 norm is at most max_norm; a
     max_norm of 0 disables clipping. Returns the norm before clipping."""
+    grads = [t.grad for _, t in params.items() if t.grad is not None]
+    scratch = np.empty(max((g.size for g in grads), default=0))  # each square, in turn
     total = 0.0
-    for _, t in params.items():
-        if t.grad is not None:
-            total += float((t.grad * t.grad).sum())
+    for g in grads:
+        total += float(np.multiply(g, g, out=scratch[:g.size].reshape(g.shape)).sum())
     norm = total ** 0.5
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
-        for _, t in params.items():
-            if t.grad is not None:
-                t.grad *= scale
+        for g in grads:
+            g *= scale
     return norm
 
 

@@ -3,6 +3,7 @@ import importlib.util
 import os
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -290,6 +291,43 @@ class TestForward:
         for (rate, draw), want in zip(calls, expected):
             assert rate == cfg.dropout
             assert np.array_equal(draw, want)
+
+    def test_site_buffers_hold_the_per_example_draws(self):
+        # the uniforms as they were drawn before the site buffers: each
+        # example's six arrays in turn, then each site's arrays packed
+        cfg = small_config()
+        examples = tiny_examples()
+        model = build_from_examples(cfg, examples)
+        rng = np.random.default_rng(5)
+        got = _dropout_draws(model, examples, rng)
+        ref_rng = np.random.default_rng(5)
+        width, d2 = model.extractor.width, 2 * cfg.hidden
+        per_example = []
+        for ex in examples:
+            n, m = len(ex.passage_tokens), len(ex.question_tokens)
+            shapes = ((n, width), (m, width), (m, d2), (n, d2), (m, d2), (n, model.final_width))
+            per_example.append([ref_rng.random(shape) for shape in shapes])
+        want = [np.concatenate(site) for site in zip(*per_example)]
+        assert len(got) == 6
+        for draw, ref in zip(got, want):
+            assert draw.shape == ref.shape and draw.tobytes() == ref.tobytes()
+            assert np.array_equal(draw >= cfg.dropout, ref >= cfg.dropout)
+        assert rng.random() == ref_rng.random()  # the generator is left where it was
+
+    def test_each_draw_is_released_once_its_mask_is_applied(self, monkeypatch):
+        cfg = small_config()
+        examples = tiny_examples()
+        model = build_from_examples(cfg, examples)
+        refs, live, dropout = [], [], T.dropout
+
+        def recording(a, rate, draw):
+            live.append(sum(ref() is not None for ref in refs))  # earlier draws still held
+            refs.append(weakref.ref(draw))
+            return dropout(a, rate, draw)
+
+        monkeypatch.setattr(T, "dropout", recording)
+        gold_loss(model, examples, rng=np.random.default_rng(5))
+        assert live == [0] * 6
 
     def test_span_respects_constraints(self):
         cfg = small_config(max_span=2)

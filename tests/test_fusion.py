@@ -167,7 +167,11 @@ class TestInnerFusionNode:
 
     # Width 32 over 25 rows: a product split into [n, w] column blocks takes
     # another BLAS path there than the [n, 3w] one and moves the last bits.
-    @pytest.mark.parametrize("width, lengths", [(4, LENGTHS), (32, [12, 1, 12])])
+    # 600 and 771 rows: the input gradient by row blocks, at widths 8 and 72;
+    # width 75 takes one block, as row blocks would move its bits.
+    @pytest.mark.parametrize("width, lengths", [(4, LENGTHS), (32, [12, 1, 12]),
+                                                (8, [300, 1, 299]), (72, [513, 1, 257]),
+                                                (75, [300, 1, 299])])
     @pytest.mark.parametrize("order", ["before", "after"])
     def test_value_and_six_gradients_match_generic_bytes(self, order, width, lengths):
         fused = self.run(lambda layer, b_new, b_prev: layer(b_new, b_prev), order, width, lengths)

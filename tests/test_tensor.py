@@ -522,6 +522,124 @@ class TestSegmentOps:
             T.segment_weighted_sum(Tensor(np.zeros((3, 2))), x, [3])
 
 
+def old_sigmoid(x):
+    e = np.exp(-np.abs(x))
+    return np.maximum(e, x >= 0) / (1.0 + e)
+
+
+def old_softmax_rows(x):
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+# The activation kernels as they were written before they took `out` and
+# trimmed their temporaries: the trimmed ones must match them byte for byte.
+OLD_VALUES = {"tanh": np.tanh, "sigmoid": old_sigmoid, "relu": lambda x: np.fmax(x, 0.0) + 0.0,
+              "softmax_rows": old_softmax_rows}
+OLD_RULES = {"tanh": lambda g, out: g * (1.0 - out * out),
+             "sigmoid": lambda g, out: g * out * (1.0 - out),
+             "relu": lambda g, out: g * (out > 0),
+             "softmax_rows": lambda g, out: out * (g - (g * out).sum(axis=1, keepdims=True))}
+KERNELS = {**ACTIVATIONS, "softmax_rows": T.SOFTMAX_ROWS}
+
+
+def kernel_inputs(seed):
+    """2-D arrays holding NaN, +-inf, +-0.0, +-800 and subnormals among normals: a
+    small one, one large enough for numpy to reuse temporaries, and a
+    non-contiguous view of the large one."""
+    rng = np.random.default_rng(seed)
+    specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 800.0, -800.0,
+                         5e-324, -5e-324, 1e-300, 3.0, -3.0])
+    small = rng.permutation(np.tile(specials, 3)).reshape(4, 9)
+    large = rng.standard_normal((300, 140)) * 30.0
+    large.flat[::97] = np.resize(specials, large.flat[::97].size)
+    return [small, large, large[::2, 1::3]]
+
+
+def same_bytes(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def signed_zeros(a):
+    """a with +0.0 and -0.0 among its entries."""
+    a.flat[::4] = 0.0
+    a.flat[1::4] = -0.0
+    return a
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN and inf inputs, on both sides
+class TestTrimmedKernels:
+    @pytest.mark.parametrize("kind", sorted(KERNELS))
+    def test_value_with_and_without_out_matches_the_old_expression(self, kind):
+        value = KERNELS[kind].value
+        for x in kernel_inputs(40):
+            want, before = OLD_VALUES[kind](x), x.copy()
+            assert same_bytes(value(x), want)
+            buf = np.full(x.shape, 7.0)
+            assert value(x, out=buf) is buf and same_bytes(buf, want)
+            assert same_bytes(x, before)  # only an `out` is written
+            own = x.copy()
+            assert value(own, out=own) is own and same_bytes(own, want)
+
+    def test_stable_sigmoid_is_the_sigmoid_value(self):
+        for x in kernel_inputs(41):
+            assert same_bytes(T.stable_sigmoid(x), old_sigmoid(x))
+
+    @pytest.mark.parametrize("kind", sorted(KERNELS))
+    def test_rule_matches_the_old_expression_and_writes_no_input(self, kind):
+        for x, g in zip(kernel_inputs(42), kernel_inputs(43)):
+            out = OLD_VALUES[kind](x)
+            g_before, out_before = g.copy(), out.copy()
+            assert same_bytes(KERNELS[kind].rule(g, out), OLD_RULES[kind](g, out))
+            assert same_bytes(g, g_before) and same_bytes(out, out_before)
+
+    @pytest.mark.parametrize("kind", sorted(ACTIVATIONS))
+    def test_activate_leaves_its_input_untouched(self, kind):
+        for x in kernel_inputs(44):
+            a = Tensor(x, requires_grad=True)
+            before = a.data.copy()
+            out = T.activate(a, ACTIVATIONS[kind])
+            assert same_bytes(a.data, before) and not np.shares_memory(out.data, a.data)
+            backward(T.tsum(T.mul(out, Tensor(np.ones(x.shape)))))
+            assert same_bytes(a.data, before)
+
+    @pytest.mark.parametrize("kind", [None, *sorted(ACTIVATIONS)])
+    def test_affine_segment_bias_matches_the_repeated_rows_bytes(self, kind):
+        rng = np.random.default_rng(45)
+        lengths = [3, 1, 5]  # with a one-row segment
+        base = [rng.standard_normal((9, 4)), 10.0 * rng.standard_normal((4, 3)),
+                rng.standard_normal((3, 3))]
+        mix = Tensor(signed_zeros(rng.standard_normal((9, 3))))
+        results = []
+        for fused in (True, False):
+            x, w, b = (Tensor(a.copy(), requires_grad=True) for a in base)
+            if fused:
+                out = T.affine(x, w, b, ACTIVATIONS.get(kind), lengths)
+            else:
+                pre = T.add(T.matmul(x, w), repeated_rows(b, lengths))
+                out = pre if kind is None else reference_activation(kind, pre)
+            backward(T.tsum(T.mul(out, mix)))
+            assert all(same_bytes(t.data, a) for t, a in zip((x, w, b), base))
+            results.append([out.data, x.grad, w.grad, b.grad])
+        want = base[0] @ base[1]
+        want += np.repeat(base[2], lengths, axis=0)
+        if kind is not None:
+            want = OLD_VALUES[kind](want)
+        assert same_bytes(results[0][0], want)
+        assert all(same_bytes(got, ref) for got, ref in zip(*results))
+
+    def test_weighted_sum_gradients_match_the_old_expression(self):
+        rng = np.random.default_rng(46)
+        lengths = [3, 1, 4, 2]
+        w = Tensor(rng.random((10, 1)), requires_grad=True)
+        x = Tensor(rng.standard_normal((10, 3)), requires_grad=True)
+        g = signed_zeros(rng.standard_normal((4, 3)))
+        backward(T.tsum(T.mul(T.segment_weighted_sum(w, x, lengths), Tensor(g))))
+        g_rows = np.repeat(g, lengths, axis=0)
+        assert same_bytes(w.grad, (x.data * g_rows).sum(axis=1, keepdims=True))
+        assert same_bytes(x.grad, w.data * g_rows)
+
+
 class TestGradCheck:
     def test_constant_gradient(self):
         rng = np.random.default_rng(11)

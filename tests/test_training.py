@@ -191,6 +191,24 @@ class TestClipping:
         assert np.allclose(p.grad, [0.3, 0.4])
 
 
+def test_clip_gradients_norm_matches_the_squared_copies():
+    """The norm summed from one scratch buffer is the norm of `(g * g).sum()`
+    per gradient, byte for byte, and clipping scales each gradient by it."""
+    rng = np.random.default_rng(8)
+    params = ParamSet()
+    for k, shape in enumerate([(7, 5), (40,), (3, 4), (1,), (30, 20)]):
+        params.add(f"p{k}", shape, constant(0.0)).grad = rng.standard_normal(shape) * 10.0**k
+    params.add("no_grad", (6,), constant(0.0))
+    grads = [t.grad.copy() for _, t in params.items() if t.grad is not None]
+    total = 0.0
+    for g in grads:
+        total += float((g * g).sum())
+    norm = clip_gradients(params, 1.0)
+    assert norm == total ** 0.5
+    scaled = [t.grad for _, t in params.items() if t.grad is not None]
+    assert all(got.tobytes() == (g * (1.0 / norm)).tobytes() for got, g in zip(scaled, grads))
+
+
 class TestTrainLoop:
     def test_loss_decreases_and_history_logged(self):
         data = tiny_dataset(n=8)
