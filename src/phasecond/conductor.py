@@ -262,7 +262,8 @@ def run_path(model, h, u, v, lengths, q_lengths):
 
 
 def _packed_pass(model, examples, rng):
-    """(scores, probs, traces, lengths) of one pass over a minibatch.
+    """(h, query, traces, lengths) of one pass over a minibatch up to the
+    pointer: the path's output rows and the pointer's first query.
 
     This is where every dropout mask is applied: passage and question
     features, v, h, u and the path's output, each at `config.dropout`, from
@@ -292,14 +293,14 @@ def _packed_pass(model, examples, rng):
 
     h, traces = run_path(model, h, u, v, lengths, q_lengths)
     h = T.dropout(h, rate, draws.pop(0))
-    query = model.pointer.initial_query(v, q_lengths)
-    return (*model.pointer.predict_span(h, query, lengths), traces, lengths)
+    return h, model.pointer.initial_query(v, q_lengths), traces, lengths
 
 
 def forward_batch(model, examples, rng=None):
     """One ForwardResult per example of a minibatch; spans are at most
     `config.max_span` long."""
-    _, probs, traces, lengths = _packed_pass(model, examples, rng)
+    h, query, traces, lengths = _packed_pass(model, examples, rng)
+    _, probs = model.pointer.predict_span(h, query, lengths)
     dists = [(probs[end - n:end, 0], probs[end - n:end, 1])
              for n, end in zip(lengths, np.cumsum(lengths))]
     return [ForwardResult(ps, pe, decode_span(ps, pe, model.config.max_span), trace)
@@ -314,5 +315,7 @@ def forward(model, example, rng=None):
 def gold_loss(model, examples, rng=None):
     """The batch loss: the mean span loss of the examples' first gold spans,
     from one pass over the batch."""
-    scores, _, _, lengths = _packed_pass(model, examples, rng)
+    h, query, traces, lengths = _packed_pass(model, examples, rng)
+    del traces  # constants the loss does not read, freed before the pointer runs
+    scores, _ = model.pointer.predict_span(h, query, lengths)
     return span_loss(scores, lengths, [ex.gold_spans[0] for ex in examples])

@@ -3,11 +3,11 @@
 Every value in the model is a `Tensor` wrapping a row-major numpy array.
 Operations record their inputs and a local backward rule; `backward()`
 replays the tape in reverse topological order and accumulates gradients
-additively across fan-out; the row slices of one tensor add into a single
-buffer. Gradients land in `.grad` on leaves only (tensors no op produced,
-such as parameters). The walk consumes the tape: a node drops its inputs and
-rule, and its value unless something still reads it, before its rule runs;
-the rule gets the only reference to its gradient; what it returns goes once added.
+additively across fan-out. Gradients land in `.grad` on leaves only
+(tensors no op produced, such as parameters). The walk consumes the tape: a
+node drops its inputs and rule, and its value unless something still reads
+it, before its rule runs; the rule gets the only reference to its gradient;
+what it returns goes once added.
 
 A backward rule captures only the arrays it reads. Activations come from
 one table of (value, rule) pairs whose rule reads the activation's output,
@@ -112,17 +112,12 @@ def backward(loss):
 
 _SPENT = object()  # the rule of a node that backward() has walked past
 
-# The gradient of a row slice: g in rows start:stop of the parent, zero elsewhere.
-_RowsGrad = namedtuple("_RowsGrad", "start stop g")
-
 
 def _accumulate(grads, owned, parents, pgs):
     """Add a rule's gradients onto its parents' pending ones in order, each dropped once added.
 
-    A row slice is added into a buffer of p's shape that backward() owns, so
-    slicing a tensor into k pieces costs one buffer, not k. An array that a
-    backward rule returned is never written to: rules may hand the same
-    array to several parents.
+    A sum is a new array that backward() owns; an array that a backward rule
+    returned is never written to: rules may hand the same array to several parents.
     """
     for i, p in enumerate(parents):
         pg, pgs[i] = pgs[i], None
@@ -130,13 +125,7 @@ def _accumulate(grads, owned, parents, pgs):
             continue
         key = id(p)
         acc = grads.get(key)
-        if isinstance(pg, _RowsGrad):
-            if key not in owned:
-                acc = np.zeros_like(p.data) if acc is None else acc.copy()
-                grads[key] = acc
-                owned.add(key)
-            acc[pg.start:pg.stop] += pg.g
-        elif acc is None:
+        if acc is None:
             grads[key] = pg
         else:
             grads[key] = acc + pg
@@ -351,8 +340,7 @@ def concat(tensors, axis):
 
 def split_rows(a, lengths):
     """Consecutive row blocks of a, lengths[k] rows each, as a list of tensors;
-    one block of all rows is a itself. A block's gradient reaches `backward()`
-    as the slice and its place, not zero-padded to a's shape."""
+    one block of all rows is a itself. A block's gradient is zero-padded to a's shape."""
     ends = list(accumulate(lengths))
     n = a.data.shape[0]
     if not ends or ends[-1] != n:
@@ -361,7 +349,12 @@ def split_rows(a, lengths):
         return [a]
 
     def block(start, stop):
-        return make_node(a.data[start:stop], (a,), lambda g: (_RowsGrad(start, stop, g),))
+        def bwd(g):
+            full = np.zeros_like(a.data)
+            full[start:stop] = g
+            return (full,)
+
+        return make_node(a.data[start:stop], (a,), bwd)
 
     return [block(end - k, end) for k, end in zip(lengths, ends)]
 

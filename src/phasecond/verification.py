@@ -2,8 +2,8 @@
 
 Used by the grad-check CLI command and the acceptance suite: each
 component gets a small random fixture, and the analytic gradient of a
-scalar readout is compared against central differences. Attention chains
-go through `conductor.run_path`, the code the model runs.
+scalar readout is compared against central differences. The attention
+layers are the model's packed nodes, chained through `conductor.run_path`.
 """
 
 from dataclasses import dataclass
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import self_align, self_propagate
+from .attention import self_attention
 from .conductor import build_from_examples, run_path
 from .config import DEFAULT_PATH, RunConfig
 from .encoders import EncoderPair
@@ -81,7 +81,7 @@ def run_grad_checks(seed=0):
     # self-attention
     mix_self = _mix(rng, (4, 4))
     check("self_attention", "n=4,w=4",
-          lambda t: T.tsum(T.mul(self_propagate(self_align(t), t), mix_self)),
+          lambda t: T.tsum(T.mul(self_attention(t, [4], 1)[0], mix_self)),
           Tensor(rng.standard_normal((4, 4))))
 
     # fusion layers

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import importlib.util
 import os
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasecond import tensor as T
-from phasecond.attention import qp_align, qp_represent
+from phasecond.attention import AlignmentMatrix, qp_align, qp_represent
 from phasecond.conductor import (
     MAX_STEPS,
     _dropout_draws,
@@ -328,6 +329,26 @@ class TestForward:
         monkeypatch.setattr(T, "dropout", recording)
         gold_loss(model, examples, rng=np.random.default_rng(5))
         assert live == [0] * 6
+
+    def test_traces_are_released_before_the_pointer_runs(self, monkeypatch):
+        # the loss reads no alignment, so none is alive where the forward pass peaks
+        examples = generate_synthetic(SyntheticSpec(n_examples=4, vocab_size=50,
+                                                    min_len=20, max_len=30, seed=0))
+        model = build_from_examples(desk_config(), examples)
+        live, predict_span = [], model.pointer.predict_span
+
+        def alignments():
+            return sum(isinstance(obj, AlignmentMatrix) for obj in gc.get_objects())
+
+        def spying(*args):
+            live.append(alignments() - before)
+            return predict_span(*args)
+
+        monkeypatch.setattr(model.pointer, "predict_span", spying)
+        gc.collect()
+        before = alignments()
+        gold_loss(model, examples, rng=np.random.default_rng(0))
+        assert live == [0]
 
     def test_span_respects_constraints(self):
         cfg = small_config(max_span=2)
