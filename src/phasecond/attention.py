@@ -31,8 +31,8 @@ from .tensor import Tensor
 class AlignmentMatrix:
     """Row-stochastic attention weights plus the raw scores behind them.
 
-    weights rows sum to 1; masked columns are exactly 0. `scores` keeps the
-    pre-normalization dot products for export and analysis.
+    weights rows sum to 1. `scores` keeps the pre-normalization dot products
+    for export and analysis.
     """
 
     weights: Tensor
@@ -40,23 +40,15 @@ class AlignmentMatrix:
     kind: str          # "qp" | "self"
     layer_index: int   # 1-based within its kind
 
-    @property
-    def shape(self):
-        return self.weights.data.shape
 
-
-def qp_align(h_prev, u_shared, question_mask=None, layer_index=1):
+def qp_align(h_prev, u_shared, layer_index=1):
     """Align passage rows [n, 2d] against shared question rows [m, 2d]."""
     if h_prev.data.shape[1] != u_shared.data.shape[1]:
         raise ShapeError(
             f"passage width {h_prev.data.shape[1]} != question width {u_shared.data.shape[1]}"
         )
     scores = T.matmul(h_prev, T.transpose(u_shared))
-    mask = None
-    if question_mask is not None:
-        mask = np.broadcast_to(np.asarray(question_mask, dtype=bool),
-                               scores.data.shape)
-    weights = T.softmax_rows(scores, mask=mask)
+    weights = T.softmax_rows(scores)
     return AlignmentMatrix(weights=weights, scores=scores, kind="qp", layer_index=layer_index)
 
 

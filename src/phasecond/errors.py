@@ -9,10 +9,6 @@ class ShapeError(PhaseCondError, ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
-class DegenerateRowError(PhaseCondError, ValueError):
-    """A softmax row has no unmasked entries."""
-
-
 class GraphError(PhaseCondError, ValueError):
     """Autodiff contract violation (e.g. backward from a non-scalar)."""
 

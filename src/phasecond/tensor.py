@@ -26,7 +26,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import DegenerateRowError, GraphError, NumericsError, ShapeError
+from .errors import GraphError, NumericsError, ShapeError
 
 
 class Tensor:
@@ -371,31 +371,15 @@ def gather_rows(table, indices):
     return make_node(table.data[idx], (table,), bwd)
 
 
-def softmax_rows(x, mask=None):
-    """Row-wise softmax with optional boolean keep-mask.
-
-    Masked-out entries are exactly 0 in the output; each row is stabilized
-    by subtracting its (unmasked) max. A row with no unmasked entries is
-    an error.
-    """
+def softmax_rows(x):
+    """Row-wise softmax of a matrix with at least one column, each row
+    stabilized by subtracting its max."""
     data = x.data
     if data.ndim != 2:
         raise ShapeError(f"softmax_rows expects a matrix, got shape {data.shape}")
     if data.shape[1] < 1:
         raise ShapeError("softmax_rows requires at least one column")
-    if mask is None:
-        return activate(x, SOFTMAX_ROWS)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != data.shape:
-        raise ShapeError(f"mask shape {mask.shape} does not match input {data.shape}")
-    dead = ~mask.any(axis=1)
-    if dead.any():
-        raise DegenerateRowError(f"row(s) {np.flatnonzero(dead).tolist()} are fully masked")
-    neg = np.where(mask, data, -np.inf)
-    shifted = neg - neg.max(axis=1, keepdims=True)
-    e = np.where(mask, np.exp(np.where(mask, shifted, 0.0)), 0.0)
-    out = e / e.sum(axis=1, keepdims=True)
-    return make_node(out, (x,), lambda g: (SOFTMAX_ROWS.rule(g, out),))
+    return activate(x, SOFTMAX_ROWS)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from phasecond.attention import qp_align, qp_represent, self_align, self_propagate
+from phasecond.attention import qp_attention, self_attention
 from phasecond.cli import main, mean_row_entropy
 from phasecond.conductor import build_from_examples, forward, gold_loss, parse_path
 from phasecond.config import DEFAULT_PATH, ITERATIVE_ALIGNER_PATH, RunConfig, desk_config
@@ -93,39 +93,35 @@ def test_criterion_1_gradient_suite():
 
 
 def test_criterion_2_attention_invariants():
+    # the packed nodes the model runs, over batches of 1-4 examples: each
+    # example's weights and output rows, against its own value rows only
     rng = np.random.default_rng(2024)
     for trial in range(N_PROPERTY_TRIALS):
-        n = int(rng.integers(1, 7))
-        m = int(rng.integers(1, 6))
+        k = int(rng.integers(1, 5))
+        lengths = rng.integers(1, 7, size=k).tolist()
+        q_lengths = rng.integers(1, 6, size=k).tolist()
         d = int(rng.integers(1, 7))
         scale = float(rng.uniform(0.2, 4.0))
-        h = Tensor(rng.standard_normal((n, d)) * scale)
+        h = Tensor(rng.standard_normal((sum(lengths), d)) * scale)
         if trial % 2 == 0:
-            values = Tensor(rng.standard_normal((m, d)) * scale)
-            keys = Tensor(rng.standard_normal((m, d)) * scale)
-            mask = None
-            if m > 1 and trial % 4 == 0:
-                mask = rng.random(m) < 0.7
-                if not mask.any():
-                    mask[int(rng.integers(m))] = True
-            a = qp_align(h, keys, question_mask=mask)
-            out = qp_represent(a, values).data
-            pool = values.data if mask is None else values.data[mask]
+            keys = Tensor(rng.standard_normal((sum(q_lengths), d)) * scale)
+            values = Tensor(rng.standard_normal((sum(q_lengths), d)) * scale)
+            out, aligns = qp_attention(h, keys, values, lengths, q_lengths, 1)
+            pools = np.split(values.data, np.cumsum(q_lengths)[:-1])
         else:
-            mask = None
-            a = self_align(h)
-            out = self_propagate(a, h).data
-            pool = h.data
-        w = a.weights.data
-        assert np.all(w >= 0.0)
-        assert np.all(np.abs(w.sum(axis=1) - 1.0) <= ROW_SUM_TOLERANCE)
-        if mask is not None:
-            assert np.all(w[:, ~mask] == 0.0)
-        lo = pool.min(axis=0) - 1e-9
-        hi = pool.max(axis=0) + 1e-9
-        assert np.all(out >= lo) and np.all(out <= hi)
-    report(2, f"{N_PROPERTY_TRIALS} randomized alignment trials: row-stochastic, "
-              f"masked entries exactly 0, outputs inside value hull")
+            out, aligns = self_attention(h, lengths, 1)
+            pools = np.split(h.data, np.cumsum(lengths)[:-1])
+        assert len(aligns) == k
+        for a, got, pool in zip(aligns, np.split(out.data, np.cumsum(lengths)[:-1]), pools):
+            w = a.weights.data
+            assert w.shape == (len(got), len(pool))
+            assert np.all(w >= 0.0)
+            assert np.all(np.abs(w.sum(axis=1) - 1.0) <= ROW_SUM_TOLERANCE)
+            lo = pool.min(axis=0) - 1e-9
+            hi = pool.max(axis=0) + 1e-9
+            assert np.all(got >= lo) and np.all(got <= hi)
+    report(2, f"{N_PROPERTY_TRIALS} randomized packed batches of 1-4 examples: each "
+              f"example's weights row-stochastic, its outputs inside its own value hull")
 
 
 def test_criterion_3_fusion_interpolation():

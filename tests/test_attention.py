@@ -12,7 +12,7 @@ from phasecond.attention import (
     self_attention,
     self_propagate,
 )
-from phasecond.errors import DegenerateRowError, ShapeError
+from phasecond.errors import ShapeError
 from phasecond.tensor import Tensor, backward, grad_check
 
 
@@ -40,15 +40,6 @@ class TestQPAlign:
     def test_width_mismatch(self):
         with pytest.raises(ShapeError):
             qp_align(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 6))))
-
-    def test_question_mask_zeroes_columns(self):
-        rng = np.random.default_rng(0)
-        h = Tensor(rng.standard_normal((3, 4)))
-        u = Tensor(rng.standard_normal((5, 4)))
-        mask = np.array([True, True, False, True, False])
-        a = qp_align(h, u, question_mask=mask)
-        assert np.all(a.weights.data[:, ~mask] == 0.0)
-        assert rows_stochastic(a.weights)
 
 
 class TestQPRepresent:

@@ -27,6 +27,7 @@ from phasecond.conductor import (
 from phasecond.config import DEFAULT_PATH, ITERATIVE_ALIGNER_PATH, RunConfig, desk_config
 from phasecond.data import QAExample, SyntheticSpec, generate_synthetic
 from phasecond.errors import BuildError, PathSyntaxError, PathValidationError, PhaseCondError
+from phasecond.features import PAD_INDEX
 from phasecond.tensor import Tensor
 
 
@@ -252,8 +253,8 @@ class TestForward:
         assert kinds == [("qp", 1), ("qp", 2), ("self", 1), ("self", 2)]
         n = len(examples[0].passage_tokens)
         m = len(examples[0].question_tokens)
-        assert trace[0].shape == (n, m)
-        assert trace[2].shape == (n, n)
+        assert trace[0].weights.data.shape == (n, m)
+        assert trace[2].weights.data.shape == (n, n)
 
     def test_eval_mode_deterministic(self):
         cfg = small_config()
@@ -523,3 +524,93 @@ def test_desk_batch_tape_stays_within_node_budget():
             ops.add(id(node))
             stack.extend(node._parents)
     assert len(ops) / len(examples) <= DESK_NODE_BUDGET
+
+
+# Every parameter through the loss the trainer optimizes: a central difference of
+# `gold_loss` along a random direction per parameter against the gradient that
+# backward() and apply_grad_masks leave. Dropout is on, from one fixed rng per
+# evaluation; the direction leaves out the rows the optimizer may not move. The
+# error is relative as grad_check's: |analytic - numeric| / max(1, |analytic|, |numeric|).
+PROJECTING_PATH = "LQ->LQ->Fo->LQ->LS->Fi"  # its second LQ block reads the Fo's 4d rows
+LOSS_EPS = 1e-5
+LOSS_TOLERANCE = 1e-4
+
+
+def loss_batch(tmp_path, path):
+    """(model, examples): three ragged desk-style examples and a 1-token passage,
+    with the vectors of two batch words frozen."""
+    examples = tiny_examples(n=3) + [hand_built(3, ["tok05"], ["tok05", "tok09", "?"])]
+    frozen = examples[0].passage_tokens[:2]
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("".join(f"{w} {' '.join(['0.1'] * 6)}\n" for w in frozen))
+    model = build_from_examples(small_config(hidden=2, dropout=0.3, path=path,
+                                             vectors=str(vectors)), examples)
+    return model, examples
+
+
+def trainable_rows(model, name):
+    """1 where the optimizer may move the parameter, 0 on frozen rows."""
+    t = model.params[name].data
+    keep = np.ones(t.shape[:1] + (1,) * (t.ndim - 1))
+    if name == "feat.word_emb":
+        keep[:, 0] = model.vocab.word_trainable
+    elif name == "feat.char.char_emb":
+        keep[PAD_INDEX] = 0.0
+    return keep
+
+
+def loss_value(model, examples):
+    with model.params.frozen():
+        return float(gold_loss(model, examples, rng=np.random.default_rng(3)).data)
+
+
+def directional_difference(model, examples, name, direction):
+    t = model.params[name]
+    start = t.data.copy()
+    t.data = start + LOSS_EPS * direction
+    up = loss_value(model, examples)
+    t.data = start - LOSS_EPS * direction
+    down = loss_value(model, examples)
+    t.data = start
+    return (up - down) / (2.0 * LOSS_EPS)
+
+
+def relative_error(analytic, numeric):
+    return abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
+
+
+def masked_gradients(model, examples):
+    model.params.zero_grads()
+    T.backward(gold_loss(model, examples, rng=np.random.default_rng(3)))
+    model.params.apply_grad_masks()
+    return {name: np.zeros_like(t.data) if t.grad is None else t.grad
+            for name, t in model.params.items()}
+
+
+@pytest.mark.parametrize("path", [DEFAULT_PATH, ITERATIVE_ALIGNER_PATH, PROJECTING_PATH])
+def test_gold_loss_gradient_of_every_parameter(tmp_path, path):
+    model, examples = loss_batch(tmp_path, path)
+    assert ("path.s4.lq_proj" in model.params) is (path == PROJECTING_PATH)
+    grads = masked_gradients(model, examples)
+    rng = np.random.default_rng(0)
+    for name, t in model.params.items():
+        direction = rng.standard_normal(t.data.shape) * trainable_rows(model, name)
+        analytic = float(np.vdot(grads[name], direction))
+        numeric = directional_difference(model, examples, name, direction)
+        assert relative_error(analytic, numeric) < LOSS_TOLERANCE, (name, analytic, numeric)
+    # the frozen word rows carry a gradient that apply_grad_masks removes
+    frozen = 1.0 - trainable_rows(model, "feat.word_emb")
+    assert np.all(grads["feat.word_emb"][frozen[:, 0] == 1.0] == 0.0)
+    direction = rng.standard_normal(model.params["feat.word_emb"].data.shape) * frozen
+    assert abs(directional_difference(model, examples, "feat.word_emb", direction)) > 1e-6
+
+
+def test_gold_loss_gradient_entry_by_entry(tmp_path):
+    model, examples = loss_batch(tmp_path, PROJECTING_PATH)
+    name = "path.s4.lq_proj"
+    grad = masked_gradients(model, examples)[name]
+    for index in np.ndindex(grad.shape):
+        direction = np.zeros_like(grad)
+        direction[index] = 1.0
+        numeric = directional_difference(model, examples, name, direction)
+        assert relative_error(grad[index], numeric) < LOSS_TOLERANCE, index
