@@ -78,7 +78,7 @@ def _attention(query, keys, values, rows, cols, kind, layer_index):
     with its rows cols[k] of keys and mix those of values. Self-attention passes
     one tensor as all three; its gradient terms add in the one-example graph's order."""
     q, k, v = query.data, keys.data, values.data
-    scores = [q[r] @ k[c].T.copy() for r, c in zip(rows, cols)]
+    scores = [q[r] @ k[c].T for r, c in zip(rows, cols)]
     weights = [T.SOFTMAX_ROWS.value(s) for s in scores]
     parents = (query,) if query is keys is values else (query, keys, values)
 
@@ -86,7 +86,7 @@ def _attention(query, keys, values, rows, cols, kind, layer_index):
         dq, dk, dv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
         for r, c, w in zip(rows, cols, weights):
             ds = T.SOFTMAX_ROWS.rule(g[r] @ v[c].T, w)
-            dq[r] = ds @ k[c].T.copy().T  # the one-example graph's operand layout
+            dq[r] = ds @ k[c]
             dk[c] = (q[r].T @ ds).T
             dv[c] = w.T @ g[r]
         return ((dv + dq) + dk,) if len(parents) == 1 else (dq, dk, dv)

@@ -119,19 +119,18 @@ def lstm_direction(x, cells, lengths):
         # sequence's processing order, or zero at the sequence's first step
         sizes = np.diff(bounds)
         before = np.arange(bounds[1], n) - np.repeat(sizes[:-1], sizes[1:])
-        grads = []
+        dx, grads = None, []
         for j, ((w, _, _, _), perm) in enumerate(zip(cells, perms)):
             dpre = np.empty((n, 4 * d))
             dpre[perm] = dgates[j]
             h_prev = np.zeros((n, d))
             h_prev[perm[bounds[1]:]] = out[perm[before], j * d:(j + 1) * d]
-            grads += [dpre @ w.data.T if x.requires_grad else None,
-                      x.data.T @ dpre, h_prev.T @ dpre, dpre.sum(axis=0)]
-        return grads
+            if x.requires_grad:  # the directions' parts, summed in place
+                dx = dpre @ w.data.T if dx is None else np.add(dx, dpre @ w.data.T, out=dx)
+            grads += [x.data.T @ dpre, h_prev.T @ dpre, dpre.sum(axis=0)]
+        return dx, *grads
 
-    # x is a parent once per direction, so its gradient adds the directions' parts
-    # one at a time, as it would from one node per direction
-    return make_node(out, tuple(p for cell in cells for p in (x, *cell[:3])), bwd)
+    return make_node(out, (x, *(p for cell in cells for p in cell[:3])), bwd)
 
 
 class BiLSTMEncoder:

@@ -36,12 +36,12 @@ QUESTION_TYPES = INTERROGATIVES + ("be", "other")
 class Vocabulary:
     """A model's lookup tables, as the checkpoint's `vocab` section stores them.
 
-    word_tokens[0] is the padding slot (zero, frozen) and word_tokens[1] the
-    unknown slot; word_trainable holds one flag per word (checked when the
-    record is made): 1 for rows the optimizer may move, 0 otherwise. Chars
-    index from 2 (0 pad, 1 unknown), tags from 1 (0 unknown). The initial word
-    rows are not part of the record: they are the model's `feat.word_emb`
-    parameter.
+    The words are distinct strings: word_tokens[0] is the padding slot (zero,
+    frozen) and word_tokens[1] the unknown slot. word_trainable holds one flag
+    per word: 1 for rows the optimizer may move, 0 otherwise. Chars index from
+    2 (0 pad, 1 unknown), tags from 1 (0 unknown). Making a record checks all
+    of this. The initial word rows are not part of the record: they are the
+    model's `feat.word_emb` parameter.
     """
 
     word_tokens: list
@@ -51,9 +51,19 @@ class Vocabulary:
     ner_vocab: dict
 
     def __post_init__(self):
-        if len(self.word_trainable) != len(self.word_tokens):
-            raise DataError(f"{len(self.word_trainable)} trainable flags "
-                            f"for {len(self.word_tokens)} words")
+        words, flags = self.word_tokens, self.word_trainable
+        if len(flags) != len(words):
+            raise DataError(f"{len(flags)} trainable flags for {len(words)} words")
+        if len({w for w in words if type(w) is str}) != len(words):
+            raise DataError("the words are not distinct strings")
+        if any(type(f) is not int or f not in (0, 1) for f in flags):
+            raise DataError("trainable flags must be the ints 0 and 1")
+        for name, table, first in (("char", self.char_vocab, 2), ("pos", self.pos_vocab, 1),
+                                   ("ner", self.ner_vocab, 1)):
+            last = first + len(table) - 1
+            ints = {i for i in table.values() if type(i) is int}
+            if any(type(key) is not str for key in table) or ints != set(range(first, last + 1)):
+                raise DataError(f"the {name} map must take strings onto {first}..{last}")
 
 
 def read_vectors(path, dim):

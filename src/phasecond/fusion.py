@@ -22,13 +22,8 @@ Inner fusion is one tape node that keeps only B~ and f, and lets them go once
 backward has read them. Backward remakes the [n, 3w] concatenation for the
 weight gradients (a copy, no arithmetic) and frees it before it forms the
 input gradient, so the tape keeps no [n, 3w] array. That gradient fills one
-[n, 3w] buffer by row blocks of at least ROW_BLOCK rows, adding each block's
-second product in place. Every value and gradient is bitwise that of the
-generic chain of `mul`, `concat`, two `affine` and `gated_mix` nodes. Row
-blocks keep the bits where [n, w] column blocks did not, since a column block
-is a product of few rows at small n, where OpenBLAS takes another path; but a
-row's bits follow its block unless w is a multiple of 8 (OpenBLAS 0.3.31, w up
-to 520), so other widths take one block.
+[n, 3w] buffer by row blocks of at least ROW_BLOCK rows; the gate's own terms
+are added into its first two blocks, the inputs' gradients.
 """
 
 import numpy as np
@@ -102,15 +97,15 @@ class InnerFusionLayer:
             del cat
             db_f, db_b = g_f.sum(axis=0), g_b.sum(axis=0)
             dx = np.empty((len(new), 3 * self.width))  # the concatenation's gradient dx_F + dx_B
-            step = ROW_BLOCK if self.width % 8 == 0 else len(new)  # see the module docstring
-            edges = [0, *range(step, len(new) - step + 1, step), len(new)]
+            edges = [0, *range(ROW_BLOCK, len(new) - ROW_BLOCK + 1, ROW_BLOCK), len(new)]
             for lo, hi in zip(edges[:-1], edges[1:]):
                 np.matmul(g_f[lo:hi], w_f.data.T, out=dx[lo:hi])
                 dx[lo:hi] += g_b[lo:hi] @ w_b.data.T
             del g_f, g_b
-            new_blk, prev_blk, g_m = np.split(dx, 3, axis=1)
-            return d_carry, dw_f, db_f, dw_b, db_b, new_blk, prev_blk, g_m * prev, g_m * new
+            d_new, d_prev, g_m = np.split(dx, 3, axis=1)
+            d_new += g_m * prev
+            d_prev += d_carry
+            d_prev += g_m * new
+            return d_new, d_prev, dw_f, db_f, dw_b, db_b
 
-        # parents in the generic chain's walk order, an input once per use: its parts add as there
-        return T.make_node((1.0 - z) * prev + z * cand,
-                           (b_prev, w_f, b_f, w_b, b_b, b_new, b_prev, b_new, b_prev), bwd)
+        return T.make_node((1.0 - z) * prev + z * cand, (b_new, b_prev, w_f, b_f, w_b, b_b), bwd)

@@ -320,10 +320,7 @@ def tsum(a):
 
 
 def transpose(a):
-    def bwd(g):
-        return (g.T.copy(),)
-
-    return make_node(a.data.T.copy(), (a,), bwd)
+    return make_node(a.data.T, (a,), lambda g: (g.T,))
 
 
 def concat(tensors, axis):

@@ -179,6 +179,14 @@ class TestBiLSTMEncoder:
         trunc = enc(Tensor(x[:-1]), [5]).data
         assert np.allclose(full[:-1, :2], trunc[:, :2])
 
+    def test_one_node_lists_its_input_once(self):
+        params = ParamSet(np.random.default_rng(4))
+        enc = BiLSTMEncoder(params, "e", 3, 2)
+        x = Tensor(np.ones((4, 3)), requires_grad=True)
+        out = enc(x, [3, 1])
+        (w_f, u_f, b_f, _), (w_b, u_b, b_b, _) = enc.cells
+        assert out._parents == (x, w_f, u_f, b_f, w_b, u_b, b_b)
+
 
 class TestEncoderPair:
     def test_shared_weights_are_literal(self):

@@ -143,10 +143,11 @@ def signed_zero_weights(rng, shape):
 
 
 class TestInnerFusionNode:
-    """The one-node Fi against its generic composition, byte for byte."""
+    """The one-node Fi against its generic composition: the value and the weight
+    and bias gradients byte for byte, the input gradients to the last bits."""
 
     def run(self, fuse, order, width, lengths, seed=14):
-        """(output bytes, {name: gradient bytes}) with b_prev fanned out to a
+        """(output, {name: gradient}) with b_prev fanned out to a
         second consumer walked before the Fi ("before") or after it ("after")."""
         layer, params = make_inner(width, seed=seed)
         rng = np.random.default_rng(seed + 1)
@@ -163,21 +164,26 @@ class TestInnerFusionNode:
         backward(loss)
         grads = {"b_new": b_new.grad, "b_prev": b_prev.grad}
         grads.update((name, params[name].grad) for name in params.names())
-        return out.data.tobytes(), {k: g.tobytes() for k, g in grads.items()}
+        return out.data, grads
 
     # Width 32 over 25 rows: a product split into [n, w] column blocks takes
     # another BLAS path there than the [n, 3w] one and moves the last bits.
-    # 600 and 771 rows: the input gradient by row blocks, at widths 8 and 72;
-    # width 75 takes one block, as row blocks would move its bits.
+    # 600 and 771 rows: the input gradient by row blocks, at widths 8, 72 and 75.
     @pytest.mark.parametrize("width, lengths", [(4, LENGTHS), (32, [12, 1, 12]),
                                                 (8, [300, 1, 299]), (72, [513, 1, 257]),
                                                 (75, [300, 1, 299])])
     @pytest.mark.parametrize("order", ["before", "after"])
     def test_value_and_six_gradients_match_generic_bytes(self, order, width, lengths):
-        fused = self.run(lambda layer, b_new, b_prev: layer(b_new, b_prev), order, width, lengths)
-        generic = self.run(generic_inner_fusion, order, width, lengths)
-        assert fused[0] == generic[0]
-        assert len(fused[1]) == 6 and fused[1] == generic[1]
+        out, grads = self.run(lambda layer, b_new, b_prev: layer(b_new, b_prev),
+                              order, width, lengths)
+        ref, ref_grads = self.run(generic_inner_fusion, order, width, lengths)
+        assert out.tobytes() == ref.tobytes()
+        assert len(grads) == 6
+        for name in ("fi.W_B", "fi.b_B", "fi.W_f", "fi.b_f"):
+            assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+        for name in ("b_new", "b_prev"):  # the same terms, added in another order
+            err = np.abs(grads[name] - ref_grads[name]) / np.maximum(1.0, np.abs(ref_grads[name]))
+            assert err.max() <= 1e-14, name
 
     def test_after_self_attention_matches_generic_bytes(self):
         """The model's shape: b_new is the self-attention of b_prev over the segments."""
@@ -197,8 +203,7 @@ class TestInnerFusionNode:
         layer, _ = make_inner(4)
         b_new, b_prev = (Tensor(np.ones((2, 4)), requires_grad=True) for _ in range(2))
         out = layer(b_new, b_prev)
-        assert {id(p) for p in out._parents} == {id(b_new), id(b_prev), id(layer.w_b),
-                                                 id(layer.b_b), id(layer.w_f), id(layer.b_f)}
+        assert out._parents == (b_new, b_prev, layer.w_f, layer.b_f, layer.w_b, layer.b_b)
 
     def test_frozen_builds_no_tape(self):
         layer, params = make_inner(4, seed=18)

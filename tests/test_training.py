@@ -128,6 +128,10 @@ class TestRunConfig:
         with pytest.raises(DataError, match="2 trainable flags for 3 words"):
             Vocabulary(["<pad>", "<unk>", "a"], [0, 1], {}, {}, {})
 
+    def test_vocabulary_map_keys_must_be_strings(self):
+        with pytest.raises(DataError, match="char map"):
+            Vocabulary(["<pad>", "<unk>"], [0, 1], {7: 2}, {}, {})
+
 
 class TestAdam:
     def make_scalar_param(self, value=0.0):
@@ -192,8 +196,9 @@ class TestClipping:
 
 
 def test_clip_gradients_norm_matches_the_squared_copies():
-    """The norm summed from one scratch buffer is the norm of `(g * g).sum()`
-    per gradient, byte for byte, and clipping scales each gradient by it."""
+    """The norm summed from each gradient's `np.vdot` is, on these gradients, the
+    norm of `(g * g).sum()` per gradient, byte for byte, and clipping scales
+    each gradient by it."""
     rng = np.random.default_rng(8)
     params = ParamSet()
     for k, shape in enumerate([(7, 5), (40,), (3, 4), (1,), (30, 20)]):
@@ -549,6 +554,32 @@ class TestCheckpoint:
         edited = self.rewrite_meta(result.checkpoint_path, tmp_path / "edited.ckpt",
                                    lambda meta: meta["vocab"]["word_trainable"].pop())
         with pytest.raises(CheckpointError, match="trainable flags"):
+            restore_model(edited)
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda vocab: vocab["word_trainable"].__setitem__(2, "x"), "ints 0 and 1",
+                     id="flag-str"),
+        pytest.param(lambda vocab: vocab["word_trainable"].__setitem__(2, 2), "ints 0 and 1",
+                     id="flag-2"),
+        pytest.param(lambda vocab: vocab["word_trainable"].__setitem__(2, True), "ints 0 and 1",
+                     id="flag-bool"),
+        pytest.param(lambda vocab: vocab.update(word_tokens=list(range(len(vocab["word_tokens"])))),
+                     "distinct strings", id="int-words"),
+        pytest.param(lambda vocab: vocab["word_tokens"].__setitem__(3, vocab["word_tokens"][2]),
+                     "distinct strings", id="repeated-word"),
+        pytest.param(lambda vocab: vocab["char_vocab"].update(
+            {min(vocab["char_vocab"]): len(vocab["char_vocab"]) + 2}), "char map", id="char-gap"),
+        pytest.param(lambda vocab: vocab["char_vocab"].update({min(vocab["char_vocab"]): "2"}),
+                     "char map", id="char-str-index"),
+        pytest.param(lambda vocab: vocab.update(pos_vocab={"NN": 0}), "pos map", id="pos-from-0"),
+        pytest.param(lambda vocab: vocab.update(ner_vocab={"O": 1, "PER": 1}), "ner map",
+                     id="ner-repeated-index"),
+    ])
+    def test_vocab_section_checked(self, tmp_path, edit, message):
+        model, data, result = self.build_trained(tmp_path)
+        edited = self.rewrite_meta(result.checkpoint_path, tmp_path / "edited.ckpt",
+                                   lambda meta: edit(meta["vocab"]))
+        with pytest.raises(CheckpointError, match=message):
             restore_model(edited)
 
     def test_run_record_mistyped_rejected(self, tmp_path):
