@@ -138,8 +138,7 @@ def dump_attention(model, example, out_dir, write_csv=False):
                                 if example.passage_tokens else ""),
                 "matrices": [], "entropy": []}
     for matrix in result.trace:
-        weights = matrix.weights.data
-        if not np.all(np.abs(weights.sum(axis=1) - 1.0) <= 1e-9):  # NaN fails too
+        if not np.all(np.abs(matrix.weights.sum(axis=1) - 1.0) <= 1e-9):  # NaN fails too
             raise PhaseCondError(
                 f"{matrix.kind}{matrix.layer_index}: rows do not sum to 1 before export")
         cols = (example.question_tokens if matrix.kind == "qp"
@@ -149,21 +148,21 @@ def dump_attention(model, example, out_dir, write_csv=False):
             "layer_index": matrix.layer_index,
             "row_tokens": example.passage_tokens,
             "col_tokens": cols,
-            "scores": matrix.scores.data.tolist(),
-            "weights": weights.tolist(),
+            "scores": matrix.scores.tolist(),
+            "weights": matrix.weights.tolist(),
         }
         name = f"{matrix.kind}_{matrix.layer_index}"
         path = os.path.join(out_dir, f"{name}.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(record, fh)
         if write_csv:
-            for payload, suffix in ((matrix.scores.data, "scores"), (weights, "weights")):
+            for payload, suffix in ((matrix.scores, "scores"), (matrix.weights, "weights")):
                 np.savetxt(os.path.join(out_dir, f"{name}.{suffix}.csv"),
                            payload, delimiter=",", fmt="%.10g")
         manifest["matrices"].append(f"{name}.json")
         manifest["entropy"].append({"kind": matrix.kind,
                                     "layer_index": matrix.layer_index,
-                                    "mean_row_entropy": mean_row_entropy(weights)})
+                                    "mean_row_entropy": mean_row_entropy(matrix.weights)})
     self_layers = {e["layer_index"]: e["mean_row_entropy"]
                    for e in manifest["entropy"] if e["kind"] == "self"}
     if 1 in self_layers and 2 in self_layers:

@@ -296,10 +296,10 @@ def _packed_pass(model, examples, rng):
     return h, model.pointer.initial_query(v, q_lengths), traces, lengths
 
 
-def forward_batch(model, examples, rng=None):
-    """One ForwardResult per example of a minibatch; spans are at most
-    `config.max_span` long."""
-    h, query, traces, lengths = _packed_pass(model, examples, rng)
+def forward_batch(model, examples):
+    """One ForwardResult per example of a minibatch, without dropout; spans
+    are at most `config.max_span` long."""
+    h, query, traces, lengths = _packed_pass(model, examples, None)
     _, probs = model.pointer.predict_span(h, query, lengths)
     dists = [(probs[end - n:end, 0], probs[end - n:end, 1])
              for n, end in zip(lengths, np.cumsum(lengths))]
@@ -307,9 +307,9 @@ def forward_batch(model, examples, rng=None):
             for (ps, pe), trace in zip(dists, traces)]
 
 
-def forward(model, example, rng=None):
+def forward(model, example):
     """Run encoders, the phase path, and the pointer head on one example."""
-    return forward_batch(model, [example], rng=rng)[0]
+    return forward_batch(model, [example])[0]
 
 
 def gold_loss(model, examples, rng=None):

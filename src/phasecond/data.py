@@ -64,6 +64,15 @@ def _require(mapping, key, where, kind=None):
     return value
 
 
+def _new_id(record, where, seen):
+    """record's string id, which no earlier record of the file may have; adds it to seen."""
+    qid = _require(record, "id", where, str)
+    if qid in seen:
+        raise DataFormatError(f"{where}: id {qid!r} repeats an earlier record's")
+    seen.add(qid)
+    return qid
+
+
 def _read_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -98,7 +107,7 @@ def load_squad(path, training=False):
         raise DataFormatError(f"{path}: expected a JSON object at the top level")
     articles = _require(payload, "data", path, list)
 
-    examples = []
+    examples, seen = [], set()
     skipped_answers = expanded = skipped_examples = 0
     for ai, article in enumerate(articles):
         for pi, para in enumerate(_require(article, "paragraphs", f"{path}: data[{ai}]", list)):
@@ -107,7 +116,7 @@ def load_squad(path, training=False):
             tokens, offsets = tokenize_with_offsets(context)
             for qi, qa in enumerate(_require(para, "qas", where, list)):
                 q_where = f"{where}.qas[{qi}]"
-                qid = _require(qa, "id", q_where, str)
+                qid = _new_id(qa, q_where, seen)
                 question = _require(qa, "question", q_where, str)
                 answers = _require(qa, "answers", q_where, list)
                 if not answers and training:
@@ -239,7 +248,7 @@ def write_jsonl(examples, path):
 
 def load_jsonl(path):
     """Read the JSON-lines example format written by write_jsonl."""
-    examples = []
+    examples, seen = [], set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -264,7 +273,7 @@ def load_jsonl(path):
                     raise DataError(f"{where}: span ({s}, {e}) out of range")
             passage_text, offsets = _joined_text(tokens)
             examples.append(QAExample(
-                id=_require(record, "id", where),
+                id=_new_id(record, where, seen),
                 passage_text=passage_text,
                 passage_tokens=tokens,
                 passage_offsets=offsets,

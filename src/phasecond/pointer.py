@@ -18,6 +18,7 @@ one node that reads the gold rows' log-probabilities off the scores.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as T
 from .errors import ConfigError, DataError, NumericsError, ShapeError
@@ -32,20 +33,17 @@ class SpanPrediction:
 
 
 def decode_span(p_start, p_end, max_span):
-    """Best (start, end) with start <= end < start + max_span. Non-finite
-    probabilities raise NumericsError: an argmax over NaN would pick (0, 0)."""
+    """Best (start, end) with start <= end < start + max_span, the first in (start,
+    end) order on a tie. Non-finite probabilities raise NumericsError: an argmax
+    over NaN would pick (0, 0)."""
     ps = np.asarray(p_start, dtype=np.float64).reshape(-1)
     pe = np.asarray(p_end, dtype=np.float64).reshape(-1)
     if not (np.isfinite(ps).all() and np.isfinite(pe).all()):
         raise NumericsError("span probabilities are not finite")
-    outer = ps[:, None] * pe[None, :]
-    n = ps.size
-    idx = np.arange(n)
-    invalid = (idx[None, :] < idx[:, None]) | (idx[None, :] - idx[:, None] >= max_span)
-    outer[invalid] = -1.0
-    flat = int(outer.argmax())
-    start, end = divmod(flat, n)
-    return SpanPrediction(start=start, end=end, score=float(outer[start, end]))
+    w = min(max_span, ps.size)  # band[s, j] scores (s, s + j); an end past the passage reads -1
+    band = ps[:, None] * sliding_window_view(np.concatenate([pe, np.full(w - 1, -1.0)]), w)
+    start, offset = divmod(int(band.argmax()), w)
+    return SpanPrediction(start=start, end=start + offset, score=float(band[start, offset]))
 
 
 class GRUCell:

@@ -319,10 +319,6 @@ def tsum(a):
     return make_node(a.data.sum(), (a,), bwd)
 
 
-def transpose(a):
-    return make_node(a.data.T, (a,), lambda g: (g.T,))
-
-
 def concat(tensors, axis):
     """Join tensors along axis; a single tensor comes back as it is."""
     if len(tensors) == 1:

@@ -113,7 +113,7 @@ def test_criterion_2_attention_invariants():
             pools = np.split(h.data, np.cumsum(lengths)[:-1])
         assert len(aligns) == k
         for a, got, pool in zip(aligns, np.split(out.data, np.cumsum(lengths)[:-1]), pools):
-            w = a.weights.data
+            w = a.weights
             assert w.shape == (len(got), len(pool))
             assert np.all(w >= 0.0)
             assert np.all(np.abs(w.sum(axis=1) - 1.0) <= ROW_SUM_TOLERANCE)
@@ -365,7 +365,7 @@ def test_criterion_10_attention_dynamics_diagnostic(desk_run):
     for ex in desk_run["dev_data"][:10]:
         for matrix in forward(model, ex).trace:
             entry = entropies[matrix.kind].setdefault(matrix.layer_index, [])
-            entry.append(mean_row_entropy(matrix.weights.data))
+            entry.append(mean_row_entropy(matrix.weights))
     lines = []
     for kind in ("qp", "self"):
         for layer, values in sorted(entropies[kind].items()):

@@ -4,95 +4,101 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasecond import tensor as T
-from phasecond.attention import (
-    qp_align,
-    qp_attention,
-    qp_represent,
-    self_align,
-    self_attention,
-    self_propagate,
-)
+from phasecond.attention import AlignmentMatrix, qp_attention, self_attention
 from phasecond.errors import ShapeError
 from phasecond.tensor import Tensor, backward, grad_check
 
 
+def leaf(x):
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def qp(h, u, v=None):
+    """LQ over a one-example batch: (output, alignment); v defaults to u."""
+    h, u = leaf(h), leaf(u)
+    out, [align] = qp_attention(h, u, u if v is None else leaf(v), [len(h.data)],
+                                [len(u.data)], 1)
+    return out, align
+
+
+def ls(h):
+    """LS over a one-example batch: (output, alignment)."""
+    h = leaf(h)
+    out, [align] = self_attention(h, [len(h.data)], 1)
+    return out, align
+
+
 def rows_stochastic(weights):
-    data = weights.data
-    return np.all(data >= 0) and np.all(np.abs(data.sum(axis=1) - 1.0) <= 1e-9)
+    return np.all(weights >= 0) and np.all(np.abs(weights.sum(axis=1) - 1.0) <= 1e-9)
 
 
 class TestQPAlign:
     def test_single_column(self):
-        a = qp_align(Tensor([[2.0, 1.0]]), Tensor([[0.5, 0.5]]))
-        assert a.weights.data.tolist() == [[1.0]]
+        _, a = qp([[2.0, 1.0]], [[0.5, 0.5]])
+        assert a.weights.tolist() == [[1.0]]
 
     def test_two_question_words(self):
-        a = qp_align(Tensor([[1.0, 0.0]]), Tensor([[1.0, 0.0], [0.0, 1.0]]))
-        assert np.allclose(a.weights.data, [[0.73106, 0.26894]], atol=5e-6)
-        assert np.allclose(a.scores.data, [[1.0, 0.0]])
+        _, a = qp([[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
+        assert np.allclose(a.weights, [[0.73106, 0.26894]], atol=5e-6)
+        assert np.allclose(a.scores, [[1.0, 0.0]])
 
     def test_orthogonal_gives_uniform(self):
-        h = Tensor([[1.0, 0.0, 0.0]])
-        u = Tensor([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
-        a = qp_align(h, u)
-        assert np.allclose(a.weights.data, 1.0 / 3.0)
+        h = [[1.0, 0.0, 0.0]]
+        u = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
+        _, a = qp(h, u)
+        assert np.allclose(a.weights, 1.0 / 3.0)
 
     def test_width_mismatch(self):
         with pytest.raises(ShapeError):
-            qp_align(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 6))))
+            qp(np.zeros((2, 4)), np.zeros((3, 6)))
 
 
 class TestQPRepresent:
     def test_averaging(self):
-        a = qp_align(Tensor([[0.0, 0.0]]), Tensor([[1.0, 1.0], [1.0, 1.0]]))
-        v = Tensor([[2.0, 0.0], [0.0, 2.0]])
-        assert np.allclose(qp_represent(a, v).data, [[1.0, 1.0]])
+        out, _ = qp([[0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]], v=[[2.0, 0.0], [0.0, 2.0]])
+        assert np.allclose(out.data, [[1.0, 1.0]])
 
     def test_one_hot_selects(self):
-        a = qp_align(Tensor([[10.0, 0.0]]),
-                     Tensor([[30.0, 0.0], [-30.0, 0.0]]))
-        v = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        out = qp_represent(a, v)
+        out, _ = qp([[10.0, 0.0]], [[30.0, 0.0], [-30.0, 0.0]], v=[[1.0, 2.0], [3.0, 4.0]])
         assert np.allclose(out.data, [[1.0, 2.0]], atol=1e-8)
 
     def test_gradient_through_align_and_represent(self):
         rng = np.random.default_rng(1)
-        u = Tensor(rng.standard_normal((3, 4)))
-        v = Tensor(rng.standard_normal((3, 4)))
+        u = rng.standard_normal((3, 4))
+        v = rng.standard_normal((3, 4))
         w = Tensor(rng.standard_normal((4, 4)))
         h = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
 
         def f(t):
-            out = qp_represent(qp_align(t, u), v)
-            return T.tsum(T.mul(out, w))
+            return T.tsum(T.mul(qp(t, u, v)[0], w))
 
         assert grad_check(f, h) < 1e-4
 
 
 class TestSelfAttention:
     def test_single_row(self):
-        a = self_align(Tensor([[3.0, 1.0]]))
-        assert a.weights.data.tolist() == [[1.0]]
+        _, a = ls([[3.0, 1.0]])
+        assert a.weights.tolist() == [[1.0]]
 
     def test_identical_rows_uniform(self):
-        a = self_align(Tensor([[1.0, 2.0], [1.0, 2.0]]))
-        assert np.allclose(a.weights.data, 0.5)
+        _, a = ls([[1.0, 2.0], [1.0, 2.0]])
+        assert np.allclose(a.weights, 0.5)
 
     def test_orthonormal_rows(self):
-        a = self_align(Tensor([[1.0, 0.0], [0.0, 1.0]]))
-        assert np.allclose(a.weights.data[0], [0.73106, 0.26894], atol=5e-6)
+        _, a = ls([[1.0, 0.0], [0.0, 1.0]])
+        assert np.allclose(a.weights[0], [0.73106, 0.26894], atol=5e-6)
 
     def test_propagate_identity(self):
-        h = Tensor(np.arange(6.0).reshape(2, 3))
-        ident = self_align(Tensor([[40.0, 0.0], [0.0, 40.0]]))
-        out = self_propagate(ident, h)
-        assert np.allclose(out.data, h.data, atol=1e-8)
+        h = np.array([[10.0, 0.0, 1.0], [0.0, 10.0, 2.0]])  # self-scores lead by 99
+        out, a = ls(h)
+        assert np.allclose(a.weights, np.eye(2), atol=1e-8)
+        assert np.allclose(out.data, h, atol=1e-8)
 
     def test_propagate_uniform_gives_mean(self):
-        h = Tensor([[2.0, 0.0], [0.0, 2.0]])
-        a = self_align(Tensor([[1.0, 1.0], [1.0, 1.0]]))
-        out = self_propagate(a, h)
-        assert np.allclose(out.data, 1.0)
+        h = 1e-6 * np.array([[2.0, 0.0], [0.0, 2.0]])  # scores near 0: uniform rows
+        out, a = ls(h)
+        assert np.allclose(a.weights, 0.5)
+        assert np.allclose(out.data, h.mean(axis=0), rtol=1e-9, atol=0.0)
 
     def test_gradient(self):
         rng = np.random.default_rng(7)
@@ -100,7 +106,7 @@ class TestSelfAttention:
         h = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
 
         def f(t):
-            return T.tsum(T.mul(self_propagate(self_align(t), t), w))
+            return T.tsum(T.mul(ls(t)[0], w))
 
         assert grad_check(f, h) < 1e-4
 
@@ -108,15 +114,15 @@ class TestSelfAttention:
         rng = np.random.default_rng(8)
         h = rng.standard_normal((5, 3))
         h /= np.linalg.norm(h, axis=1, keepdims=True)
-        w = self_align(Tensor(h)).weights.data
+        w = ls(h)[1].weights
         assert np.all(np.diag(w)[:, None] >= w - 1e-12)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(9)
         h = rng.standard_normal((5, 3))
         perm = rng.permutation(5)
-        base = self_propagate(self_align(Tensor(h)), Tensor(h)).data
-        permuted = self_propagate(self_align(Tensor(h[perm])), Tensor(h[perm])).data
+        base = ls(h)[0].data
+        permuted = ls(h[perm])[0].data
         assert np.allclose(permuted, base[perm], atol=1e-12)
 
 
@@ -124,14 +130,13 @@ class TestSelfAttention:
 @given(st.integers(1, 6), st.integers(1, 5), st.integers(2, 8), st.integers(0, 2**32 - 1))
 def test_property_alignment_invariants(n, m, d, seed):
     rng = np.random.default_rng(seed)
-    h = Tensor(rng.standard_normal((n, d)) * 3)
-    u = Tensor(rng.standard_normal((m, d)) * 3)
-    v = Tensor(rng.standard_normal((m, d)) * 3)
-    a = qp_align(h, u)
+    h = rng.standard_normal((n, d)) * 3
+    u = rng.standard_normal((m, d)) * 3
+    v = rng.standard_normal((m, d)) * 3
+    out, a = qp(h, u, v)
     assert rows_stochastic(a.weights)
-    out = qp_represent(a, v).data
-    lo, hi = v.data.min(axis=0), v.data.max(axis=0)
-    assert np.all(out >= lo - 1e-9) and np.all(out <= hi + 1e-9)
+    lo, hi = v.min(axis=0), v.max(axis=0)
+    assert np.all(out.data >= lo - 1e-9) and np.all(out.data <= hi + 1e-9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -140,32 +145,39 @@ def test_property_alignment_invariants(n, m, d, seed):
 def test_property_scaling_sharpens_rows(n, d, seed, c):
     rng = np.random.default_rng(seed)
     h = rng.standard_normal((n, d))
-    u = Tensor(rng.standard_normal((4, d)))
-    base = qp_align(Tensor(h), u).weights.data.max(axis=1)
-    scaled = qp_align(Tensor(c * h), u).weights.data.max(axis=1)
+    u = rng.standard_normal((4, d))
+    base = qp(h, u)[1].weights.max(axis=1)
+    scaled = qp(c * h, u)[1].weights.max(axis=1)
     assert np.all(scaled >= base - 1e-12)
 
 
 class TestPackedLayers:
-    """qp_attention and self_attention against the one-example forms on
+    """qp_attention and self_attention against the generic graph on
     split_rows slices joined by concat, the graph the model ran before."""
 
     LENGTHS, Q_LENGTHS = [1, 6, 1, 3], [1, 4, 2, 1]  # 1-token passages and questions
 
     @staticmethod
     def per_example(u, v, lengths, q_lengths):
+        """scores = x @ keys.T, weights = softmax_rows(scores), out = weights @ values,
+        per example."""
+        def attend(x, keys, values, kind, index):
+            scores = T.matmul(x, T.make_node(keys.data.T, (keys,), lambda g: (g.T,)))
+            weights = T.softmax_rows(scores)
+            return T.matmul(weights, values), AlignmentMatrix(weights.data, scores.data,
+                                                              kind, index)
+
         us, vs = T.split_rows(u, q_lengths), T.split_rows(v, q_lengths)
 
         def lq(x, index):
-            aligns = [qp_align(x_k, u_k, layer_index=index)
-                      for x_k, u_k in zip(T.split_rows(x, lengths), us)]
-            return T.concat([qp_represent(a, v_k) for a, v_k in zip(aligns, vs)], axis=0), aligns
+            outs, aligns = zip(*(attend(x_k, u_k, v_k, "qp", index) for x_k, u_k, v_k
+                                 in zip(T.split_rows(x, lengths), us, vs)))
+            return T.concat(list(outs), axis=0), list(aligns)
 
         def ls(x, index):
-            parts = T.split_rows(x, lengths)
-            aligns = [self_align(x_k, layer_index=index) for x_k in parts]
-            return T.concat([self_propagate(a, x_k) for a, x_k in zip(aligns, parts)],
-                            axis=0), aligns
+            outs, aligns = zip(*(attend(x_k, x_k, x_k, "self", index)
+                                 for x_k in T.split_rows(x, lengths)))
+            return T.concat(list(outs), axis=0), list(aligns)
 
         return lq, ls
 
@@ -199,9 +211,9 @@ class TestPackedLayers:
             assert len(layer) == len(want_layer) == len(self.LENGTHS)
             for a, b in zip(layer, want_layer):
                 assert (a.kind, a.layer_index) == (b.kind, b.layer_index)
-                assert a.weights.data.tobytes() == b.weights.data.tobytes()
-                assert a.scores.data.tobytes() == b.scores.data.tobytes()
-                assert a.weights._parents == a.scores._parents == ()  # constants, off the tape
+                assert a.weights.tobytes() == b.weights.tobytes()
+                assert a.scores.tobytes() == b.scores.tobytes()
+                assert type(a.weights) is type(a.scores) is np.ndarray  # off the tape
 
     def test_one_node_per_layer(self):
         u, v = Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2)))

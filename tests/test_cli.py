@@ -294,7 +294,7 @@ class TestNonFiniteModel:
 
         def nan_weights(model, example):
             result = forward(model, example)
-            result.trace[0].weights.data[0, 0] = np.nan
+            result.trace[0].weights[0, 0] = np.nan
             return result
 
         monkeypatch.setattr(phasecond.cli, "forward", nan_weights)

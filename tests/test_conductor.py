@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasecond import tensor as T
-from phasecond.attention import AlignmentMatrix, qp_align, qp_represent
+from phasecond.attention import AlignmentMatrix, qp_attention
 from phasecond.conductor import (
     MAX_STEPS,
     _dropout_draws,
@@ -253,8 +253,8 @@ class TestForward:
         assert kinds == [("qp", 1), ("qp", 2), ("self", 1), ("self", 2)]
         n = len(examples[0].passage_tokens)
         m = len(examples[0].question_tokens)
-        assert trace[0].weights.data.shape == (n, m)
-        assert trace[2].weights.data.shape == (n, n)
+        assert trace[0].weights.shape == (n, m)
+        assert trace[2].weights.shape == (n, n)
 
     def test_eval_mode_deterministic(self):
         cfg = small_config()
@@ -264,15 +264,6 @@ class TestForward:
         r2 = forward(model, examples[0])
         assert np.array_equal(r1.start_dist, r2.start_dist)
         assert np.array_equal(r1.end_dist, r2.end_dist)
-
-    def test_train_mode_uses_dropout(self):
-        cfg = small_config()
-        examples = tiny_examples()
-        model = build_from_examples(cfg, examples)
-        rng = np.random.default_rng(0)
-        r1 = forward(model, examples[0], rng=rng)
-        r2 = forward(model, examples[0])
-        assert not np.array_equal(r1.start_dist, r2.start_dist)
 
     def test_six_dropout_masks_in_draw_order(self, monkeypatch):
         # passage and question features, v, h, u, the path's output: each
@@ -381,7 +372,7 @@ class TestForward:
         for ex, result in zip(examples, batch):
             alone = forward(model, ex)
             pairs = [(result.start_dist, alone.start_dist), (result.end_dist, alone.end_dist)]
-            pairs += [(a.weights.data, b.weights.data) for a, b in zip(result.trace, alone.trace)]
+            pairs += [(a.weights, b.weights) for a, b in zip(result.trace, alone.trace)]
             assert len(result.trace) == len(alone.trace)
             for got, want in pairs:
                 assert got.shape == want.shape
@@ -401,17 +392,18 @@ class TestRunPath:
         rng = np.random.default_rng(seed)
         return [Tensor(rng.standard_normal(shape)) for shape in ((n, width), (m, width), (m, width))]
 
-    def test_single_lq_is_qp_represent_of_qp_align(self):
+    def test_single_lq_is_one_qp_attention(self):
         h0, u, v = self.inputs(2, 4, 3)
         h, [trace] = run_path(self.path_model("LQ"), h0, u, v, [4], [3])
-        assert np.array_equal(h.data, qp_represent(qp_align(h0, u), v).data)
+        assert np.array_equal(h.data, qp_attention(h0, u, v, [4], [3], 1)[0].data)
         assert [(a.kind, a.layer_index) for a in trace] == [("qp", 1)]
 
     def test_second_lq_aligns_first_lq_output(self):
         h0, u, v = self.inputs(3, 4, 3)
         _, [trace] = run_path(self.path_model("LQ->LQ"), h0, u, v, [4], [3])
-        first = qp_represent(trace[0], v)
-        assert np.array_equal(trace[1].weights.data, qp_align(first, u).weights.data)
+        first, _ = qp_attention(h0, u, v, [4], [3], 1)
+        _, [second] = qp_attention(first, u, v, [4], [3], 2)
+        assert np.array_equal(trace[1].weights, second.weights)
         assert [a.layer_index for a in trace] == [1, 2]
 
     def test_single_question_word_collapses_every_lq_to_v(self):
@@ -419,8 +411,8 @@ class TestRunPath:
         h, [trace] = run_path(self.path_model("LQ->LQ->LQ"), h0, u, v, [5], [1])
         assert len(trace) == 3
         for align in trace:
-            assert np.array_equal(align.weights.data, np.ones((5, 1)))
-            assert np.array_equal(qp_represent(align, v).data, np.repeat(v.data, 5, axis=0))
+            assert np.array_equal(align.weights, np.ones((5, 1)))
+            assert np.array_equal(align.weights @ v.data, np.repeat(v.data, 5, axis=0))
         assert np.array_equal(h.data, np.repeat(v.data, 5, axis=0))
 
     def test_fo_concatenates_the_inner_fusion_outputs(self):
@@ -429,8 +421,8 @@ class TestRunPath:
         h, _ = run_path(model, h0, u, v, [4], [3])
         _, fi1, _, fi2, fo = model.plan
         assert fo.block == (1, 3)
-        f1 = fi1.fusion(b_new=qp_represent(qp_align(h0, u, layer_index=1), v), b_prev=h0)
-        f2 = fi2.fusion(b_new=qp_represent(qp_align(f1, u, layer_index=2), v), b_prev=f1)
+        f1 = fi1.fusion(b_new=qp_attention(h0, u, v, [4], [3], 1)[0], b_prev=h0)
+        f2 = fi2.fusion(b_new=qp_attention(f1, u, v, [4], [3], 2)[0], b_prev=f1)
         assert np.array_equal(h.data, fo.fusion(T.concat([f1, f2], axis=1)).data)
 
 
@@ -479,13 +471,13 @@ def test_forward_properties_on_hand_built_batches(property_models, path, batch):
     for ex, result in zip(examples, results):
         n = len(ex.passage_tokens)
         for align in result.trace:
-            assert np.all(np.abs(align.weights.data.sum(axis=1) - 1.0) <= 1e-9)
+            assert np.all(np.abs(align.weights.sum(axis=1) - 1.0) <= 1e-9)
         span = result.span
         assert 0 <= span.start <= span.end < n
         assert span.end - span.start < PROPERTY_MAX_SPAN
         alone = forward(model, ex)
         pairs = [(result.start_dist, alone.start_dist), (result.end_dist, alone.end_dist)]
-        pairs += [(a.weights.data, b.weights.data) for a, b in zip(result.trace, alone.trace)]
+        pairs += [(a.weights, b.weights) for a, b in zip(result.trace, alone.trace)]
         assert len(result.trace) == len(alone.trace)
         for got, want in pairs:
             assert got.shape == want.shape

@@ -134,6 +134,14 @@ class TestLoadSquad:
         with pytest.raises(DataFormatError, match=where):
             load_squad(write_squad(tmp_path, doc))
 
+    def test_repeated_id_names_file_and_path(self, tmp_path):
+        # predictions are keyed by id, so a second "q1" would take the first one's answer
+        doc = json.loads(json.dumps(SQUAD_DOC))
+        doc["data"][0]["paragraphs"][0]["qas"][1]["id"] = "q1"
+        with pytest.raises(DataFormatError,
+                           match=r"squad\.json: data\[0\]\.paragraphs\[0\]\.qas\[1\]: id 'q1'"):
+            load_squad(write_squad(tmp_path, doc))
+
 
 class TestSynthetic:
     def test_deterministic(self, tmp_path):
@@ -205,7 +213,8 @@ class TestLoadJsonl:
 
     def write(self, tmp_path, **changes):
         path = tmp_path / "data.jsonl"
-        path.write_text(json.dumps(self.RECORD) + "\n" + json.dumps({**self.RECORD, **changes}))
+        second = {**self.RECORD, "id": "b", **changes}
+        path.write_text(json.dumps(self.RECORD) + "\n" + json.dumps(second))
         return path
 
     def test_well_formed_record_loads(self, tmp_path):
@@ -224,6 +233,16 @@ class TestLoadJsonl:
     def test_token_field_that_is_not_a_list_of_strings_is_refused(self, tmp_path, field, value):
         with pytest.raises(DataFormatError, match=rf"data\.jsonl:2: field '{field}'"):
             load_jsonl(self.write(tmp_path, **{field: value}))
+
+    @pytest.mark.parametrize("value", [5, None, ["b"]])
+    def test_id_that_is_not_a_string_is_refused(self, tmp_path, value):
+        # `predict` writes its keys as strings, so an int id would never be scored
+        with pytest.raises(DataFormatError, match=r"data\.jsonl:2: field 'id' is"):
+            load_jsonl(self.write(tmp_path, id=value))
+
+    def test_repeated_id_names_the_line(self, tmp_path):
+        with pytest.raises(DataFormatError, match=r"data\.jsonl:2: id 'a' repeats"):
+            load_jsonl(self.write(tmp_path, id="a"))
 
 
 class TestMetrics:

@@ -90,6 +90,28 @@ class TestDecodeSpan:
             assert 0 <= got.start <= got.end < n
             assert got.end - got.start < max_span
 
+    @pytest.mark.parametrize("ps,pe,max_span,want", [
+        ([0.0, 0.5, 0.5], [0.0, 0.5, 0.5], 2, (1, 1, 0.25)),  # a tie across starts
+        ([1.0, 0.0, 0.0], [0.0, 0.5, 0.5], 3, (0, 1, 0.5)),   # a tie across ends
+        ([0.0, 0.5, 0.5], [0.5, 0.0, 0.5], 1, (2, 2, 0.25)),  # zero probabilities
+        ([0.0, 1.0], [0.0, 1.0], 5, (1, 1, 1.0)),             # the band runs past the end
+        ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], 3, (0, 0, 0.0)),   # every product is 0
+        ([0.0, 0.0], [0.0, 0.0], 5, (0, 0, 0.0)),
+    ])
+    def test_ties_and_zeros_take_the_first_maximum(self, ps, pe, max_span, want):
+        span = decode_span(ps, pe, max_span)
+        assert (span.start, span.end, span.score) == want
+        assert str(span.score) == str(float(want[2]))  # +0.0, not a -0.0 from the padding
+
+    def test_matches_brute_force_with_ties_and_zeros(self):
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            n, max_span = rng.integers(1, 12), rng.integers(1, 15)
+            ps, pe = rng.choice([0.0, 0.25, 0.5], size=(2, n))
+            got = decode_span(ps, pe, max_span)
+            (s, e), score = brute_force_span(ps, pe, max_span)
+            assert (got.start, got.end, got.score) == (s, e, score)
+
 
 class TestPredictSpan:
     def test_distributions_valid_per_hop(self):
