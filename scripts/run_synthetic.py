@@ -10,11 +10,21 @@ grid, one or two layers per phase:
 
     python3 scripts/run_synthetic.py --out runs/depth --paths "LQ->Fo->LS->Fi" \\
         "LQ->Fo->LS->Fi->LS->Fi" "LQ->LQ->Fo->LS->Fi" "LQ->LQ->Fo->LS->Fi->LS->Fi"
+
+With --seeds A-B every path trains once per model seed A..B on the same data,
+run i of seed s in <out>/path<i>-seed<s>, and a second table gives each path's
+pass rate, epochs to criterion, epochs at dev EM 28 (the plateau) and dev EM
+after epoch 1, as median (min-max) over its seeds:
+
+    python3 scripts/run_synthetic.py --out runs/seeds --paths "LQ->Fo->LS->Fi" \\
+        --seeds 32-63 --epochs 60
 """
 
 import argparse
 import json
+import math
 import os
+import statistics
 import sys
 import time
 
@@ -28,22 +38,59 @@ from phasecond.errors import PathSyntaxError, PathValidationError
 from phasecond.training import evaluate_model, restore_model, train
 
 
-def run_one(index, path_expr, train_data, dev_data, args):
+PLATEAU_EM = 28.0  # dev EM of the one-token spans every desk run passes through
+
+
+def seed_range(text):
+    """The seeds A..B of "A-B", or A alone of "A"."""
+    lo, _, hi = text.partition("-")
+    try:
+        seeds = range(int(lo), int(hi or lo) + 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected A-B, got {text!r}") from None
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    return seeds
+
+
+def run_one(tag, path_expr, seed, train_data, dev_data, args):
     """Train one path; dev EM and F1 are its best epoch's, where `train` leaves the model."""
     cfg = desk_config(path=path_expr, hidden=args.hidden, lr=args.lr, epochs=args.epochs,
-                      seed=args.seed)
+                      seed=seed)
     model = build_from_examples(cfg, train_data)
-    run_dir = os.path.join(args.out, f"path{index}")
+    run_dir = os.path.join(args.out, tag)
     start = time.time()
     result = train(model, train_data, dev_data, cfg, run_dir=run_dir)
     elapsed = time.time() - start
     nan = float("nan")  # a run halted before its first evaluation
     best = result.history[result.best_epoch - 1] if result.history else {}
-    return {"tag": f"path{index}", "path": path_expr, "epochs": len(result.history),
+    dev_ems = [r["dev_em"] for r in result.history]
+    return {"tag": tag, "path": path_expr, "seed": seed, "epochs": len(result.history),
+            "passed": result.status == "early_stop", "at_plateau": dev_ems.count(PLATEAU_EM),
+            "dev_em_epoch1": dev_ems[0] if dev_ems else nan,
             "train_em": evaluate_model(model, train_data).em,
             "dev_em": best.get("dev_em", nan), "dev_f1": best.get("dev_f1", nan),
             "seconds": elapsed, "params": model.parameter_count(),
             "run_dir": run_dir, "best_ckpt": result.checkpoint_path}
+
+
+def spread(values):
+    """"median (min-max)" of the finite values, "-" if none."""
+    values = [v for v in values if not math.isnan(v)]
+    if not values:
+        return "-"
+    return f"{statistics.median(values):g} ({min(values):g}-{max(values):g})"
+
+
+def print_seed_table(rows, paths, width):
+    print(f"\n{'path':{width}s} {'pass':>7s}  {'epochs to criterion':20s} "
+          f"{'epochs at EM 28':16s} dev EM after epoch 1")
+    for path_expr in paths:
+        runs = [r for r in rows if r["path"] == path_expr]
+        passed = [r["epochs"] for r in runs if r["passed"]]
+        print(f"{path_expr:{width}s} {f'{len(passed)}/{len(runs)}':>7s}  {spread(passed):20s} "
+              f"{spread([r['at_plateau'] for r in runs]):16s} "
+              f"{spread([r['dev_em_epoch1'] for r in runs])}")
 
 
 def main():
@@ -58,7 +105,9 @@ def main():
     ap.add_argument("--hidden", type=int, default=32)
     ap.add_argument("--lr", type=float, default=0.01)
     ap.add_argument("--epochs", type=int, default=300)
-    ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--seed", type=int, default=7, help="model seed")
+    ap.add_argument("--seeds", type=seed_range, metavar="A-B",
+                    help="train every path once per model seed A..B instead of --seed")
     args = ap.parse_args()
     for path_expr in args.paths:
         try:
@@ -74,16 +123,20 @@ def main():
     write_jsonl(train_data, os.path.join(args.out, "train.jsonl"))
     write_jsonl(dev_data, os.path.join(args.out, "dev.jsonl"))
 
-    rows = [run_one(i, path_expr, train_data, dev_data, args)
-            for i, path_expr in enumerate(args.paths, start=1)]
+    rows = [run_one(f"path{i}" + (f"-seed{seed}" if args.seeds else ""), path_expr, seed,
+                    train_data, dev_data, args)
+            for i, path_expr in enumerate(args.paths, start=1)
+            for seed in args.seeds or [args.seed]]
 
     width = max(len(r["path"]) for r in rows)
-    print(f"\n{'path':{width}s} {'epochs':>6s} {'train EM':>9s} {'dev EM':>7s} "
-          f"{'dev F1':>7s} {'params':>8s} {'time':>6s}")
+    print(f"\n{'path':{width}s} {'seed':>5s} {'epochs':>6s} {'train EM':>9s} {'dev EM':>7s} "
+          f"{'dev F1':>7s} {'EM@1':>5s} {'at 28':>5s} {'params':>8s} {'time':>6s}")
     for r in rows:
-        print(f"{r['path']:{width}s} {r['epochs']:6d} {r['train_em']:9.1f} "
-              f"{r['dev_em']:7.1f} {r['dev_f1']:7.1f} {r['params']:8d} "
-              f"{r['seconds']:5.0f}s")
+        print(f"{r['path']:{width}s} {r['seed']:5d} {r['epochs']:6d} {r['train_em']:9.1f} "
+              f"{r['dev_em']:7.1f} {r['dev_f1']:7.1f} {r['dev_em_epoch1']:5.0f} "
+              f"{r['at_plateau']:5d} {r['params']:8d} {r['seconds']:5.0f}s")
+    if args.seeds is not None:
+        print_seed_table(rows, args.paths, width)
 
     trained = [r for r in rows if r["epochs"]]  # every run with an epoch saved a checkpoint
     if trained:

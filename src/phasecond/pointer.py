@@ -47,7 +47,8 @@ def decode_span(p_start, p_end, max_span):
 
 
 class GRUCell:
-    """Gated memory update: state <- (1 - u) * state + u * candidate."""
+    """Gated memory update: state <- (1 - u) * state + u * candidate, the gates
+    r and u each one affine node over (x, state), the candidate over (x, r * state)."""
 
     def __init__(self, params, prefix, width):
         self.w = {}
@@ -59,18 +60,17 @@ class GRUCell:
 
     def __call__(self, state, x):
         w = self.w
-        r = T.sigmoid(T.add(T.add(T.matmul(x, w["Wr"]), T.matmul(state, w["Ur"])), w["br"]))
-        u = T.add(T.add(T.matmul(x, w["Wu"]), T.matmul(state, w["Uu"])), w["bu"])
-        cand = T.tanh(T.add(T.add(T.matmul(x, w["Wc"]), T.matmul(T.mul(r, state), w["Uc"])),
-                            w["bc"]))
-        return T.gated_mix(state, cand, T.sigmoid(u))
+        r = T.affine((x, state), (w["Wr"], w["Ur"]), w["br"], T.SIGMOID)
+        u = T.affine((x, state), (w["Wu"], w["Uu"]), w["bu"], T.SIGMOID)
+        cand = T.affine((x, T.mul(r, state)), (w["Wc"], w["Uc"]), w["bc"], T.TANH)
+        return T.gated_mix(state, cand, u)
 
 
 def question_summary(v_independent, w_proj, w_score, lengths):
     """[B, 2d] attention-pooled question vectors: each question's rows of v
     under softmax(tanh(v W) w) over that question. v packs the questions'
     rows, question k being lengths[k] rows long."""
-    scores = T.matmul(T.tanh(T.matmul(v_independent, w_proj)), w_score)
+    scores = T.matmul(T.activate(T.matmul(v_independent, w_proj), T.TANH), w_score)
     return T.segment_weighted_sum(T.segment_softmax(scores, lengths), v_independent, lengths)
 
 

@@ -14,11 +14,8 @@ one table of (value, rule) pairs whose rule reads the activation's output,
 never its input, so `affine` applies one inside its node and its
 pre-activation is overwritten by its output as soon as it is formed.
 
-Broadcasting is deliberately restricted: shapes must be equal, or the
-smaller operand's shape must equal the trailing dimensions of the larger
-(bias-vector style). The one wider form, a bias row per segment of rows,
-is spelled out by `affine`'s lengths, which keeps every gradient rule
-auditable.
+Elementwise operands are equal-shaped; adding a bias row, or one per
+segment of rows, is `affine`'s job.
 """
 
 from collections import namedtuple
@@ -133,42 +130,15 @@ def _accumulate(grads, owned, parents, pgs):
 
 
 # ---------------------------------------------------------------------------
-# Shape plumbing
-
-def _binary_shapes(a, b):
-    """Allow equal shapes or trailing-dimension expansion of the smaller."""
-    big, small = sorted((a.data.shape, b.data.shape), key=len, reverse=True)
-    if big[len(big) - len(small):] != small:
-        raise ShapeError(f"shapes {big} and {small} are not trailing-broadcast compatible")
-
-
-def _reduce_to(grad, shape):
-    """Sum out the broadcast leading axes so grad matches `shape`."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    return grad.sum(axis=tuple(range(extra)))
-
-
-# ---------------------------------------------------------------------------
 # Elementwise ops
 
-def add(a, b):
-    _binary_shapes(a, b)
-
-    def bwd(g):
-        return (_reduce_to(g, a.data.shape) if a.requires_grad else None,
-                _reduce_to(g, b.data.shape) if b.requires_grad else None)
-
-    return make_node(a.data + b.data, (a, b), bwd)
-
-
 def mul(a, b):
-    _binary_shapes(a, b)
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"mul operands {a.data.shape} and {b.data.shape} differ")
 
     def bwd(g):
-        return (_reduce_to(g * b.data, a.data.shape) if a.requires_grad else None,
-                _reduce_to(g * a.data, b.data.shape) if b.requires_grad else None)
+        return (g * b.data if a.requires_grad else None,
+                g * a.data if b.requires_grad else None)
 
     return make_node(a.data * b.data, (a, b), bwd)
 
@@ -219,14 +189,6 @@ def activate(a, act):
     """act applied to a as one node, whose rule reads only the output."""
     out = act.value(a.data)
     return make_node(out, (a,), lambda g: (act.rule(g, out),))
-
-
-def tanh(a):
-    return activate(a, TANH)
-
-
-def sigmoid(a):
-    return activate(a, SIGMOID)
 
 
 def gated_mix(carry, cand, z):
@@ -282,12 +244,22 @@ def matmul(a, b):
 
 def affine(x, w, b, act=None, lengths=None):
     """act(x @ w + b) as one node that keeps no pre-activation, bitwise the
-    chain of matmul, add and activation nodes. b is a bias row, or with
-    `lengths` one row per segment, row k added to the next lengths[k] rows."""
-    out = _matmul_data(x, w)
+    chain of matmul, add and activation nodes. x and w may be equal-length
+    tuples, for x[0] @ w[0] + x[1] @ w[1] + ... summed in order. b is a bias
+    row, or with `lengths` one row per segment, row k added to the next
+    lengths[k] rows."""
+    xs, ws = (x if isinstance(x, tuple) else (x,)), (w if isinstance(w, tuple) else (w,))
+    if not xs or len(xs) != len(ws):
+        raise ShapeError(f"affine needs one weight per input, got {len(xs)} and {len(ws)}")
+    out = _matmul_data(xs[0], ws[0])
+    for xi, wi in zip(xs[1:], ws[1:]):
+        term = _matmul_data(xi, wi)
+        if term.shape != out.shape:
+            raise ShapeError(f"affine products {out.shape} and {term.shape} differ")
+        out += term
     if lengths is None:
-        if b.data.shape != w.data.shape[1:]:
-            raise ShapeError(f"affine bias {b.data.shape} for weights {w.data.shape}")
+        if b.data.shape != out.shape[1:]:
+            raise ShapeError(f"affine bias {b.data.shape} for products {out.shape}")
         out += b.data
     else:
         lengths, starts = _segments(out, lengths)
@@ -305,10 +277,10 @@ def affine(x, w, b, act=None, lengths=None):
         db = None
         if b.requires_grad:
             db = g.sum(axis=0) if lengths is None else np.add.reduceat(g, starts, axis=0)
-        return (g @ w.data.T if x.requires_grad else None,
-                x.data.T @ g if w.requires_grad else None, db)
+        return (*(g @ wi.data.T if xi.requires_grad else None for xi, wi in zip(xs, ws)),
+                *(xi.data.T @ g if wi.requires_grad else None for xi, wi in zip(xs, ws)), db)
 
-    return make_node(out, (x, w, b), bwd)
+    return make_node(out, (*xs, *ws, b), bwd)
 
 
 def tsum(a):
@@ -364,17 +336,6 @@ def gather_rows(table, indices):
     return make_node(table.data[idx], (table,), bwd)
 
 
-def softmax_rows(x):
-    """Row-wise softmax of a matrix with at least one column, each row
-    stabilized by subtracting its max."""
-    data = x.data
-    if data.ndim != 2:
-        raise ShapeError(f"softmax_rows expects a matrix, got shape {data.shape}")
-    if data.shape[1] < 1:
-        raise ShapeError("softmax_rows requires at least one column")
-    return activate(x, SOFTMAX_ROWS)
-
-
 # ---------------------------------------------------------------------------
 # Segment ops: segment k is the next lengths[k] rows of a packed matrix
 
@@ -396,7 +357,7 @@ def row_slices(x, lengths):
 def _segment_exp(x, lengths, starts):
     """(shifted, e, z): x minus its segment's column max, exp of that, and the
     segment's column sums of e on every row. Summing each contiguous slice
-    makes e / z match `softmax_rows` of the segment's transpose bit for bit."""
+    makes e / z match `SOFTMAX_ROWS` of the segment's transpose bit for bit."""
     shifted = x - np.repeat(np.maximum.reduceat(x, starts, axis=0), lengths, axis=0)
     e, z = np.exp(shifted), np.empty_like(x)
     for lo, n in zip(starts, lengths):

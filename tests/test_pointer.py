@@ -5,6 +5,7 @@ from phasecond import tensor as T
 from phasecond.errors import DataError, NumericsError, ShapeError
 from phasecond.params import ParamSet
 from phasecond.pointer import (
+    GRUCell,
     PointerHead,
     decode_span,
     question_summary,
@@ -111,6 +112,63 @@ class TestDecodeSpan:
             got = decode_span(ps, pe, max_span)
             (s, e), score = brute_force_span(ps, pe, max_span)
             assert (got.start, got.end, got.score) == (s, e, score)
+
+
+def add(a, b):
+    """a + b as one node, b equal-shaped or a bias row summed back over rows."""
+    return T.make_node(a.data + b.data, (a, b),
+                       lambda g: (g, g if b.data.shape == g.shape else g.sum(axis=0)))
+
+
+def generic_gru(cell, state, x):
+    """The memory update as the chain of matmul, add and activation nodes, 17 per call."""
+    w = cell.w
+    r = T.activate(add(add(T.matmul(x, w["Wr"]), T.matmul(state, w["Ur"])), w["br"]), T.SIGMOID)
+    u = add(add(T.matmul(x, w["Wu"]), T.matmul(state, w["Uu"])), w["bu"])
+    cand = T.activate(add(add(T.matmul(x, w["Wc"]), T.matmul(T.mul(r, state), w["Uc"])),
+                          w["bc"]), T.TANH)
+    return T.gated_mix(state, cand, T.activate(u, T.SIGMOID))
+
+
+def tape_nodes(out):
+    """The op nodes out's backward() would walk."""
+    seen, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node._backward is not None:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+class TestGRUCell:
+    def run(self, update, calls):
+        """(final state, gradients of the first state, every input and every weight)."""
+        cell = GRUCell(ParamSet(np.random.default_rng(20)), "mem", 5)
+        rng = np.random.default_rng(21)
+        state = Tensor(3.0 * rng.standard_normal((3, 5)), requires_grad=True)
+        xs = [Tensor(3.0 * rng.standard_normal((3, 5)), requires_grad=True) for _ in range(calls)]
+        s = state
+        for x in xs:
+            s = update(cell, s, x)
+        mix = rng.standard_normal((3, 5))
+        mix.flat[::4], mix.flat[1::4] = 0.0, -0.0
+        backward(T.tsum(T.mul(s, Tensor(mix))))
+        return s.data, [state.grad, *(x.grad for x in xs), *(t.grad for t in cell.w.values())]
+
+    @pytest.mark.parametrize("calls", [1, 2, 3])
+    def test_value_and_gradients_are_bitwise_the_generic_chain(self, calls):
+        out, grads = self.run(GRUCell.__call__, calls)
+        want_out, want_grads = self.run(generic_gru, calls)
+        assert out.tobytes() == want_out.tobytes()
+        for got, want in zip(grads, want_grads):
+            assert got.tobytes() == want.tobytes()
+
+    def test_five_nodes_per_call(self):
+        cell = GRUCell(ParamSet(np.random.default_rng(22)), "mem", 4)
+        state, x = (Tensor(np.ones((2, 4)), requires_grad=True) for _ in range(2))
+        assert tape_nodes(cell(state, x)) == 5
+        assert tape_nodes(generic_gru(cell, state, x)) == 17
 
 
 class TestPredictSpan:

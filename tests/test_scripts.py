@@ -45,6 +45,21 @@ def test_run_synthetic_trains_every_path_into_one_summary(tmp_path):
     assert (tmp_path / "out" / "attention" / "manifest.json").exists()
 
 
+def test_run_synthetic_trains_each_path_per_seed_and_summarizes_the_seeds(tmp_path):
+    done = run_synthetic(tmp_path / "out", "LQ", "LQ->LS->Fi", "--seeds", "3-4")
+    assert done.returncode == 0, done.stderr
+    rows = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert [(r["tag"], r["seed"]) for r in rows] == [
+        ("path1-seed3", 3), ("path1-seed4", 4), ("path2-seed3", 3), ("path2-seed4", 4)]
+    for r in rows:  # one epoch of 8 examples reaches no criterion
+        assert not r["passed"] and r["dev_em_epoch1"] == r["dev_em"]
+        assert r["at_plateau"] == (r["dev_em"] == 28.0)
+    table = done.stdout.split("epochs to criterion")[1]
+    assert table.count(" 0/2 ") == 2
+    done = run_synthetic(tmp_path / "bad", "LQ", "--seeds", "4-3")
+    assert done.returncode == 2 and "empty seed range" in done.stderr
+
+
 def test_run_synthetic_refuses_a_bad_path_before_writing(tmp_path):
     done = run_synthetic(tmp_path / "out", "LQ", "LS")
     assert done.returncode == 2
@@ -84,7 +99,7 @@ def test_tape_memory_pins_what_a_desk_batch_keeps():
     loss = gold_loss(model, data, rng=np.random.default_rng(0))
     holdings = tape_memory.tape_holdings(loss, model.params)
     nodes, held = (sum(column) for column in zip(*holdings.values()))
-    assert (nodes, held) == (113, 24_674_776)
+    assert (nodes, held) == (77, 23_495_128)
 
 
 def test_tape_memory_measures_a_one_example_batch():

@@ -14,6 +14,13 @@ def rand(rng, *shape):
     return Tensor(rng.standard_normal(shape), requires_grad=True)
 
 
+def add(a, b):
+    """a + b as one node, b equal-shaped or a bias row summed back over rows:
+    the generic sum that the reference chains are built from."""
+    return T.make_node(a.data + b.data, (a, b),
+                       lambda g: (g, g if b.data.shape == g.shape else g.sum(axis=0)))
+
+
 class TestMatmul:
     def test_identity(self):
         a = Tensor(np.eye(2))
@@ -42,11 +49,11 @@ class TestMatmul:
 
 class TestSoftmaxRows:
     def test_symmetry(self):
-        out = T.softmax_rows(Tensor([[0.0, 0.0]]))
+        out = T.activate(Tensor([[0.0, 0.0]]), T.SOFTMAX_ROWS)
         assert np.allclose(out.data, [[0.5, 0.5]])
 
     def test_scalar_value(self):
-        out = T.softmax_rows(Tensor([[1.0, 0.0]]))
+        out = T.activate(Tensor([[1.0, 0.0]]), T.SOFTMAX_ROWS)
         e = np.e
         assert np.allclose(out.data, [[e / (e + 1), 1 / (e + 1)]], atol=5e-6)
         assert abs(out.data[0, 0] - 0.73106) < 5e-6
@@ -54,20 +61,20 @@ class TestSoftmaxRows:
     def test_rows_sum_to_one_large_magnitude(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.uniform(-1e4, 1e4, size=(8, 6)))
-        out = T.softmax_rows(x)
+        out = T.activate(x, T.SOFTMAX_ROWS)
         assert np.all(np.abs(out.data.sum(axis=1) - 1.0) <= 1e-9)
 
     def test_gradient(self):
         rng = np.random.default_rng(2)
         x = rand(rng, 3, 5)
         w = rng.standard_normal((3, 5))
-        err = grad_check(lambda t: T.tsum(T.mul(T.softmax_rows(t), Tensor(w))), x)
+        err = grad_check(lambda t: T.tsum(T.mul(T.activate(t, T.SOFTMAX_ROWS), Tensor(w))), x)
         assert err < 1e-6
 
 
 class TestElementwise:
     def test_sigmoid_midpoint(self):
-        assert T.sigmoid(Tensor([0.0])).data.tolist() == [0.5]
+        assert T.activate(Tensor([0.0]), T.SIGMOID).data.tolist() == [0.5]
 
     def test_relu(self):
         assert T.activate(Tensor([-1.0, 2.0]), T.RELU).data.tolist() == [0.0, 2.0]
@@ -98,21 +105,12 @@ class TestElementwise:
     def test_tanh_gradient(self):
         rng = np.random.default_rng(4)
         x = rand(rng, 2, 3)
-        assert grad_check(lambda t: T.tsum(T.tanh(t)), x) < 1e-6
-
-    def test_mul_broadcast_trailing(self):
-        a = Tensor(np.ones((3, 4)), requires_grad=True)
-        b = Tensor(np.arange(4.0), requires_grad=True)
-        out = T.mul(a, b)
-        assert out.data.shape == (3, 4)
-        backward(T.tsum(out))
-        assert b.grad.tolist() == [3.0, 3.0, 3.0, 3.0]
+        assert grad_check(lambda t: T.tsum(T.activate(t, T.TANH)), x) < 1e-6
 
     def test_incompatible_shapes(self):
-        with pytest.raises(ShapeError):
-            T.add(Tensor(np.zeros((3, 4))), Tensor(np.zeros((4, 3))))
-        with pytest.raises(ShapeError):
-            T.add(Tensor(np.zeros((3, 4))), Tensor(np.zeros((1, 4))))
+        for shape in ((4, 3), (1, 4), (4,)):  # a bias row is affine's, not mul's
+            with pytest.raises(ShapeError, match="mul operands"):
+                T.mul(Tensor(np.zeros((3, 4))), Tensor(np.zeros(shape)))
 
 
 class TestBackward:
@@ -124,7 +122,7 @@ class TestBackward:
     def test_softmax_row_sum_has_zero_gradient(self):
         rng = np.random.default_rng(5)
         x = rand(rng, 3, 4)
-        backward(T.tsum(T.softmax_rows(x)))
+        backward(T.tsum(T.activate(x, T.SOFTMAX_ROWS)))
         assert np.allclose(x.grad, 0.0, atol=1e-12)
 
     def test_composite_two_layer(self):
@@ -134,8 +132,8 @@ class TestBackward:
         x = rand(rng, 2, 4)
 
         def f(t):
-            h = T.tanh(T.matmul(t, w1))
-            return T.tsum(T.sigmoid(T.matmul(h, w2)))
+            h = T.activate(T.matmul(t, w1), T.TANH)
+            return T.tsum(T.activate(T.matmul(h, w2), T.SIGMOID))
 
         assert grad_check(f, x) < 1e-5
 
@@ -148,11 +146,11 @@ class TestBackward:
         base = rng.standard_normal((3, 3))
 
         x = Tensor(base.copy(), requires_grad=True)
-        backward(T.add(T.tsum(T.tanh(x)), T.tsum(T.mul(x, x))))
+        backward(add(T.tsum(T.activate(x, T.TANH)), T.tsum(T.mul(x, x))))
         combined = x.grad.copy()
 
         xa = Tensor(base.copy(), requires_grad=True)
-        backward(T.tsum(T.tanh(xa)))
+        backward(T.tsum(T.activate(xa, T.TANH)))
         xb = Tensor(base.copy(), requires_grad=True)
         backward(T.tsum(T.mul(xb, xb)))
         assert np.all(np.abs(combined - (xa.grad + xb.grad)) <= 1e-12)
@@ -163,7 +161,7 @@ class TestBackward:
         grads = []
         for _ in range(2):
             x = Tensor(base.copy(), requires_grad=True)
-            h = T.softmax_rows(T.matmul(x, x))
+            h = T.activate(T.matmul(x, x), T.SOFTMAX_ROWS)
             backward(T.tsum(T.mul(h, h)))
             grads.append(x.grad.copy())
         assert np.array_equal(grads[0], grads[1])
@@ -178,7 +176,7 @@ class TestBackward:
         x = Tensor(np.ones((2, 2)), requires_grad=True)
         w = Tensor(np.full((2, 2), 2.0), requires_grad=True)
         h = T.matmul(x, w)
-        backward(T.tsum(T.tanh(h)))
+        backward(T.tsum(T.activate(h, T.TANH)))
         assert x.grad is not None and w.grad is not None
         assert h.grad is None
 
@@ -186,8 +184,8 @@ class TestBackward:
         rng = np.random.default_rng(9)
         x = rand(rng, 3, 3)
         w = rand(rng, 3, 3)
-        h = T.tanh(x)
-        loss = T.tsum(T.mul(T.softmax_rows(T.matmul(x, w)), h))
+        h = T.activate(x, T.TANH)
+        loss = T.tsum(T.mul(T.activate(T.matmul(x, w), T.SOFTMAX_ROWS), h))
         backward(loss)
         once_x, once_w = x.grad.copy(), w.grad.copy()
         with pytest.raises(GraphError, match="consumed"):
@@ -199,7 +197,7 @@ class TestBackward:
     def test_intermediate_freed_while_loss_is_referenced(self):
         rng = np.random.default_rng(10)
         x = rand(rng, 4, 3)
-        h = T.tanh(T.matmul(x, rand(rng, 3, 3)))
+        h = T.activate(T.matmul(x, rand(rng, 3, 3)), T.TANH)
         freed = weakref.ref(h.data)
         loss = T.tsum(T.mul(h, h))
         del h
@@ -259,10 +257,10 @@ class TestFusedNodes:
         for fused in (True, False):
             carry, cand, gate = (Tensor(a.copy(), requires_grad=True) for a in base)
             if fused:
-                out = T.gated_mix(carry, cand, T.sigmoid(gate))
+                out = T.gated_mix(carry, cand, T.activate(gate, T.SIGMOID))
             else:
-                z = T.sigmoid(gate)
-                out = T.add(T.mul(one_minus(z), carry), T.mul(z, cand))
+                z = T.activate(gate, T.SIGMOID)
+                out = add(T.mul(one_minus(z), carry), T.mul(z, cand))
             backward(T.tsum(T.mul(out, mix)))
             results.append([out.data, carry.grad, cand.grad, gate.grad])
         for got, want in zip(*results):
@@ -277,8 +275,8 @@ class TestFusedNodes:
         results = []
         for fused in (True, False):
             x, w, b = (Tensor(a.copy(), requires_grad=True) for a in base)
-            out = T.affine(x, w, b) if fused else T.add(T.matmul(x, w), b)
-            backward(T.tsum(T.mul(T.tanh(out), mix)))
+            out = T.affine(x, w, b) if fused else add(T.matmul(x, w), b)
+            backward(T.tsum(T.mul(T.activate(out, T.TANH), mix)))
             results.append([out.data, x.grad, w.grad, b.grad])
         for got, want in zip(*results):
             assert np.array_equal(got, want)
@@ -298,7 +296,7 @@ class TestFusedNodes:
             if fused:
                 out = T.affine(x, w, b, ACTIVATIONS[kind])
             else:
-                out = reference_activation(kind, T.add(T.matmul(x, w), b))
+                out = reference_activation(kind, add(T.matmul(x, w), b))
             backward(T.tsum(T.mul(out, mix)))
             results.append([out.data, x.grad, w.grad, b.grad])
         assert_bitwise(results)
@@ -316,6 +314,31 @@ class TestFusedNodes:
             results.append([out.data, a.grad])
         assert_bitwise(results)
 
+    @pytest.mark.parametrize("act", [T.SIGMOID, T.TANH], ids=["sigmoid", "tanh"])
+    def test_two_pair_affine_passes_grad_check(self, act):
+        rng = np.random.default_rng(19)
+        base = [rng.standard_normal(shape) for shape in ((5, 3), (5, 4), (3, 2), (4, 2), (2,))]
+        mix = Tensor(rng.standard_normal((5, 2)))
+        for k in range(5):  # x0, x1, w0, w1 and b in turn
+            def f(t):
+                args = [t if i == k else Tensor(a) for i, a in enumerate(base)]
+                out = T.affine(tuple(args[:2]), tuple(args[2:4]), args[4], act)
+                return T.tsum(T.mul(out, mix))
+
+            assert grad_check(f, Tensor(base[k].copy())) < 1e-6
+
+    def test_affine_pairs_must_match(self):
+        x, w, b = Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), Tensor(np.zeros(4))
+        for xs, ws in (((x, x), (w,)), ((x,), (w, w)), ((), ())):
+            with pytest.raises(ShapeError, match="one weight per input"):
+                T.affine(xs, ws, b)
+        for x1, w1 in ((Tensor(np.zeros((3, 3))), w), (x, Tensor(np.zeros((3, 5)))),
+                       (Tensor(np.zeros((1, 3))), w)):  # a row that would broadcast
+            with pytest.raises(ShapeError, match="affine products"):
+                T.affine((x, x1), (w, w1), b)
+        with pytest.raises(ShapeError, match="matmul"):
+            T.affine((x, x), (w, Tensor(np.zeros((2, 4)))), b)
+
     def test_affine_segment_bias_matches_repeated_rows(self):
         rng = np.random.default_rng(17)
         base = [rng.standard_normal((5, 4)), rng.standard_normal((4, 3)),
@@ -327,7 +350,7 @@ class TestFusedNodes:
             if fused:
                 out = T.affine(x, w, b, T.TANH, lengths=[2, 3])
             else:
-                out = T.tanh(T.add(T.matmul(x, w), repeated_rows(b, [2, 3])))
+                out = T.activate(add(T.matmul(x, w), repeated_rows(b, [2, 3])), T.TANH)
             backward(T.tsum(T.mul(out, mix)))
             results.append([out.data, x.grad, w.grad, b.grad])
         assert_bitwise(results)
@@ -420,11 +443,11 @@ class TestRowSlices:
 
         def grad_with(splitter):
             x = Tensor(x0.copy(), requires_grad=True)
-            h = T.tanh(x)  # an intermediate: slices and dense uses meet in backward()
+            h = T.activate(x, T.TANH)  # an intermediate: slices and dense uses meet in backward()
             loss = T.tsum(T.mul(h, w))
             for block, mix in zip(splitter(h, lengths), mixes):
-                loss = T.add(loss, T.tsum(T.mul(T.tanh(block), mix)))
-            loss = T.add(loss, T.tsum(T.matmul(h, v)))
+                loss = add(loss, T.tsum(T.mul(T.activate(block, T.TANH), mix)))
+            loss = add(loss, T.tsum(T.matmul(h, v)))
             backward(loss)
             return x.grad
 
@@ -442,7 +465,7 @@ class TestRowSlices:
         terms = [T.tsum(T.split_rows(x, [1, 2, 1])[1]), T.tsum(fork)]
         if not slice_first:
             terms.reverse()
-        backward(T.add(*terms))
+        backward(add(*terms))
         padded = np.zeros((4, 3))
         padded[1:3] = 1.0
         assert np.array_equal(shared, before)
@@ -459,7 +482,7 @@ class TestSegmentOps:
             lengths = rng.integers(1, 30, size=rng.integers(1, 6))
             x = rng.standard_normal((lengths.sum(), 1)) * rng.choice([1.0, 30.0])
             got = T.segment_softmax(Tensor(x), lengths).data
-            want = [T.softmax_rows(Tensor(block.T.copy())).data.T
+            want = [T.activate(Tensor(block.T.copy()), T.SOFTMAX_ROWS).data.T
                     for block in np.split(x, np.cumsum(lengths)[:-1])]
             assert got.tobytes() == np.concatenate(want).tobytes()
 
@@ -598,7 +621,7 @@ class TestTrimmedKernels:
             if fused:
                 out = T.affine(x, w, b, ACTIVATIONS.get(kind), lengths)
             else:
-                pre = T.add(T.matmul(x, w), repeated_rows(b, lengths))
+                pre = add(T.matmul(x, w), repeated_rows(b, lengths))
                 out = pre if kind is None else reference_activation(kind, pre)
             backward(T.tsum(T.mul(out, mix)))
             assert all(same_bytes(t.data, a) for t, a in zip((x, w, b), base))
@@ -641,7 +664,7 @@ class TestGradCheck:
         assert x.requires_grad is False and x.grad is None
 
     def test_rejects_non_leaf(self):
-        h = T.tanh(Tensor(np.ones((2, 2)), requires_grad=True))
+        h = T.activate(Tensor(np.ones((2, 2)), requires_grad=True), T.TANH)
         with pytest.raises(GraphError, match="leaf"):
             grad_check(lambda t: T.tsum(t), h)
 
@@ -650,7 +673,7 @@ class TestGradCheck:
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
 def test_property_softmax_rows_stochastic(n, m, seed):
     rng = np.random.default_rng(seed)
-    out = T.softmax_rows(Tensor(rng.uniform(-1e4, 1e4, size=(n, m))))
+    out = T.activate(Tensor(rng.uniform(-1e4, 1e4, size=(n, m))), T.SOFTMAX_ROWS)
     assert np.all(out.data >= 0)
     assert np.all(np.abs(out.data.sum(axis=1) - 1.0) <= 1e-9)
 
@@ -663,6 +686,6 @@ def test_property_differentiable_ops_pass_grad_check(n, m, seed):
     w = Tensor(rng.standard_normal((n, m)))
 
     def f(t):
-        return T.tsum(T.mul(T.softmax_rows(T.tanh(t)), w))
+        return T.tsum(T.mul(T.activate(T.activate(t, T.TANH), T.SOFTMAX_ROWS), w))
 
     assert grad_check(f, x) < 1e-4
