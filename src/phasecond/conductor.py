@@ -244,7 +244,7 @@ def run_path(model, h, u, v, lengths, q_lengths):
     outputs = []  # per plan step
     for step in model.plan:
         if step.kind == "LQ":
-            query = h if step.projection is None else T.matmul(h, step.projection)
+            query = h if step.projection is None else T.affine(h, step.projection)
             out, aligns = qp_attention(query, u, v, lengths, q_lengths, step.layer_index)
         elif step.kind == "LS":
             out, aligns = self_attention(h, lengths, step.layer_index)

@@ -70,7 +70,7 @@ def question_summary(v_independent, w_proj, w_score, lengths):
     """[B, 2d] attention-pooled question vectors: each question's rows of v
     under softmax(tanh(v W) w) over that question. v packs the questions'
     rows, question k being lengths[k] rows long."""
-    scores = T.matmul(T.activate(T.matmul(v_independent, w_proj), T.TANH), w_score)
+    scores = T.affine(T.affine(v_independent, w_proj, act=T.TANH), w_score)
     return T.segment_weighted_sum(T.segment_softmax(scores, lengths), v_independent, lengths)
 
 
@@ -103,15 +103,13 @@ class PointerHead:
         """[B, w] memory rows, one per question; v packs the questions'
         encodings [sum m_k, 2d], question k being lengths[k] rows long."""
         q = question_summary(v, self.summary_proj, self.summary_score, lengths)
-        if self.adapter is not None:
-            q = T.matmul(q, self.adapter)
-        return q
+        return q if self.adapter is None else T.affine(q, self.adapter)
 
     def _boundary_scores(self, h, q, t, b, lengths):
         """[sum n_k, 1] scores of every passage position for one boundary."""
         w_h, w_q, v = self.boundary[(t, b)]
-        hidden = T.affine(h, w_h, T.matmul(q, w_q), T.TANH, lengths)
-        return T.matmul(hidden, v)
+        hidden = T.affine(h, w_h, T.affine(q, w_q), T.TANH, lengths)
+        return T.affine(hidden, v)
 
     def predict_span(self, h, q, lengths):
         """(scores, probs) of the last hop: the [sum n_k, 2] start and end

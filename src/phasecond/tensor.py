@@ -9,10 +9,11 @@ node drops its inputs and rule, and its value unless something still reads
 it, before its rule runs; the rule gets the only reference to its gradient;
 what it returns goes once added.
 
-A backward rule captures only the arrays it reads. Activations come from
-one table of (value, rule) pairs whose rule reads the activation's output,
-never its input, so `affine` applies one inside its node and its
-pre-activation is overwritten by its output as soon as it is formed.
+A backward rule captures only the arrays it reads. Every dense product is
+an `affine` node; activations come from one table of (value, rule) pairs
+whose rule reads the activation's output, never its input, so `affine`
+applies one inside its node and its pre-activation is overwritten by its
+output as soon as it is formed.
 
 Elementwise operands are equal-shaped; adding a bias row, or one per
 segment of rows, is `affine`'s job.
@@ -185,12 +186,6 @@ SOFTMAX_ROWS = Activation(_softmax_rows_value,
                           lambda g, out: out * (g - (g * out).sum(axis=1, keepdims=True)))
 
 
-def activate(a, act):
-    """act applied to a as one node, whose rule reads only the output."""
-    out = act.value(a.data)
-    return make_node(out, (a,), lambda g: (act.rule(g, out),))
-
-
 def gated_mix(carry, cand, z):
     """(1 - z) * carry + z * cand for gate values z in [0, 1], as one node;
     value and gradients are bitwise those of the four-node form."""
@@ -228,36 +223,31 @@ def dropout(a, rate, draw):
 # ---------------------------------------------------------------------------
 # Linear algebra and structure ops
 
-def _matmul_data(a, b):
+def _product(a, b):
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul needs [n, k] @ [k, m], got {a.data.shape} @ {b.data.shape}")
+        raise ShapeError(f"affine needs [n, k] @ [k, m], got {a.data.shape} @ {b.data.shape}")
     return a.data @ b.data
 
 
-def matmul(a, b):
-    def bwd(g):
-        return (g @ b.data.T if a.requires_grad else None,
-                a.data.T @ g if b.requires_grad else None)
-
-    return make_node(_matmul_data(a, b), (a, b), bwd)
-
-
-def affine(x, w, b, act=None, lengths=None):
+def affine(x, w, b=None, act=None, lengths=None):
     """act(x @ w + b) as one node that keeps no pre-activation, bitwise the
-    chain of matmul, add and activation nodes. x and w may be equal-length
+    chain of product, add and activation nodes. x and w may be equal-length
     tuples, for x[0] @ w[0] + x[1] @ w[1] + ... summed in order. b is a bias
     row, or with `lengths` one row per segment, row k added to the next
-    lengths[k] rows."""
+    lengths[k] rows; with no b the node has no bias parent."""
     xs, ws = (x if isinstance(x, tuple) else (x,)), (w if isinstance(w, tuple) else (w,))
     if not xs or len(xs) != len(ws):
         raise ShapeError(f"affine needs one weight per input, got {len(xs)} and {len(ws)}")
-    out = _matmul_data(xs[0], ws[0])
+    out = _product(xs[0], ws[0])
     for xi, wi in zip(xs[1:], ws[1:]):
-        term = _matmul_data(xi, wi)
+        term = _product(xi, wi)
         if term.shape != out.shape:
             raise ShapeError(f"affine products {out.shape} and {term.shape} differ")
         out += term
-    if lengths is None:
+    if b is None:
+        if lengths is not None:
+            raise ShapeError("affine segment lengths need a bias")
+    elif lengths is None:
         if b.data.shape != out.shape[1:]:
             raise ShapeError(f"affine bias {b.data.shape} for products {out.shape}")
         out += b.data
@@ -274,13 +264,14 @@ def affine(x, w, b, act=None, lengths=None):
     def bwd(g):
         if act is not None:
             g = act.rule(g, out)
-        db = None
-        if b.requires_grad:
-            db = g.sum(axis=0) if lengths is None else np.add.reduceat(g, starts, axis=0)
-        return (*(g @ wi.data.T if xi.requires_grad else None for xi, wi in zip(xs, ws)),
-                *(xi.data.T @ g if wi.requires_grad else None for xi, wi in zip(xs, ws)), db)
+        grads = [g @ wi.data.T if xi.requires_grad else None for xi, wi in zip(xs, ws)]
+        grads += [xi.data.T @ g if wi.requires_grad else None for xi, wi in zip(xs, ws)]
+        if b is not None:
+            grads.append((g.sum(axis=0) if lengths is None else np.add.reduceat(g, starts, axis=0))
+                         if b.requires_grad else None)
+        return grads
 
-    return make_node(out, (*xs, *ws, b), bwd)
+    return make_node(out, (*xs, *ws) if b is None else (*xs, *ws, b), bwd)
 
 
 def tsum(a):

@@ -156,6 +156,17 @@ def add(a, b):
     return T.make_node(a.data + b.data, (a, b), lambda g: (g, g))
 
 
+def matmul(a, b):
+    """a @ b as one node, the generic product the reference was built with."""
+    return T.make_node(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+
+
+def softmax_rows(a):
+    """The row softmax as one node, its rule reading only the output."""
+    out = T.SOFTMAX_ROWS.value(a.data)
+    return T.make_node(out, (a,), lambda g: (T.SOFTMAX_ROWS.rule(g, out),))
+
+
 class TestPackedLayers:
     """qp_attention and self_attention against the generic graph on
     split_rows slices joined by concat, the graph the model ran before."""
@@ -167,10 +178,10 @@ class TestPackedLayers:
         """scores = x @ keys.T, weights = softmax_rows(scores), out = weights @ values,
         per example."""
         def attend(x, keys, values, kind, index):
-            scores = T.matmul(x, T.make_node(keys.data.T, (keys,), lambda g: (g.T,)))
-            weights = T.activate(scores, T.SOFTMAX_ROWS)
-            return T.matmul(weights, values), AlignmentMatrix(weights.data, scores.data,
-                                                              kind, index)
+            scores = matmul(x, T.make_node(keys.data.T, (keys,), lambda g: (g.T,)))
+            weights = softmax_rows(scores)
+            return matmul(weights, values), AlignmentMatrix(weights.data, scores.data,
+                                                            kind, index)
 
         us, vs = T.split_rows(u, q_lengths), T.split_rows(v, q_lengths)
 

@@ -32,6 +32,23 @@ def make_head(width=4, query_width=4, hops=2, seed=0):
     return head, params
 
 
+def matmul(a, b):
+    """a @ b as one node: the generic product that the reference chains are built from."""
+    return T.make_node(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+
+
+def activate(a, act):
+    """act applied to a as one node, whose rule reads only the output."""
+    out = act.value(a.data)
+    return T.make_node(out, (a,), lambda g: (act.rule(g, out),))
+
+
+def chain_summary(v, w_proj, w_score, lengths):
+    """question_summary with its scores from three nodes: product, tanh and product."""
+    scores = matmul(activate(matmul(v, w_proj), T.TANH), w_score)
+    return T.segment_weighted_sum(T.segment_softmax(scores, lengths), v, lengths)
+
+
 class TestQuestionSummary:
     def test_single_row_passthrough(self):
         head, params = make_head(query_width=4)
@@ -54,6 +71,22 @@ class TestQuestionSummary:
         err = grad_check(lambda t: T.tsum(T.mul(
             question_summary(t, head.summary_proj, head.summary_score, [3]), mix)), v)
         assert err < 1e-4
+
+    def test_scores_are_two_affine_nodes_bitwise_the_three_node_chain(self):
+        def run(summary):
+            """(tape nodes, [value and the gradients of v, W_proj and w_score])."""
+            rng = np.random.default_rng(3)
+            v, w_proj, w_score = (Tensor(3.0 * rng.standard_normal(shape), requires_grad=True)
+                                  for shape in ((6, 4), (4, 4), (4, 1)))
+            out = summary(v, w_proj, w_score, [3, 1, 2])
+            nodes = tape_nodes(out)
+            backward(T.tsum(T.mul(out, Tensor(rng.standard_normal((3, 4))))))
+            return nodes, [out.data, v.grad, w_proj.grad, w_score.grad]
+
+        (got_nodes, got), (want_nodes, want) = run(question_summary), run(chain_summary)
+        assert (got_nodes, want_nodes) == (4, 5)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
 
 
 class TestDecodeSpan:
@@ -123,11 +156,11 @@ def add(a, b):
 def generic_gru(cell, state, x):
     """The memory update as the chain of matmul, add and activation nodes, 17 per call."""
     w = cell.w
-    r = T.activate(add(add(T.matmul(x, w["Wr"]), T.matmul(state, w["Ur"])), w["br"]), T.SIGMOID)
-    u = add(add(T.matmul(x, w["Wu"]), T.matmul(state, w["Uu"])), w["bu"])
-    cand = T.activate(add(add(T.matmul(x, w["Wc"]), T.matmul(T.mul(r, state), w["Uc"])),
-                          w["bc"]), T.TANH)
-    return T.gated_mix(state, cand, T.activate(u, T.SIGMOID))
+    r = activate(add(add(matmul(x, w["Wr"]), matmul(state, w["Ur"])), w["br"]), T.SIGMOID)
+    u = add(add(matmul(x, w["Wu"]), matmul(state, w["Uu"])), w["bu"])
+    cand = activate(add(add(matmul(x, w["Wc"]), matmul(T.mul(r, state), w["Uc"])),
+                        w["bc"]), T.TANH)
+    return T.gated_mix(state, cand, activate(u, T.SIGMOID))
 
 
 def tape_nodes(out):

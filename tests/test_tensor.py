@@ -21,39 +21,90 @@ def add(a, b):
                        lambda g: (g, g if b.data.shape == g.shape else g.sum(axis=0)))
 
 
+def matmul(a, b):
+    """a @ b as one node: the generic product that the reference chains are built from."""
+    return T.make_node(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+
+
+def activate(a, act):
+    """act applied to a as one node, whose rule reads only the output."""
+    out = act.value(a.data)
+    return T.make_node(out, (a,), lambda g: (act.rule(g, out),))
+
+
 class TestMatmul:
+    """The plain product: `affine` with no bias, a node with no bias parent."""
+
     def test_identity(self):
         a = Tensor(np.eye(2))
         b = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(T.matmul(a, b).data, b.data)
+        assert np.array_equal(T.affine(a, b).data, b.data)
 
     def test_unit_vector_selection(self):
-        out = T.matmul(Tensor([[1.0, 0.0]]), Tensor([[2.0], [5.0]]))
+        out = T.affine(Tensor([[1.0, 0.0]]), Tensor([[2.0], [5.0]]))
         assert out.data.tolist() == [[2.0]]
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+            T.affine(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
         a = rand(rng, 3, 4)
         b = Tensor(rng.standard_normal((4, 2)))
-        err = grad_check(lambda x: T.tsum(T.matmul(x, b)), a)
+        err = grad_check(lambda x: T.tsum(T.affine(x, b)), a)
         assert err < 1e-6
         a2 = Tensor(rng.standard_normal((3, 4)))
         b2 = rand(rng, 4, 2)
-        err = grad_check(lambda x: T.tsum(T.matmul(a2, x)), b2)
+        err = grad_check(lambda x: T.tsum(T.affine(a2, x)), b2)
         assert err < 1e-6
+
+    def test_values_are_the_product_bytes_and_one_gradient_per_parent(self):
+        rng = np.random.default_rng(1)
+        x, w = rand(rng, 5, 4), rand(rng, 4, 3)
+        want = x.data @ w.data
+        assert T.affine(x, w).data.tobytes() == want.tobytes()
+        out = T.affine(x, w, act=T.TANH)
+        assert out.data.tobytes() == np.tanh(want).tobytes()
+        assert out._parents == (x, w)
+        assert len(out._backward(np.ones((5, 3)))) == 2
+        pair = T.affine((x, x), (w, w))
+        assert pair._parents == (x, x, w, w) and len(pair._backward(np.ones((5, 3)))) == 4
+
+    @pytest.mark.parametrize("act", [T.SIGMOID, T.TANH], ids=["sigmoid", "tanh"])
+    def test_activated_product_passes_grad_check(self, act):
+        rng = np.random.default_rng(2)
+        x, w = rng.standard_normal((5, 4)), rng.standard_normal((4, 3))
+        mix = Tensor(rng.standard_normal((5, 3)))
+        assert grad_check(lambda t: T.tsum(T.mul(T.affine(t, Tensor(w), act=act), mix)),
+                          Tensor(x.copy())) < 1e-6
+        assert grad_check(lambda t: T.tsum(T.mul(T.affine(Tensor(x), t, act=act), mix)),
+                          Tensor(w.copy())) < 1e-6
+
+    def test_two_pair_product_passes_grad_check(self):
+        rng = np.random.default_rng(3)
+        base = [rng.standard_normal(shape) for shape in ((5, 3), (5, 4), (3, 2), (4, 2))]
+        mix = Tensor(rng.standard_normal((5, 2)))
+        for k in range(4):  # x0, x1, w0 and w1 in turn
+            def f(t):
+                args = [t if i == k else Tensor(a) for i, a in enumerate(base)]
+                return T.tsum(T.mul(T.affine(tuple(args[:2]), tuple(args[2:])), mix))
+
+            assert grad_check(f, Tensor(base[k].copy())) < 1e-6
+
+    def test_segment_lengths_need_a_bias(self):
+        x, w = Tensor(np.zeros((5, 2))), Tensor(np.zeros((2, 2)))
+        with pytest.raises(ShapeError, match="need a bias"):
+            T.affine(x, w, lengths=[2, 3])
 
 
 class TestSoftmaxRows:
     def test_symmetry(self):
-        out = T.activate(Tensor([[0.0, 0.0]]), T.SOFTMAX_ROWS)
+        out = activate(Tensor([[0.0, 0.0]]), T.SOFTMAX_ROWS)
         assert np.allclose(out.data, [[0.5, 0.5]])
 
     def test_scalar_value(self):
-        out = T.activate(Tensor([[1.0, 0.0]]), T.SOFTMAX_ROWS)
+        out = activate(Tensor([[1.0, 0.0]]), T.SOFTMAX_ROWS)
         e = np.e
         assert np.allclose(out.data, [[e / (e + 1), 1 / (e + 1)]], atol=5e-6)
         assert abs(out.data[0, 0] - 0.73106) < 5e-6
@@ -61,27 +112,27 @@ class TestSoftmaxRows:
     def test_rows_sum_to_one_large_magnitude(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.uniform(-1e4, 1e4, size=(8, 6)))
-        out = T.activate(x, T.SOFTMAX_ROWS)
+        out = activate(x, T.SOFTMAX_ROWS)
         assert np.all(np.abs(out.data.sum(axis=1) - 1.0) <= 1e-9)
 
     def test_gradient(self):
         rng = np.random.default_rng(2)
         x = rand(rng, 3, 5)
         w = rng.standard_normal((3, 5))
-        err = grad_check(lambda t: T.tsum(T.mul(T.activate(t, T.SOFTMAX_ROWS), Tensor(w))), x)
+        err = grad_check(lambda t: T.tsum(T.mul(activate(t, T.SOFTMAX_ROWS), Tensor(w))), x)
         assert err < 1e-6
 
 
 class TestElementwise:
     def test_sigmoid_midpoint(self):
-        assert T.activate(Tensor([0.0]), T.SIGMOID).data.tolist() == [0.5]
+        assert activate(Tensor([0.0]), T.SIGMOID).data.tolist() == [0.5]
 
     def test_relu(self):
-        assert T.activate(Tensor([-1.0, 2.0]), T.RELU).data.tolist() == [0.0, 2.0]
+        assert activate(Tensor([-1.0, 2.0]), T.RELU).data.tolist() == [0.0, 2.0]
 
     def test_relu_gradient_at_zero_is_zero(self):
         x = Tensor([0.0], requires_grad=True)
-        backward(T.tsum(T.activate(x, T.RELU)))
+        backward(T.tsum(activate(x, T.RELU)))
         assert x.grad.tolist() == [0.0]
 
     def test_relu_and_sigmoid_values_match_their_where_forms_bit_for_bit(self):
@@ -105,7 +156,7 @@ class TestElementwise:
     def test_tanh_gradient(self):
         rng = np.random.default_rng(4)
         x = rand(rng, 2, 3)
-        assert grad_check(lambda t: T.tsum(T.activate(t, T.TANH)), x) < 1e-6
+        assert grad_check(lambda t: T.tsum(activate(t, T.TANH)), x) < 1e-6
 
     def test_incompatible_shapes(self):
         for shape in ((4, 3), (1, 4), (4,)):  # a bias row is affine's, not mul's
@@ -122,7 +173,7 @@ class TestBackward:
     def test_softmax_row_sum_has_zero_gradient(self):
         rng = np.random.default_rng(5)
         x = rand(rng, 3, 4)
-        backward(T.tsum(T.activate(x, T.SOFTMAX_ROWS)))
+        backward(T.tsum(activate(x, T.SOFTMAX_ROWS)))
         assert np.allclose(x.grad, 0.0, atol=1e-12)
 
     def test_composite_two_layer(self):
@@ -132,8 +183,8 @@ class TestBackward:
         x = rand(rng, 2, 4)
 
         def f(t):
-            h = T.activate(T.matmul(t, w1), T.TANH)
-            return T.tsum(T.activate(T.matmul(h, w2), T.SIGMOID))
+            h = T.affine(t, w1, act=T.TANH)
+            return T.tsum(T.affine(h, w2, act=T.SIGMOID))
 
         assert grad_check(f, x) < 1e-5
 
@@ -146,11 +197,11 @@ class TestBackward:
         base = rng.standard_normal((3, 3))
 
         x = Tensor(base.copy(), requires_grad=True)
-        backward(add(T.tsum(T.activate(x, T.TANH)), T.tsum(T.mul(x, x))))
+        backward(add(T.tsum(activate(x, T.TANH)), T.tsum(T.mul(x, x))))
         combined = x.grad.copy()
 
         xa = Tensor(base.copy(), requires_grad=True)
-        backward(T.tsum(T.activate(xa, T.TANH)))
+        backward(T.tsum(activate(xa, T.TANH)))
         xb = Tensor(base.copy(), requires_grad=True)
         backward(T.tsum(T.mul(xb, xb)))
         assert np.all(np.abs(combined - (xa.grad + xb.grad)) <= 1e-12)
@@ -161,7 +212,7 @@ class TestBackward:
         grads = []
         for _ in range(2):
             x = Tensor(base.copy(), requires_grad=True)
-            h = T.activate(T.matmul(x, x), T.SOFTMAX_ROWS)
+            h = T.affine(x, x, act=T.SOFTMAX_ROWS)
             backward(T.tsum(T.mul(h, h)))
             grads.append(x.grad.copy())
         assert np.array_equal(grads[0], grads[1])
@@ -175,8 +226,8 @@ class TestBackward:
     def test_grad_lands_on_leaves_only(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
         w = Tensor(np.full((2, 2), 2.0), requires_grad=True)
-        h = T.matmul(x, w)
-        backward(T.tsum(T.activate(h, T.TANH)))
+        h = T.affine(x, w)
+        backward(T.tsum(activate(h, T.TANH)))
         assert x.grad is not None and w.grad is not None
         assert h.grad is None
 
@@ -184,8 +235,8 @@ class TestBackward:
         rng = np.random.default_rng(9)
         x = rand(rng, 3, 3)
         w = rand(rng, 3, 3)
-        h = T.activate(x, T.TANH)
-        loss = T.tsum(T.mul(T.activate(T.matmul(x, w), T.SOFTMAX_ROWS), h))
+        h = activate(x, T.TANH)
+        loss = T.tsum(T.mul(T.affine(x, w, act=T.SOFTMAX_ROWS), h))
         backward(loss)
         once_x, once_w = x.grad.copy(), w.grad.copy()
         with pytest.raises(GraphError, match="consumed"):
@@ -197,7 +248,7 @@ class TestBackward:
     def test_intermediate_freed_while_loss_is_referenced(self):
         rng = np.random.default_rng(10)
         x = rand(rng, 4, 3)
-        h = T.activate(T.matmul(x, rand(rng, 3, 3)), T.TANH)
+        h = T.affine(x, rand(rng, 3, 3), act=T.TANH)
         freed = weakref.ref(h.data)
         loss = T.tsum(T.mul(h, h))
         del h
@@ -257,9 +308,9 @@ class TestFusedNodes:
         for fused in (True, False):
             carry, cand, gate = (Tensor(a.copy(), requires_grad=True) for a in base)
             if fused:
-                out = T.gated_mix(carry, cand, T.activate(gate, T.SIGMOID))
+                out = T.gated_mix(carry, cand, activate(gate, T.SIGMOID))
             else:
-                z = T.activate(gate, T.SIGMOID)
+                z = activate(gate, T.SIGMOID)
                 out = add(T.mul(one_minus(z), carry), T.mul(z, cand))
             backward(T.tsum(T.mul(out, mix)))
             results.append([out.data, carry.grad, cand.grad, gate.grad])
@@ -275,8 +326,8 @@ class TestFusedNodes:
         results = []
         for fused in (True, False):
             x, w, b = (Tensor(a.copy(), requires_grad=True) for a in base)
-            out = T.affine(x, w, b) if fused else add(T.matmul(x, w), b)
-            backward(T.tsum(T.mul(T.activate(out, T.TANH), mix)))
+            out = T.affine(x, w, b) if fused else add(matmul(x, w), b)
+            backward(T.tsum(T.mul(activate(out, T.TANH), mix)))
             results.append([out.data, x.grad, w.grad, b.grad])
         for got, want in zip(*results):
             assert np.array_equal(got, want)
@@ -296,22 +347,27 @@ class TestFusedNodes:
             if fused:
                 out = T.affine(x, w, b, ACTIVATIONS[kind])
             else:
-                out = reference_activation(kind, add(T.matmul(x, w), b))
+                out = reference_activation(kind, add(matmul(x, w), b))
             backward(T.tsum(T.mul(out, mix)))
             results.append([out.data, x.grad, w.grad, b.grad])
         assert_bitwise(results)
 
     @pytest.mark.parametrize("kind", sorted(ACTIVATIONS))
     def test_activation_node_bitwise_equals_reference(self, kind):
+        # affine with no bias against the product and activation nodes; through
+        # the identity, the pre-activations are the base values, 0 and +-1e3 too
         rng = np.random.default_rng(16)
         base = np.concatenate([[0.0, 1e3, -1e3], rng.standard_normal(9)]).reshape(3, 4)
         mix = Tensor(rng.standard_normal((3, 4)))
         results = []
         for fused in (True, False):
-            a = Tensor(base.copy(), requires_grad=True)
-            out = T.activate(a, ACTIVATIONS[kind]) if fused else reference_activation(kind, a)
+            a, eye = Tensor(base.copy(), requires_grad=True), Tensor(np.eye(4), requires_grad=True)
+            if fused:
+                out = T.affine(a, eye, act=ACTIVATIONS[kind])
+            else:
+                out = reference_activation(kind, matmul(a, eye))
             backward(T.tsum(T.mul(out, mix)))
-            results.append([out.data, a.grad])
+            results.append([out.data, a.grad, eye.grad])
         assert_bitwise(results)
 
     @pytest.mark.parametrize("act", [T.SIGMOID, T.TANH], ids=["sigmoid", "tanh"])
@@ -336,7 +392,7 @@ class TestFusedNodes:
                        (Tensor(np.zeros((1, 3))), w)):  # a row that would broadcast
             with pytest.raises(ShapeError, match="affine products"):
                 T.affine((x, x1), (w, w1), b)
-        with pytest.raises(ShapeError, match="matmul"):
+        with pytest.raises(ShapeError, match=r"\[n, k\] @ \[k, m\]"):
             T.affine((x, x), (w, Tensor(np.zeros((2, 4)))), b)
 
     def test_affine_segment_bias_matches_repeated_rows(self):
@@ -350,7 +406,7 @@ class TestFusedNodes:
             if fused:
                 out = T.affine(x, w, b, T.TANH, lengths=[2, 3])
             else:
-                out = T.activate(add(T.matmul(x, w), repeated_rows(b, [2, 3])), T.TANH)
+                out = activate(add(matmul(x, w), repeated_rows(b, [2, 3])), T.TANH)
             backward(T.tsum(T.mul(out, mix)))
             results.append([out.data, x.grad, w.grad, b.grad])
         assert_bitwise(results)
@@ -443,11 +499,11 @@ class TestRowSlices:
 
         def grad_with(splitter):
             x = Tensor(x0.copy(), requires_grad=True)
-            h = T.activate(x, T.TANH)  # an intermediate: slices and dense uses meet in backward()
+            h = activate(x, T.TANH)  # an intermediate: slices and dense uses meet in backward()
             loss = T.tsum(T.mul(h, w))
             for block, mix in zip(splitter(h, lengths), mixes):
-                loss = add(loss, T.tsum(T.mul(T.activate(block, T.TANH), mix)))
-            loss = add(loss, T.tsum(T.matmul(h, v)))
+                loss = add(loss, T.tsum(T.mul(activate(block, T.TANH), mix)))
+            loss = add(loss, T.tsum(matmul(h, v)))
             backward(loss)
             return x.grad
 
@@ -482,7 +538,7 @@ class TestSegmentOps:
             lengths = rng.integers(1, 30, size=rng.integers(1, 6))
             x = rng.standard_normal((lengths.sum(), 1)) * rng.choice([1.0, 30.0])
             got = T.segment_softmax(Tensor(x), lengths).data
-            want = [T.activate(Tensor(block.T.copy()), T.SOFTMAX_ROWS).data.T
+            want = [T.SOFTMAX_ROWS.value(block.T.copy()).T
                     for block in np.split(x, np.cumsum(lengths)[:-1])]
             assert got.tobytes() == np.concatenate(want).tobytes()
 
@@ -600,13 +656,15 @@ class TestTrimmedKernels:
 
     @pytest.mark.parametrize("kind", sorted(ACTIVATIONS))
     def test_activate_leaves_its_input_untouched(self, kind):
+        # affine activates its own product in place, never an input
         for x in kernel_inputs(44):
             a = Tensor(x, requires_grad=True)
+            w = Tensor(np.eye(x.shape[1]), requires_grad=True)
             before = a.data.copy()
-            out = T.activate(a, ACTIVATIONS[kind])
+            out = T.affine(a, w, act=ACTIVATIONS[kind])
             assert same_bytes(a.data, before) and not np.shares_memory(out.data, a.data)
             backward(T.tsum(T.mul(out, Tensor(np.ones(x.shape)))))
-            assert same_bytes(a.data, before)
+            assert same_bytes(a.data, before) and same_bytes(w.data, np.eye(x.shape[1]))
 
     @pytest.mark.parametrize("kind", [None, *sorted(ACTIVATIONS)])
     def test_affine_segment_bias_matches_the_repeated_rows_bytes(self, kind):
@@ -621,7 +679,7 @@ class TestTrimmedKernels:
             if fused:
                 out = T.affine(x, w, b, ACTIVATIONS.get(kind), lengths)
             else:
-                pre = add(T.matmul(x, w), repeated_rows(b, lengths))
+                pre = add(matmul(x, w), repeated_rows(b, lengths))
                 out = pre if kind is None else reference_activation(kind, pre)
             backward(T.tsum(T.mul(out, mix)))
             assert all(same_bytes(t.data, a) for t, a in zip((x, w, b), base))
@@ -664,7 +722,7 @@ class TestGradCheck:
         assert x.requires_grad is False and x.grad is None
 
     def test_rejects_non_leaf(self):
-        h = T.activate(Tensor(np.ones((2, 2)), requires_grad=True), T.TANH)
+        h = activate(Tensor(np.ones((2, 2)), requires_grad=True), T.TANH)
         with pytest.raises(GraphError, match="leaf"):
             grad_check(lambda t: T.tsum(t), h)
 
@@ -673,9 +731,9 @@ class TestGradCheck:
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
 def test_property_softmax_rows_stochastic(n, m, seed):
     rng = np.random.default_rng(seed)
-    out = T.activate(Tensor(rng.uniform(-1e4, 1e4, size=(n, m))), T.SOFTMAX_ROWS)
-    assert np.all(out.data >= 0)
-    assert np.all(np.abs(out.data.sum(axis=1) - 1.0) <= 1e-9)
+    out = T.SOFTMAX_ROWS.value(rng.uniform(-1e4, 1e4, size=(n, m)))
+    assert np.all(out >= 0)
+    assert np.all(np.abs(out.sum(axis=1) - 1.0) <= 1e-9)
 
 
 @settings(max_examples=30, deadline=None)
@@ -686,6 +744,6 @@ def test_property_differentiable_ops_pass_grad_check(n, m, seed):
     w = Tensor(rng.standard_normal((n, m)))
 
     def f(t):
-        return T.tsum(T.mul(T.activate(T.activate(t, T.TANH), T.SOFTMAX_ROWS), w))
+        return T.tsum(T.mul(activate(activate(t, T.TANH), T.SOFTMAX_ROWS), w))
 
     assert grad_check(f, x) < 1e-4
