@@ -9,7 +9,7 @@ the tape holds after it, the peak while `backward()` walks it, and what is
 still live after backward with the loss still referenced. Each figure is
 printed in MB per 300 passage tokens, next to the batch's leaf gradients. Then
 comes the inference figure: the peak of one `forward_batch` over the same
-batch with the parameters frozen, which builds no tape. Last, what the tape
+batch, which freezes the parameters and so builds no tape. Last, what the tape
 holds right after the forward pass, walked from the loss and split by the op
 that made each node: the node's value and the arrays its backward rule
 captured, each base array counted once, parameters not at all.
@@ -130,8 +130,7 @@ def main():
 
     tracemalloc.start()
     base = tracemalloc.get_traced_memory()[0]
-    with model.params.frozen():
-        forward_batch(model, batch)
+    forward_batch(model, batch)
     inference_peak = tracemalloc.get_traced_memory()[1] - base
     tracemalloc.stop()
 

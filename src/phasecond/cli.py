@@ -131,8 +131,7 @@ def mean_row_entropy(weights):
 def dump_attention(model, example, out_dir, write_csv=False):
     """Write per-layer score/weight matrices plus an entropy manifest."""
     os.makedirs(out_dir, exist_ok=True)
-    with model.params.frozen():
-        result = forward(model, example)
+    result = forward(model, example)
     manifest = {"example_id": example.id, "span": [result.span.start, result.span.end],
                 "answer_text": (example.span_text(result.span.start, result.span.end)
                                 if example.passage_tokens else ""),
@@ -218,19 +217,16 @@ def cmd_grad_check(args):
 
 
 def cmd_synth_data(args):
+    """Both sets are generated, so both specs checked, before anything is written."""
+    sets = [(name, generate_synthetic(SyntheticSpec(
+                n_examples=n, vocab_size=args.vocab, min_len=args.min_len,
+                max_len=args.max_len, seed=args.seed + offset)))
+            for name, n, offset in (("train", args.train, 0), ("dev", args.dev, 1))]
     os.makedirs(args.out, exist_ok=True)
-    train_spec = SyntheticSpec(n_examples=args.train, vocab_size=args.vocab,
-                               min_len=args.min_len, max_len=args.max_len,
-                               seed=args.seed)
-    dev_spec = SyntheticSpec(n_examples=args.dev, vocab_size=args.vocab,
-                             min_len=args.min_len, max_len=args.max_len,
-                             seed=args.seed + 1)
-    train_path = os.path.join(args.out, "train.jsonl")
-    dev_path = os.path.join(args.out, "dev.jsonl")
-    write_jsonl(generate_synthetic(train_spec), train_path)
-    write_jsonl(generate_synthetic(dev_spec), dev_path)
-    print(f"wrote {args.train} train examples to {train_path}")
-    print(f"wrote {args.dev} dev examples to {dev_path}")
+    for name, examples in sets:
+        path = os.path.join(args.out, f"{name}.jsonl")
+        write_jsonl(examples, path)
+        print(f"wrote {len(examples)} {name} examples to {path}")
     return 0
 
 

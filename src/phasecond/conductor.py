@@ -297,10 +297,11 @@ def _packed_pass(model, examples, rng):
 
 
 def forward_batch(model, examples):
-    """One ForwardResult per example of a minibatch, without dropout; spans
-    are at most `config.max_span` long."""
-    h, query, traces, lengths = _packed_pass(model, examples, None)
-    _, probs = model.pointer.predict_span(h, query, lengths)
+    """One ForwardResult per example of a minibatch, without dropout; spans are at
+    most `config.max_span` long. It builds no tape: the pass freezes the parameters."""
+    with model.params.frozen():
+        h, query, traces, lengths = _packed_pass(model, examples, None)
+        _, probs = model.pointer.predict_span(h, query, lengths)
     dists = [(probs[end - n:end, 0], probs[end - n:end, 1])
              for n, end in zip(lengths, np.cumsum(lengths))]
     return [ForwardResult(ps, pe, decode_span(ps, pe, model.config.max_span), trace)

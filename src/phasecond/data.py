@@ -117,7 +117,10 @@ def load_squad(path, training=False):
             for qi, qa in enumerate(_require(para, "qas", where, list)):
                 q_where = f"{where}.qas[{qi}]"
                 qid = _new_id(qa, q_where, seen)
-                question = _require(qa, "question", q_where, str)
+                question = tokenize_with_offsets(_require(qa, "question", q_where, str))[0]
+                for part, part_tokens in (("context", tokens), ("question", question)):
+                    if not part_tokens:
+                        raise DataFormatError(f"{q_where}: the {part} has no tokens")
                 answers = _require(qa, "answers", q_where, list)
                 if not answers and training:
                     raise DataFormatError(f"{q_where}: empty answers in training mode")
@@ -143,7 +146,7 @@ def load_squad(path, training=False):
                     passage_text=context,
                     passage_tokens=tokens,
                     passage_offsets=offsets,
-                    question_tokens=tokenize_with_offsets(question)[0],
+                    question_tokens=question,
                     gold_spans=spans,
                     answer_texts=texts,
                     approximate_spans=approx,
@@ -190,6 +193,11 @@ def generate_synthetic(spec):
     identity; fillers never collide with question or answer tokens, which
     makes the exact-match bit fire exactly at the key position.
     """
+    for name in ("n_examples", "seed"):
+        if getattr(spec, name) < 0:
+            raise ConfigError(f"{name} must be >= 0, got {getattr(spec, name)}")
+    if spec.max_answer_len < 1:
+        raise ConfigError(f"max_answer_len must be >= 1, got {spec.max_answer_len}")
     if spec.vocab_size < 20:
         raise ConfigError(f"vocab_size must be >= 20, got {spec.vocab_size}")
     if spec.min_len < 8:
@@ -264,6 +272,10 @@ def load_jsonl(path):
                 value = record.get(key, [])
                 if type(value) is not list or not all(type(t) is str for t in value):
                     raise DataFormatError(f"{where}: field '{key}' must be a list of strings")
+            question = _require(record, "question_tokens", where)
+            for key, value in (("passage_tokens", tokens), ("question_tokens", question)):
+                if not value:
+                    raise DataFormatError(f"{where}: field '{key}' is empty")
             spans = record.get("gold_spans", [])
             if type(spans) is not list or not all(
                     type(s) is list and list(map(type, s)) == [int, int] for s in spans):
@@ -277,7 +289,7 @@ def load_jsonl(path):
                 passage_text=passage_text,
                 passage_tokens=tokens,
                 passage_offsets=offsets,
-                question_tokens=_require(record, "question_tokens", where),
+                question_tokens=question,
                 gold_spans=[tuple(s) for s in spans],
                 answer_texts=record.get("answer_texts", []),
                 passage_pos=record.get("passage_pos"),

@@ -350,6 +350,17 @@ class TestGradCheckCommand:
 
 
 class TestSynthDataCommand:
+    @pytest.mark.parametrize("flags,message", [
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+        (["--train", "-3"], "n_examples must be >= 0, got -3"),
+        (["--dev", "-1"], "n_examples must be >= 0, got -1"),
+    ], ids=["seed", "train", "dev"])
+    def test_negative_seed_or_count_is_usage_error(self, tmp_path, capsys, flags, message):
+        code = main(["synth-data", "--out", str(tmp_path / "data"), *flags])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "data").exists()  # neither set is written
+
     def test_reproducible_outputs(self, tmp_path):
         for sub in ("a", "b"):
             assert main(["synth-data", "--out", str(tmp_path / sub), "--train", "10",

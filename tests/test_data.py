@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -134,6 +135,16 @@ class TestLoadSquad:
         with pytest.raises(DataFormatError, match=where):
             load_squad(write_squad(tmp_path, doc))
 
+    @pytest.mark.parametrize("part", ["context", "question"])
+    def test_whitespace_only_context_or_question_names_file_and_path(self, tmp_path, part):
+        doc = json.loads(json.dumps(SQUAD_DOC))
+        para = doc["data"][0]["paragraphs"][0]
+        (para if part == "context" else para["qas"][1])[part] = " \n\t "
+        with pytest.raises(DataFormatError, match=r"squad\.json: data\[0\]\.paragraphs\[0\]"
+                                                  rf"\.qas\[{0 if part == 'context' else 1}\]: "
+                                                  rf"the {part} has no tokens"):
+            load_squad(write_squad(tmp_path, doc))
+
     def test_repeated_id_names_file_and_path(self, tmp_path):
         # predictions are keyed by id, so a second "q1" would take the first one's answer
         doc = json.loads(json.dumps(SQUAD_DOC))
@@ -195,6 +206,16 @@ class TestSynthetic:
         with pytest.raises(ConfigError):
             generate_synthetic(SyntheticSpec(n_examples=1, min_len=4, max_len=6))
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("n_examples", -3, "n_examples must be >= 0, got -3"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("max_answer_len", 0, "max_answer_len must be >= 1, got 0"),
+    ], ids=["n_examples", "seed", "max_answer_len"])
+    def test_unusable_count_seed_or_answer_length_rejected(self, field, value, message):
+        spec = dataclasses.replace(SyntheticSpec(n_examples=2), **{field: value})
+        with pytest.raises(ConfigError, match=message):
+            generate_synthetic(spec)
+
     def test_jsonl_roundtrip(self, tmp_path):
         examples = generate_synthetic(SyntheticSpec(n_examples=10, seed=5))
         path = tmp_path / "data.jsonl"
@@ -239,6 +260,12 @@ class TestLoadJsonl:
         # `predict` writes its keys as strings, so an int id would never be scored
         with pytest.raises(DataFormatError, match=r"data\.jsonl:2: field 'id' is"):
             load_jsonl(self.write(tmp_path, id=value))
+
+    @pytest.mark.parametrize("field", ["passage_tokens", "question_tokens"])
+    def test_empty_sequence_names_the_line(self, tmp_path, field):
+        # the encoders cannot run on an empty sequence, so train() would stop mid-epoch
+        with pytest.raises(DataFormatError, match=rf"data\.jsonl:2: field '{field}' is empty"):
+            load_jsonl(self.write(tmp_path, **{field: [], "gold_spans": []}))
 
     def test_repeated_id_names_the_line(self, tmp_path):
         with pytest.raises(DataFormatError, match=r"data\.jsonl:2: id 'a' repeats"):

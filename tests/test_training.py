@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from phasecond import conductor, encoders, features, training
 from phasecond import tensor as T
-from phasecond import training
-from phasecond.conductor import build_from_examples, forward, gold_loss
+from phasecond.conductor import build_from_examples, forward, forward_batch, gold_loss
 from phasecond.config import RunConfig, apply_overrides, config_hash, desk_config, from_file
 from phasecond.data import EvalResult, SyntheticSpec, generate_synthetic
 from phasecond.errors import CheckpointError, ConfigError, DataError, NumericsError, ShapeError
@@ -372,17 +372,39 @@ class TestFrozenInference:
         model.params["ptr.mem.b_c"].requires_grad = False
         flags = {name: t.requires_grad for name, t in model.params.items()}
         taped = []
+        packed_pass = conductor._packed_pass
 
-        def spy(model, ex):
+        def spy(model, examples, rng):
             taped.append(any(t.requires_grad for _, t in model.params.items()))
-            return forward(model, ex)
+            return packed_pass(model, examples, rng)
 
-        monkeypatch.setattr(training, "forward", spy)
+        monkeypatch.setattr(conductor, "_packed_pass", spy)
         predict(model, data)
         assert taped == [False] * len(data)
         assert {name: t.requires_grad for name, t in model.params.items()} == flags
         with pytest.raises(ShapeError):
             predict(model, [data[0], dataclasses.replace(data[1], passage_tokens=[])])
+        assert {name: t.requires_grad for name, t in model.params.items()} == flags
+
+    def test_forward_builds_no_tape_outside_frozen(self, monkeypatch):
+        data = tiny_dataset(n=3, seed=7)
+        model = build_from_examples(small_config(), data)
+        model.params["ptr.mem.b_c"].requires_grad = False
+        flags = {name: t.requires_grad for name, t in model.params.items()}
+        made = {}
+        for module in (T, encoders, features):  # each binds its own make_node
+            def spy(data, parents, backward_fn, make_node=module.make_node,
+                    name=module.__name__):
+                node = make_node(data, parents, backward_fn)
+                made.setdefault(name, []).append(node)
+                return node
+            monkeypatch.setattr(module, "make_node", spy)
+        assert any(flags.values())  # called outside any frozen() block
+        forward(model, data[0])
+        forward_batch(model, data)
+        assert sorted(made) == sorted(m.__name__ for m in (T, encoders, features))
+        nodes = [node for by_module in made.values() for node in by_module]
+        assert not any(node.requires_grad or node._parents for node in nodes)
         assert {name: t.requires_grad for name, t in model.params.items()} == flags
 
     def test_frozen_forward_keeps_no_parents(self):
