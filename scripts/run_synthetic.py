@@ -24,9 +24,12 @@ import argparse
 import json
 import math
 import os
+import platform
 import statistics
 import sys
 import time
+
+import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -137,6 +140,10 @@ def main():
               f"{r['at_plateau']:5d} {r['params']:8d} {r['seconds']:5.0f}s")
     if args.seeds is not None:
         print_seed_table(rows, args.paths, width)
+    environment = {"python": platform.python_version(), "numpy": np.__version__,
+                   "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
+    print(f"\npython {environment['python']}, numpy {environment['numpy']}, "
+          f"OPENBLAS_NUM_THREADS={environment['openblas_num_threads'] or 'unset'}")
 
     trained = [r for r in rows if r["epochs"]]  # every run with an epoch saved a checkpoint
     if trained:
@@ -152,7 +159,7 @@ def main():
             print(f"  second self-attention layer sharper: {manifest['second_self_layer_sharper']}")
 
     with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(rows, fh, indent=1)
+        json.dump({"environment": environment, "runs": rows}, fh, indent=1)
     print(f"\nsummary -> {os.path.join(args.out, 'summary.json')}")
 
 

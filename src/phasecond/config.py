@@ -71,6 +71,11 @@ class RunConfig:
             raise ConfigError("grad_clip must be >= 0 (0 disables clipping)")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name in ("early_stop_train_em", "early_stop_dev_em"):
+            if not 0.0 <= getattr(self, name) <= 100.0:  # NaN too
+                raise ConfigError(f"{name} must be in [0, 100], got {getattr(self, name)}")
+        if self.early_stop_train_em > 0 and self.early_stop_dev_em == 0:
+            raise ConfigError("early_stop_train_em is read only when early_stop_dev_em > 0")
 
 
 def desk_config(**overrides):

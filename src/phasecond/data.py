@@ -276,6 +276,11 @@ def load_jsonl(path):
             for key, value in (("passage_tokens", tokens), ("question_tokens", question)):
                 if not value:
                     raise DataFormatError(f"{where}: field '{key}' is empty")
+            for key, words in (("passage_pos", tokens), ("passage_ner", tokens),
+                               ("question_pos", question), ("question_ner", question)):
+                if key in record and len(record[key]) != len(words):
+                    raise DataFormatError(f"{where}: field '{key}' has {len(record[key])} tags "
+                                          f"for {len(words)} tokens")
             spans = record.get("gold_spans", [])
             if type(spans) is not list or not all(
                     type(s) is list and list(map(type, s)) == [int, int] for s in spans):

@@ -2,10 +2,9 @@
 
 Training runs shuffled mini-batches, each one packed pass to the batch's
 mean span loss, clips the global gradient norm, and applies bias-corrected
-Adam. After each epoch the dev set is scored; when dev EM fails to improve
-on the running best the learning rate is halved, down to config.lr / 16
-("bad checkpoint" rule); the best parameters stay on disk and end up in
-the model. Everything is driven by seeded generators, so a fixed seed fixes
+Adam at config.lr for the whole run. After each epoch the dev set is scored;
+the parameters of the best dev EM stay on disk and end up in the model.
+Everything is driven by seeded generators, so a fixed seed fixes
 initialization, batch order, dropout masks, and therefore the entire metric
 log.
 """
@@ -29,7 +28,6 @@ log = logging.getLogger(__name__)
 
 CHECKPOINT_VERSION = 5
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
-LR_FLOOR_DIVISOR = 16  # the "bad checkpoint" halving stops at config.lr / 16
 
 
 @dataclass
@@ -164,8 +162,6 @@ def train(model, train_examples, dev_examples, config, run_dir=None):
             if ckpt_path is not None:
                 save_checkpoint(model, ckpt_path, epoch=epoch, best_dev_em=best_em,
                                 lr_history=[r["lr"] for r in history])
-        else:  # bad checkpoint: dev EM did not improve
-            state.lr = max(state.lr / 2.0, config.lr / LR_FLOOR_DIVISOR)
 
         if run_dir is not None:
             write_metrics_csv(history, os.path.join(run_dir, "metrics.csv"))

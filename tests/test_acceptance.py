@@ -45,7 +45,7 @@ DESK_EPOCH_BUDGET = 300
 DESK_TIME_BUDGET_S = 900.0
 OVERFIT_LOSS = 0.01
 OVERFIT_STEPS = 200
-DESK_METRICS_SHA256 = "f091a38ac87a9529e01f8b4272b01f41ea9a11186b5619c80d356d1c307c90da"
+DESK_METRICS_SHA256 = "2675bd34f504d13ba56ba0048c04fb9fb9b6ce9d34185f2a3caf3a1000072e11"
 GRAD_CHECK_SHA256 = "613f51b9d4da4c887c813435025cb801c14e6cdb0989e5b337b078df8fe8bd19"
 MOVED_BITS = ("a change that moves these bits on purpose updates the digest here and "
               "says so in CHANGES.md")

@@ -7,6 +7,7 @@ from phasecond import tensor as T
 from phasecond.attention import AlignmentMatrix, qp_attention, self_attention
 from phasecond.errors import ShapeError
 from phasecond.tensor import Tensor, backward, grad_check
+from reference_ops import activate, add, matmul
 
 
 def leaf(x):
@@ -151,22 +152,6 @@ def test_property_scaling_sharpens_rows(n, d, seed, c):
     assert np.all(scaled >= base - 1e-12)
 
 
-def add(a, b):
-    """a + b of equal shapes as one node, the generic sum the reference was built with."""
-    return T.make_node(a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def matmul(a, b):
-    """a @ b as one node, the generic product the reference was built with."""
-    return T.make_node(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
-
-
-def softmax_rows(a):
-    """The row softmax as one node, its rule reading only the output."""
-    out = T.SOFTMAX_ROWS.value(a.data)
-    return T.make_node(out, (a,), lambda g: (T.SOFTMAX_ROWS.rule(g, out),))
-
-
 class TestPackedLayers:
     """qp_attention and self_attention against the generic graph on
     split_rows slices joined by concat, the graph the model ran before."""
@@ -179,7 +164,7 @@ class TestPackedLayers:
         per example."""
         def attend(x, keys, values, kind, index):
             scores = matmul(x, T.make_node(keys.data.T, (keys,), lambda g: (g.T,)))
-            weights = softmax_rows(scores)
+            weights = activate(scores, T.SOFTMAX_ROWS)
             return matmul(weights, values), AlignmentMatrix(weights.data, scores.data,
                                                             kind, index)
 

@@ -92,7 +92,8 @@ class TestTrainCommand:
         (["--set", "dropout=1"], "dropout must be in [0, 1)"),
         (["--hidden", "0"], "hidden must be >= 1"),
         (["--set", "mask_diagonal=true"], "unknown config key: mask_diagonal"),
-    ], ids=["seed", "grad_clip", "dropout", "hidden", "mask_diagonal"])
+        (["--set", "early_stop_dev_em=nan"], "early_stop_dev_em must be in [0, 100], got nan"),
+    ], ids=["seed", "grad_clip", "dropout", "hidden", "mask_diagonal", "early_stop_nan"])
     def test_invalid_config_is_usage_error_before_any_data_is_read(self, tmp_path, capsys,
                                                                     flags, message):
         code = main(["train", "--train-data", str(tmp_path / "missing.jsonl"),

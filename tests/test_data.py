@@ -267,6 +267,22 @@ class TestLoadJsonl:
         with pytest.raises(DataFormatError, match=rf"data\.jsonl:2: field '{field}' is empty"):
             load_jsonl(self.write(tmp_path, **{field: [], "gold_spans": []}))
 
+    @pytest.mark.parametrize("field,value", [
+        ("passage_pos", ["DT", "NN"]), ("passage_ner", ["O"] * 4),
+        ("question_pos", ["WP"]), ("question_ner", []),
+    ])
+    def test_tag_list_of_another_length_than_its_tokens_names_the_line(self, tmp_path,
+                                                                       field, value):
+        # with use_pos or use_ner on, the first forward would fail naming no example
+        with pytest.raises(DataFormatError,
+                           match=rf"data\.jsonl:2: field '{field}' has {len(value)} tags"):
+            load_jsonl(self.write(tmp_path, **{field: value}))
+
+    def test_tag_lists_as_long_as_their_tokens_load(self, tmp_path):
+        ex = load_jsonl(self.write(tmp_path, passage_pos=["DT", "NN", "NN"],
+                                   question_ner=["O", "O"]))[1]
+        assert (ex.passage_pos, ex.question_ner) == (["DT", "NN", "NN"], ["O", "O"])
+
     def test_repeated_id_names_the_line(self, tmp_path):
         with pytest.raises(DataFormatError, match=r"data\.jsonl:2: id 'a' repeats"):
             load_jsonl(self.write(tmp_path, id="a"))

@@ -12,6 +12,7 @@ from phasecond.pointer import (
     span_loss,
 )
 from phasecond.tensor import Tensor, backward, grad_check
+from reference_ops import activate, add, matmul
 
 
 def brute_force_span(ps, pe, max_span):
@@ -30,17 +31,6 @@ def make_head(width=4, query_width=4, hops=2, seed=0):
     params = ParamSet(np.random.default_rng(seed))
     head = PointerHead(params, width, query_width, hops)
     return head, params
-
-
-def matmul(a, b):
-    """a @ b as one node: the generic product that the reference chains are built from."""
-    return T.make_node(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
-
-
-def activate(a, act):
-    """act applied to a as one node, whose rule reads only the output."""
-    out = act.value(a.data)
-    return T.make_node(out, (a,), lambda g: (act.rule(g, out),))
 
 
 def chain_summary(v, w_proj, w_score, lengths):
@@ -145,12 +135,6 @@ class TestDecodeSpan:
             got = decode_span(ps, pe, max_span)
             (s, e), score = brute_force_span(ps, pe, max_span)
             assert (got.start, got.end, got.score) == (s, e, score)
-
-
-def add(a, b):
-    """a + b as one node, b equal-shaped or a bias row summed back over rows."""
-    return T.make_node(a.data + b.data, (a, b),
-                       lambda g: (g, g if b.data.shape == g.shape else g.sum(axis=0)))
 
 
 def generic_gru(cell, state, x):

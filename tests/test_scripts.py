@@ -6,6 +6,7 @@ import importlib.util
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 
@@ -28,17 +29,17 @@ def test_help_exits_zero(name):
     assert "usage:" in done.stdout
 
 
-def run_synthetic(out, *paths):
+def run_synthetic(out, *paths, env=None):
     return subprocess.run([sys.executable, os.path.join(SCRIPTS, "run_synthetic.py"),
                            "--out", str(out), "--paths", *paths, "--train", "8", "--dev", "4",
                            "--epochs", "1", "--hidden", "2"],
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=300, env=env)
 
 
 def test_run_synthetic_trains_every_path_into_one_summary(tmp_path):
     done = run_synthetic(tmp_path / "out", "LQ", "LQ->LS->Fi")
     assert done.returncode == 0, done.stderr
-    rows = json.loads((tmp_path / "out" / "summary.json").read_text())
+    rows = json.loads((tmp_path / "out" / "summary.json").read_text())["runs"]
     assert [(r["tag"], r["path"], r["epochs"]) for r in rows] == [
         ("path1", "LQ", 1), ("path2", "LQ->LS->Fi", 1)]
     assert all(os.path.exists(r["best_ckpt"]) for r in rows)
@@ -46,9 +47,15 @@ def test_run_synthetic_trains_every_path_into_one_summary(tmp_path):
 
 
 def test_run_synthetic_trains_each_path_per_seed_and_summarizes_the_seeds(tmp_path):
-    done = run_synthetic(tmp_path / "out", "LQ", "LQ->LS->Fi", "--seeds", "3-4")
+    done = run_synthetic(tmp_path / "out", "LQ", "LQ->LS->Fi", "--seeds", "3-4",
+                         env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
     assert done.returncode == 0, done.stderr
-    rows = json.loads((tmp_path / "out" / "summary.json").read_text())
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["environment"] == {"python": platform.python_version(),
+                                      "numpy": np.__version__, "openblas_num_threads": "1"}
+    assert (f"python {platform.python_version()}, numpy {np.__version__}, "
+            f"OPENBLAS_NUM_THREADS=1") in done.stdout
+    rows = summary["runs"]
     assert [(r["tag"], r["seed"]) for r in rows] == [
         ("path1-seed3", 3), ("path1-seed4", 4), ("path2-seed3", 3), ("path2-seed4", 4)]
     for r in rows:  # one epoch of 8 examples reaches no criterion
@@ -79,7 +86,7 @@ def test_run_synthetic_reads_nan_for_a_run_halted_before_its_first_epoch(
     monkeypatch.setattr(sys, "argv", ["run_synthetic.py", "--out", str(out), "--paths", "LQ",
                                       "--train", "8", "--dev", "4", "--hidden", "2"])
     driver.main()
-    (row,) = json.loads((out / "summary.json").read_text())
+    (row,) = json.loads((out / "summary.json").read_text())["runs"]
     assert row["epochs"] == 0 and math.isnan(row["dev_em"]) and math.isnan(row["dev_f1"])
     assert "nan" in capsys.readouterr().out
     assert not (out / "attention").exists()

@@ -8,28 +8,11 @@ from hypothesis import strategies as st
 from phasecond import tensor as T
 from phasecond.errors import GraphError, ShapeError
 from phasecond.tensor import Tensor, backward, grad_check
+from reference_ops import activate, add, matmul
 
 
 def rand(rng, *shape):
     return Tensor(rng.standard_normal(shape), requires_grad=True)
-
-
-def add(a, b):
-    """a + b as one node, b equal-shaped or a bias row summed back over rows:
-    the generic sum that the reference chains are built from."""
-    return T.make_node(a.data + b.data, (a, b),
-                       lambda g: (g, g if b.data.shape == g.shape else g.sum(axis=0)))
-
-
-def matmul(a, b):
-    """a @ b as one node: the generic product that the reference chains are built from."""
-    return T.make_node(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
-
-
-def activate(a, act):
-    """act applied to a as one node, whose rule reads only the output."""
-    out = act.value(a.data)
-    return T.make_node(out, (a,), lambda g: (act.rule(g, out),))
 
 
 class TestMatmul:
