@@ -28,16 +28,17 @@ import platform
 import statistics
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from phasecond.cli import dump_attention
-from phasecond.conductor import build_from_examples, parse_path
+from phasecond.conductor import build_from_examples
 from phasecond.config import DEFAULT_PATH, ITERATIVE_ALIGNER_PATH, desk_config
 from phasecond.data import SyntheticSpec, generate_synthetic, write_jsonl
-from phasecond.errors import PathSyntaxError, PathValidationError
+from phasecond.errors import ConfigError
 from phasecond.training import evaluate_model, restore_model, train
 
 
@@ -56,22 +57,20 @@ def seed_range(text):
     return seeds
 
 
-def run_one(tag, path_expr, seed, train_data, dev_data, args):
-    """Train one path; dev EM and F1 are its best epoch's, where `train` leaves the model."""
-    cfg = desk_config(path=path_expr, hidden=args.hidden, lr=args.lr, epochs=args.epochs,
-                      seed=seed)
+def run_one(tag, cfg, train_data, dev_data, args):
+    """Train one config; dev EM and F1 are its best epoch's, where `train` leaves the model."""
     model = build_from_examples(cfg, train_data)
     run_dir = os.path.join(args.out, tag)
     start = time.time()
     result = train(model, train_data, dev_data, cfg, run_dir=run_dir)
     elapsed = time.time() - start
-    nan = float("nan")  # a run halted before its first evaluation
+    nan = float("nan")  # a run halted before its first evaluation, its parameters maybe not finite
     best = result.history[result.best_epoch - 1] if result.history else {}
     dev_ems = [r["dev_em"] for r in result.history]
-    return {"tag": tag, "path": path_expr, "seed": seed, "epochs": len(result.history),
+    return {"tag": tag, "path": cfg.path, "seed": cfg.seed, "epochs": len(result.history),
             "passed": result.status == "early_stop", "at_plateau": dev_ems.count(PLATEAU_EM),
             "dev_em_epoch1": dev_ems[0] if dev_ems else nan,
-            "train_em": evaluate_model(model, train_data).em,
+            "train_em": evaluate_model(model, train_data).em if dev_ems else nan,
             "dev_em": best.get("dev_em", nan), "dev_f1": best.get("dev_f1", nan),
             "seconds": elapsed, "params": model.parameter_count(),
             "run_dir": run_dir, "best_ckpt": result.checkpoint_path}
@@ -112,10 +111,15 @@ def main():
     ap.add_argument("--seeds", type=seed_range, metavar="A-B",
                     help="train every path once per model seed A..B instead of --seed")
     args = ap.parse_args()
+    try:  # every run's config is made, so checked, before anything is written
+        base = desk_config(hidden=args.hidden, lr=args.lr, epochs=args.epochs, seed=args.seed)
+    except ConfigError as exc:
+        ap.error(str(exc))
+    configs = []
     for path_expr in args.paths:
         try:
-            parse_path(path_expr)
-        except (PathSyntaxError, PathValidationError) as exc:
+            configs.append(replace(base, path=path_expr))
+        except ConfigError as exc:
             ap.error(f"bad path {path_expr!r}: {exc}")
 
     os.makedirs(args.out, exist_ok=True)
@@ -126,9 +130,9 @@ def main():
     write_jsonl(train_data, os.path.join(args.out, "train.jsonl"))
     write_jsonl(dev_data, os.path.join(args.out, "dev.jsonl"))
 
-    rows = [run_one(f"path{i}" + (f"-seed{seed}" if args.seeds else ""), path_expr, seed,
-                    train_data, dev_data, args)
-            for i, path_expr in enumerate(args.paths, start=1)
+    rows = [run_one(f"path{i}" + (f"-seed{seed}" if args.seeds else ""),
+                    replace(cfg, seed=seed), train_data, dev_data, args)
+            for i, cfg in enumerate(configs, start=1)
             for seed in args.seeds or [args.seed]]
 
     width = max(len(r["path"]) for r in rows)

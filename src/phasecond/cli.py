@@ -14,7 +14,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .conductor import build_from_examples, forward, parse_path
+from .conductor import build_from_examples, forward
 from .config import RunConfig, apply_overrides, from_file
 from .data import (
     QAExample,
@@ -27,19 +27,11 @@ from .data import (
     tokenize_with_offsets,
     write_jsonl,
 )
-from .errors import (
-    ConfigError,
-    DataError,
-    PathSyntaxError,
-    PathValidationError,
-    PhaseCondError,
-)
+from .errors import ConfigError, DataError, PhaseCondError
 from .training import predict, restore_model, train
 from .verification import THRESHOLD, run_grad_checks
 
 log = logging.getLogger(__name__)
-
-USAGE_ERRORS = (ConfigError, PathSyntaxError, PathValidationError)
 
 
 def load_dataset(path, training=False):
@@ -57,9 +49,7 @@ def build_config(args):
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
         overrides[key.strip()] = value
-    cfg = apply_overrides(cfg, overrides)
-    parse_path(cfg.path)
-    return cfg
+    return apply_overrides(cfg, overrides)
 
 
 def cmd_train(args):
@@ -307,7 +297,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except USAGE_ERRORS as exc:
+    except ConfigError as exc:  # a bad path too: the config refused it when it was made
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (PhaseCondError, OSError) as exc:

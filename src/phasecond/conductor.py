@@ -4,15 +4,18 @@ A path is a chain of steps:
 
     LQ  question-passage attention layer
     LS  self-attention layer
-    Fi  inner fusion (gates the preceding attention layer's output)
+    Fi  inner fusion (gates the preceding attention layer's output with
+        the rows that layer aligned: an LQ's query, projected to 2d when
+        its input is wider, or an LS's input)
     Fo  outer fusion (concatenates the preceding same-kind attention
         block's outputs and runs highway layers over them)
 
 with groups repeatable as "(...)xN", at most MAX_STEPS (64) steps once
 expanded. The default two-phase path is "LQ->LQ->Fo->LS->Fi->LS->Fi"; the
 alternating baseline is "(LQ->Fi->LS->Fi)x2". `parse_path` reads a path in
-one pass and refuses an over-long one before expanding it; widths are checked
-once at build time, so a malformed chain fails before any data is seen.
+one pass and refuses an over-long one before expanding it. A RunConfig
+parses its path when it is made, so every path that reaches the model
+assembly is one it can build.
 
 `forward_batch` runs the model on `config.path` over a minibatch, and
 `gold_loss` turns the same pass into the batch loss. Rows stay packed from
@@ -31,7 +34,7 @@ import numpy as np
 from . import tensor as T
 from .attention import qp_attention, self_attention
 from .encoders import EncoderPair
-from .errors import BuildError, PathSyntaxError, PathValidationError
+from .errors import PathSyntaxError, PathValidationError
 from .features import FeatureExtractor, build_vocabulary, exact_match_features
 from .fusion import InnerFusionLayer, OuterFusionStack
 from .params import ParamSet, xavier_uniform
@@ -181,11 +184,7 @@ class ModelAssembly:
             elif step == "LS":
                 self.plan.append(PlanStep("LS", layer_index=layer_index, out_width=width))
             elif step == "Fi":
-                prev = self.plan[i - 1]
-                if prev.projection is not None:  # an LQ that maps its input width to 2d
-                    raise BuildError(f"step {i + 1}: inner fusion needs matching widths, but the "
-                                     f"preceding LQ maps {prev.projection.data.shape[0]} -> {d2}")
-                fusion = InnerFusionLayer(self.params, f"path.s{i + 1}.fi", prev.out_width)
+                fusion = InnerFusionLayer(self.params, f"path.s{i + 1}.fi", width)
                 self.plan.append(PlanStep("Fi", fusion=fusion, out_width=width))
             else:  # Fo
                 block = _fo_block(path.steps, i)
@@ -237,23 +236,24 @@ def run_path(model, h, u, v, lengths, q_lengths):
     """The plan over packed passage rows h ([sum n_k, 2d], n_k = lengths[k]).
 
     u/v are the packed shared/independent question encodings ([sum m_k, 2d],
-    m_k = q_lengths[k]). Each LQ/LS step is one node over the batch. Returns the
-    output rows and, per example, the LQ/LS alignments (constants) in plan order.
+    m_k = q_lengths[k]). Each LQ/LS step is one node over the batch, and an Fi
+    fuses its output with the rows it aligned. Returns the output rows and, per
+    example, the LQ/LS alignments (constants) in plan order.
     """
     traces = [[] for _ in lengths]
     outputs = []  # per plan step
     for step in model.plan:
         if step.kind == "LQ":
-            query = h if step.projection is None else T.affine(h, step.projection)
-            out, aligns = qp_attention(query, u, v, lengths, q_lengths, step.layer_index)
+            aligned = h if step.projection is None else T.affine(h, step.projection)
+            out, aligns = qp_attention(aligned, u, v, lengths, q_lengths, step.layer_index)
         elif step.kind == "LS":
+            aligned = h
             out, aligns = self_attention(h, lengths, step.layer_index)
         elif step.kind == "Fi":
-            out = step.fusion(b_new=h, b_prev=attention_input)
+            out = step.fusion(b_new=h, b_prev=aligned)
         else:  # Fo
             out = step.fusion(T.concat([outputs[j] for j in step.block], axis=1))
         if step.kind in ATTENTION_STEPS:
-            attention_input = h
             for trace, align in zip(traces, aligns):
                 trace.append(align)
         outputs.append(out)

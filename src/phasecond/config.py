@@ -1,14 +1,18 @@
 """Run configuration: one flat frozen dataclass, serialized as key=value lines.
 
-A RunConfig is checked when it is made and cannot change afterwards. CLI flags
+A RunConfig is checked when it is made, its phase path included, and cannot
+change afterwards: however a config is made (flags, a config file, the API or a
+checkpoint's stored config), a bad value or path is refused there. CLI flags
 override file values by making a new config; the effective config is echoed into
 every run directory and hashed into checkpoints so a loaded model can refuse
 mismatched settings.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 
+from .conductor import parse_path
 from .errors import ConfigError
 
 DEFAULT_PATH = "LQ->LQ->Fo->LS->Fi->LS->Fi"
@@ -65,8 +69,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
-        if not self.lr > 0:  # NaN too
-            raise ConfigError("lr must be positive")
+        if not 0 < self.lr < math.inf:  # NaN too
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if not self.grad_clip >= 0:
             raise ConfigError("grad_clip must be >= 0 (0 disables clipping)")
         if self.seed < 0:
@@ -76,6 +80,7 @@ class RunConfig:
                 raise ConfigError(f"{name} must be in [0, 100], got {getattr(self, name)}")
         if self.early_stop_train_em > 0 and self.early_stop_dev_em == 0:
             raise ConfigError("early_stop_train_em is read only when early_stop_dev_em > 0")
+        parse_path(self.path)
 
 
 def desk_config(**overrides):

@@ -17,7 +17,11 @@ class NumericsError(PhaseCondError, ArithmeticError):
     """Non-finite values encountered where finite ones are required."""
 
 
-class PathSyntaxError(PhaseCondError, ValueError):
+class ConfigError(PhaseCondError, ValueError):
+    """Invalid or inconsistent run configuration."""
+
+
+class PathSyntaxError(ConfigError):
     """Phase path expression could not be parsed."""
 
     def __init__(self, message, position=None):
@@ -27,16 +31,12 @@ class PathSyntaxError(PhaseCondError, ValueError):
         self.position = position
 
 
-class PathValidationError(PhaseCondError, ValueError):
+class PathValidationError(ConfigError):
     """Phase path parsed but violates a structural rule."""
 
 
 class BuildError(PhaseCondError, ValueError):
-    """Model assembly failed (width chain break, bad hyperparameters)."""
-
-
-class ConfigError(PhaseCondError, ValueError):
-    """Invalid or inconsistent run configuration."""
+    """Model assembly failed: a duplicate parameter name or a misshapen given array."""
 
 
 class DataFormatError(PhaseCondError, ValueError):

@@ -7,7 +7,9 @@ additively across fan-out. Gradients land in `.grad` on leaves only
 (tensors no op produced, such as parameters). The walk consumes the tape: a
 node drops its inputs and rule, and its value unless something still reads
 it, before its rule runs; the rule gets the only reference to its gradient;
-what it returns goes once added.
+what it returns goes once added. A rule hands each parent an array that no
+other parent, parameter or node value holds (a fresh array, or a view of one
+that no other parent's view overlaps), so a leaf takes it as its `.grad`.
 
 A backward rule captures only the arrays it reads. Every dense product is
 an `affine` node; activations come from one table of (value, rule) pairs
@@ -94,7 +96,6 @@ def backward(loss):
                 stack.append((p, False))
 
     grads = {id(loss): np.ones((), dtype=np.float64)}
-    owned = set()  # ids whose pending gradient backward() allocated itself
     while topo:
         node = topo.pop()
         key, rule, parents = id(node), node._backward, node._parents
@@ -102,20 +103,20 @@ def backward(loss):
             node._parents, node._backward = (), _SPENT
             del node  # its value goes now, unless the caller or a rule still holds it
             if key in grads:  # the rule gets the only reference to its gradient
-                _accumulate(grads, owned, parents, list(rule(grads.pop(key))))
-        elif key in grads:  # a leaf; copy an array a rule returned, other parents may share it
+                _accumulate(grads, parents, list(rule(grads.pop(key))))
+        elif key in grads:  # a leaf
             g = grads.pop(key)
-            node.grad = (g if key in owned else g.copy()) if node.grad is None else node.grad + g
+            node.grad = g if node.grad is None else node.grad + g
 
 
 _SPENT = object()  # the rule of a node that backward() has walked past
 
 
-def _accumulate(grads, owned, parents, pgs):
+def _accumulate(grads, parents, pgs):
     """Add a rule's gradients onto its parents' pending ones in order, each dropped once added.
 
-    A sum is a new array that backward() owns; an array that a backward rule
-    returned is never written to: rules may hand the same array to several parents.
+    Each array is its parent's alone, so it becomes the pending gradient as it is;
+    a second one for the same parent makes a new sum, never written into either.
     """
     for i, p in enumerate(parents):
         pg, pgs[i] = pgs[i], None
@@ -123,11 +124,7 @@ def _accumulate(grads, owned, parents, pgs):
             continue
         key = id(p)
         acc = grads.get(key)
-        if acc is None:
-            grads[key] = pg
-        else:
-            grads[key] = acc + pg
-            owned.add(key)
+        grads[key] = pg if acc is None else acc + pg
 
 
 # ---------------------------------------------------------------------------

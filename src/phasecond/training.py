@@ -4,9 +4,10 @@ Training runs shuffled mini-batches, each one packed pass to the batch's
 mean span loss, clips the global gradient norm, and applies bias-corrected
 Adam at config.lr for the whole run. After each epoch the dev set is scored;
 the parameters of the best dev EM stay on disk and end up in the model.
-Everything is driven by seeded generators, so a fixed seed fixes
-initialization, batch order, dropout masks, and therefore the entire metric
-log.
+A non-finite loss, gradient or probability anywhere in an epoch's steps or
+evaluations halts the run with status "halted_nonfinite". Everything is
+driven by seeded generators, so a fixed seed fixes initialization, batch
+order, dropout masks, and therefore the entire metric log.
 """
 
 import json
@@ -130,44 +131,41 @@ def train(model, train_examples, dev_examples, config, run_dir=None):
 
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(n)
-        batch_losses = []
-        halted = False
-        for lo in range(0, n, config.batch_size):
-            batch = [train_examples[idx] for idx in order[lo:lo + config.batch_size]]
-            batch_loss = _optimizer_step(model, batch, state, config, dropout_rng)
-            if batch_loss is None:
-                log.error("non-finite loss or gradient at epoch %d; halting with best "
-                          "checkpoint from epoch %d", epoch, best_epoch)
-                status = "halted_nonfinite"
-                halted = True
+        try:
+            batch_losses = []
+            for lo in range(0, n, config.batch_size):
+                batch = [train_examples[idx] for idx in order[lo:lo + config.batch_size]]
+                batch_losses.append(_optimizer_step(model, batch, state, config, dropout_rng))
+            model.params.zero_grads()  # free the last step's gradients before evaluating and saving
+
+            dev_result = evaluate_model(model, dev_examples)
+            row = {
+                "epoch": epoch,
+                "train_loss": float(np.mean(batch_losses)),
+                "dev_em": dev_result.em,
+                "dev_f1": dev_result.f1,
+                "lr": state.lr,
+            }
+            history.append(row)
+
+            if dev_result.em > best_em:
+                best_em, best_epoch = dev_result.em, epoch
+                best_params = {k: t.data.copy() for k, t in model.params.items()}
+                if ckpt_path is not None:
+                    save_checkpoint(model, ckpt_path, epoch=epoch, best_dev_em=best_em,
+                                    lr_history=[r["lr"] for r in history])
+
+            if run_dir is not None:
+                write_metrics_csv(history, os.path.join(run_dir, "metrics.csv"))
+
+            if _early_stop(model, train_examples, dev_result, config):
+                status = "early_stop"
                 break
-            batch_losses.append(batch_loss)
-        model.params.zero_grads()  # free the last step's gradients before evaluating and saving
-        if halted:
-            break
-
-        dev_result = evaluate_model(model, dev_examples)
-        row = {
-            "epoch": epoch,
-            "train_loss": float(np.mean(batch_losses)),
-            "dev_em": dev_result.em,
-            "dev_f1": dev_result.f1,
-            "lr": state.lr,
-        }
-        history.append(row)
-
-        if dev_result.em > best_em:
-            best_em, best_epoch = dev_result.em, epoch
-            best_params = {k: t.data.copy() for k, t in model.params.items()}
-            if ckpt_path is not None:
-                save_checkpoint(model, ckpt_path, epoch=epoch, best_dev_em=best_em,
-                                lr_history=[r["lr"] for r in history])
-
-        if run_dir is not None:
-            write_metrics_csv(history, os.path.join(run_dir, "metrics.csv"))
-
-        if _early_stop(model, train_examples, dev_result, config):
-            status = "early_stop"
+        except NumericsError as exc:  # a step or an evaluation met a non-finite value
+            log.error("%s at epoch %d; halting with best checkpoint from epoch %d",
+                      exc, epoch, best_epoch)
+            model.params.zero_grads()
+            status = "halted_nonfinite"
             break
 
     if best_params is not None:
@@ -182,18 +180,18 @@ def _optimizer_step(model, batch, state, config, rng):
     """One clipped Adam step on a batch's mean loss.
 
     The batch goes through one packed forward pass to one loss node (see
-    `conductor.gold_loss`). Returns the loss as a float, or None (and no
-    update) when the loss or the global gradient norm is not finite. The
-    batch's tape lives only inside this call.
+    `conductor.gold_loss`). Returns the loss as a float. A non-finite loss
+    or gradient raises NumericsError before any parameter moves: clipping
+    never makes a non-finite gradient finite, and `adam_step` checks every
+    gradient first. The batch's tape lives only inside this call.
     """
     model.params.zero_grads()
     batch_loss = gold_loss(model, batch, rng=rng)
     if not np.isfinite(batch_loss.data):
-        return None
+        raise NumericsError(f"batch loss is not finite: {float(batch_loss.data)}")
     backward(batch_loss)
     model.params.apply_grad_masks()
-    if not np.isfinite(clip_gradients(model.params, config.grad_clip)):
-        return None
+    clip_gradients(model.params, config.grad_clip)
     adam_step(model.params, state)
     return float(batch_loss.data)
 
@@ -287,7 +285,7 @@ def restore_model(path):
     stored = {key[len("params/"):]: arr for key, arr in arrays.items() if key.startswith("params/")}
     try:
         model = build_model(config, vocab, stored)
-    except PhaseCondError as exc:  # an invalid stored path or a misshapen array
+    except PhaseCondError as exc:  # a misshapen stored array
         raise CheckpointError(f"{path}: cannot build the stored model: {exc}") from None
     required, present = {f"params/{name}" for name in model.params.names()}, set(arrays)
     if present != required:

@@ -9,9 +9,10 @@ from phasecond import tensor as T
 
 def add(a, b):
     """a + b as one node, b equal-shaped or a bias row summed back over rows:
-    the generic sum that the reference chains are built from."""
+    the generic sum that the reference chains are built from. Each parent gets
+    an array of its own, as backward() requires of every rule."""
     return T.make_node(a.data + b.data, (a, b),
-                       lambda g: (g, g if b.data.shape == g.shape else g.sum(axis=0)))
+                       lambda g: (g, g.copy() if b.data.shape == g.shape else g.sum(axis=0)))
 
 
 def matmul(a, b):

@@ -68,6 +68,16 @@ class TestTrainCommand:
                      "--epochs", "1", "--seed", "1",
                      "--out", str(tmp_path / "iter"), *SMALL_MODEL_FLAGS]) == 0
 
+    def test_fi_after_a_projecting_lq_trains(self, workspace, tmp_path, capsys):
+        data = workspace / "data"
+        assert main(["train", "--train-data", str(data / "train.jsonl"),
+                     "--dev-data", str(data / "dev.jsonl"),
+                     "--path", "LQ->LQ->Fo->LQ->Fi",
+                     "--epochs", "1", "--seed", "1",
+                     "--out", str(tmp_path / "run"), *SMALL_MODEL_FLAGS]) == 0
+        assert "path: LQ->LQ->Fo->LQ->Fi" in capsys.readouterr().out
+        assert (tmp_path / "run" / "best.ckpt").exists()
+
     def test_invalid_path_is_usage_error(self, tmp_path, capsys):
         code = main(["train", "--train-data", "x.jsonl", "--dev-data", "y.jsonl",
                      "--path", "LS->LQ", "--out", str(tmp_path)])
@@ -93,7 +103,10 @@ class TestTrainCommand:
         (["--hidden", "0"], "hidden must be >= 1"),
         (["--set", "mask_diagonal=true"], "unknown config key: mask_diagonal"),
         (["--set", "early_stop_dev_em=nan"], "early_stop_dev_em must be in [0, 100], got nan"),
-    ], ids=["seed", "grad_clip", "dropout", "hidden", "mask_diagonal", "early_stop_nan"])
+        (["--set", "lr=inf"], "lr must be positive and finite, got inf"),
+        (["--set", "path=LS"], "first attention step must be LQ"),
+    ], ids=["seed", "grad_clip", "dropout", "hidden", "mask_diagonal", "early_stop_nan", "lr_inf",
+            "set_path"])
     def test_invalid_config_is_usage_error_before_any_data_is_read(self, tmp_path, capsys,
                                                                     flags, message):
         code = main(["train", "--train-data", str(tmp_path / "missing.jsonl"),

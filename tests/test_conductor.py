@@ -2,6 +2,7 @@ import gc
 import hashlib
 import importlib.util
 import os
+import re
 import time
 import tracemalloc
 import weakref
@@ -26,9 +27,9 @@ from phasecond.conductor import (
 )
 from phasecond.config import DEFAULT_PATH, ITERATIVE_ALIGNER_PATH, RunConfig, desk_config
 from phasecond.data import QAExample, SyntheticSpec, generate_synthetic
-from phasecond.errors import BuildError, PathSyntaxError, PathValidationError, PhaseCondError
+from phasecond.errors import PathSyntaxError, PathValidationError, PhaseCondError
 from phasecond.features import PAD_INDEX
-from phasecond.tensor import Tensor
+from phasecond.tensor import Tensor, grad_check
 
 
 def small_config(**over):
@@ -206,11 +207,38 @@ class TestBuildModel:
         assert last_lq.projection is not None
         assert last_lq.projection.data.shape == (4 * cfg.hidden, 2 * cfg.hidden)
 
-    def test_width_chain_break_names_step(self):
-        # Fi after a projected LQ: 4d input fused with 2d output
+    def test_fi_after_a_projecting_lq_fuses_the_projected_rows(self):
         cfg = small_config(path="LQ->LQ->Fo->LQ->Fi")
-        with pytest.raises(BuildError, match="step 5"):
-            build_from_examples(cfg, tiny_examples())
+        model = build_from_examples(cfg, tiny_examples())
+        _, _, fo, lq, fi = model.plan
+        assert lq.projection.data.shape == (4 * cfg.hidden, 2 * cfg.hidden)
+        assert fi.fusion.width == fi.out_width == model.final_width == 2 * cfg.hidden
+        rng = np.random.default_rng(4)
+        h0, u, v = (Tensor(rng.standard_normal((n, 2 * cfg.hidden))) for n in (5, 3, 3))
+        mix = Tensor(rng.standard_normal((5, 2 * cfg.hidden)))
+        with model.params.frozen():
+            h, _ = run_path(model, h0, u, v, [5], [3])
+            first, _ = qp_attention(h0, u, v, [5], [3], 1)
+            second, _ = qp_attention(first, u, v, [5], [3], 2)
+            query = T.affine(fo.fusion(T.concat([first, second], axis=1)), lq.projection)
+            fused = fi.fusion(b_new=qp_attention(query, u, v, [5], [3], 3)[0], b_prev=query)
+            assert np.array_equal(h.data, fused.data)
+            assert grad_check(lambda t: T.tsum(T.mul(run_path(model, t, u, v, [5], [3])[0], mix)),
+                              h0) < 1e-4
+
+    def test_every_path_readme_quotes_builds(self):
+        """A quote in backticks or double quotes made only of steps, arrows,
+        parentheses and xN is a path: it makes a config and builds."""
+        with open(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                               "README.md"), encoding="utf-8") as fh:
+            quotes = re.findall(r'`([^`\n]*)`|"([^"\n]*)"', fh.read())
+        paths = {q for pair in quotes for q in pair
+                 if "->" in q and re.search(r"LQ|LS|Fi|Fo", q)
+                 and re.fullmatch(r"(?:LQ|LS|Fi|Fo|->|[()]|x\d+)+", q)}
+        assert len(paths) >= 8
+        examples = tiny_examples()
+        for path in sorted(paths):
+            assert build_from_examples(small_config(path=path, hidden=2), examples).plan
 
     @pytest.mark.parametrize("tagged,digest", [
         (False, "841dab86a94f34987642f0c062743e69ccc5295cbafa2a3b1572598bae2c589f"),

@@ -37,11 +37,11 @@ def run_synthetic(out, *paths, env=None):
 
 
 def test_run_synthetic_trains_every_path_into_one_summary(tmp_path):
-    done = run_synthetic(tmp_path / "out", "LQ", "LQ->LS->Fi")
+    done = run_synthetic(tmp_path / "out", "LQ", "LQ->LS->Fi", "LQ->LQ->Fo->LQ->Fi")
     assert done.returncode == 0, done.stderr
     rows = json.loads((tmp_path / "out" / "summary.json").read_text())["runs"]
     assert [(r["tag"], r["path"], r["epochs"]) for r in rows] == [
-        ("path1", "LQ", 1), ("path2", "LQ->LS->Fi", 1)]
+        ("path1", "LQ", 1), ("path2", "LQ->LS->Fi", 1), ("path3", "LQ->LQ->Fo->LQ->Fi", 1)]
     assert all(os.path.exists(r["best_ckpt"]) for r in rows)
     assert (tmp_path / "out" / "attention" / "manifest.json").exists()
 
@@ -71,6 +71,13 @@ def test_run_synthetic_refuses_a_bad_path_before_writing(tmp_path):
     done = run_synthetic(tmp_path / "out", "LQ", "LS")
     assert done.returncode == 2
     assert "bad path 'LS': first attention step must be LQ" in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_synthetic_refuses_a_bad_config_before_writing(tmp_path):
+    done = run_synthetic(tmp_path / "out", "LQ", "--lr", "inf")
+    assert done.returncode == 2
+    assert "lr must be positive and finite, got inf" in done.stderr
     assert not (tmp_path / "out").exists()
 
 

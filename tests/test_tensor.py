@@ -494,8 +494,9 @@ class TestRowSlices:
 
     @pytest.mark.parametrize("slice_first", [True, False])
     def test_rule_outputs_are_never_written(self, slice_first):
-        # the fork hands one array to both parents, as add does; a slice of x
-        # then adds onto x's gradient and must not reach y's
+        # backward() never writes into an array a rule returned: even a fork that
+        # hands one array to both parents keeps it; a slice of x then adds onto
+        # x's gradient and must not reach y's
         rng = np.random.default_rng(21)
         x, y = rand(rng, 4, 3), rand(rng, 4, 3)
         shared = rng.standard_normal((4, 3))

@@ -10,7 +10,15 @@ from phasecond import tensor as T
 from phasecond.conductor import build_from_examples, forward, forward_batch, gold_loss
 from phasecond.config import RunConfig, apply_overrides, config_hash, desk_config, from_file
 from phasecond.data import EvalResult, SyntheticSpec, generate_synthetic
-from phasecond.errors import CheckpointError, ConfigError, DataError, NumericsError, ShapeError
+from phasecond.errors import (
+    CheckpointError,
+    ConfigError,
+    DataError,
+    NumericsError,
+    PathSyntaxError,
+    PathValidationError,
+    ShapeError,
+)
 from phasecond.features import Vocabulary
 from phasecond.params import ParamSet, constant
 from phasecond.tensor import Tensor, backward
@@ -38,6 +46,11 @@ def small_config(**over):
 def tiny_dataset(n=8, seed=0):
     return generate_synthetic(SyntheticSpec(n_examples=n, vocab_size=20,
                                             min_len=8, max_len=10, seed=seed))
+
+
+def halt_at_once(*args):
+    """An `_optimizer_step` whose first step meets a non-finite value."""
+    raise NumericsError("non-finite batch loss")
 
 
 def adam_oracle(grads, lr, b1=0.9, b2=0.999, eps=1e-8):
@@ -72,6 +85,7 @@ class TestRunConfig:
         ("grad_clip", -1.0, "grad_clip must be >= 0"),
         ("grad_clip", float("nan"), "grad_clip must be >= 0"),
         ("lr", float("nan"), "lr must be positive"),
+        ("lr", float("inf"), "lr must be positive and finite, got inf"),
         ("seed", True, "seed must be int, got True"),
         ("seed", 1.5, "seed must be int"),
         ("use_pos", "yes", "use_pos must be bool"),
@@ -88,6 +102,13 @@ class TestRunConfig:
     def test_invalid_value_rejected_when_made(self, field, value, message):
         with pytest.raises(ConfigError, match=message):
             RunConfig(**{field: value})
+
+    def test_path_checked_when_made(self):
+        with pytest.raises(PathValidationError, match="first attention step must be LQ") as err:
+            RunConfig(path="LS")
+        assert isinstance(err.value, ConfigError)
+        with pytest.raises(PathSyntaxError):
+            dataclasses.replace(RunConfig(), path="LQ->")
 
     def test_early_stop_thresholds_at_their_bounds_are_configs(self):
         cfg = RunConfig(early_stop_train_em=100.0, early_stop_dev_em=100.0)
@@ -131,7 +152,7 @@ class TestRunConfig:
         data = tiny_dataset(n=2)
         cfg = make(tmp_path)
         model = build_from_examples(cfg, data)
-        monkeypatch.setattr(training, "_optimizer_step", lambda *args: None)  # halt at once
+        monkeypatch.setattr(training, "_optimizer_step", halt_at_once)
         assert train(model, data, data, cfg, run_dir=str(tmp_path / "run")).history == []
         assert from_file(str(tmp_path / "run" / "effective.cfg")) == cfg
 
@@ -356,6 +377,21 @@ class TestNonFinite:
         for name, t in model.params.items():
             assert np.array_equal(t.data, before[name]), name
 
+    def test_a_finite_step_that_breaks_the_evaluation_halts_the_run(self, tmp_path):
+        """lr 1e308 moves the parameters to about 1e308 in the one step of an
+        epoch, whose loss was finite; the dev evaluation's probabilities are not."""
+        train_data = generate_synthetic(SyntheticSpec(n_examples=20, vocab_size=50,
+                                                      min_len=20, max_len=30, seed=0))
+        dev_data = generate_synthetic(SyntheticSpec(n_examples=5, vocab_size=50,
+                                                    min_len=20, max_len=30, seed=1))
+        cfg = desk_config(lr=1e308, hidden=8, epochs=3)
+        model = build_from_examples(cfg, train_data)
+        with np.errstate(over="ignore", invalid="ignore"):  # the overflow this run is about
+            result = train(model, train_data, dev_data, cfg, run_dir=str(tmp_path))
+        assert (result.status, result.history, result.best_epoch) == ("halted_nonfinite", [], 0)
+        assert not (tmp_path / "metrics.csv").exists()
+        assert all(t.grad is None for _, t in model.params.items())
+
 
 class TestFrozenInference:
     def test_predict_restores_requires_grad_also_when_forward_raises(self, monkeypatch):
@@ -416,6 +452,43 @@ class TestFrozenInference:
             assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(frozen.start_dist, taped.start_dist)
         assert np.array_equal(frozen.end_dist, taped.end_dist)
+
+
+class TestGradientArrays:
+    def test_each_parent_gets_an_array_of_its_own(self, monkeypatch):
+        """backward() makes no copy, so a rule hands each parent an array that no
+        other parent, parameter or node value holds, and a leaf keeps it."""
+        data = generate_synthetic(SyntheticSpec(n_examples=32, vocab_size=50, min_len=20,
+                                                max_len=30, seed=0))
+        for i, ex in enumerate(data):
+            ex.passage_pos = ["NN" if (i + j) % 3 else "VB" for j in range(len(ex.passage_tokens))]
+            ex.passage_ner = ["O" if j % 4 else "PER" for j in range(len(ex.passage_tokens))]
+            ex.question_pos = ["WP"] * len(ex.question_tokens)
+            ex.question_ner = ["O"] * len(ex.question_tokens)
+        cfg = desk_config(path="LQ->LQ->Fo->LQ->Fi->LS->Fi", use_pos=True, use_ner=True)
+        model = build_from_examples(cfg, data)
+        values, handed = [], []
+        for module in (T, encoders, features):  # each binds its own make_node
+            def spy(data, parents, backward_fn, make_node=module.make_node):
+                def rule(g):
+                    grads = backward_fn(g)
+                    handed.append([pg for pg in grads if pg is not None])
+                    return grads
+
+                node = make_node(data, parents, rule)
+                values.append(node.data)
+                return node
+            monkeypatch.setattr(module, "make_node", spy)
+        T.backward(gold_loss(model, data, rng=np.random.default_rng(0)))
+        held = [t.data for _, t in model.params.items()] + values
+        assert len(handed) > 50
+        for grads in handed:
+            for i, pg in enumerate(grads):
+                assert not any(np.shares_memory(pg, other) for other in grads[i + 1:] + held)
+        leaf_grads = [t.grad for _, t in model.params.items() if t.grad is not None]
+        assert len(leaf_grads) == len(model.params.names())
+        for i, g in enumerate(leaf_grads):
+            assert not any(np.shares_memory(g, other) for other in leaf_grads[i + 1:])
 
 
 class TestCheckpoint:
