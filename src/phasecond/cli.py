@@ -62,7 +62,7 @@ def cmd_train(args):
     dev_examples = load_dataset(cfg.dev_data)
 
     model = build_from_examples(cfg, train_examples)
-    print(f"path: {model.path.render()}")
+    print(f"path: {'->'.join(model.path)}")
     print(f"parameters: {model.parameter_count()}")
     result = train(model, train_examples, dev_examples, cfg, run_dir=args.out)
     last = result.history[-1] if result.history else {}

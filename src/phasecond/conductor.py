@@ -11,9 +11,11 @@ A path is a chain of steps:
         block's outputs and runs highway layers over them)
 
 with groups repeatable as "(...)xN", at most MAX_STEPS (64) steps once
-expanded. The default two-phase path is "LQ->LQ->Fo->LS->Fi->LS->Fi"; the
-alternating baseline is "(LQ->Fi->LS->Fi)x2". `parse_path` reads a path in
-one pass and refuses an over-long one before expanding it. A RunConfig
+expanded and no step wider than MAX_WIDTH (8) x 2d. The default two-phase
+path is "LQ->LQ->Fo->LS->Fi->LS->Fi"; the alternating baseline is
+"(LQ->Fi->LS->Fi)x2". `parse_path` reads a path in one pass, refuses an
+over-long one before expanding it, and returns the tuple of its steps;
+`step_widths` gives the width every step's layers are sized to. A RunConfig
 parses its path when it is made, so every path that reaches the model
 assembly is one it can build.
 
@@ -42,18 +44,12 @@ from .pointer import PointerHead, decode_span, span_loss
 
 ATTENTION_STEPS = ("LQ", "LS")
 
-
-@dataclass(frozen=True)
-class PhasePath:
-    steps: tuple
-
-    def render(self):
-        return "->".join(self.steps)
-
-
 # Longest expanded path: "(LQ->Fi)x1000" would otherwise declare 3 GB of
 # parameters at the default config before any data is read.
 MAX_STEPS = 64
+# Widest step, in units of 2d: each Fo over a two-step block doubles the width,
+# so twenty of them would ask for rows 2,097,152 x 2d wide.
+MAX_WIDTH = 8
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<step>LQ|LS|Fi|Fo)|(?P<arrow>->)|(?P<open>\()"
                        r"|(?P<close>\))|(?P<count>x\d+)|(?P<other>\S))")
@@ -69,7 +65,7 @@ _STATES = {
 
 
 def parse_path(expr):
-    """Parse and validate a path expression into a flat PhasePath.
+    """Parse and validate a path expression into the tuple of its steps.
 
     One pass over the tokens: `groups` holds the steps before each open "(",
     and `state` is what the next token may be. A step or a group's "xN" is
@@ -98,7 +94,7 @@ def parse_path(expr):
         raise PathSyntaxError(f"expected {_STATES[state][0]}, found the end",
                               position=len(expr))
     validate_steps(steps)
-    return PhasePath(steps=tuple(steps))
+    return tuple(steps)
 
 
 def _fo_block(steps, i):
@@ -116,6 +112,21 @@ def _fo_block(steps, i):
     return block
 
 
+def step_widths(steps):
+    """Row widths in units of 2d: widths[i] enters step i, widths[i + 1] leaves it.
+
+    The encoders' rows are one unit wide. An LQ returns one unit, an LS or an
+    Fi keeps its input's width, and an Fo's width is its block's summed.
+    """
+    widths = [1]
+    for i, step in enumerate(steps):
+        if step == "Fo":
+            widths.append(sum(widths[j + 1] for j in _fo_block(steps, i)))
+        else:
+            widths.append(1 if step == "LQ" else widths[-1])
+    return widths
+
+
 def validate_steps(steps):
     first_attention = next((s for s in steps if s in ATTENTION_STEPS), None)
     if first_attention is None:
@@ -124,6 +135,7 @@ def validate_steps(steps):
         raise PathValidationError(
             "first attention step must be LQ (question-passage): "
             "self-attention has no input before it")
+    widths = step_widths(steps)
     for i, step in enumerate(steps):
         if step == "Fi":
             if i == 0 or steps[i - 1] not in ATTENTION_STEPS:
@@ -134,16 +146,19 @@ def validate_steps(steps):
                 raise PathValidationError(
                     f"step {i + 1}: Fo must follow a contiguous block of "
                     "same-kind attention steps")
+        if widths[i + 1] > MAX_WIDTH:
+            raise PathValidationError(f"step {i + 1}: {step} would be {widths[i + 1]} x 2d wide,"
+                                      f" more than MAX_WIDTH ({MAX_WIDTH})")
 
 
 @dataclass
 class PlanStep:
     kind: str
-    layer_index: int = 0           # 1-based within LQ/LS
+    layer_index: int               # 1-based among the steps of its kind
+    out_width: int
     projection: object = None      # LQ query down-projection when width != 2d
     fusion: object = None          # InnerFusionLayer or OuterFusionStack
     block: tuple = ()              # plan indices an Fo concatenates
-    out_width: int = 0
 
 
 @dataclass
@@ -169,34 +184,23 @@ class ModelAssembly:
         self.encoders = EncoderPair(self.params, self.extractor.width, config.hidden)
 
         d2 = 2 * config.hidden
-        width = d2
+        widths = [d2 * w for w in step_widths(path)]
         self.plan = []
-        for i, step in enumerate(path.steps):
-            layer_index = path.steps[:i + 1].count(step)  # 1-based among its kind
-            if step == "LQ":
-                projection = None
-                if width != d2:
-                    projection = self.params.add(
-                        f"path.s{i + 1}.lq_proj", (width, d2), xavier_uniform)
-                self.plan.append(PlanStep("LQ", layer_index=layer_index,
-                                          projection=projection, out_width=d2))
-                width = d2
-            elif step == "LS":
-                self.plan.append(PlanStep("LS", layer_index=layer_index, out_width=width))
+        for i, step in enumerate(path):
+            plan_step = PlanStep(step, path[:i + 1].count(step), widths[i + 1])
+            if step == "LQ" and widths[i] != d2:
+                plan_step.projection = self.params.add(
+                    f"path.s{i + 1}.lq_proj", (widths[i], d2), xavier_uniform)
             elif step == "Fi":
-                fusion = InnerFusionLayer(self.params, f"path.s{i + 1}.fi", width)
-                self.plan.append(PlanStep("Fi", fusion=fusion, out_width=width))
-            else:  # Fo
-                block = _fo_block(path.steps, i)
-                cat_width = sum(self.plan[j].out_width for j in block)
-                fusion = OuterFusionStack(self.params, f"path.s{i + 1}.fo",
-                                          cat_width, config.fusion_layers)
-                self.plan.append(PlanStep("Fo", fusion=fusion, block=tuple(block),
-                                          out_width=cat_width))
-                width = cat_width
+                plan_step.fusion = InnerFusionLayer(self.params, f"path.s{i + 1}.fi", widths[i])
+            elif step == "Fo":
+                plan_step.block = tuple(_fo_block(path, i))
+                plan_step.fusion = OuterFusionStack(self.params, f"path.s{i + 1}.fo",
+                                                    widths[i + 1], config.fusion_layers)
+            self.plan.append(plan_step)
 
-        self.final_width = width
-        self.pointer = PointerHead(self.params, width, d2, config.pointer_hops)
+        self.final_width = widths[-1]
+        self.pointer = PointerHead(self.params, self.final_width, d2, config.pointer_hops)
 
     def parameter_count(self):
         return self.params.count()

@@ -56,8 +56,13 @@ def lstm_direction(x, cells, lengths):
     the directions step together and their outputs sit side by side. Gate layout
     along the 4d axis is (input, forget, cell, output). Output row r is the
     hidden state after consuming row r in its sequence's processing order.
+    An empty sequence, or rows not as wide as the cells' W, is a ShapeError.
     """
-    n = x.data.shape[0]
+    n, width = x.data.shape
+    if min(lengths, default=0) == 0:
+        raise ShapeError("cannot encode an empty sequence")
+    if width != cells[0][0].data.shape[0]:
+        raise ShapeError(f"cells built for input width {cells[0][0].data.shape[0]}, got {width}")
     if sum(lengths) != n:
         raise ShapeError(f"sequence lengths sum to {sum(lengths)}, input has {n} rows")
     k, d = len(cells), cells[0][1].data.shape[0]
@@ -133,28 +138,17 @@ def lstm_direction(x, cells, lengths):
     return make_node(out, (x, *(p for cell in cells for p in cell[:3])), bwd)
 
 
-class BiLSTMEncoder:
-    """Forward and backward LSTM over packed sequences, states side by side."""
-
-    def __init__(self, params, prefix, in_dim, hidden):
-        self.in_dim = in_dim
-        self.cells = []
-        for direction, reverse in (("fw", False), ("bw", True)):
-            w = params.add(f"{prefix}.{direction}.W", (in_dim, 4 * hidden), xavier_uniform)
-            u = params.add(f"{prefix}.{direction}.U", (hidden, 4 * hidden), orthogonal)
-            b = params.add(f"{prefix}.{direction}.b", (4 * hidden,),  # forget gate open at init
-                           constant(np.repeat([0.0, 1.0, 0.0, 0.0], hidden)))
-            self.cells.append((w, u, b, reverse))
-
-    def __call__(self, features, lengths):
-        """[sum(lengths), in_dim] -> [sum(lengths), 2*hidden]."""
-        if min(lengths, default=0) == 0:
-            raise ShapeError("cannot encode an empty sequence")
-        if features.data.shape[1] != self.in_dim:
-            raise ShapeError(
-                f"encoder built for input width {self.in_dim}, got {features.data.shape[1]}"
-            )
-        return lstm_direction(features, self.cells, lengths)
+def bilstm_cells(params, prefix, in_dim, hidden):
+    """The forward and backward cells of one BiLSTM, (W, U, b, reverse) each,
+    declared as `{prefix}.fw.*` then `{prefix}.bw.*`."""
+    cells = []
+    for direction, reverse in (("fw", False), ("bw", True)):
+        w = params.add(f"{prefix}.{direction}.W", (in_dim, 4 * hidden), xavier_uniform)
+        u = params.add(f"{prefix}.{direction}.U", (hidden, 4 * hidden), orthogonal)
+        b = params.add(f"{prefix}.{direction}.b", (4 * hidden,),  # forget gate open at init
+                       constant(np.repeat([0.0, 1.0, 0.0, 0.0], hidden)))
+        cells.append((w, u, b, reverse))
+    return cells
 
 
 class EncoderPair:
@@ -165,16 +159,16 @@ class EncoderPair:
     """
 
     def __init__(self, params, in_dim, hidden):
-        self.independent = BiLSTMEncoder(params, "enc.indep", in_dim, hidden)
-        self.shared = BiLSTMEncoder(params, "enc.shared", in_dim, hidden)
+        self.independent = bilstm_cells(params, "enc.indep", in_dim, hidden)
+        self.shared = bilstm_cells(params, "enc.shared", in_dim, hidden)
 
     def encode_independent_question(self, questions, lengths):
         """v: [sum m_k, 2d], packed like `questions`; parameters disjoint from the shared encoder."""
-        return self.independent(questions, lengths)
+        return lstm_direction(questions, self.independent, lengths)
 
     def encode_shared(self, passages, passage_lengths, questions, question_lengths):
         """(h, u) from one parameter set, passages and questions in the same pass:
         h is [sum n_k, 2d] and u is [sum m_k, 2d], each packed like its input."""
-        packed = self.shared(T.concat([passages, questions], axis=0),
-                             list(passage_lengths) + list(question_lengths))
+        packed = lstm_direction(T.concat([passages, questions], axis=0), self.shared,
+                                list(passage_lengths) + list(question_lengths))
         return T.split_rows(packed, [passages.data.shape[0], questions.data.shape[0]])

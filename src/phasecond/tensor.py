@@ -400,7 +400,7 @@ def segment_nll(x, lengths, targets):
         return (grad * (g * scale),)
 
     log_p = shifted[targets, cols] - np.log(z[targets, cols])
-    return make_node(-log_p.sum() * scale, (x,), bwd)
+    return make_node((0.0 - log_p.sum()) * scale, (x,), bwd)  # +0.0, not -0.0, when log_p is 0
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from . import tensor as T
 from .attention import self_attention
 from .conductor import build_from_examples, run_path
 from .config import DEFAULT_PATH, RunConfig
-from .encoders import EncoderPair
+from .encoders import EncoderPair, lstm_direction
 from .features import CharCNN
 from .fusion import InnerFusionLayer, OuterFusionStack
 from .params import ParamSet
@@ -131,7 +131,7 @@ def run_grad_checks(seed=0):
     lengths = [3, 1, 4, 2]
     mix_packed = _mix(rng, (sum(lengths), 4))
     check("encoder_packed", "lengths=3,1,4,2,in=3,d=2",
-          lambda t: T.tsum(T.mul(enc.shared(t, lengths), mix_packed)),
+          lambda t: T.tsum(T.mul(lstm_direction(t, enc.shared, lengths), mix_packed)),
           Tensor(rng.standard_normal((sum(lengths), 3))))
 
     # the pointer head over a packed minibatch of mixed passage lengths

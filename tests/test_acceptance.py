@@ -181,9 +181,9 @@ def test_criterion_3_fusion_interpolation():
 
 def test_criterion_4_path_conductor():
     phasecond_path = parse_path(DEFAULT_PATH)
-    assert list(phasecond_path.steps) == ["LQ", "LQ", "Fo", "LS", "Fi", "LS", "Fi"]
+    assert list(phasecond_path) == ["LQ", "LQ", "Fo", "LS", "Fi", "LS", "Fi"]
     iterative = parse_path(ITERATIVE_ALIGNER_PATH)
-    assert list(iterative.steps) == ["LQ", "Fi", "LS", "Fi", "LQ", "Fi", "LS", "Fi"]
+    assert list(iterative) == ["LQ", "Fi", "LS", "Fi", "LQ", "Fi", "LS", "Fi"]
     with pytest.raises(PathValidationError):
         parse_path("LS->LQ")
 

@@ -60,13 +60,14 @@ class TestTrainCommand:
         assert log_a == log_b
         assert log_a == (workspace / "run" / "metrics.csv").read_bytes()
 
-    def test_iterative_aligner_path_trains(self, workspace, tmp_path):
+    def test_iterative_aligner_path_trains(self, workspace, tmp_path, capsys):
         data = workspace / "data"
         assert main(["train", "--train-data", str(data / "train.jsonl"),
                      "--dev-data", str(data / "dev.jsonl"),
                      "--path", "(LQ->Fi->LS->Fi)x2",
                      "--epochs", "1", "--seed", "1",
                      "--out", str(tmp_path / "iter"), *SMALL_MODEL_FLAGS]) == 0
+        assert "path: LQ->Fi->LS->Fi->LQ->Fi->LS->Fi\n" in capsys.readouterr().out
 
     def test_fi_after_a_projecting_lq_trains(self, workspace, tmp_path, capsys):
         data = workspace / "data"
@@ -105,8 +106,9 @@ class TestTrainCommand:
         (["--set", "early_stop_dev_em=nan"], "early_stop_dev_em must be in [0, 100], got nan"),
         (["--set", "lr=inf"], "lr must be positive and finite, got inf"),
         (["--set", "path=LS"], "first attention step must be LQ"),
+        (["--path", "LQ->LQ->Fo" + "->LS->LS->Fo" * 20], "step 12: Fo would be 16 x 2d wide"),
     ], ids=["seed", "grad_clip", "dropout", "hidden", "mask_diagonal", "early_stop_nan", "lr_inf",
-            "set_path"])
+            "set_path", "wide_path"])
     def test_invalid_config_is_usage_error_before_any_data_is_read(self, tmp_path, capsys,
                                                                     flags, message):
         code = main(["train", "--train-data", str(tmp_path / "missing.jsonl"),

@@ -16,6 +16,7 @@ from phasecond import tensor as T
 from phasecond.attention import AlignmentMatrix, qp_attention
 from phasecond.conductor import (
     MAX_STEPS,
+    MAX_WIDTH,
     _dropout_draws,
     build_from_examples,
     forward,
@@ -23,11 +24,12 @@ from phasecond.conductor import (
     gold_loss,
     parse_path,
     run_path,
+    step_widths,
     validate_steps,
 )
 from phasecond.config import DEFAULT_PATH, ITERATIVE_ALIGNER_PATH, RunConfig, desk_config
 from phasecond.data import QAExample, SyntheticSpec, generate_synthetic
-from phasecond.errors import PathSyntaxError, PathValidationError, PhaseCondError
+from phasecond.errors import ConfigError, PathSyntaxError, PathValidationError, PhaseCondError
 from phasecond.features import PAD_INDEX
 from phasecond.tensor import Tensor, grad_check
 
@@ -47,19 +49,19 @@ def tiny_examples(n=4, seed=0):
 class TestParsePath:
     def test_default_phasecond_path(self):
         path = parse_path("LQ->LQ->Fo->LS->Fi->LS->Fi")
-        assert path.steps == ("LQ", "LQ", "Fo", "LS", "Fi", "LS", "Fi")
-        assert len(path.steps) == 7
+        assert path == ("LQ", "LQ", "Fo", "LS", "Fi", "LS", "Fi")
+        assert len(path) == 7
 
     def test_iterative_aligner_path(self):
         path = parse_path("(LQ->Fi->LS->Fi)x2")
-        assert path.steps == ("LQ", "Fi", "LS", "Fi", "LQ", "Fi", "LS", "Fi")
+        assert path == ("LQ", "Fi", "LS", "Fi", "LQ", "Fi", "LS", "Fi")
 
     def test_whitespace_tolerated(self):
-        assert parse_path(" LQ -> Fo ").steps == ("LQ", "Fo")
+        assert parse_path(" LQ -> Fo ") == ("LQ", "Fo")
 
     def test_nested_groups(self):
         path = parse_path("LQ->Fo->((LS->Fi)x2)x2")
-        assert path.steps == ("LQ", "Fo") + ("LS", "Fi") * 4
+        assert path == ("LQ", "Fo") + ("LS", "Fi") * 4
 
     def test_syntax_error_reports_position(self):
         with pytest.raises(PathSyntaxError, match="position"):
@@ -108,7 +110,7 @@ class TestParsePath:
         assert err.value.position == 4
 
     def test_leading_zeros_of_a_count_are_read_past(self):
-        assert parse_path("LQ->(LS)x" + "0" * 5000 + "1").steps == ("LQ", "LS")
+        assert parse_path("LQ->(LS)x" + "0" * 5000 + "1") == ("LQ", "LS")
         with pytest.raises(PathSyntaxError, match="N >= 1"):
             parse_path("LQ->(LS)x" + "0" * 5000)
 
@@ -118,7 +120,7 @@ class TestParsePath:
         f"(LQ->(LS)x{MAX_STEPS // 2 - 1})x2",
     ])
     def test_path_of_max_steps_parses_and_one_more_is_refused(self, longest):
-        assert len(parse_path(longest).steps) == MAX_STEPS
+        assert len(parse_path(longest)) == MAX_STEPS
         with pytest.raises(PathSyntaxError, match=f"longer than {MAX_STEPS} steps"):
             parse_path(longest + "->LS")
 
@@ -140,10 +142,32 @@ class TestParsePath:
         with pytest.raises(PathValidationError, match="Fo"):
             parse_path("LQ->Fo->Fo")
 
+    def test_step_widths_in_units_of_2d(self):
+        assert step_widths(parse_path(DEFAULT_PATH)) == [1, 1, 1, 2, 2, 2, 2, 2]
+        assert step_widths(parse_path("LQ->LQ->Fo->LQ->Fi")) == [1, 1, 1, 2, 1, 1]
+        assert step_widths(parse_path("LQ->Fi->LQ->Fi->Fo")) == [1, 1, 1, 1, 1, 2]
+
+    def test_path_too_wide_to_build_is_refused_with_its_config(self):
+        wide = "LQ->LQ->Fo" + "->LS->LS->Fo" * 20  # widest Fo: 2,097,152 x 2d
+        with pytest.raises(PathValidationError,
+                           match=rf"step 12: Fo would be 16 x 2d wide.*\({MAX_WIDTH}\)"):
+            desk_config(path=wide)
+        assert issubclass(PathValidationError, ConfigError)
+
+    def test_path_exactly_max_width_builds(self):
+        widest = "LQ->LQ->Fo" + "->LS->LS->Fo" * 2
+        assert max(step_widths(parse_path(widest))) == MAX_WIDTH
+        cfg = RunConfig(path=widest, hidden=2, word_dim=2, char_dim=2, char_filters=2,
+                        feat_dim=2)
+        model = build_from_examples(cfg, [])
+        assert model.final_width == model.plan[-1].out_width == MAX_WIDTH * 2 * cfg.hidden
+        with pytest.raises(PathValidationError, match="wide"):
+            parse_path(widest + "->LS->LS->Fo")
+
     def test_round_trip_is_canonical(self):
         for expr in (DEFAULT_PATH, ITERATIVE_ALIGNER_PATH, "LQ->Fo", "(LQ->LQ->Fo)x1"):
             path = parse_path(expr)
-            again = parse_path(path.render())
+            again = parse_path("->".join(path))
             assert again == path
 
     def test_generated_invalid_paths_rejected(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from phasecond import tensor as T
-from phasecond.encoders import BiLSTMEncoder, EncoderPair, lstm_direction
+from phasecond.encoders import EncoderPair, bilstm_cells, lstm_direction
 from phasecond.errors import ShapeError
 from phasecond.params import ParamSet, constant
 from phasecond.tensor import Tensor, backward, grad_check
@@ -173,19 +173,29 @@ class TestBiLSTMEncoder:
 
     def test_sequence_locality_of_forward_states(self):
         params = ParamSet(np.random.default_rng(4))
-        enc = BiLSTMEncoder(params, "e", 3, 2)
+        cells = bilstm_cells(params, "e", 3, 2)
         x = np.random.default_rng(5).standard_normal((6, 3))
-        full = enc(Tensor(x), [6]).data
-        trunc = enc(Tensor(x[:-1]), [5]).data
+        full = lstm_direction(Tensor(x), cells, [6]).data
+        trunc = lstm_direction(Tensor(x[:-1]), cells, [5]).data
         assert np.allclose(full[:-1, :2], trunc[:, :2])
 
     def test_one_node_lists_its_input_once(self):
         params = ParamSet(np.random.default_rng(4))
-        enc = BiLSTMEncoder(params, "e", 3, 2)
+        cells = bilstm_cells(params, "e", 3, 2)
         x = Tensor(np.ones((4, 3)), requires_grad=True)
-        out = enc(x, [3, 1])
-        (w_f, u_f, b_f, _), (w_b, u_b, b_b, _) = enc.cells
+        out = lstm_direction(x, cells, [3, 1])
+        (w_f, u_f, b_f, _), (w_b, u_b, b_b, _) = cells
         assert out._parents == (x, w_f, u_f, b_f, w_b, u_b, b_b)
+
+    def test_empty_sequence_in_a_packed_batch_rejected(self):
+        cells = bilstm_cells(ParamSet(np.random.default_rng(4)), "e", 3, 2)
+        with pytest.raises(ShapeError, match="empty"):
+            lstm_direction(Tensor(np.ones((3, 3))), cells, [3, 0])
+
+    def test_input_wider_than_the_cells_rejected(self):
+        cells = bilstm_cells(ParamSet(np.random.default_rng(4)), "e", 3, 2)
+        with pytest.raises(ShapeError, match="input width 3, got 4"):
+            lstm_direction(Tensor(np.ones((3, 4))), cells, [3])
 
 
 class TestEncoderPair:

@@ -263,6 +263,12 @@ class TestSpanLoss:
     def test_perfect_prediction(self):
         assert span_loss(scores_of([1e3, -1e3], [-1e3, 1e3]), [2], [(0, 1)]).data == 0.0
 
+    def test_one_token_passage_loss_is_positive_zero(self):
+        # -0.0 == 0.0, but a perfect epoch's loss would print as -0.000000
+        loss = span_loss(Tensor(np.zeros((1, 2))), [1], [(0, 0)])
+        assert loss.data == 0.0 and not np.signbit(loss.data)
+        assert f"{float(loss.data):.6f}" == "0.000000"
+
     def test_extreme_scores_keep_gold_gradient(self):
         # the gold probabilities underflow to 0; a loss built on them would
         # have to clamp, and a clamped loss has no gradient

@@ -562,8 +562,8 @@ class TestCheckpoint:
         model, data, result = self.build_trained(tmp_path)
 
         def to_version_2(meta):
-            assert "path" not in meta and meta["config"]["path"] == model.path.render()
-            meta.update(format_version=2, path=model.path.render())
+            assert "path" not in meta and meta["config"]["path"] == "->".join(model.path)
+            meta.update(format_version=2, path="->".join(model.path))
 
         old = self.rewrite_meta(result.checkpoint_path, tmp_path / "v2.ckpt", to_version_2)
         with pytest.raises(CheckpointError, match="version 2"):
