@@ -104,15 +104,18 @@ def main():
     ap.add_argument("--train", type=int, default=200)
     ap.add_argument("--dev", type=int, default=50)
     ap.add_argument("--vocab", type=int, default=50)
-    ap.add_argument("--hidden", type=int, default=32)
-    ap.add_argument("--lr", type=float, default=0.01)
-    ap.add_argument("--epochs", type=int, default=300)
-    ap.add_argument("--seed", type=int, default=7, help="model seed")
+    # unset, each of these four keeps desk_config()'s value
+    ap.add_argument("--hidden", type=int)
+    ap.add_argument("--lr", type=float)
+    ap.add_argument("--epochs", type=int)
+    ap.add_argument("--seed", type=int, help="model seed")
     ap.add_argument("--seeds", type=seed_range, metavar="A-B",
                     help="train every path once per model seed A..B instead of --seed")
     args = ap.parse_args()
+    given = {name: getattr(args, name) for name in ("hidden", "lr", "epochs", "seed")
+             if getattr(args, name) is not None}
     try:  # every run's config is made, so checked, before anything is written
-        base = desk_config(hidden=args.hidden, lr=args.lr, epochs=args.epochs, seed=args.seed)
+        base = desk_config(**given)
     except ConfigError as exc:
         ap.error(str(exc))
     configs = []
@@ -133,7 +136,7 @@ def main():
     rows = [run_one(f"path{i}" + (f"-seed{seed}" if args.seeds else ""),
                     replace(cfg, seed=seed), train_data, dev_data, args)
             for i, cfg in enumerate(configs, start=1)
-            for seed in args.seeds or [args.seed]]
+            for seed in args.seeds or [base.seed]]
 
     width = max(len(r["path"]) for r in rows)
     print(f"\n{'path':{width}s} {'seed':>5s} {'epochs':>6s} {'train EM':>9s} {'dev EM':>7s} "

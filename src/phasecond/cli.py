@@ -65,10 +65,12 @@ def cmd_train(args):
     print(f"path: {'->'.join(model.path)}")
     print(f"parameters: {model.parameter_count()}")
     result = train(model, train_examples, dev_examples, cfg, run_dir=args.out)
-    last = result.history[-1] if result.history else {}
     print(f"status: {result.status}")
-    print(f"best dev EM {result.best_dev_em:.2f} at epoch {result.best_epoch}; "
-          f"last epoch dev EM {last.get('dev_em', float('nan')):.2f}")
+    if result.history:
+        print(f"best dev EM {result.best_dev_em:.2f} at epoch {result.best_epoch}; "
+              f"last epoch dev EM {result.history[-1]['dev_em']:.2f}")
+    else:
+        print("no epoch completed")
     print(f"run directory: {args.out}")
     return 1 if result.status == "halted_nonfinite" else 0
 
@@ -228,17 +230,10 @@ def build_parser():
 
     def add_config_flags(p):
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--path", help="phase path expression")
-        p.add_argument("--hidden", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--lr", type=float)
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--dropout", type=float)
-        p.add_argument("--word-dim", dest="word_dim", type=int)
-        p.add_argument("--vectors", help="pretrained vector file")
-        p.add_argument("--train-data", dest="train_data")
-        p.add_argument("--dev-data", dest="dev_data")
+        helps = {"path": "phase path expression", "vectors": "pretrained vector file"}
+        for name in ("path", "hidden", "seed", "lr", "epochs", "batch_size", "dropout",
+                     "word_dim", "vectors", "train_data", "dev_data"):  # strings, parsed like --set
+            p.add_argument("--" + name.replace("_", "-"), dest=name, help=helps.get(name))
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override any config field")
 

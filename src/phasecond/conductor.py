@@ -155,7 +155,6 @@ def validate_steps(steps):
 class PlanStep:
     kind: str
     layer_index: int               # 1-based among the steps of its kind
-    out_width: int
     projection: object = None      # LQ query down-projection when width != 2d
     fusion: object = None          # InnerFusionLayer or OuterFusionStack
     block: tuple = ()              # plan indices an Fo concatenates
@@ -187,7 +186,7 @@ class ModelAssembly:
         widths = [d2 * w for w in step_widths(path)]
         self.plan = []
         for i, step in enumerate(path):
-            plan_step = PlanStep(step, path[:i + 1].count(step), widths[i + 1])
+            plan_step = PlanStep(step, path[:i + 1].count(step))
             if step == "LQ" and widths[i] != d2:
                 plan_step.projection = self.params.add(
                     f"path.s{i + 1}.lq_proj", (widths[i], d2), xavier_uniform)

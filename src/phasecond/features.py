@@ -102,10 +102,10 @@ def build_vocabulary(config, examples, rng):
     unk and every other word draw a trainable uniform(-0.05, 0.05) row from
     `rng`, in word order. Tag vocabularies are built only for enabled tags.
     """
-    tokens = [t for ex in examples for seq in (ex.passage_tokens, ex.question_tokens)
-              for t in seq]
+    distinct = dict.fromkeys(t for ex in examples
+                             for seq in (ex.passage_tokens, ex.question_tokens) for t in seq)
     vectors = read_vectors(config.vectors, config.word_dim) if config.vectors else {}
-    words = ["<pad>", "<unk>"] + [t for t in dict.fromkeys(tokens) if t not in ("<pad>", "<unk>")]
+    words = ["<pad>", "<unk>"] + [t for t in distinct if t not in ("<pad>", "<unk>")]
     found = [None, None] + [vectors.get(t, vectors.get(t.lower())) for t in words[2:]]
     misses = [i for i, vec in enumerate(found) if vec is None and i > 0]
     rows = np.zeros((len(words), config.word_dim))
@@ -114,15 +114,12 @@ def build_vocabulary(config, examples, rng):
         if vec is not None:
             rows[i] = vec
     trainable = [0] + [1 if vec is None else int(not config.freeze_pretrained) for vec in found[1:]]
-    chars = {}
-    for ch in "".join(tokens):
-        chars.setdefault(ch, len(chars) + 2)
+    # A character first appears inside the first occurrence of some token.
+    chars = {ch: i for i, ch in enumerate(dict.fromkeys("".join(distinct)), start=2)}
 
     def tag_vocab(*attrs):
-        vocab = {}
-        for tag in (t for ex in examples for a in attrs for t in getattr(ex, a) or []):
-            vocab.setdefault(tag, len(vocab) + 1)
-        return vocab
+        tags = dict.fromkeys(t for ex in examples for a in attrs for t in getattr(ex, a) or [])
+        return {tag: i for i, tag in enumerate(tags, start=1)}
 
     vocab = Vocabulary(words, trainable, chars,
                        tag_vocab("passage_pos", "question_pos") if config.use_pos else {},

@@ -33,14 +33,13 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator flo
 
 @dataclass
 class AdamState:
-    lr: float
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
 
-def adam_step(params, state):
-    """Bias-corrected Adam over every parameter with a gradient."""
+def adam_step(params, state, lr):
+    """Bias-corrected Adam at step size lr over every parameter with a gradient."""
     for name, t in params.items():
         if t.grad is not None and not np.isfinite(t.grad).all():
             raise NumericsError(f"non-finite gradient in parameter {name}")
@@ -61,7 +60,7 @@ def adam_step(params, state):
         m += (1.0 - BETA1) * g
         v *= BETA2
         v += (1.0 - BETA2) * g * g
-        t.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+        t.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 def clip_gradients(params, max_norm):
@@ -101,9 +100,10 @@ class TrainResult:
 
 def train(model, train_examples, dev_examples, config, run_dir=None):
     """Optimize the model and leave it at its best epoch; returns the metric history.
-    `config` must be the model's own config."""
+    `config` must be the model's own config; settings are read from `model.config`."""
     if config != model.config:
         raise ConfigError("train() config differs from the config the model was built with")
+    cfg = model.config
     if not train_examples:
         raise DataError("training set is empty")
     if not dev_examples:
@@ -112,16 +112,16 @@ def train(model, train_examples, dev_examples, config, run_dir=None):
         if not ex.gold_spans:
             raise DataError(f"training example {ex.id} has no gold span")
 
-    seeds = np.random.SeedSequence(config.seed).spawn(2)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(2)
     shuffle_rng = np.random.default_rng(seeds[0])
     dropout_rng = np.random.default_rng(seeds[1])
-    state = AdamState(lr=config.lr)
+    state = AdamState()
 
     ckpt_path = None
     if run_dir is not None:
         os.makedirs(run_dir, exist_ok=True)
         with open(os.path.join(run_dir, "effective.cfg"), "w", encoding="utf-8") as fh:
-            fh.write(to_text(config))
+            fh.write(to_text(cfg))
         ckpt_path = os.path.join(run_dir, "best.ckpt")
 
     history = []
@@ -129,13 +129,13 @@ def train(model, train_examples, dev_examples, config, run_dir=None):
     status = "completed"
     n = len(train_examples)
 
-    for epoch in range(1, config.epochs + 1):
+    for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(n)
         try:
             batch_losses = []
-            for lo in range(0, n, config.batch_size):
-                batch = [train_examples[idx] for idx in order[lo:lo + config.batch_size]]
-                batch_losses.append(_optimizer_step(model, batch, state, config, dropout_rng))
+            for lo in range(0, n, cfg.batch_size):
+                batch = [train_examples[idx] for idx in order[lo:lo + cfg.batch_size]]
+                batch_losses.append(_optimizer_step(model, batch, state, dropout_rng))
             model.params.zero_grads()  # free the last step's gradients before evaluating and saving
 
             dev_result = evaluate_model(model, dev_examples)
@@ -144,7 +144,7 @@ def train(model, train_examples, dev_examples, config, run_dir=None):
                 "train_loss": float(np.mean(batch_losses)),
                 "dev_em": dev_result.em,
                 "dev_f1": dev_result.f1,
-                "lr": state.lr,
+                "lr": cfg.lr,
             }
             history.append(row)
 
@@ -158,12 +158,13 @@ def train(model, train_examples, dev_examples, config, run_dir=None):
             if run_dir is not None:
                 write_metrics_csv(history, os.path.join(run_dir, "metrics.csv"))
 
-            if _early_stop(model, train_examples, dev_result, config):
+            if _early_stop(model, train_examples, dev_result):
                 status = "early_stop"
                 break
         except NumericsError as exc:  # a step or an evaluation met a non-finite value
-            log.error("%s at epoch %d; halting with best checkpoint from epoch %d",
-                      exc, epoch, best_epoch)
+            log.error("%s at epoch %d; halting %s", exc, epoch,
+                      f"with best checkpoint from epoch {best_epoch}" if history
+                      else "before any epoch completed; no checkpoint was written")
             model.params.zero_grads()
             status = "halted_nonfinite"
             break
@@ -176,7 +177,7 @@ def train(model, train_examples, dev_examples, config, run_dir=None):
                        best_params=best_params)
 
 
-def _optimizer_step(model, batch, state, config, rng):
+def _optimizer_step(model, batch, state, rng):
     """One clipped Adam step on a batch's mean loss.
 
     The batch goes through one packed forward pass to one loss node (see
@@ -191,19 +192,19 @@ def _optimizer_step(model, batch, state, config, rng):
         raise NumericsError(f"batch loss is not finite: {float(batch_loss.data)}")
     backward(batch_loss)
     model.params.apply_grad_masks()
-    clip_gradients(model.params, config.grad_clip)
-    adam_step(model.params, state)
+    clip_gradients(model.params, model.config.grad_clip)
+    adam_step(model.params, state, model.config.lr)
     return float(batch_loss.data)
 
 
-def _early_stop(model, train_examples, dev_result, config):
-    if config.early_stop_dev_em <= 0:
+def _early_stop(model, train_examples, dev_result):
+    if model.config.early_stop_dev_em <= 0:
         return False
-    if dev_result.em < config.early_stop_dev_em:
+    if dev_result.em < model.config.early_stop_dev_em:
         return False
-    if config.early_stop_train_em > 0:
+    if model.config.early_stop_train_em > 0:
         train_em = evaluate_model(model, train_examples).em
-        if train_em < config.early_stop_train_em:
+        if train_em < model.config.early_stop_train_em:
             return False
     return True
 

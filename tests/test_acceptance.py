@@ -310,7 +310,7 @@ def test_criterion_8_loss_sanity():
     cfg = RunConfig(hidden=4, word_dim=8, char_dim=4, char_filters=4, feat_dim=3,
                     dropout=0.0, lr=0.01, batch_size=1, seed=2, pointer_hops=2)
     model = build_from_examples(cfg, data)
-    state = AdamState(lr=cfg.lr)
+    state = AdamState()
     rng = np.random.default_rng(0)
     losses = []
     for _ in range(OVERFIT_STEPS):
@@ -323,7 +323,7 @@ def test_criterion_8_loss_sanity():
         backward(loss)
         model.params.apply_grad_masks()
         clip_gradients(model.params, cfg.grad_clip)
-        adam_step(model.params, state)
+        adam_step(model.params, state, cfg.lr)
     assert min(losses) < OVERFIT_LOSS, f"min loss {min(losses)} after {len(losses)} steps"
     report(8, f"single-example loss {losses[0]:.2f} -> {min(losses):.4f} in "
               f"{len(losses)} Adam steps, non-negative throughout")

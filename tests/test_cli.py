@@ -79,6 +79,21 @@ class TestTrainCommand:
         assert "path: LQ->LQ->Fo->LQ->Fi" in capsys.readouterr().out
         assert (tmp_path / "run" / "best.ckpt").exists()
 
+    def test_run_halted_before_its_first_epoch_reports_no_epoch(self, workspace, tmp_path,
+                                                                 capsys, caplog):
+        data = workspace / "data"
+        run = tmp_path / "run"
+        with np.errstate(over="ignore", invalid="ignore"):  # the overflow this run is about
+            assert main(["train", "--train-data", str(data / "train.jsonl"),
+                         "--dev-data", str(data / "dev.jsonl"), "--epochs", "2", "--seed", "1",
+                         "--out", str(run), *SMALL_MODEL_FLAGS, "--set", "lr=1e308"]) == 1
+        out = capsys.readouterr().out
+        assert "status: halted_nonfinite\nno epoch completed\n" in out
+        assert "best dev EM" not in out
+        assert "at epoch 1; halting before any epoch completed; no checkpoint was written" \
+            in caplog.text
+        assert sorted(os.listdir(run)) == ["effective.cfg"]
+
     def test_invalid_path_is_usage_error(self, tmp_path, capsys):
         code = main(["train", "--train-data", "x.jsonl", "--dev-data", "y.jsonl",
                      "--path", "LS->LQ", "--out", str(tmp_path)])
@@ -107,8 +122,9 @@ class TestTrainCommand:
         (["--set", "lr=inf"], "lr must be positive and finite, got inf"),
         (["--set", "path=LS"], "first attention step must be LQ"),
         (["--path", "LQ->LQ->Fo" + "->LS->LS->Fo" * 20], "step 12: Fo would be 16 x 2d wide"),
+        (["--hidden", "x"], "hidden: expected int, got 'x'"),
     ], ids=["seed", "grad_clip", "dropout", "hidden", "mask_diagonal", "early_stop_nan", "lr_inf",
-            "set_path", "wide_path"])
+            "set_path", "wide_path", "hidden_not_int"])
     def test_invalid_config_is_usage_error_before_any_data_is_read(self, tmp_path, capsys,
                                                                     flags, message):
         code = main(["train", "--train-data", str(tmp_path / "missing.jsonl"),
@@ -342,7 +358,8 @@ def test_every_train_option_is_a_config_flag_or_a_known_extra():
 
 @pytest.mark.parametrize("flag", CONFIG_FLAGS, ids=lambda a: a.option_strings[0])
 def test_config_flag_reaches_the_config(flag):
-    value = {int: 5, float: 0.125}.get(flag.type, "LQ->Fo" if flag.dest == "path" else "x.txt")
+    field_type = {f.name: f.type for f in fields(RunConfig)}[flag.dest]
+    value = {int: 5, float: 0.125}.get(field_type, "LQ->Fo" if flag.dest == "path" else "x.txt")
     assert getattr(RunConfig(), flag.dest) != value
     cfg = build_config(build_parser().parse_args(["train", flag.option_strings[0], str(value)]))
     assert getattr(cfg, flag.dest) == value

@@ -160,7 +160,7 @@ class TestParsePath:
         cfg = RunConfig(path=widest, hidden=2, word_dim=2, char_dim=2, char_filters=2,
                         feat_dim=2)
         model = build_from_examples(cfg, [])
-        assert model.final_width == model.plan[-1].out_width == MAX_WIDTH * 2 * cfg.hidden
+        assert model.final_width == model.plan[-1].fusion.width == MAX_WIDTH * 2 * cfg.hidden
         with pytest.raises(PathValidationError, match="wide"):
             parse_path(widest + "->LS->LS->Fo")
 
@@ -190,12 +190,12 @@ class TestBuildModel:
         # two LQ layers of width 2d concatenated -> 4d into the self phase
         assert model.final_width == 4 * cfg.hidden
         fo = model.plan[2]
-        assert fo.kind == "Fo" and fo.out_width == 4 * cfg.hidden
+        assert fo.kind == "Fo" and fo.fusion.width == 4 * cfg.hidden
 
     def test_self_attention_width_512_at_full_scale(self):
         cfg = RunConfig(hidden=128, word_dim=8, char_dim=4, char_filters=4, seed=1)
         model = build_from_examples(cfg, tiny_examples())
-        assert model.plan[2].out_width == 512
+        assert model.plan[2].fusion.width == 512
 
     def test_minimal_path_pointer_consumes_2d(self):
         cfg = small_config(path="LQ->Fo")
@@ -236,7 +236,7 @@ class TestBuildModel:
         model = build_from_examples(cfg, tiny_examples())
         _, _, fo, lq, fi = model.plan
         assert lq.projection.data.shape == (4 * cfg.hidden, 2 * cfg.hidden)
-        assert fi.fusion.width == fi.out_width == model.final_width == 2 * cfg.hidden
+        assert fi.fusion.width == model.final_width == 2 * cfg.hidden
         rng = np.random.default_rng(4)
         h0, u, v = (Tensor(rng.standard_normal((n, 2 * cfg.hidden))) for n in (5, 3, 3))
         mix = Tensor(rng.standard_normal((5, 2 * cfg.hidden)))

@@ -130,6 +130,18 @@ class TestBuildVocabulary:
         assert vocab.pos_vocab == {"NN": 1, "VB": 2}
         assert vocab.ner_vocab == {}  # use_ner is off
 
+        # repeated tokens and a literal <pad>: every map keeps first-seen order
+        ex = SimpleNamespace(passage_tokens=["ba", "<pad>", "ab", "ba"],
+                             question_tokens=["ab", "dc", "<pad>"],
+                             passage_pos=None, question_pos=None,
+                             passage_ner=["B", "O", "B", "O"], question_ner=["I", "O", "B"])
+        vocab, _ = build_vocabulary(small_cfg(use_ner=True), [ex, ex], np.random.default_rng(0))
+        assert vocab.word_tokens == ["<pad>", "<unk>", "ba", "ab", "dc"]
+        assert list(vocab.char_vocab.items()) == [
+            ("b", 2), ("a", 3), ("<", 4), ("p", 5), ("d", 6), (">", 7), ("c", 8)]
+        assert list(vocab.ner_vocab.items()) == [("B", 1), ("O", 2), ("I", 3)]
+        assert vocab.pos_vocab == {}
+
 
 class TestExactMatch:
     def test_membership(self):

@@ -81,14 +81,22 @@ def test_run_synthetic_refuses_a_bad_config_before_writing(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_run_synthetic_reads_nan_for_a_run_halted_before_its_first_epoch(
-        tmp_path, monkeypatch, capsys):
+def load_run_synthetic():
     spec = importlib.util.spec_from_file_location(
         "run_synthetic", os.path.join(SCRIPTS, "run_synthetic.py"))
     driver = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(driver)
-    monkeypatch.setattr(driver, "train", lambda *args, **kwargs: TrainResult(
-        history=[], best_dev_em=-1.0, best_epoch=0, status="halted_nonfinite"))
+    return driver
+
+
+def halted_before_its_first_epoch(*args, **kwargs):
+    return TrainResult(history=[], best_dev_em=-1.0, best_epoch=0, status="halted_nonfinite")
+
+
+def test_run_synthetic_reads_nan_for_a_run_halted_before_its_first_epoch(
+        tmp_path, monkeypatch, capsys):
+    driver = load_run_synthetic()
+    monkeypatch.setattr(driver, "train", halted_before_its_first_epoch)
     out = tmp_path / "out"
     monkeypatch.setattr(sys, "argv", ["run_synthetic.py", "--out", str(out), "--paths", "LQ",
                                       "--train", "8", "--dev", "4", "--hidden", "2"])
@@ -97,6 +105,22 @@ def test_run_synthetic_reads_nan_for_a_run_halted_before_its_first_epoch(
     assert row["epochs"] == 0 and math.isnan(row["dev_em"]) and math.isnan(row["dev_f1"])
     assert "nan" in capsys.readouterr().out
     assert not (out / "attention").exists()
+
+
+def test_run_synthetic_takes_each_unset_setting_from_the_desk_preset(tmp_path, monkeypatch):
+    driver = load_run_synthetic()
+    configs = []
+
+    def record(model, *args, **kwargs):
+        configs.append(model.config)
+        return halted_before_its_first_epoch()
+
+    monkeypatch.setattr(driver, "train", record)
+    monkeypatch.setattr(sys, "argv", ["run_synthetic.py", "--out", str(tmp_path / "out"),
+                                      "--paths", "LQ", "--train", "8", "--dev", "4",
+                                      "--hidden", "2"])
+    driver.main()
+    assert configs == [desk_config(path="LQ", hidden=2)]
 
 
 def test_tape_memory_pins_what_a_desk_batch_keeps():

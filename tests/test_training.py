@@ -174,21 +174,21 @@ class TestAdam:
     def test_first_step_update(self):
         params, p = self.make_scalar_param()
         p.grad = np.array(1.0)
-        adam_step(params, AdamState(lr=0.0006))
+        adam_step(params, AdamState(), 0.0006)
         assert p.data == pytest.approx(-0.0006, rel=1e-6)
 
     def test_zero_gradient_no_change(self):
         params, p = self.make_scalar_param(3.0)
         p.grad = np.array(0.0)
-        adam_step(params, AdamState(lr=0.1))
+        adam_step(params, AdamState(), 0.1)
         assert p.data == pytest.approx(3.0)
 
     def test_two_steps_match_hand_recurrence(self):
         params, p = self.make_scalar_param()
-        state = AdamState(lr=0.01)
+        state = AdamState()
         for _ in range(2):
             p.grad = np.array(0.5)
-            adam_step(params, state)
+            adam_step(params, state, 0.01)
         assert p.data == pytest.approx(adam_oracle([0.5, 0.5], 0.01), abs=1e-12)
 
     def test_non_finite_gradient_aborts_naming_parameter(self):
@@ -199,7 +199,7 @@ class TestAdam:
         b.grad = np.array([np.nan])
         before = a.data.copy()
         with pytest.raises(NumericsError, match="layer.bad"):
-            adam_step(params, AdamState(lr=0.1))
+            adam_step(params, AdamState(), 0.1)
         assert np.array_equal(a.data, before)  # aborted before any update
 
 
@@ -304,7 +304,7 @@ class TestTrainLoop:
         data = tiny_dataset(n=1, seed=3)
         cfg = small_config(epochs=1, dropout=0.0, lr=0.01, batch_size=1)
         model = build_from_examples(cfg, data)
-        state = AdamState(lr=cfg.lr)
+        state = AdamState()
         losses = []
         for _ in range(200):
             model.params.zero_grads()
@@ -312,7 +312,7 @@ class TestTrainLoop:
             backward(loss)
             model.params.apply_grad_masks()
             clip_gradients(model.params, cfg.grad_clip)
-            adam_step(model.params, state)
+            adam_step(model.params, state, cfg.lr)
             losses.append(float(loss.data))
             if losses[-1] < 0.01:
                 break
@@ -339,7 +339,7 @@ class TestBatchedStep:
         reference.params.apply_grad_masks()
         clip_gradients(reference.params, cfg.grad_clip)
 
-        loss = _optimizer_step(batched, data, AdamState(lr=cfg.lr), cfg, rng_batched)
+        loss = _optimizer_step(batched, data, AdamState(), rng_batched)
         assert abs(loss - float(expected.data)) <= 1e-12
         assert rng_batched.bit_generator.state == rng_reference.bit_generator.state
         for name, t in reference.params.items():
@@ -355,7 +355,7 @@ class TestBatchedStep:
         model = build_from_examples(cfg, data)
         data[1] = dataclasses.replace(data[1], **{field: []})
         with pytest.raises(ShapeError, match="empty"):
-            _optimizer_step(model, data, AdamState(lr=cfg.lr), cfg, np.random.default_rng(0))
+            _optimizer_step(model, data, AdamState(), np.random.default_rng(0))
 
 
 class TestNonFinite:
@@ -594,8 +594,8 @@ class TestCheckpoint:
         restored, _ = restore_model(path)
         for name, t in restored.params.items():
             t.grad = model.params[name].grad
-        adam_step(restored.params, AdamState(lr=cfg.lr))  # writes into the restored arrays
-        adam_step(model.params, AdamState(lr=cfg.lr))
+        adam_step(restored.params, AdamState(), cfg.lr)  # writes into the restored arrays
+        adam_step(model.params, AdamState(), cfg.lr)
         with np.load(path) as npz:
             saved = {name: npz[f"params/{name}"] for name in restored.params.names()}
         for name, t in restored.params.items():
