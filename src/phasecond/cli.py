@@ -109,15 +109,18 @@ def cmd_predict(args):
 
 def _adhoc_example(passage, question):
     tokens, offsets = tokenize_with_offsets(passage)
+    question_tokens = tokenize_with_offsets(question)[0]
+    for flag, seq in (("--passage", tokens), ("--question", question_tokens)):
+        if not seq:
+            raise ConfigError(f"{flag} has no tokens")
     return QAExample(id="adhoc", passage_text=passage, passage_tokens=tokens,
-                     passage_offsets=offsets,
-                     question_tokens=tokenize_with_offsets(question)[0],
+                     passage_offsets=offsets, question_tokens=question_tokens,
                      gold_spans=[], answer_texts=[])
 
 
 def mean_row_entropy(weights):
     w = np.clip(np.asarray(weights), 1e-12, 1.0)
-    return float(-(w * np.log(w)).sum(axis=1).mean())
+    return float(0.0 - (w * np.log(w)).sum(axis=1).mean())  # +0.0, not -0.0, for one-hot rows
 
 
 def dump_attention(model, example, out_dir, write_csv=False):
@@ -164,7 +167,6 @@ def dump_attention(model, example, out_dir, write_csv=False):
 
 
 def cmd_dump_attention(args):
-    model = restore_model(args.checkpoint)[0]
     if args.example_id:
         if not args.data:
             raise ConfigError("--example-id requires --data")
@@ -180,7 +182,8 @@ def cmd_dump_attention(args):
     else:
         raise ConfigError("dump-attention needs --example-id with --data, "
                           "or --passage and --question")
-    manifest = dump_attention(model, example, args.out, write_csv=args.csv)
+    manifest = dump_attention(restore_model(args.checkpoint)[0], example, args.out,
+                              write_csv=args.csv)
     for entry in manifest["entropy"]:
         print(f"{entry['kind']} layer {entry['layer_index']}: "
               f"mean row entropy {entry['mean_row_entropy']:.4f}")

@@ -38,7 +38,7 @@ from .attention import qp_attention, self_attention
 from .encoders import EncoderPair
 from .errors import PathSyntaxError, PathValidationError
 from .features import FeatureExtractor, build_vocabulary, exact_match_features
-from .fusion import InnerFusionLayer, OuterFusionStack
+from .fusion import FUSION_LAYERS, InnerFusionLayer, OuterFusionStack
 from .params import ParamSet, xavier_uniform
 from .pointer import PointerHead, decode_span, span_loss
 
@@ -195,7 +195,7 @@ class ModelAssembly:
             elif step == "Fo":
                 plan_step.block = tuple(_fo_block(path, i))
                 plan_step.fusion = OuterFusionStack(self.params, f"path.s{i + 1}.fo",
-                                                    widths[i + 1], config.fusion_layers)
+                                                    widths[i + 1], FUSION_LAYERS)
             self.plan.append(plan_step)
 
         self.final_width = widths[-1]

@@ -29,18 +29,13 @@ class RunConfig:
     # architecture
     path: str = DEFAULT_PATH
     hidden: int = 128
-    fusion_layers: int = 2
     pointer_hops: int = 2
     max_span: int = 15
     # features
     word_dim: int = 100
     char_dim: int = 16
     char_filters: int = 100
-    char_width: int = 5
     feat_dim: int = 8
-    use_pos: bool = False
-    use_ner: bool = False
-    use_qtype: bool = True
     vectors: str = ""
     freeze_pretrained: bool = True
     # optimization
@@ -62,9 +57,8 @@ class RunConfig:
             wrong_bool = isinstance(value, bool) is not (f.type is bool)
             if wrong_bool or not isinstance(value, _ACCEPTS[f.type]):
                 raise ConfigError(f"{f.name} must be {f.type.__name__}, got {value!r}")
-        for name in ("hidden", "fusion_layers", "pointer_hops", "max_span", "word_dim",
-                     "char_dim", "char_filters", "char_width", "feat_dim", "batch_size",
-                     "epochs"):
+        for name in ("hidden", "pointer_hops", "max_span", "word_dim", "char_dim",
+                     "char_filters", "feat_dim", "batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.dropout < 1.0:

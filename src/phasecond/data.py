@@ -98,9 +98,9 @@ def _char_span_to_tokens(offsets, start, end):
 def load_squad(path, training=False):
     """Parse SQuAD v1.1 JSON into QAExamples.
 
-    Answers that cannot be located by character offset are dropped; if an
-    example loses all its answers it is skipped in training mode and
-    retained with an empty gold set otherwise. Counts are logged.
+    Answers whose text is not the context at their offset, or that cover no
+    token, are dropped; if an example loses all its answers it is skipped in
+    training mode and retained with an empty gold set otherwise. Counts are logged.
     """
     payload = _read_json(path)
     if not isinstance(payload, dict):
@@ -128,7 +128,8 @@ def load_squad(path, training=False):
                 for k, ans in enumerate(answers):
                     text = _require(ans, "text", f"{q_where}.answers[{k}]", str)
                     start = _require(ans, "answer_start", f"{q_where}.answers[{k}]", int)
-                    located = _char_span_to_tokens(offsets, start, start + len(text))
+                    located = (_char_span_to_tokens(offsets, start, start + len(text))
+                               if start >= 0 and context.startswith(text, start) else None)
                     if located is None:
                         skipped_answers += 1
                         continue

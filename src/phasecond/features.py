@@ -1,12 +1,11 @@
 """Token-level features: word vectors, char convolutions, match bits, tags.
 
 Every token becomes one row of
-    [word embedding | char CNN | exact-match bit | pos? | ner? | qtype?]
-with identical layout on the passage and question sides so the shared
-encoder can consume both; slots that only apply to one side (the question
-type embedding) are zero-filled on the other. A minibatch's sequences of one
-side are embedded in one call, packed row after row, and the char CNN runs
-once per distinct word of the batch.
+    [word embedding | char CNN | exact-match bit | pos? | ner? | qtype]
+with identical layout on both sides for the shared encoder. pos and ner are
+there when the training data carries those tags; qtype is zero on the
+passage side. A minibatch's sequences of one side are embedded in one call,
+packed row after row, and the char CNN runs once per distinct word of the batch.
 
 The lookup tables behind those rows (words, chars, tags) form one
 `Vocabulary` record, which `build_vocabulary` draws from a training set
@@ -26,6 +25,7 @@ from .tensor import Tensor, make_node
 
 PAD_INDEX = 0
 UNK_INDEX = 1
+CHAR_WIDTH = 5  # characters per char CNN window
 
 INTERROGATIVES = ("what", "how", "who", "when", "which", "where", "why")
 BE_FORMS = frozenset({"be", "is", "are", "was", "were", "am", "been", "being"})
@@ -100,7 +100,7 @@ def build_vocabulary(config, examples, rng):
     first-seen order. A word found in `config.vectors` (as is, else
     lowercased) takes its vector and is trainable unless `freeze_pretrained`;
     unk and every other word draw a trainable uniform(-0.05, 0.05) row from
-    `rng`, in word order. Tag vocabularies are built only for enabled tags.
+    `rng`, in word order. A tag table numbers the examples' tags ({} for none).
     """
     distinct = dict.fromkeys(t for ex in examples
                              for seq in (ex.passage_tokens, ex.question_tokens) for t in seq)
@@ -121,9 +121,8 @@ def build_vocabulary(config, examples, rng):
         tags = dict.fromkeys(t for ex in examples for a in attrs for t in getattr(ex, a) or [])
         return {tag: i for i, tag in enumerate(tags, start=1)}
 
-    vocab = Vocabulary(words, trainable, chars,
-                       tag_vocab("passage_pos", "question_pos") if config.use_pos else {},
-                       tag_vocab("passage_ner", "question_ner") if config.use_ner else {})
+    vocab = Vocabulary(words, trainable, chars, tag_vocab("passage_pos", "question_pos"),
+                       tag_vocab("passage_ner", "question_ner"))
     return vocab, rows
 
 
@@ -189,12 +188,11 @@ def char_cnn(char_emb, filters, bias, char_idx, n_valid_windows, width):
 
 
 class CharCNN:
-    """Per-word character encoder: embeddings, 1-d filters, max pool; sizes
-    from the run config's char_dim, char_width and char_filters."""
+    """Per-word character encoder: embeddings, 1-d filters CHAR_WIDTH wide, max
+    pool; sizes from the run config's char_dim and char_filters."""
 
     def __init__(self, params, prefix, char_vocab, config):
         self.char_vocab = char_vocab
-        self.width = config.char_width
         n_chars = len(char_vocab) + 2
         mask = np.ones((n_chars, 1))
         mask[PAD_INDEX] = 0.0
@@ -202,45 +200,44 @@ class CharCNN:
                               lambda rng, shape: np.where(mask, uniform(rng, shape), 0.0),
                               grad_mask=mask)
         self.filters = params.add(f"{prefix}.filters", (
-            config.char_width * config.char_dim, config.char_filters), xavier_uniform)
+            CHAR_WIDTH * config.char_dim, config.char_filters), xavier_uniform)
         self.bias = params.add(f"{prefix}.bias", (config.char_filters,), constant(0.0))
 
     def __call__(self, tokens):
-        lengths = np.array([max(len(t), self.width) for t in tokens])
+        lengths = np.array([max(len(t), CHAR_WIDTH) for t in tokens])
         longest = lengths.max()
         idx = np.zeros((len(tokens), longest), dtype=np.intp)
         for w, tok in enumerate(tokens):
             for k, ch in enumerate(tok):
                 idx[w, k] = self.char_vocab.get(ch, UNK_INDEX)
-        n_valid = lengths - self.width + 1
-        return char_cnn(self.emb, self.filters, self.bias, idx, n_valid, self.width)
+        n_valid = lengths - CHAR_WIDTH + 1
+        return char_cnn(self.emb, self.filters, self.bias, idx, n_valid, CHAR_WIDTH)
 
 
 class FeatureExtractor:
-    """Maps token sequences to the model's input feature rows, `width` wide:
-    the config's word_dim and char filters, the exact-match bit and feat_dim
-    per enabled tag slot. The word rows, one per word of the Vocabulary, are
-    the `feat.word_emb` array given to `params` (drawn uniform without one)."""
+    """Maps token sequences to input feature rows, `width` wide: word_dim, the
+    char filters, the exact-match bit and feat_dim per filled tag table and for
+    qtype. The word rows, one per word of the Vocabulary, are the `feat.word_emb`
+    array given to `params` (drawn uniform without one)."""
 
     def __init__(self, params, vocab, config):
         self.config = config
         self.vocab = vocab
         self.word_index = {tok: i for i, tok in enumerate(vocab.word_tokens)}
-        flags = config.use_pos + config.use_ner + config.use_qtype
+        flags = 1 + bool(vocab.pos_vocab) + bool(vocab.ner_vocab)
         self.width = config.word_dim + config.char_filters + 1 + flags * config.feat_dim
         word_mask = np.array(vocab.word_trainable, dtype=np.float64)[:, None]
         self.word_emb = params.add("feat.word_emb", (len(vocab.word_tokens), config.word_dim),
                                    uniform, grad_mask=word_mask)
         self.char = CharCNN(params, "feat.char", vocab.char_vocab, config)
-        if config.use_pos:
+        if vocab.pos_vocab:
             self.pos_emb = params.add(
                 "feat.pos_emb", (len(vocab.pos_vocab) + 1, config.feat_dim), uniform)
-        if config.use_ner:
+        if vocab.ner_vocab:
             self.ner_emb = params.add(
                 "feat.ner_emb", (len(vocab.ner_vocab) + 1, config.feat_dim), uniform)
-        if config.use_qtype:
-            self.qtype_emb = params.add(
-                "feat.qtype_emb", (len(QUESTION_TYPES), config.feat_dim), uniform)
+        self.qtype_emb = params.add(
+            "feat.qtype_emb", (len(QUESTION_TYPES), config.feat_dim), uniform)
 
     def _tag_part(self, emb, vocab, tags, sequences):
         """Tag embedding rows; a sequence without tags gets zero rows."""
@@ -256,7 +253,7 @@ class FeatureExtractor:
         """[sum n_k, width] feature rows of token sequences, packed in order; the
         char CNN runs once per distinct word. `em_bits` (an array per sequence)
         defaults to zeros; `pos`/`ner` (a tag list or None per sequence) are read
-        when enabled. The rows come back undropped."""
+        when the Vocabulary has that tag table. The rows come back undropped."""
         tokens = [t for seq in sequences for t in seq]
         n = len(tokens)
         if n == 0:
@@ -271,15 +268,14 @@ class FeatureExtractor:
                  T.gather_rows(self.char(list(distinct)), slots)]
         em = np.zeros(n) if em_bits is None else np.concatenate(em_bits)
         parts.append(Tensor(np.asarray(em, dtype=np.float64).reshape(n, 1)))
-        if self.config.use_pos:
+        if self.vocab.pos_vocab:
             parts.append(self._tag_part(self.pos_emb, self.vocab.pos_vocab, pos, sequences))
-        if self.config.use_ner:
+        if self.vocab.ner_vocab:
             parts.append(self._tag_part(self.ner_emb, self.vocab.ner_vocab, ner, sequences))
-        if self.config.use_qtype:
-            if side == "question":
-                types = [QUESTION_TYPES.index(question_type(seq)) for seq in sequences]
-                parts.append(T.gather_rows(
-                    self.qtype_emb, np.repeat(types, [len(seq) for seq in sequences])))
-            else:
-                parts.append(Tensor(np.zeros((n, self.config.feat_dim))))
+        if side == "question":
+            types = [QUESTION_TYPES.index(question_type(seq)) for seq in sequences]
+            parts.append(T.gather_rows(
+                self.qtype_emb, np.repeat(types, [len(seq) for seq in sequences])))
+        else:
+            parts.append(Tensor(np.zeros((n, self.config.feat_dim))))
         return T.concat(parts, axis=1)

@@ -32,6 +32,7 @@ from . import tensor as T
 from .errors import ShapeError
 from .params import constant, xavier_uniform
 
+FUSION_LAYERS = 2  # highway layers in each outer fusion stack
 GATE_BIAS_INIT = -1.0
 ROW_BLOCK = 256  # least rows per block of Fi's input gradient; one block below 2 * ROW_BLOCK
 

@@ -27,7 +27,7 @@ from .tensor import backward
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
 
@@ -152,8 +152,7 @@ def train(model, train_examples, dev_examples, config, run_dir=None):
                 best_em, best_epoch = dev_result.em, epoch
                 best_params = {k: t.data.copy() for k, t in model.params.items()}
                 if ckpt_path is not None:
-                    save_checkpoint(model, ckpt_path, epoch=epoch, best_dev_em=best_em,
-                                    lr_history=[r["lr"] for r in history])
+                    save_checkpoint(model, ckpt_path, epoch=epoch, best_dev_em=best_em)
 
             if run_dir is not None:
                 write_metrics_csv(history, os.path.join(run_dir, "metrics.csv"))
@@ -225,17 +224,16 @@ def write_metrics_csv(history, path):
 # "params/<name>" per parameter. No Adam state is stored: runs do not resume.
 
 
-RUN_RECORD = ("epoch", "best_dev_em", "lr_history")
+RUN_RECORD = ("epoch", "best_dev_em")
 
 
-def save_checkpoint(model, path, epoch=0, best_dev_em=0.0, lr_history=()):
+def save_checkpoint(model, path, epoch=0, best_dev_em=0.0):
     meta = {
         "format_version": CHECKPOINT_VERSION,
         "config_hash": config_hash(asdict(model.config)),
         "config": asdict(model.config),
         "epoch": epoch,
         "best_dev_em": best_dev_em,
-        "lr_history": list(lr_history),
         "vocab": asdict(model.vocab),
     }
     arrays = {f"params/{name}": t.data for name, t in model.params.items()}
@@ -247,7 +245,7 @@ def save_checkpoint(model, path, epoch=0, best_dev_em=0.0, lr_history=()):
 
 def restore_model(path):
     """Verify a checkpoint; returns its model, built from the stored arrays with no
-    draw, and its run record {epoch, best_dev_em, lr_history}."""
+    draw, and its run record {epoch, best_dev_em}."""
     try:
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             meta = json.loads(str(npz["meta"]))
@@ -265,11 +263,9 @@ def restore_model(path):
         if key not in meta:
             raise CheckpointError(f"{path}: missing checkpoint section '{key}'")
     record = {key: meta[key] for key in RUN_RECORD}
-    lrs = record["lr_history"]
-    if not (type(record["epoch"]) is int and type(record["best_dev_em"]) in (int, float)
-            and type(lrs) is list and all(type(lr) in (int, float) for lr in lrs)):
+    if not (type(record["epoch"]) is int and type(record["best_dev_em"]) in (int, float)):
         raise CheckpointError(f"{path}: checkpoint run record holds {record!r}, expected an "
-                              f"integer epoch, a number best_dev_em and a list of numbers")
+                              "integer epoch and a number best_dev_em")
     try:
         config = RunConfig(**meta["config"])
     except (TypeError, ConfigError) as exc:

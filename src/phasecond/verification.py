@@ -121,7 +121,7 @@ def run_grad_checks(seed=0):
 
     # character CNN parameters
     cnn = CharCNN(ParamSet(rng), "cnn", {"a": 2, "b": 3, "c": 4},
-                  RunConfig(char_dim=3, char_filters=4, char_width=5))
+                  RunConfig(char_dim=3, char_filters=4))
     mix_cnn = _mix(rng, (2, 4))
     check("char_cnn", "words=2,dc=3,F=4",
           lambda _p: T.tsum(T.mul(cnn(["abca", "cb"]), mix_cnn)),

@@ -118,13 +118,14 @@ class TestTrainCommand:
         (["--set", "dropout=1"], "dropout must be in [0, 1)"),
         (["--hidden", "0"], "hidden must be >= 1"),
         (["--set", "mask_diagonal=true"], "unknown config key: mask_diagonal"),
+        (["--set", "use_pos=true"], "unknown config key: use_pos"),
         (["--set", "early_stop_dev_em=nan"], "early_stop_dev_em must be in [0, 100], got nan"),
         (["--set", "lr=inf"], "lr must be positive and finite, got inf"),
         (["--set", "path=LS"], "first attention step must be LQ"),
         (["--path", "LQ->LQ->Fo" + "->LS->LS->Fo" * 20], "step 12: Fo would be 16 x 2d wide"),
         (["--hidden", "x"], "hidden: expected int, got 'x'"),
-    ], ids=["seed", "grad_clip", "dropout", "hidden", "mask_diagonal", "early_stop_nan", "lr_inf",
-            "set_path", "wide_path", "hidden_not_int"])
+    ], ids=["seed", "grad_clip", "dropout", "hidden", "mask_diagonal", "use_pos", "early_stop_nan",
+            "lr_inf", "set_path", "wide_path", "hidden_not_int"])
     def test_invalid_config_is_usage_error_before_any_data_is_read(self, tmp_path, capsys,
                                                                     flags, message):
         code = main(["train", "--train-data", str(tmp_path / "missing.jsonl"),
@@ -280,6 +281,22 @@ class TestDumpAttention:
         assert code == 0
         record = json.loads((out / "qp_1.json").read_text())
         assert record["row_tokens"] == ["tok01", "ans02", "tok03"]
+
+    @pytest.mark.parametrize("passage,question,flag", [
+        ("   ", "what ?", "--passage"),
+        ("tok01 ans02", " \t ", "--question"),
+    ], ids=["passage", "question"])
+    def test_text_without_tokens_is_usage_error(self, workspace, tmp_path, capsys,
+                                                passage, question, flag):
+        code = main(["dump-attention", "--checkpoint", str(workspace / "run" / "best.ckpt"),
+                     "--passage", passage, "--question", question, "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {flag} has no tokens\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_one_hot_rows_have_entropy_plus_zero(self):
+        entropy = phasecond.cli.mean_row_entropy(np.eye(1))
+        assert entropy == 0.0 and np.copysign(1.0, entropy) == 1.0
 
     def test_identical_dumps_for_identical_seeds(self, workspace, tmp_path):
         _, out1 = self.dump(workspace, tmp_path / "first")

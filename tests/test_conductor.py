@@ -35,8 +35,8 @@ from phasecond.tensor import Tensor, grad_check
 
 
 def small_config(**over):
-    base = dict(hidden=3, word_dim=6, char_dim=4, char_filters=5, char_width=5,
-                feat_dim=3, use_qtype=True, dropout=0.2, seed=0)
+    base = dict(hidden=3, word_dim=6, char_dim=4, char_filters=5, feat_dim=3, dropout=0.2,
+                seed=0)
     base.update(over)
     return RunConfig(**base)
 
@@ -270,8 +270,8 @@ class TestBuildModel:
     ])
     def test_initial_parameters_are_pinned(self, tagged, digest):
         """sha256 over (name, bytes) of every parameter of criterion 7's desk model,
-        and of the same model with pos and ner slots: a change that moves any
-        initial bit, such as a reordered draw, changes the digest."""
+        and of the same model on data that carries pos and ner tags: a change that
+        moves any initial bit, such as a reordered draw, changes the digest."""
         examples = generate_synthetic(SyntheticSpec(n_examples=200, vocab_size=50,
                                                     min_len=20, max_len=30, seed=0))
         if tagged:
@@ -279,7 +279,7 @@ class TestBuildModel:
                 ex.passage_pos = ["NN" if (i + j) % 3 else "VB"
                                   for j in range(len(ex.passage_tokens))]
                 ex.question_ner = ["O"] * len(ex.question_tokens) if i % 2 else None
-        model = build_from_examples(desk_config(use_pos=tagged, use_ner=tagged), examples)
+        model = build_from_examples(desk_config(), examples)
         sha = hashlib.sha256()
         for name, t in model.params.items():
             sha.update(name.encode())

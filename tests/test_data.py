@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -81,6 +82,22 @@ class TestLoadSquad:
         s, e = ex.gold_spans[0]
         assert ex.passage_tokens[s:e + 1] == ["Denver", "Broncos"]
         assert ex.approximate_spans
+
+    def test_answer_not_at_its_offset_is_dropped(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO)
+        doc = {"data": [{"paragraphs": [{"context": "alpha beta gamma", "qas": [
+            {"id": "wrong-text", "question": "which ?",
+             "answers": [{"text": "zzzz", "answer_start": 6}, {"text": "beta", "answer_start": 6}]},
+            {"id": "negative-start", "question": "which ?",
+             "answers": [{"text": "al", "answer_start": -1}]},
+        ]}]}]}
+        path = write_squad(tmp_path, doc)
+        kept = load_squad(path)
+        assert [(ex.gold_spans, ex.answer_texts) for ex in kept] == [([(1, 1)], ["beta"]), ([], [])]
+        assert not kept[0].approximate_spans
+        assert "2 answers unmappable, 0 expanded to token boundaries, 0 examples skipped" \
+            in caplog.text
+        assert [ex.id for ex in load_squad(path, training=True)] == ["wrong-text"]
 
     def test_empty_answers_mode_dependent(self, tmp_path):
         doc = json.loads(json.dumps(SQUAD_DOC))
@@ -273,7 +290,7 @@ class TestLoadJsonl:
     ])
     def test_tag_list_of_another_length_than_its_tokens_names_the_line(self, tmp_path,
                                                                        field, value):
-        # with use_pos or use_ner on, the first forward would fail naming no example
+        # with tags in the training data, the first forward would fail naming no example
         with pytest.raises(DataFormatError,
                            match=rf"data\.jsonl:2: field '{field}' has {len(value)} tags"):
             load_jsonl(self.write(tmp_path, **{field: value}))

@@ -6,12 +6,19 @@ its module, as an attribute of its module bound to a name
 (`from . import tensor as T` then `T.affine`), or as a target of
 `bench/spans.py`'s TARGETS, which wraps dotted names resolved at run time.
 A definition that only tests read is code the program no longer runs.
+
+Likewise every RunConfig field is read as an attribute (`config.hidden`)
+somewhere in the package outside config.py, in scripts/ or in bench/: a field
+that nothing reads is a setting that changes nothing.
 """
 
 import ast
 import glob
 import importlib.util
 import os
+from dataclasses import fields
+
+from phasecond.config import RunConfig
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "phasecond")
@@ -89,6 +96,21 @@ def unread_definitions():
     return unread
 
 
+def attribute_reads(tree):
+    """The attribute names a module reads (`x.name` loaded, not stored)."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_config_fields():
+    paths = [p for p in glob.glob(os.path.join(PACKAGE, "*.py"))
+             if os.path.basename(p) != "config.py"]
+    for pattern in ("scripts/*.py", "bench/*.py"):
+        paths += glob.glob(os.path.join(ROOT, pattern))
+    reads = set().union(*(attribute_reads(parse(path)) for path in paths))
+    return [f.name for f in fields(RunConfig) if f.name not in reads]
+
+
 def test_every_definition_in_the_package_has_a_reader_outside_the_tests():
     assert unread_definitions() == []
 
@@ -104,3 +126,8 @@ def test_the_scan_sees_each_kind_of_read():
     tree = ast.parse("def f():\n    return f()\n\ndef g():\n    return 1\n\nh = g\n")
     assert not own_reads(tree, "f") and own_reads(tree, "g")
     assert ("tensor", "backward") in bench_targets()
+    assert attribute_reads(ast.parse("cfg.hidden = cfg.seed\ngetattr(cfg, 'lr')\n")) == {"seed"}
+
+
+def test_every_run_config_field_has_a_reader_outside_config_py():
+    assert unread_config_fields() == []

@@ -19,8 +19,7 @@ from phasecond.tensor import Tensor, backward, grad_check
 
 
 def small_cfg(**over):
-    base = dict(word_dim=6, char_dim=4, char_filters=5, char_width=5,
-                feat_dim=3, use_qtype=False)
+    base = dict(word_dim=6, char_dim=4, char_filters=5, feat_dim=3)
     base.update(over)
     return RunConfig(**base)
 
@@ -125,17 +124,21 @@ class TestBuildVocabulary:
         ex = SimpleNamespace(passage_tokens=["ab", "ba"], question_tokens=["c"],
                              passage_pos=["NN", "VB"], question_pos=None,
                              passage_ner=None, question_ner=["O"])
-        vocab, _ = build_vocabulary(small_cfg(use_pos=True), [ex], np.random.default_rng(0))
+        vocab, _ = build_vocabulary(small_cfg(), [ex], np.random.default_rng(0))
         assert vocab.char_vocab == {"a": 2, "b": 3, "c": 4}
         assert vocab.pos_vocab == {"NN": 1, "VB": 2}
-        assert vocab.ner_vocab == {}  # use_ner is off
+        assert vocab.ner_vocab == {"O": 1}
+
+        # a table whose tag the data does not carry is {}
+        ex.question_ner = None
+        assert build_vocabulary(small_cfg(), [ex], np.random.default_rng(0))[0].ner_vocab == {}
 
         # repeated tokens and a literal <pad>: every map keeps first-seen order
         ex = SimpleNamespace(passage_tokens=["ba", "<pad>", "ab", "ba"],
                              question_tokens=["ab", "dc", "<pad>"],
                              passage_pos=None, question_pos=None,
                              passage_ner=["B", "O", "B", "O"], question_ner=["I", "O", "B"])
-        vocab, _ = build_vocabulary(small_cfg(use_ner=True), [ex, ex], np.random.default_rng(0))
+        vocab, _ = build_vocabulary(small_cfg(), [ex, ex], np.random.default_rng(0))
         assert vocab.word_tokens == ["<pad>", "<unk>", "ba", "ab", "dc"]
         assert list(vocab.char_vocab.items()) == [
             ("b", 2), ("a", 3), ("<", 4), ("p", 5), ("d", 6), (">", 7), ("c", 8)]
@@ -180,10 +183,10 @@ class TestQuestionType:
 
 class TestEmbedSequence:
     def test_width_word_char_em(self):
-        cfg = RunConfig(word_dim=100, char_dim=4, char_filters=100, use_qtype=False)
+        cfg = RunConfig(word_dim=100, char_dim=4, char_filters=100)
         ext, _ = make_extractor(["a", "b", "c"], cfg=cfg, seed=6)
         out = ext.embed_sequence([["a", "b", "c"]], side="passage")
-        assert out.data.shape == (3, 201)
+        assert out.data.shape == (3, 209)  # 100 word, 100 char, 1 exact match, 8 qtype
 
     def test_empty_sequence(self):
         ext, _ = make_extractor(["x"])
@@ -197,7 +200,7 @@ class TestEmbedSequence:
         assert np.array_equal(a.data, b.data)
 
     def test_qtype_slot_zero_on_passage(self):
-        cfg = small_cfg(use_qtype=True)
+        cfg = small_cfg()
         ext, _ = make_extractor(["what", "city"], cfg=cfg)
         p = ext.embed_sequence([["city"]], side="passage")
         q = ext.embed_sequence([["what", "city"]], side="question")
@@ -207,7 +210,7 @@ class TestEmbedSequence:
         assert np.array_equal(q.data[0, -cfg.feat_dim:], q.data[1, -cfg.feat_dim:])
 
     def test_pos_tags_checked_and_embedded(self):
-        cfg = small_cfg(use_pos=True)
+        cfg = small_cfg()
         ext, _ = make_extractor(["dog", "ran"], cfg=cfg, seed=8, pos_vocab={"NN": 1, "VB": 2})
         out = ext.embed_sequence([["dog", "ran"]], side="passage", pos=[["NN", "VB"]])
         assert out.data.shape == (2, ext.width)
@@ -215,7 +218,7 @@ class TestEmbedSequence:
             ext.embed_sequence([["dog", "ran"]], side="passage", pos=[["NN"]])
 
     def test_packed_batch_matches_one_sequence_at_a_time(self):
-        cfg = small_cfg(use_qtype=True)
+        cfg = small_cfg()
         seqs = [["what", "city", "is", "it"], ["Who", "ran"], ["city", "city", "unseen"]]
         ext, params = make_extractor([t for s in seqs for t in s], cfg=cfg)
         bits = [np.arange(len(s)) % 2.0 for s in seqs]
@@ -236,11 +239,12 @@ class TestEmbedSequence:
         assert np.array_equal(rows[0], rows[2]) and np.array_equal(rows[0], rows[5])
 
     def test_sequence_without_tags_gets_zero_rows(self):
-        cfg = small_cfg(use_pos=True)
+        cfg = small_cfg()
         ext, _ = make_extractor(["dog", "ran"], cfg=cfg, seed=8, pos_vocab={"NN": 1, "VB": 2})
         out = ext.embed_sequence([["dog"], ["ran", "dog"]], side="passage",
                                  pos=[None, ["VB", "NN"]])
-        tags = out.data[:, -cfg.feat_dim:]
+        col = cfg.word_dim + cfg.char_filters + 1  # the pos slot follows the exact-match bit
+        tags = out.data[:, col:col + cfg.feat_dim]
         assert np.all(tags[0] == 0.0) and np.any(tags[1:] != 0.0)
 
     def test_exact_match_bit_lands_in_column(self):

@@ -36,9 +36,8 @@ from reference_ops import add
 
 
 def small_config(**over):
-    base = dict(hidden=3, word_dim=6, char_dim=4, char_filters=4, char_width=5,
-                feat_dim=3, dropout=0.0, seed=0, batch_size=4, epochs=2,
-                pointer_hops=1)
+    base = dict(hidden=3, word_dim=6, char_dim=4, char_filters=4, feat_dim=3, dropout=0.0,
+                seed=0, batch_size=4, epochs=2, pointer_hops=1)
     base.update(over)
     return RunConfig(**base)
 
@@ -65,7 +64,7 @@ def adam_oracle(grads, lr, b1=0.9, b2=0.999, eps=1e-8):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("char_width", 0), ("char_width", -1), ("char_dim", 0), ("char_filters", 0), ("epochs", 0),
+    ("char_dim", 0), ("char_filters", 0), ("epochs", 0),
     ("word_dim", 0), ("word_dim", -1), ("feat_dim", 0), ("feat_dim", -2)])
 def test_config_values_below_one_rejected_before_any_work(field, value):
     with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
@@ -88,8 +87,8 @@ class TestRunConfig:
         ("lr", float("inf"), "lr must be positive and finite, got inf"),
         ("seed", True, "seed must be int, got True"),
         ("seed", 1.5, "seed must be int"),
-        ("use_pos", "yes", "use_pos must be bool"),
-        ("use_pos", 1, "use_pos must be bool"),
+        ("freeze_pretrained", "yes", "freeze_pretrained must be bool"),
+        ("freeze_pretrained", 1, "freeze_pretrained must be bool"),
         ("lr", True, "lr must be float"),
         ("path", None, "path must be str"),
         ("early_stop_dev_em", float("nan"), r"early_stop_dev_em must be in \[0, 100\]"),
@@ -137,15 +136,19 @@ class TestRunConfig:
 
     def test_config_file_with_a_removed_key_rejected(self, tmp_path):
         old = tmp_path / "effective.cfg"
-        old.write_text("hidden=3\nmask_diagonal=False\n")
-        with pytest.raises(ConfigError, match="unknown config key: mask_diagonal"):
-            from_file(str(old))
+        for key, value in (("mask_diagonal", "False"), ("fusion_layers", "2"), ("char_width", "5"),
+                           ("use_pos", "False"), ("use_ner", "False"), ("use_qtype", "True")):
+            old.write_text(f"hidden=3\n{key}={value}\n")
+            with pytest.raises(ConfigError, match=f"unknown config key: {key}"):
+                from_file(str(old))
+            with pytest.raises(ConfigError, match=f"unknown config key: {key}"):
+                apply_overrides(RunConfig(), {key: value})
 
     @pytest.mark.parametrize("make", [
         lambda tmp_path: RunConfig(),
         lambda tmp_path: desk_config(),
-        lambda tmp_path: small_config(vectors=str(tmp_path / "vectors.txt"), use_pos=True,
-                                      path="(LQ->Fi->LS->Fi)x2"),
+        lambda tmp_path: small_config(vectors=str(tmp_path / "vectors.txt"),
+                                      freeze_pretrained=False, path="(LQ->Fi->LS->Fi)x2"),
     ], ids=["default", "desk", "vectors-pos-aligner"])
     def test_effective_cfg_reads_back_as_the_config(self, tmp_path, monkeypatch, make):
         (tmp_path / "vectors.txt").write_text("tok01 0.1 0.2 0.3 0.4 0.5 0.6\n")
@@ -465,7 +468,7 @@ class TestGradientArrays:
             ex.passage_ner = ["O" if j % 4 else "PER" for j in range(len(ex.passage_tokens))]
             ex.question_pos = ["WP"] * len(ex.question_tokens)
             ex.question_ner = ["O"] * len(ex.question_tokens)
-        cfg = desk_config(path="LQ->LQ->Fo->LQ->Fi->LS->Fi", use_pos=True, use_ner=True)
+        cfg = desk_config(path="LQ->LQ->Fo->LQ->Fi->LS->Fi")
         model = build_from_examples(cfg, data)
         values, handed = [], []
         for module in (T, encoders, features):  # each binds its own make_node
@@ -522,8 +525,7 @@ class TestCheckpoint:
     def test_run_record_roundtrip(self, tmp_path):
         model, data, result = self.build_trained(tmp_path, small_config(epochs=3))
         _, record = restore_model(result.checkpoint_path)
-        assert record == {"epoch": result.best_epoch, "best_dev_em": result.best_dev_em,
-                          "lr_history": [row["lr"] for row in result.history[:result.best_epoch]]}
+        assert record == {"epoch": result.best_epoch, "best_dev_em": result.best_dev_em}
 
     def test_members_are_meta_and_one_array_per_parameter(self, tmp_path):
         model, data, result = self.build_trained(tmp_path)
@@ -584,6 +586,19 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version 4"):
             restore_model(old)
 
+    def test_version_5_checkpoint_rejected_with_its_version(self, tmp_path):
+        model, data, result = self.build_trained(tmp_path)
+
+        def to_version_5(meta):
+            meta["config"].update(fusion_layers=2, char_width=5, use_pos=False, use_ner=False,
+                                  use_qtype=True)
+            meta.update(format_version=5, config_hash=config_hash(meta["config"]),
+                        lr_history=[meta["config"]["lr"]] * meta["epoch"])
+
+        old = self.rewrite_meta(result.checkpoint_path, tmp_path / "v5.ckpt", to_version_5)
+        with pytest.raises(CheckpointError, match="version 5"):
+            restore_model(old)
+
     def test_restored_parameters_take_an_adam_step(self, tmp_path):
         data = tiny_dataset(n=4, seed=5)
         cfg = small_config(epochs=1)
@@ -622,7 +637,7 @@ class TestCheckpoint:
         for i, ex in enumerate(data):
             ex.passage_pos = ["NN" if (i + j) % 2 else "VB" for j in range(len(ex.passage_tokens))]
             ex.question_ner = ["O"] * (i % 2) * len(ex.question_tokens) or None
-        model = build_from_examples(small_config(use_pos=True, use_ner=True), data)
+        model = build_from_examples(small_config(), data)
         assert model.vocab.pos_vocab == {"VB": 1, "NN": 2} and model.vocab.ner_vocab == {"O": 1}
         path = str(tmp_path / "tagged.ckpt")
         save_checkpoint(model, path)
@@ -710,7 +725,7 @@ class TestCheckpoint:
         ("dropout", 1.5, "dropout must be in"),
         ("path", "LS->LQ", "first attention step"),
         ("seed", 1.5, "not a RunConfig: seed must be int"),
-        ("use_pos", "yes", "not a RunConfig: use_pos must be bool"),
+        ("freeze_pretrained", "yes", "not a RunConfig: freeze_pretrained must be bool"),
         ("seed", True, "not a RunConfig: seed must be int"),
     ])
     def test_stored_config_that_does_not_build_rejected(self, tmp_path, key, value, message):
@@ -728,14 +743,11 @@ class TestCheckpoint:
     @pytest.mark.parametrize("edit,message", [
         (lambda meta: [3], "not an object"),
         (lambda meta: {**meta, "epoch": 1.0}, "run record"),
-        (lambda meta: {**meta, "lr_history": 0.1}, "run record"),
         (lambda meta: {**meta, "config_hash": 123}, "config hash"),
-        (lambda meta: {**meta, "lr_history": [0.1, "x"]}, "run record"),
         (lambda meta: {**meta, "best_dev_em": True}, "run record"),
         (lambda meta: {k: v for k, v in meta.items() if k != "best_dev_em"},
          "missing checkpoint section 'best_dev_em'"),
-    ], ids=["meta-list", "epoch-float", "lr-history-number", "hash-number", "lr-string",
-            "best-em-bool", "record-incomplete"])
+    ], ids=["meta-list", "epoch-float", "hash-number", "best-em-bool", "record-incomplete"])
     def test_mistyped_meta_rejected(self, tmp_path, edit, message):
         model = build_from_examples(small_config(), tiny_dataset(n=4, seed=5))
         path = str(tmp_path / "typed.ckpt")
