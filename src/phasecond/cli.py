@@ -128,8 +128,7 @@ def dump_attention(model, example, out_dir, write_csv=False):
     os.makedirs(out_dir, exist_ok=True)
     result = forward(model, example)
     manifest = {"example_id": example.id, "span": [result.span.start, result.span.end],
-                "answer_text": (example.span_text(result.span.start, result.span.end)
-                                if example.passage_tokens else ""),
+                "answer_text": example.span_text(result.span.start, result.span.end),
                 "matrices": [], "entropy": []}
     for matrix in result.trace:
         if not np.all(np.abs(matrix.weights.sum(axis=1) - 1.0) <= 1e-9):  # NaN fails too

@@ -40,7 +40,7 @@ from .errors import PathSyntaxError, PathValidationError
 from .features import FeatureExtractor, build_vocabulary, exact_match_features
 from .fusion import FUSION_LAYERS, InnerFusionLayer, OuterFusionStack
 from .params import ParamSet, xavier_uniform
-from .pointer import PointerHead, decode_span, span_loss
+from .pointer import POINTER_HOPS, PointerHead, decode_span, span_loss
 
 ATTENTION_STEPS = ("LQ", "LS")
 
@@ -199,7 +199,7 @@ class ModelAssembly:
             self.plan.append(plan_step)
 
         self.final_width = widths[-1]
-        self.pointer = PointerHead(self.params, self.final_width, d2, config.pointer_hops)
+        self.pointer = PointerHead(self.params, self.final_width, d2, POINTER_HOPS)
 
     def parameter_count(self):
         return self.params.count()

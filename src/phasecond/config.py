@@ -19,9 +19,8 @@ DEFAULT_PATH = "LQ->LQ->Fo->LS->Fi->LS->Fi"
 ITERATIVE_ALIGNER_PATH = "(LQ->Fi->LS->Fi)x2"
 
 
-# The values a field of each annotated type takes; bool is an int but is refused
-# wherever the field is not a bool.
-_ACCEPTS = {int: int, bool: bool, float: (int, float), str: str}
+# The values a field of each annotated type takes; bool is an int but is refused.
+_ACCEPTS = {int: int, float: (int, float), str: str}
 
 
 @dataclass(frozen=True)
@@ -29,7 +28,6 @@ class RunConfig:
     # architecture
     path: str = DEFAULT_PATH
     hidden: int = 128
-    pointer_hops: int = 2
     max_span: int = 15
     # features
     word_dim: int = 100
@@ -37,13 +35,11 @@ class RunConfig:
     char_filters: int = 100
     feat_dim: int = 8
     vectors: str = ""
-    freeze_pretrained: bool = True
     # optimization
     dropout: float = 0.2
     lr: float = 0.0006
     batch_size: int = 32
     epochs: int = 30
-    grad_clip: float = 5.0
     seed: int = 0
     early_stop_train_em: float = 0.0
     early_stop_dev_em: float = 0.0
@@ -54,19 +50,16 @@ class RunConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            wrong_bool = isinstance(value, bool) is not (f.type is bool)
-            if wrong_bool or not isinstance(value, _ACCEPTS[f.type]):
+            if isinstance(value, bool) or not isinstance(value, _ACCEPTS[f.type]):
                 raise ConfigError(f"{f.name} must be {f.type.__name__}, got {value!r}")
-        for name in ("hidden", "pointer_hops", "max_span", "word_dim", "char_dim",
-                     "char_filters", "feat_dim", "batch_size", "epochs"):
+        for name in ("hidden", "max_span", "word_dim", "char_dim", "char_filters", "feat_dim",
+                     "batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
         if not 0 < self.lr < math.inf:  # NaN too
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
-        if not self.grad_clip >= 0:
-            raise ConfigError("grad_clip must be >= 0 (0 disables clipping)")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name in ("early_stop_train_em", "early_stop_dev_em"):
@@ -97,13 +90,6 @@ def config_hash(values):
 
 def _coerce(name, kind, raw):
     raw = raw.strip()
-    if kind is bool:
-        low = raw.lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"{name}: expected a boolean, got {raw!r}")
     try:
         return kind(raw)
     except ValueError:

@@ -46,7 +46,6 @@ class QAExample:
     passage_ner: list = None
     question_pos: list = None
     question_ner: list = None
-    approximate_spans: bool = False
 
     def span_text(self, start, end):
         return self.passage_text[self.passage_offsets[start][0]:
@@ -124,7 +123,7 @@ def load_squad(path, training=False):
                 answers = _require(qa, "answers", q_where, list)
                 if not answers and training:
                     raise DataFormatError(f"{q_where}: empty answers in training mode")
-                spans, texts, approx = [], [], False
+                spans, texts = [], []
                 for k, ans in enumerate(answers):
                     text = _require(ans, "text", f"{q_where}.answers[{k}]", str)
                     start = _require(ans, "answer_start", f"{q_where}.answers[{k}]", int)
@@ -136,7 +135,6 @@ def load_squad(path, training=False):
                     first, last, exact = located
                     if not exact:
                         expanded += 1
-                        approx = True
                     spans.append((first, last))
                     texts.append(text)
                 if training and not spans:
@@ -150,7 +148,6 @@ def load_squad(path, training=False):
                     question_tokens=question,
                     gold_spans=spans,
                     answer_texts=texts,
-                    approximate_spans=approx,
                 ))
     if skipped_answers or expanded or skipped_examples:
         log.info("load_squad(%s): %d answers unmappable, %d expanded to token "
@@ -172,6 +169,7 @@ def _joined_text(tokens):
 # Synthetic cloze data
 
 QUESTION_PREFIX = ("which", "word", "follows")
+MAX_ANSWER_LEN = 3  # answer tokens after the key, at most
 
 
 @dataclass
@@ -182,12 +180,12 @@ class SyntheticSpec:
     vocab_size: int = 50
     min_len: int = 20
     max_len: int = 30
-    max_answer_len: int = 3
     seed: int = 0
 
 
 def generate_synthetic(spec):
-    """Cloze passages: "... k a1 .. aj ..." asked as "which word follows k".
+    """Cloze passages: "... k a1 .. aj ..." asked as "which word follows k",
+    with 1 <= j <= MAX_ANSWER_LEN; min_len >= 8 leaves room for the key and answer.
 
     The vocabulary splits into a content pool (fillers and keys) and an
     answer pool, so the span's end boundary is inferable from token
@@ -197,16 +195,12 @@ def generate_synthetic(spec):
     for name in ("n_examples", "seed"):
         if getattr(spec, name) < 0:
             raise ConfigError(f"{name} must be >= 0, got {getattr(spec, name)}")
-    if spec.max_answer_len < 1:
-        raise ConfigError(f"max_answer_len must be >= 1, got {spec.max_answer_len}")
     if spec.vocab_size < 20:
         raise ConfigError(f"vocab_size must be >= 20, got {spec.vocab_size}")
     if spec.min_len < 8:
         raise ConfigError(f"min_len must be >= 8, got {spec.min_len}")
     if spec.min_len > spec.max_len:
         raise ConfigError("min_len exceeds max_len")
-    if spec.max_answer_len + 1 > spec.min_len:
-        raise ConfigError("answers cannot fit inside the shortest passage")
 
     n_answer_pool = max(4, spec.vocab_size // 5)
     answer_pool = [f"ans{i:02d}" for i in range(n_answer_pool)]
@@ -216,7 +210,7 @@ def generate_synthetic(spec):
     examples = []
     for k in range(spec.n_examples):
         length = int(rng.integers(spec.min_len, spec.max_len + 1))
-        ans_len = int(rng.integers(1, spec.max_answer_len + 1))
+        ans_len = int(rng.integers(1, MAX_ANSWER_LEN + 1))
         key = content_pool[int(rng.integers(len(content_pool)))]
         answer = [answer_pool[i] for i in rng.integers(n_answer_pool, size=ans_len)]
         fillers = [t for t in content_pool if t != key]

@@ -52,6 +52,8 @@ class Vocabulary:
 
     def __post_init__(self):
         words, flags = self.word_tokens, self.word_trainable
+        if not (type(words) is list and type(flags) is list):
+            raise DataError("the words and trainable flags must be lists")
         if len(flags) != len(words):
             raise DataError(f"{len(flags)} trainable flags for {len(words)} words")
         if len({w for w in words if type(w) is str}) != len(words):
@@ -60,6 +62,8 @@ class Vocabulary:
             raise DataError("trainable flags must be the ints 0 and 1")
         for name, table, first in (("char", self.char_vocab, 2), ("pos", self.pos_vocab, 1),
                                    ("ner", self.ner_vocab, 1)):
+            if type(table) is not dict:
+                raise DataError(f"the {name} map must be an object, got {type(table).__name__}")
             last = first + len(table) - 1
             ints = {i for i in table.values() if type(i) is int}
             if any(type(key) is not str for key in table) or ints != set(range(first, last + 1)):
@@ -98,9 +102,9 @@ def build_vocabulary(config, examples, rng):
 
     The words are pad, unk and the distinct passage and question tokens in
     first-seen order. A word found in `config.vectors` (as is, else
-    lowercased) takes its vector and is trainable unless `freeze_pretrained`;
-    unk and every other word draw a trainable uniform(-0.05, 0.05) row from
-    `rng`, in word order. A tag table numbers the examples' tags ({} for none).
+    lowercased) takes its vector, frozen; unk and every other word draw a
+    trainable uniform(-0.05, 0.05) row from `rng`, in word order. A tag table
+    numbers the examples' tags ({} for none).
     """
     distinct = dict.fromkeys(t for ex in examples
                              for seq in (ex.passage_tokens, ex.question_tokens) for t in seq)
@@ -113,7 +117,7 @@ def build_vocabulary(config, examples, rng):
     for i, vec in enumerate(found):
         if vec is not None:
             rows[i] = vec
-    trainable = [0] + [1 if vec is None else int(not config.freeze_pretrained) for vec in found[1:]]
+    trainable = [0] + [int(vec is None) for vec in found[1:]]
     # A character first appears inside the first occurrence of some token.
     chars = {ch: i for i, ch in enumerate(dict.fromkeys("".join(distinct)), start=2)}
 

@@ -24,6 +24,8 @@ from . import tensor as T
 from .errors import ConfigError, DataError, NumericsError, ShapeError
 from .params import constant, xavier_uniform
 
+POINTER_HOPS = 2  # memory hops of the model's pointer head
+
 
 @dataclass
 class SpanPrediction:

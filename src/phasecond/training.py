@@ -27,7 +27,8 @@ from .tensor import backward
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
+GRAD_CLIP = 5.0  # the global gradient norm each step is clipped to
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
 
@@ -64,11 +65,11 @@ def adam_step(params, state, lr):
 
 
 def clip_gradients(params, max_norm):
-    """Scale all gradients so their global L2 norm is at most max_norm; a
-    max_norm of 0 disables clipping. Returns the norm before clipping."""
+    """Scale all gradients so their global L2 norm is at most max_norm. Returns
+    the norm before clipping."""
     grads = [t.grad for _, t in params.items() if t.grad is not None]
     norm = sum(float(np.vdot(g, g)) for g in grads) ** 0.5
-    if max_norm > 0 and norm > max_norm:
+    if norm > max_norm:
         scale = max_norm / norm
         for g in grads:
             g *= scale
@@ -191,7 +192,7 @@ def _optimizer_step(model, batch, state, rng):
         raise NumericsError(f"batch loss is not finite: {float(batch_loss.data)}")
     backward(batch_loss)
     model.params.apply_grad_masks()
-    clip_gradients(model.params, model.config.grad_clip)
+    clip_gradients(model.params, GRAD_CLIP)
     adam_step(model.params, state, model.config.lr)
     return float(batch_loss.data)
 

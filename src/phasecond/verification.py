@@ -15,6 +15,7 @@ from .attention import self_attention
 from .conductor import build_from_examples, run_path
 from .config import DEFAULT_PATH, RunConfig
 from .encoders import EncoderPair, lstm_direction
+from .errors import ConfigError
 from .features import CharCNN
 from .fusion import InnerFusionLayer, OuterFusionStack
 from .params import ParamSet
@@ -48,6 +49,8 @@ def _path_model(path, seed):
 
 def run_grad_checks(seed=0):
     """Check every layer type; returns one CheckReport per component."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     reports = []
 
     def check(component, dims, fn, x):

@@ -24,6 +24,7 @@ from phasecond.params import ParamSet
 from phasecond.pointer import decode_span
 from phasecond.tensor import Tensor, backward
 from phasecond.training import (
+    GRAD_CLIP,
     AdamState,
     adam_step,
     clip_gradients,
@@ -308,7 +309,7 @@ def test_criterion_8_loss_sanity():
     data = generate_synthetic(SyntheticSpec(n_examples=1, vocab_size=20,
                                             min_len=10, max_len=12, seed=3))
     cfg = RunConfig(hidden=4, word_dim=8, char_dim=4, char_filters=4, feat_dim=3,
-                    dropout=0.0, lr=0.01, batch_size=1, seed=2, pointer_hops=2)
+                    dropout=0.0, lr=0.01, batch_size=1, seed=2)
     model = build_from_examples(cfg, data)
     state = AdamState()
     rng = np.random.default_rng(0)
@@ -322,7 +323,7 @@ def test_criterion_8_loss_sanity():
             break
         backward(loss)
         model.params.apply_grad_masks()
-        clip_gradients(model.params, cfg.grad_clip)
+        clip_gradients(model.params, GRAD_CLIP)
         adam_step(model.params, state, cfg.lr)
     assert min(losses) < OVERFIT_LOSS, f"min loss {min(losses)} after {len(losses)} steps"
     report(8, f"single-example loss {losses[0]:.2f} -> {min(losses):.4f} in "

@@ -114,7 +114,7 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("flags,message", [
         (["--seed", "-1"], "seed must be >= 0"),
-        (["--set", "grad_clip=-1"], "grad_clip must be >= 0"),
+        (["--set", "grad_clip=-1"], "unknown config key: grad_clip"),
         (["--set", "dropout=1"], "dropout must be in [0, 1)"),
         (["--hidden", "0"], "hidden must be >= 1"),
         (["--set", "mask_diagonal=true"], "unknown config key: mask_diagonal"),
@@ -397,6 +397,10 @@ class TestGradCheckCommand:
         printed = capsys.readouterr().out
         assert "FAIL outer_fusion" in printed
         assert "component(s) failed" in printed
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert main(["grad-check", "--seed", "-1"]) == 2
+        assert capsys.readouterr() == ("", "error: seed must be >= 0, got -1\n")
 
 
 class TestSynthDataCommand:

@@ -59,9 +59,6 @@ class TestPretrainedVectors:
         assert rows[2].tolist() == [1.0, 2.0, 3.0]  # found lowercased
         assert np.all(np.abs(rows[3]) <= 0.05)
         assert vocab.word_trainable == [0, 1, 0, 1]
-        trainable = dataclasses.replace(cfg, freeze_pretrained=False)
-        assert build_vocabulary(trainable, passages(["Hello", "zzz"]),
-                                np.random.default_rng(1))[0].word_trainable == [0, 1, 1, 1]
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "vecs.txt"

@@ -23,6 +23,7 @@ from phasecond.features import Vocabulary
 from phasecond.params import ParamSet, constant
 from phasecond.tensor import Tensor, backward
 from phasecond.training import (
+    GRAD_CLIP,
     AdamState,
     _optimizer_step,
     adam_step,
@@ -37,7 +38,7 @@ from reference_ops import add
 
 def small_config(**over):
     base = dict(hidden=3, word_dim=6, char_dim=4, char_filters=4, feat_dim=3, dropout=0.0,
-                seed=0, batch_size=4, epochs=2, pointer_hops=1)
+                seed=0, batch_size=4, epochs=2)
     base.update(over)
     return RunConfig(**base)
 
@@ -81,14 +82,10 @@ def test_train_refuses_a_config_other_than_the_models():
 class TestRunConfig:
     @pytest.mark.parametrize("field,value,message", [
         ("seed", -1, "seed must be >= 0"),
-        ("grad_clip", -1.0, "grad_clip must be >= 0"),
-        ("grad_clip", float("nan"), "grad_clip must be >= 0"),
         ("lr", float("nan"), "lr must be positive"),
         ("lr", float("inf"), "lr must be positive and finite, got inf"),
         ("seed", True, "seed must be int, got True"),
         ("seed", 1.5, "seed must be int"),
-        ("freeze_pretrained", "yes", "freeze_pretrained must be bool"),
-        ("freeze_pretrained", 1, "freeze_pretrained must be bool"),
         ("lr", True, "lr must be float"),
         ("path", None, "path must be str"),
         ("early_stop_dev_em", float("nan"), r"early_stop_dev_em must be in \[0, 100\]"),
@@ -113,9 +110,6 @@ class TestRunConfig:
         cfg = RunConfig(early_stop_train_em=100.0, early_stop_dev_em=100.0)
         assert (cfg.early_stop_train_em, cfg.early_stop_dev_em) == (100.0, 100.0)
 
-    def test_zero_grad_clip_is_a_config(self):
-        assert RunConfig(grad_clip=0.0).grad_clip == 0.0
-
     def test_float_field_takes_an_int(self):
         assert RunConfig(lr=1, dropout=0).lr == 1
 
@@ -137,7 +131,9 @@ class TestRunConfig:
     def test_config_file_with_a_removed_key_rejected(self, tmp_path):
         old = tmp_path / "effective.cfg"
         for key, value in (("mask_diagonal", "False"), ("fusion_layers", "2"), ("char_width", "5"),
-                           ("use_pos", "False"), ("use_ner", "False"), ("use_qtype", "True")):
+                           ("use_pos", "False"), ("use_ner", "False"), ("use_qtype", "True"),
+                           ("pointer_hops", "1"), ("grad_clip", "5.0"),
+                           ("freeze_pretrained", "True")):
             old.write_text(f"hidden=3\n{key}={value}\n")
             with pytest.raises(ConfigError, match=f"unknown config key: {key}"):
                 from_file(str(old))
@@ -148,7 +144,7 @@ class TestRunConfig:
         lambda tmp_path: RunConfig(),
         lambda tmp_path: desk_config(),
         lambda tmp_path: small_config(vectors=str(tmp_path / "vectors.txt"),
-                                      freeze_pretrained=False, path="(LQ->Fi->LS->Fi)x2"),
+                                      path="(LQ->Fi->LS->Fi)x2"),
     ], ids=["default", "desk", "vectors-pos-aligner"])
     def test_effective_cfg_reads_back_as_the_config(self, tmp_path, monkeypatch, make):
         (tmp_path / "vectors.txt").write_text("tok01 0.1 0.2 0.3 0.4 0.5 0.6\n")
@@ -214,13 +210,6 @@ class TestClipping:
         norm = clip_gradients(params, 5.0)
         assert norm == pytest.approx(20.0)
         assert np.linalg.norm(p.grad) == pytest.approx(5.0)
-
-    def test_zero_max_norm_disables_clipping(self):
-        params = ParamSet()
-        p = params.add("w", (2,), constant(0.0))
-        p.grad = np.array([30.0, 40.0])
-        assert clip_gradients(params, 0.0) == pytest.approx(50.0)
-        assert p.grad.tolist() == [30.0, 40.0]
 
     def test_below_threshold_untouched(self):
         params = ParamSet()
@@ -314,7 +303,7 @@ class TestTrainLoop:
             loss = gold_loss(model, data[:1], rng=np.random.default_rng(0))
             backward(loss)
             model.params.apply_grad_masks()
-            clip_gradients(model.params, cfg.grad_clip)
+            clip_gradients(model.params, GRAD_CLIP)
             adam_step(model.params, state, cfg.lr)
             losses.append(float(loss.data))
             if losses[-1] < 0.01:
@@ -340,7 +329,7 @@ class TestBatchedStep:
         expected = T.mul(total, Tensor(1.0 / len(data)))
         backward(expected)
         reference.params.apply_grad_masks()
-        clip_gradients(reference.params, cfg.grad_clip)
+        clip_gradients(reference.params, GRAD_CLIP)
 
         loss = _optimizer_step(batched, data, AdamState(), rng_batched)
         assert abs(loss - float(expected.data)) <= 1e-12
@@ -599,6 +588,17 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version 5"):
             restore_model(old)
 
+    def test_version_6_checkpoint_rejected_with_its_version(self, tmp_path):
+        model, data, result = self.build_trained(tmp_path)
+
+        def to_version_6(meta):
+            meta["config"].update(pointer_hops=2, grad_clip=5.0, freeze_pretrained=True)
+            meta.update(format_version=6, config_hash=config_hash(meta["config"]))
+
+        old = self.rewrite_meta(result.checkpoint_path, tmp_path / "v6.ckpt", to_version_6)
+        with pytest.raises(CheckpointError, match="version 6"):
+            restore_model(old)
+
     def test_restored_parameters_take_an_adam_step(self, tmp_path):
         data = tiny_dataset(n=4, seed=5)
         cfg = small_config(epochs=1)
@@ -677,6 +677,10 @@ class TestCheckpoint:
             {min(vocab["char_vocab"]): len(vocab["char_vocab"]) + 2}), "char map", id="char-gap"),
         pytest.param(lambda vocab: vocab["char_vocab"].update({min(vocab["char_vocab"]): "2"}),
                      "char map", id="char-str-index"),
+        pytest.param(lambda vocab: vocab.update(char_vocab=list(vocab["char_vocab"])), "char map",
+                     id="char-list"),
+        pytest.param(lambda vocab: vocab.update(word_tokens=dict.fromkeys(vocab["word_tokens"])),
+                     "must be lists", id="words-object"),
         pytest.param(lambda vocab: vocab.update(pos_vocab={"NN": 0}), "pos map", id="pos-from-0"),
         pytest.param(lambda vocab: vocab.update(ner_vocab={"O": 1, "PER": 1}), "ner map",
                      id="ner-repeated-index"),
@@ -725,7 +729,6 @@ class TestCheckpoint:
         ("dropout", 1.5, "dropout must be in"),
         ("path", "LS->LQ", "first attention step"),
         ("seed", 1.5, "not a RunConfig: seed must be int"),
-        ("freeze_pretrained", "yes", "not a RunConfig: freeze_pretrained must be bool"),
         ("seed", True, "not a RunConfig: seed must be int"),
     ])
     def test_stored_config_that_does_not_build_rejected(self, tmp_path, key, value, message):
