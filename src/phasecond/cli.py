@@ -166,6 +166,9 @@ def dump_attention(model, example, out_dir, write_csv=False):
 
 
 def cmd_dump_attention(args):
+    if (args.data or args.example_id) and (args.passage or args.question):
+        raise ConfigError("dump-attention takes one example source: --example-id with --data, "
+                          "or --passage and --question")
     if args.example_id:
         if not args.data:
             raise ConfigError("--example-id requires --data")

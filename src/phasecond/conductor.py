@@ -15,9 +15,9 @@ expanded and no step wider than MAX_WIDTH (8) x 2d. The default two-phase
 path is "LQ->LQ->Fo->LS->Fi->LS->Fi"; the alternating baseline is
 "(LQ->Fi->LS->Fi)x2". `parse_path` reads a path in one pass, refuses an
 over-long one before expanding it, and returns the tuple of its steps;
-`step_widths` gives the width every step's layers are sized to. A RunConfig
-parses its path when it is made, so every path that reaches the model
-assembly is one it can build.
+`plan_steps` checks them in one walk, giving each step its width and each Fo
+its block. A RunConfig parses its path when it is made, so every path that
+reaches the model assembly is one it can build.
 
 `forward_batch` runs the model on `config.path` over a minibatch, and
 `gold_loss` turns the same pass into the batch loss. Rows stay packed from
@@ -65,7 +65,7 @@ _STATES = {
 
 
 def parse_path(expr):
-    """Parse and validate a path expression into the tuple of its steps.
+    """Parse a path expression into the tuple of its steps, checked by `plan_steps`.
 
     One pass over the tokens: `groups` holds the steps before each open "(",
     and `state` is what the next token may be. A step or a group's "xN" is
@@ -93,41 +93,28 @@ def parse_path(expr):
     if state != "next":
         raise PathSyntaxError(f"expected {_STATES[state][0]}, found the end",
                               position=len(expr))
-    validate_steps(steps)
+    plan_steps(steps)
     return tuple(steps)
 
 
-def _fo_block(steps, i):
-    """Plan indices of the outputs an Fo at position i concatenates: one per
-    attention step of the same-kind block before it, the step's Fi if it has
-    one, else the step itself."""
-    block, kind = [], None
-    for j in range(i - 1, -1, -1):
-        if steps[j] == "Fi":
-            continue
-        if steps[j] not in ATTENTION_STEPS or kind not in (None, steps[j]):
-            break
-        kind = steps[j]
-        block.insert(0, j + 1 if steps[j + 1] == "Fi" else j)
-    return block
+@dataclass
+class PlanStep:
+    kind: str
+    layer_index: int               # 1-based among the steps of its kind
+    width: int                     # of the rows the step returns, in units of 2d
+    block: tuple = ()              # plan indices an Fo concatenates
+    projection: object = None      # LQ query down-projection when its input is wider than 2d
+    fusion: object = None          # InnerFusionLayer or OuterFusionStack
 
 
-def step_widths(steps):
-    """Row widths in units of 2d: widths[i] enters step i, widths[i + 1] leaves it.
+def plan_steps(steps):
+    """Check a chain of steps and return one PlanStep per step, in one walk.
 
     The encoders' rows are one unit wide. An LQ returns one unit, an LS or an
-    Fi keeps its input's width, and an Fo's width is its block's summed.
+    Fi keeps its input's width, and an Fo concatenates its block: one output
+    per attention step of the same-kind block before it, the step's Fi if it
+    has one, else the step itself. `run` holds that block as the walk goes.
     """
-    widths = [1]
-    for i, step in enumerate(steps):
-        if step == "Fo":
-            widths.append(sum(widths[j + 1] for j in _fo_block(steps, i)))
-        else:
-            widths.append(1 if step == "LQ" else widths[-1])
-    return widths
-
-
-def validate_steps(steps):
     first_attention = next((s for s in steps if s in ATTENTION_STEPS), None)
     if first_attention is None:
         raise PathValidationError("path contains no attention steps")
@@ -135,29 +122,30 @@ def validate_steps(steps):
         raise PathValidationError(
             "first attention step must be LQ (question-passage): "
             "self-attention has no input before it")
-    widths = step_widths(steps)
-    for i, step in enumerate(steps):
-        if step == "Fi":
+    plan, run, run_kind = [], [], None
+    for i, kind in enumerate(steps):
+        width, block = 1 if kind == "LQ" or not plan else plan[-1].width, ()
+        if kind == "Fi":
             if i == 0 or steps[i - 1] not in ATTENTION_STEPS:
                 raise PathValidationError(
                     f"step {i + 1}: Fi must immediately follow an attention step")
-        elif step == "Fo":
-            if not _fo_block(steps, i):
+            run[-1] = i
+        elif kind == "Fo":
+            if not run:
                 raise PathValidationError(
                     f"step {i + 1}: Fo must follow a contiguous block of "
                     "same-kind attention steps")
-        if widths[i + 1] > MAX_WIDTH:
-            raise PathValidationError(f"step {i + 1}: {step} would be {widths[i + 1]} x 2d wide,"
+            block, run = tuple(run), []
+            width = sum(plan[j].width for j in block)
+        else:
+            if kind != run_kind:
+                run, run_kind = [], kind
+            run.append(i)
+        if width > MAX_WIDTH:
+            raise PathValidationError(f"step {i + 1}: {kind} would be {width} x 2d wide,"
                                       f" more than MAX_WIDTH ({MAX_WIDTH})")
-
-
-@dataclass
-class PlanStep:
-    kind: str
-    layer_index: int               # 1-based among the steps of its kind
-    projection: object = None      # LQ query down-projection when width != 2d
-    fusion: object = None          # InnerFusionLayer or OuterFusionStack
-    block: tuple = ()              # plan indices an Fo concatenates
+        plan.append(PlanStep(kind, steps[:i + 1].count(kind), width, block))
+    return plan
 
 
 @dataclass
@@ -183,22 +171,17 @@ class ModelAssembly:
         self.encoders = EncoderPair(self.params, self.extractor.width, config.hidden)
 
         d2 = 2 * config.hidden
-        widths = [d2 * w for w in step_widths(path)]
-        self.plan = []
-        for i, step in enumerate(path):
-            plan_step = PlanStep(step, path[:i + 1].count(step))
-            if step == "LQ" and widths[i] != d2:
-                plan_step.projection = self.params.add(
-                    f"path.s{i + 1}.lq_proj", (widths[i], d2), xavier_uniform)
-            elif step == "Fi":
-                plan_step.fusion = InnerFusionLayer(self.params, f"path.s{i + 1}.fi", widths[i])
-            elif step == "Fo":
-                plan_step.block = tuple(_fo_block(path, i))
-                plan_step.fusion = OuterFusionStack(self.params, f"path.s{i + 1}.fo",
-                                                    widths[i + 1], FUSION_LAYERS)
-            self.plan.append(plan_step)
-
-        self.final_width = widths[-1]
+        self.plan = plan = plan_steps(path)
+        for i, step in enumerate(plan):
+            if step.kind == "LQ" and i and plan[i - 1].width != 1:
+                step.projection = self.params.add(
+                    f"path.s{i + 1}.lq_proj", (d2 * plan[i - 1].width, d2), xavier_uniform)
+            elif step.kind == "Fi":
+                step.fusion = InnerFusionLayer(self.params, f"path.s{i + 1}.fi", d2 * step.width)
+            elif step.kind == "Fo":
+                step.fusion = OuterFusionStack(self.params, f"path.s{i + 1}.fo",
+                                               d2 * step.width, FUSION_LAYERS)
+        self.final_width = d2 * plan[-1].width
         self.pointer = PointerHead(self.params, self.final_width, d2, POINTER_HOPS)
 
     def parameter_count(self):

@@ -69,9 +69,6 @@ class ParamSet:
     def __getitem__(self, name):
         return self._params[name]
 
-    def __contains__(self, name):
-        return name in self._params
-
     def items(self):
         return self._params.items()
 

@@ -109,9 +109,15 @@ def train(model, train_examples, dev_examples, config, run_dir=None):
         raise DataError("training set is empty")
     if not dev_examples:
         raise DataError("dev set is empty")
+    for ex in [*train_examples, *dev_examples]:
+        if not ex.passage_tokens or not ex.question_tokens:
+            raise DataError(f"example {ex.id} has an empty passage or question")
     for ex in train_examples:
         if not ex.gold_spans:
             raise DataError(f"training example {ex.id} has no gold span")
+        if not all(0 <= b < len(ex.passage_tokens) for b in ex.gold_spans[0]):
+            raise DataError(f"training example {ex.id}: gold span {tuple(ex.gold_spans[0])} "
+                            f"outside passage of length {len(ex.passage_tokens)}")
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(2)
     shuffle_rng = np.random.default_rng(seeds[0])

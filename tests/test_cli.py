@@ -294,6 +294,13 @@ class TestDumpAttention:
         assert capsys.readouterr().err == f"error: {flag} has no tokens\n"
         assert not (tmp_path / "x").exists()
 
+    def test_two_example_sources_is_usage_error(self, workspace, tmp_path, capsys):
+        code, out = self.dump(workspace, tmp_path, extra=["--passage", "tok01 ans02",
+                                                          "--question", "which ?"])
+        assert code == 2
+        assert "one example source" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_one_hot_rows_have_entropy_plus_zero(self):
         entropy = phasecond.cli.mean_row_entropy(np.eye(1))
         assert entropy == 0.0 and np.copysign(1.0, entropy) == 1.0

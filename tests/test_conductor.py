@@ -23,9 +23,8 @@ from phasecond.conductor import (
     forward_batch,
     gold_loss,
     parse_path,
+    plan_steps,
     run_path,
-    step_widths,
-    validate_steps,
 )
 from phasecond.config import DEFAULT_PATH, ITERATIVE_ALIGNER_PATH, RunConfig, desk_config
 from phasecond.data import QAExample, SyntheticSpec, generate_synthetic
@@ -143,9 +142,31 @@ class TestParsePath:
             parse_path("LQ->Fo->Fo")
 
     def test_step_widths_in_units_of_2d(self):
-        assert step_widths(parse_path(DEFAULT_PATH)) == [1, 1, 1, 2, 2, 2, 2, 2]
-        assert step_widths(parse_path("LQ->LQ->Fo->LQ->Fi")) == [1, 1, 1, 2, 1, 1]
-        assert step_widths(parse_path("LQ->Fi->LQ->Fi->Fo")) == [1, 1, 1, 1, 1, 2]
+        assert [s.width for s in plan_steps(parse_path(DEFAULT_PATH))] == [1, 1, 2, 2, 2, 2, 2]
+        assert [s.width for s in plan_steps(parse_path("LQ->LQ->Fo->LQ->Fi"))] == [1, 1, 2, 1, 1]
+        assert [s.width for s in plan_steps(parse_path("LQ->Fi->LQ->Fi->Fo"))] == [1, 1, 1, 1, 2]
+
+    @pytest.mark.parametrize("expr,plan", [
+        (DEFAULT_PATH, [("LQ", 1, 1, ()), ("LQ", 2, 1, ()), ("Fo", 1, 2, (0, 1)),
+                        ("LS", 1, 2, ()), ("Fi", 1, 2, ()), ("LS", 2, 2, ()), ("Fi", 2, 2, ())]),
+        (ITERATIVE_ALIGNER_PATH, [("LQ", 1, 1, ()), ("Fi", 1, 1, ()), ("LS", 1, 1, ()),
+                                  ("Fi", 2, 1, ()), ("LQ", 2, 1, ()), ("Fi", 3, 1, ()),
+                                  ("LS", 2, 1, ()), ("Fi", 4, 1, ())]),
+        # the block is the LS alone: an attention step of the other kind starts a new one
+        ("LQ->LS->Fo", [("LQ", 1, 1, ()), ("LS", 1, 1, ()), ("Fo", 1, 1, (1,))]),
+        # the second Fo's block stops at the first Fo
+        ("LQ->LQ->Fo->LS->LS->Fo", [("LQ", 1, 1, ()), ("LQ", 2, 1, ()), ("Fo", 1, 2, (0, 1)),
+                                    ("LS", 1, 2, ()), ("LS", 2, 2, ()), ("Fo", 2, 4, (3, 4))]),
+        # each Fi's output stands in for its attention step's
+        ("LQ->Fi->LQ->Fi->Fo", [("LQ", 1, 1, ()), ("Fi", 1, 1, ()), ("LQ", 2, 1, ()),
+                                ("Fi", 2, 1, ()), ("Fo", 1, 2, (1, 3))]),
+        # the third LQ reads rows 2 units wide and returns 1
+        ("LQ->LQ->Fo->LQ->Fi", [("LQ", 1, 1, ()), ("LQ", 2, 1, ()), ("Fo", 1, 2, (0, 1)),
+                                ("LQ", 3, 1, ()), ("Fi", 1, 1, ())]),
+    ], ids=["default", "iterative", "ls-block", "two-fo", "fi-block", "projecting-lq"])
+    def test_plan_of_each_rule(self, expr, plan):
+        assert [(s.kind, s.layer_index, s.width, s.block)
+                for s in plan_steps(parse_path(expr))] == plan
 
     def test_path_too_wide_to_build_is_refused_with_its_config(self):
         wide = "LQ->LQ->Fo" + "->LS->LS->Fo" * 20  # widest Fo: 2,097,152 x 2d
@@ -156,7 +177,7 @@ class TestParsePath:
 
     def test_path_exactly_max_width_builds(self):
         widest = "LQ->LQ->Fo" + "->LS->LS->Fo" * 2
-        assert max(step_widths(parse_path(widest))) == MAX_WIDTH
+        assert max(s.width for s in plan_steps(parse_path(widest))) == MAX_WIDTH
         cfg = RunConfig(path=widest, hidden=2, word_dim=2, char_dim=2, char_filters=2,
                         feat_dim=2)
         model = build_from_examples(cfg, [])
@@ -177,7 +198,7 @@ class TestParsePath:
             steps = [str(rng.choice(["LQ", "LS", "Fi", "Fo"]))
                      for _ in range(rng.integers(1, 7))]
             try:
-                validate_steps(steps)
+                plan_steps(steps)
             except PathValidationError:
                 rejected += 1
         assert rejected > 100  # most random chains are malformed
@@ -634,7 +655,7 @@ def masked_gradients(model, examples):
 @pytest.mark.parametrize("path", [DEFAULT_PATH, ITERATIVE_ALIGNER_PATH, PROJECTING_PATH])
 def test_gold_loss_gradient_of_every_parameter(tmp_path, path):
     model, examples = loss_batch(tmp_path, path)
-    assert ("path.s4.lq_proj" in model.params) is (path == PROJECTING_PATH)
+    assert ("path.s4.lq_proj" in model.params.names()) is (path == PROJECTING_PATH)
     grads = masked_gradients(model, examples)
     rng = np.random.default_rng(0)
     for name, t in model.params.items():

@@ -211,7 +211,7 @@ class TestPredictSpan:
 
     def test_adapter_reconciles_query_width(self):
         head, params = make_head(width=6, query_width=4, seed=10)
-        assert "ptr.adapter" in params
+        assert "ptr.adapter" in params.names()
         v = Tensor(np.random.default_rng(11).standard_normal((2, 4)))
         q = head.initial_query(v, [2])
         assert q.data.shape == (1, 6)

@@ -292,6 +292,31 @@ class TestTrainLoop:
         r2 = train(build_from_examples(cfg, data), data, data[:4], cfg)
         assert r1.history == r2.history
 
+    def test_gold_span_outside_its_passage_refused_before_any_step(self):
+        data = tiny_dataset(n=40)
+        data[-1] = dataclasses.replace(data[-1], gold_spans=[(0, 999)])
+        cfg = small_config()
+        model = build_from_examples(cfg, data)
+        before = {name: t.data.copy() for name, t in model.params.items()}
+        with pytest.raises(DataError, match=rf"training example {data[-1].id}: "
+                                            r"gold span \(0, 999\) outside passage"):
+            train(model, data, data[:4], cfg)
+        assert all(np.array_equal(t.data, before[name]) for name, t in model.params.items())
+
+    @pytest.mark.parametrize("split,field", [("dev", "question_tokens"),
+                                             ("train", "passage_tokens")])
+    def test_empty_passage_or_question_refused_before_any_step(self, split, field):
+        data = tiny_dataset(n=8)
+        train_set, dev_set = data[:6], data[6:]
+        bad = train_set if split == "train" else dev_set
+        bad[0] = dataclasses.replace(bad[0], **{field: []})
+        cfg = small_config()
+        model = build_from_examples(cfg, train_set)
+        before = {name: t.data.copy() for name, t in model.params.items()}
+        with pytest.raises(DataError, match=f"example {bad[0].id} has an empty passage"):
+            train(model, train_set, dev_set, cfg)
+        assert all(np.array_equal(t.data, before[name]) for name, t in model.params.items())
+
     def test_single_example_overfit(self):
         data = tiny_dataset(n=1, seed=3)
         cfg = small_config(epochs=1, dropout=0.0, lr=0.01, batch_size=1)
