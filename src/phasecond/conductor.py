@@ -40,7 +40,7 @@ from .errors import PathSyntaxError, PathValidationError
 from .features import FeatureExtractor, build_vocabulary, exact_match_features
 from .fusion import FUSION_LAYERS, InnerFusionLayer, OuterFusionStack
 from .params import ParamSet, xavier_uniform
-from .pointer import POINTER_HOPS, PointerHead, decode_span, span_loss
+from .pointer import PointerHead, decode_span, span_loss
 
 ATTENTION_STEPS = ("LQ", "LS")
 
@@ -182,7 +182,7 @@ class ModelAssembly:
                 step.fusion = OuterFusionStack(self.params, f"path.s{i + 1}.fo",
                                                d2 * step.width, FUSION_LAYERS)
         self.final_width = d2 * plan[-1].width
-        self.pointer = PointerHead(self.params, self.final_width, d2, POINTER_HOPS)
+        self.pointer = PointerHead(self.params, self.final_width, d2)
 
     def parameter_count(self):
         return self.params.count()

@@ -150,21 +150,21 @@ def question_type(question_tokens):
     return "other"
 
 
-def char_cnn(char_emb, filters, bias, char_idx, n_valid_windows, width):
-    """Convolution over characters, max-pooled per word, as one graph node.
+def char_cnn(char_emb, filters, bias, char_idx, n_valid_windows):
+    """CHAR_WIDTH-wide character convolution, max-pooled per word, as one graph node.
 
     char_idx: [n_words, L] int indices (0 pad), every word padded to at
-    least `width` and all words to a common L. n_valid_windows[w] limits
+    least CHAR_WIDTH and all words to a common L. n_valid_windows[w] limits
     the max-pool to windows fully inside word w's (padded) length. Only the
     last bits of a word's output depend on the call's longest word (BLAS size).
     """
     n_words, length = char_idx.shape
     n_filters = filters.data.shape[1]
     dc = char_emb.data.shape[1]
-    n_win = length - width + 1
+    n_win = length - CHAR_WIDTH + 1
     embedded = char_emb.data[char_idx]  # [n, L, dc]
-    windows = np.lib.stride_tricks.sliding_window_view(embedded, width, axis=1)
-    cols = np.ascontiguousarray(windows.transpose(0, 1, 3, 2)).reshape(n_words, n_win, width * dc)
+    windows = np.lib.stride_tricks.sliding_window_view(embedded, CHAR_WIDTH, axis=1)
+    cols = np.ascontiguousarray(windows.transpose(0, 1, 3, 2)).reshape(n_words, n_win, -1)
     scores = cols @ filters.data + bias.data  # [n, n_win, F]
     act = np.maximum(scores, 0.0)
     valid = np.arange(n_win)[None, :] < n_valid_windows[:, None]
@@ -177,12 +177,12 @@ def char_cnn(char_emb, filters, bias, char_idx, n_valid_windows, width):
         dscores = np.zeros((n_words, n_win, n_filters))
         np.put_along_axis(dscores, winner[:, None, :], (g * (out > 0))[:, None, :], axis=1)
         dbias = dscores.sum(axis=(0, 1))
-        flat_cols = cols.reshape(-1, width * dc)
+        flat_cols = cols.reshape(-1, CHAR_WIDTH * dc)
         flat_ds = dscores.reshape(-1, n_filters)
         dfilters = flat_cols.T @ flat_ds
-        dcols = (flat_ds @ filters.data.T).reshape(n_words, n_win, width, dc)
+        dcols = (flat_ds @ filters.data.T).reshape(n_words, n_win, CHAR_WIDTH, dc)
         dembedded = np.zeros((n_words, length, dc))
-        for k in range(width):
+        for k in range(CHAR_WIDTH):
             dembedded[:, k:k + n_win, :] += dcols[:, :, k, :]
         demb = np.zeros_like(char_emb.data)
         np.add.at(demb, char_idx, dembedded)
@@ -215,7 +215,7 @@ class CharCNN:
             for k, ch in enumerate(tok):
                 idx[w, k] = self.char_vocab.get(ch, UNK_INDEX)
         n_valid = lengths - CHAR_WIDTH + 1
-        return char_cnn(self.emb, self.filters, self.bias, idx, n_valid, CHAR_WIDTH)
+        return char_cnn(self.emb, self.filters, self.bias, idx, n_valid)
 
 
 class FeatureExtractor:

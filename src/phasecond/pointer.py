@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as T
-from .errors import ConfigError, DataError, NumericsError, ShapeError
+from .errors import DataError, NumericsError, ShapeError
 from .params import constant, xavier_uniform
 
 POINTER_HOPS = 2  # memory hops of the model's pointer head
@@ -77,13 +77,10 @@ def question_summary(v_independent, w_proj, w_score, lengths):
 
 
 class PointerHead:
-    """Boundary predictor over the final passage representation."""
+    """Boundary predictor over the final passage representation, POINTER_HOPS hops deep."""
 
-    def __init__(self, params, passage_width, query_width, hops):
-        if hops < 1:
-            raise ConfigError(f"pointer needs at least one hop, got {hops}")
+    def __init__(self, params, passage_width, query_width):
         self.width = passage_width
-        self.hops = hops
         self.summary_proj = params.add(
             "ptr.summary.W", (query_width, query_width), xavier_uniform)
         self.summary_score = params.add("ptr.summary.w", (query_width, 1), xavier_uniform)
@@ -92,7 +89,7 @@ class PointerHead:
             self.adapter = params.add(
                 "ptr.adapter", (query_width, passage_width), xavier_uniform)
         self.boundary = {}
-        for t in range(1, hops + 1):
+        for t in range(1, POINTER_HOPS + 1):
             for b in ("start", "end"):
                 self.boundary[(t, b)] = (
                     params.add(f"ptr.hop{t}.{b}.W_h", (passage_width, passage_width), xavier_uniform),
@@ -128,13 +125,13 @@ class PointerHead:
         if q.data.shape != (len(lengths), self.width):
             raise ShapeError(
                 f"pointer needs a [{len(lengths)}, {self.width}] query, got {q.data.shape}")
-        for t in range(1, self.hops + 1):
+        for t in range(1, POINTER_HOPS + 1):
             s_start = self._boundary_scores(h, q, t, "start", lengths)
             p_start = T.segment_softmax(s_start, lengths)
             q = self.memory(q, T.segment_weighted_sum(p_start, h, lengths))
             s_end = self._boundary_scores(h, q, t, "end", lengths)
             p_end = T.segment_softmax(s_end, lengths)
-            if t < self.hops:
+            if t < POINTER_HOPS:
                 q = self.memory(q, T.segment_weighted_sum(p_end, h, lengths))
         return (T.concat([s_start, s_end], axis=1),
                 np.concatenate([p_start.data, p_end.data], axis=1))

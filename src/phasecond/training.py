@@ -64,13 +64,20 @@ def adam_step(params, state, lr):
         t.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
-def clip_gradients(params, max_norm):
-    """Scale all gradients so their global L2 norm is at most max_norm. Returns
-    the norm before clipping."""
+def clip_gradients(params):
+    """Scale all gradients so their global L2 norm is at most GRAD_CLIP. Returns
+    the norm before clipping. A norm that is not finite raises NumericsError
+    before any gradient is scaled: it names the first parameter with a non-finite
+    entry, or says the squared norm overflowed when every entry is finite."""
     grads = [t.grad for _, t in params.items() if t.grad is not None]
     norm = sum(float(np.vdot(g, g)) for g in grads) ** 0.5
-    if norm > max_norm:
-        scale = max_norm / norm
+    if not np.isfinite(norm):
+        bad = next((name for name, t in params.items()
+                    if t.grad is not None and not np.isfinite(t.grad).all()), None)
+        raise NumericsError(f"non-finite gradient in parameter {bad}" if bad else
+                            "the squared gradient norm overflowed")
+    if norm > GRAD_CLIP:
+        scale = GRAD_CLIP / norm
         for g in grads:
             g *= scale
     return norm
@@ -115,9 +122,12 @@ def train(model, train_examples, dev_examples, config, run_dir=None):
     for ex in train_examples:
         if not ex.gold_spans:
             raise DataError(f"training example {ex.id} has no gold span")
-        if not all(0 <= b < len(ex.passage_tokens) for b in ex.gold_spans[0]):
-            raise DataError(f"training example {ex.id}: gold span {tuple(ex.gold_spans[0])} "
+        span = tuple(ex.gold_spans[0])
+        if not all(0 <= b < len(ex.passage_tokens) for b in span):
+            raise DataError(f"training example {ex.id}: gold span {span} "
                             f"outside passage of length {len(ex.passage_tokens)}")
+        if span[0] > span[1]:
+            raise DataError(f"training example {ex.id}: gold span {span} ends before it starts")
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(2)
     shuffle_rng = np.random.default_rng(seeds[0])
@@ -187,10 +197,10 @@ def _optimizer_step(model, batch, state, rng):
     """One clipped Adam step on a batch's mean loss.
 
     The batch goes through one packed forward pass to one loss node (see
-    `conductor.gold_loss`). Returns the loss as a float. A non-finite loss
-    or gradient raises NumericsError before any parameter moves: clipping
-    never makes a non-finite gradient finite, and `adam_step` checks every
-    gradient first. The batch's tape lives only inside this call.
+    `conductor.gold_loss`). Returns the loss as a float. A non-finite loss,
+    gradient or gradient norm raises NumericsError before any parameter moves:
+    `clip_gradients` checks the norm before it scales anything. The batch's
+    tape lives only inside this call.
     """
     model.params.zero_grads()
     batch_loss = gold_loss(model, batch, rng=rng)
@@ -198,7 +208,7 @@ def _optimizer_step(model, batch, state, rng):
         raise NumericsError(f"batch loss is not finite: {float(batch_loss.data)}")
     backward(batch_loss)
     model.params.apply_grad_masks()
-    clip_gradients(model.params, GRAD_CLIP)
+    clip_gradients(model.params)
     adam_step(model.params, state, model.config.lr)
     return float(batch_loss.data)
 

@@ -102,7 +102,7 @@ def run_grad_checks(seed=0):
           Tensor(rng.standard_normal((3, 4))))
 
     # pointer head through the span loss
-    head = PointerHead(ParamSet(rng), 4, 4, 2)
+    head = PointerHead(ParamSet(rng), 4, 4)
     v_q = Tensor(rng.standard_normal((3, 4)))
 
     def pointer_loss(t):

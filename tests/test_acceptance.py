@@ -24,7 +24,6 @@ from phasecond.params import ParamSet
 from phasecond.pointer import decode_span
 from phasecond.tensor import Tensor, backward
 from phasecond.training import (
-    GRAD_CLIP,
     AdamState,
     adam_step,
     clip_gradients,
@@ -323,7 +322,7 @@ def test_criterion_8_loss_sanity():
             break
         backward(loss)
         model.params.apply_grad_masks()
-        clip_gradients(model.params, GRAD_CLIP)
+        clip_gradients(model.params)
         adam_step(model.params, state, cfg.lr)
     assert min(losses) < OVERFIT_LOSS, f"min loss {min(losses)} after {len(losses)} steps"
     report(8, f"single-example loss {losses[0]:.2f} -> {min(losses):.4f} in "

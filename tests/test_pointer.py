@@ -5,6 +5,7 @@ from phasecond import tensor as T
 from phasecond.errors import DataError, NumericsError, ShapeError
 from phasecond.params import ParamSet
 from phasecond.pointer import (
+    POINTER_HOPS,
     GRUCell,
     PointerHead,
     decode_span,
@@ -27,9 +28,9 @@ def brute_force_span(ps, pe, max_span):
     return best, best_score
 
 
-def make_head(width=4, query_width=4, hops=2, seed=0):
+def make_head(width=4, query_width=4, seed=0):
     params = ParamSet(np.random.default_rng(seed))
-    head = PointerHead(params, width, query_width, hops)
+    head = PointerHead(params, width, query_width)
     return head, params
 
 
@@ -190,19 +191,18 @@ class TestGRUCell:
 
 class TestPredictSpan:
     def test_distributions_valid_per_hop(self):
-        for hops in (1, 2, 3):
-            head, _ = make_head(width=6, query_width=4, hops=hops, seed=4)
-            rng = np.random.default_rng(5)
-            h = Tensor(rng.standard_normal((5, 6)))
-            q = head.initial_query(Tensor(rng.standard_normal((3, 4))), [3])
-            scores, probs = head.predict_span(h, q, [5])
-            assert scores.data.shape == probs.shape == (5, 2)
-            assert np.all(probs >= 0)
-            assert np.all(np.abs(probs.sum(axis=0) - 1.0) <= 1e-9)
+        head, _ = make_head(width=6, query_width=4, seed=4)
+        rng = np.random.default_rng(5)
+        h = Tensor(rng.standard_normal((5, 6)))
+        q = head.initial_query(Tensor(rng.standard_normal((3, 4))), [3])
+        scores, probs = head.predict_span(h, q, [5])
+        assert scores.data.shape == probs.shape == (5, 2)
+        assert np.all(probs >= 0)
+        assert np.all(np.abs(probs.sum(axis=0) - 1.0) <= 1e-9)
 
     def test_uniform_scores_give_uniform_distribution(self):
-        head, params = make_head(width=4, hops=1, seed=6)
-        params["ptr.hop1.start.v"].data[:] = 0.0
+        head, params = make_head(width=4, seed=6)
+        params[f"ptr.hop{POINTER_HOPS}.start.v"].data[:] = 0.0  # the last hop's probabilities
         rng = np.random.default_rng(7)
         h = Tensor(rng.standard_normal((4, 4)))
         q = Tensor(rng.standard_normal((1, 4)))
@@ -217,7 +217,7 @@ class TestPredictSpan:
         assert q.data.shape == (1, 6)
 
     def test_gradient_wrt_passage(self):
-        head, _ = make_head(width=4, query_width=4, hops=2, seed=12)
+        head, _ = make_head(width=4, query_width=4, seed=12)
         rng = np.random.default_rng(13)
         q_src = Tensor(rng.standard_normal((3, 4)))
         h = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
@@ -229,7 +229,7 @@ class TestPredictSpan:
         assert grad_check(f, h) < 1e-4
 
     def test_packed_batch_matches_one_passage_at_a_time(self):
-        head, _ = make_head(width=6, query_width=4, hops=3, seed=15)
+        head, _ = make_head(width=6, query_width=4, seed=15)
         rng = np.random.default_rng(16)
         lengths, q_lengths = [4, 1, 7, 2], [3, 1, 2, 5]
         passages = [Tensor(rng.standard_normal((n, 6))) for n in lengths]
@@ -284,7 +284,7 @@ class TestSpanLoss:
             span_loss(scores_of([0.5, 0.5], [0.5, 0.5]), [2], [(0, 2)])
 
     def test_non_negative_and_uses_last_hop(self):
-        head, _ = make_head(width=4, query_width=4, hops=3, seed=14)
+        head, _ = make_head(width=4, query_width=4, seed=14)
         rng = np.random.default_rng(14)
         q = head.initial_query(Tensor(rng.standard_normal((2, 4))), [2])
         scores, probs = head.predict_span(Tensor(rng.standard_normal((4, 4))), q, [4])

@@ -201,13 +201,45 @@ class TestAdam:
             adam_step(params, AdamState(), 0.1)
         assert np.array_equal(a.data, before)  # aborted before any update
 
+    def test_three_steps_match_the_spelled_out_update_bit_for_bit(self):
+        """The pin a rewritten (for example, blocked) Adam pass has to keep."""
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
+        rng = np.random.default_rng(21)
+        params = ParamSet(rng)
+        for name, shape in [("scalar", ()), ("small", (7, 5)), ("large", (300, 257)),
+                            ("no_grad", (4,))]:
+            params.add(name, shape, lambda r, s: r.standard_normal(s))
+        expected = {name: t.data.copy() for name, t in params.items()}
+        m = {name: np.zeros_like(p) for name, p in expected.items()}
+        v = {name: np.zeros_like(p) for name, p in expected.items()}
+        state = AdamState()
+        for step in range(1, 4):
+            for name, t in params.items():
+                t.grad = None if name == "no_grad" else rng.standard_normal(t.data.shape)
+            bc1, bc2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+            for name, t in params.items():
+                g = t.grad
+                if g is None:
+                    continue
+                m[name] = b1 * m[name] + (1.0 - b1) * g
+                v[name] = b2 * v[name] + ((1.0 - b2) * g) * g
+                expected[name] = expected[name] - lr * (m[name] / bc1) / (
+                    np.sqrt(v[name] / bc2) + eps)
+            adam_step(params, state, lr)
+        assert state.step == 3 and "no_grad" not in state.m and "no_grad" not in state.v
+        for name, t in params.items():
+            assert t.data.tobytes() == expected[name].tobytes(), name
+            if name != "no_grad":
+                assert state.m[name].tobytes() == m[name].tobytes(), name
+                assert state.v[name].tobytes() == v[name].tobytes(), name
+
 
 class TestClipping:
     def test_norm_scaling(self):
         params = ParamSet()
         p = params.add("w", (4,), constant(0.0))
         p.grad = np.full(4, 10.0)
-        norm = clip_gradients(params, 5.0)
+        norm = clip_gradients(params)
         assert norm == pytest.approx(20.0)
         assert np.linalg.norm(p.grad) == pytest.approx(5.0)
 
@@ -215,8 +247,21 @@ class TestClipping:
         params = ParamSet()
         p = params.add("w", (2,), constant(0.0))
         p.grad = np.array([0.3, 0.4])
-        clip_gradients(params, 5.0)
+        clip_gradients(params)
         assert np.allclose(p.grad, [0.3, 0.4])
+
+    @pytest.mark.parametrize("bad,message", [
+        ([1e200, 1.0], "the squared gradient norm overflowed"),
+        ([np.inf, 1.0], "non-finite gradient in parameter w"),
+        ([1.0, np.nan], "non-finite gradient in parameter w")])
+    def test_non_finite_norm_refused_before_any_scaling(self, bad, message):
+        params = ParamSet()
+        params.add("u", (1,), constant(0.0)).grad = np.array([30.0])
+        params.add("w", (2,), constant(0.0)).grad = np.array(bad)
+        with pytest.raises(NumericsError, match=message):
+            clip_gradients(params)
+        assert params["u"].grad.tolist() == [30.0]
+        assert params["w"].grad.tobytes() == np.array(bad).tobytes()
 
 
 def test_clip_gradients_norm_matches_the_squared_copies():
@@ -230,11 +275,11 @@ def test_clip_gradients_norm_matches_the_squared_copies():
     params.add("no_grad", (6,), constant(0.0))
     grads = [t.grad.copy() for _, t in params.items() if t.grad is not None]
     from_squares = sum(float((g * g).sum()) for g in grads) ** 0.5
-    norm = clip_gradients(params, 1.0)
+    norm = clip_gradients(params)
     assert norm == sum(float(np.vdot(g, g)) for g in grads) ** 0.5
     assert abs(norm - from_squares) <= 1e-14 * from_squares
     scaled = [t.grad for _, t in params.items() if t.grad is not None]
-    assert all(got.tobytes() == (g * (1.0 / norm)).tobytes() for got, g in zip(scaled, grads))
+    assert all(got.tobytes() == (g * (GRAD_CLIP / norm)).tobytes() for got, g in zip(scaled, grads))
 
 
 class TestTrainLoop:
@@ -303,6 +348,18 @@ class TestTrainLoop:
             train(model, data, data[:4], cfg)
         assert all(np.array_equal(t.data, before[name]) for name, t in model.params.items())
 
+    def test_gold_span_that_ends_before_it_starts_refused_before_any_step(self):
+        data = generate_synthetic(SyntheticSpec(n_examples=8, vocab_size=20,
+                                                min_len=10, max_len=12, seed=0))
+        data[0] = dataclasses.replace(data[0], gold_spans=[(5, 3)])
+        cfg = desk_config(hidden=4, epochs=1, early_stop_train_em=0.0, early_stop_dev_em=0.0)
+        model = build_from_examples(cfg, data)
+        before = {name: t.data.copy() for name, t in model.params.items()}
+        with pytest.raises(DataError, match=rf"training example {data[0].id}: "
+                                            r"gold span \(5, 3\) ends before it starts"):
+            train(model, data, data[4:], cfg)
+        assert all(np.array_equal(t.data, before[name]) for name, t in model.params.items())
+
     @pytest.mark.parametrize("split,field", [("dev", "question_tokens"),
                                              ("train", "passage_tokens")])
     def test_empty_passage_or_question_refused_before_any_step(self, split, field):
@@ -328,7 +385,7 @@ class TestTrainLoop:
             loss = gold_loss(model, data[:1], rng=np.random.default_rng(0))
             backward(loss)
             model.params.apply_grad_masks()
-            clip_gradients(model.params, GRAD_CLIP)
+            clip_gradients(model.params)
             adam_step(model.params, state, cfg.lr)
             losses.append(float(loss.data))
             if losses[-1] < 0.01:
@@ -354,7 +411,7 @@ class TestBatchedStep:
         expected = T.mul(total, Tensor(1.0 / len(data)))
         backward(expected)
         reference.params.apply_grad_masks()
-        clip_gradients(reference.params, GRAD_CLIP)
+        clip_gradients(reference.params)
 
         loss = _optimizer_step(batched, data, AdamState(), rng_batched)
         assert abs(loss - float(expected.data)) <= 1e-12
@@ -391,6 +448,25 @@ class TestNonFinite:
         result = train(model, data, data[:4], cfg)
         assert result.status == "halted_nonfinite"
         assert result.history == []
+        for name, t in model.params.items():
+            assert np.array_equal(t.data, before[name]), name
+
+    def test_an_overflowing_gradient_norm_halts_the_run(self, monkeypatch):
+        """Every entry is finite but the squared norm is not: scaling by
+        GRAD_CLIP / inf would zero the gradients and let Adam step on zeros."""
+        data = tiny_dataset(n=8)
+        cfg = small_config(epochs=2)
+        model = build_from_examples(cfg, data)
+        before = {name: t.data.copy() for name, t in model.params.items()}
+        true_backward = training.backward
+
+        def overflowing_backward(loss):
+            true_backward(loss)
+            model.params["ptr.mem.b_u"].grad[0] = 1e200
+
+        monkeypatch.setattr(training, "backward", overflowing_backward)
+        result = train(model, data, data[:4], cfg)
+        assert (result.status, result.history) == ("halted_nonfinite", [])
         for name, t in model.params.items():
             assert np.array_equal(t.data, before[name]), name
 
